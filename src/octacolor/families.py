@@ -8,18 +8,21 @@ the chord edges (v, v-3).  Every completion to a full instance adds six
 parallel blue edges (each creating one bigon, the six cone points) and one
 red edge per quadrilateral, marking its acute corners.
 
-Where exactly the six completing edges go is not determined by the counts
-alone, so the generator runs a deterministic backtracking search over red
-placements and parallel doublings, gated by full validation: plausibility,
-a consistent direction labelling, kernel dimension four, and a strictly
-positive solution.  The first completion in canonical order wins, making
-the output reproducible byte for byte; if no completion validates, the
-failure surfaces as ConstructionError rather than a patched variant.
+The completion is built in closed form.  For k >= 5 it is periodic in k:
+fixed red edges and doubles near the seed square and near the last wrap
+step, and the chord (2j+3, 2j) as red edge of both quadrilaterals of each
+step in between.  k = 3 and k = 4 are too short for that pattern and are
+given as literal tables.  Every result still passes the full validation
+gate (plausibility, a consistent direction labelling, kernel dimension
+four, and a strictly positive solution); a completion that fails it
+raises ConstructionError rather than returning an unvalidated variant.
+The closed form reproduces, byte for byte, the first completion in
+canonical order of the backtracking search it replaced; that search is
+kept in tests/spiral_search.py as the oracle tests compare against.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -101,7 +104,7 @@ def _spiral_cell(k: int) -> EnhancedMultigraph:
 
 
 # ---------------------------------------------------------------------------
-# completion search
+# completion and its validation gate
 
 def _is_nice(g: EnhancedMultigraph) -> bool:
     if not validate_plausible(g).plausible:
@@ -119,119 +122,33 @@ def _is_nice(g: EnhancedMultigraph) -> bool:
     return bool(cd.has_positive_point)
 
 
-def _complete_cell(cell: EnhancedMultigraph) -> EnhancedMultigraph | None:
-    faces = trace_faces(cell, colors=(BLUE,))
-    emap = cell.edge_map()
-    rot_of = cell.rotation_map()
-    face_list = [f for f in faces.faces]
-    deficits = {vid: 6 - len(rot) for vid, rot in cell.rotations}
+# k = 3 and k = 4 are too short for the periodic pattern of _spiral_completion.
+_SMALL_COMPLETIONS = {
+    3: ([(0, 1), (0, 1), (1, 2), (2, 3)],
+        [((3, 0), 0)] * 2 + [((4, 5), 2)] * 3 + [((5, 2), 2)]),
+    4: ([(0, 1), (0, 1), (1, 2), (5, 2), (6, 7), (4, 5)],
+        [((3, 0), 0)] * 2 + [((5, 2), 2)] + [((6, 7), 4)] * 2 + [((7, 4), 4)]),
+}
 
-    face_edge_choices: list[list[int]] = []
-    for f in face_list:
-        seen: list[int] = []
-        for eid in f.edge_ids():
-            if eid not in seen:
-                seen.append(eid)
-        face_edge_choices.append(seen)
 
-    incident_after: list[dict[int, int]] = [dict() for _ in range(len(face_list) + 1)]
-    # incident_after[i][v]: faces with index >= i that can still place a red end at v
-    counts: dict[int, int] = {}
-    for i in range(len(face_list) - 1, -1, -1):
-        touched = {v for eid in face_edge_choices[i] for v in emap[eid].endpoints}
-        for v in touched:
-            counts[v] = counts.get(v, 0) + 1
-        incident_after[i] = dict(counts)
+def _spiral_completion(k: int):
+    """Closed-form completion of the spiral cell on n = 2k vertices.
 
-    used_r = {vid: 0 for vid in deficits}
-    reds: list[int] = []
-
-    def feasible(i: int) -> bool:
-        short = 0
-        for v, d in deficits.items():
-            future = incident_after[i].get(v, 0) if i < len(face_list) else 0
-            lower = d - used_r[v] - future
-            if lower > 0:
-                short += lower
-        return short <= 12
-
-    def stage2(p: dict[int, int]):
-        """Multisets of 6 parallel doublings with endpoint degree vector p."""
-        edge_ids = [eid for eid in sorted(emap)
-                    if p[emap[eid].a] > 0 and p[emap[eid].b] > 0]
-
-        def rec(idx: int, remaining: int, rem: dict[int, int]):
-            if remaining == 0:
-                if all(x == 0 for x in rem.values()):
-                    yield []
-                return
-            if idx == len(edge_ids):
-                return
-            eid = edge_ids[idx]
-            a, b = emap[eid].endpoints
-            cap = min(rem[a], rem[b], remaining)
-            for m in range(cap, -1, -1):
-                rem[a] -= m
-                rem[b] -= m
-                for rest in rec(idx + 1, remaining - m, rem):
-                    yield [eid] * m + rest
-                rem[a] += m
-                rem[b] += m
-
-        yield from rec(0, 6, dict(p))
-
-    def sides_of(eid: int) -> list[int]:
-        d0 = (eid, 0)
-        f_out = next(f.id for f in face_list if d0 in f.darts)
-        f_in = faces.face_of_corner()[d0]
-        return sorted({f_out, f_in})
-
-    def stage3(doubles: list[int]):
-        groups = [(eid, sum(1 for x in doubles if x == eid)) for eid in sorted(set(doubles))]
-        options = [list(itertools.combinations_with_replacement(sides_of(eid), m)) for eid, m in groups]
-        for combo in itertools.product(*options):
-            assignment: list[tuple[int, int]] = []
-            for (eid, _), side_choice in zip(groups, combo):
-                assignment.extend((eid, fid) for fid in side_choice)
-            yield assignment
-
-    neighbors: dict[int, set[int]] = {vid: set() for vid, _ in cell.rotations}
-    for e in cell.edges:
-        neighbors[e.a].add(e.b)
-        neighbors[e.b].add(e.a)
-
-    def stage1(i: int):
-        if i == len(face_list):
-            p = {v: deficits[v] - used_r[v] for v in deficits}
-            if any(x < 0 for x in p.values()) or sum(p.values()) != 12:
-                return None
-            # every doubling end needs a partner end across an existing edge
-            if any(x > 0 and all(p[w] == 0 for w in neighbors[v]) for v, x in p.items()):
-                return None
-            for doubles in stage2(p):
-                for assignment in stage3(doubles):
-                    red_choice = {face_list[j].id: reds[j] for j in range(len(reds))}
-                    g = _apply_completion(cell, faces, red_choice, assignment)
-                    if _is_nice(g):
-                        return g
-            return None
-        for eid in face_edge_choices[i]:
-            a, b = emap[eid].endpoints
-            if used_r[a] + 1 > deficits[a] or used_r[b] + 1 > deficits[b]:
-                continue
-            used_r[a] += 1
-            used_r[b] += 1
-            reds.append(eid)
-            if feasible(i + 1):
-                found = stage1(i + 1)
-                if found is not None:
-                    return found
-            reds.pop()
-            used_r[a] -= 1
-            used_r[b] -= 1
-        return None
-
-    return stage1(0)
+    Returns the red edge of each face, in face order, and the (edge, face
+    side) of each of the six parallel doubles; edges are given by their
+    endpoints and faces by their index in the blue face trace of the cell.
+    Fixed edges near the seed square and near the last wrap step frame
+    the middle, where faces 2j and 2j+1 both take the chord (2j+3, 2j).
+    """
+    if k in _SMALL_COMPLETIONS:
+        return _SMALL_COMPLETIONS[k]
+    n = 2 * k
+    middle = [(2 * (f // 2) + 3, 2 * (f // 2)) for f in range(4, n - 6)]
+    reds = [(0, 1), (0, 1), (1, 2), (5, 2), *middle,
+            (n - 4, n - 3), (n - 3, n - 6), (n - 2, n - 1), (n - 2, n - 1)]
+    doubles = [((3, 0), 0), ((3, 0), 0), ((5, 2), 2), ((n - 3, n - 6), n - 6),
+               ((n - 2, n - 1), n - 4), ((n - 1, n - 4), n - 4)]
+    return reds, doubles
 
 
 def _apply_completion(cell: EnhancedMultigraph, faces, red_choice: dict[int, int],
@@ -297,15 +214,22 @@ def _apply_completion(cell: EnhancedMultigraph, faces, red_choice: dict[int, int
 def gen_spiral(k: int) -> EnhancedMultigraph:
     """Spiral family member on 2k polygons; deterministic for each k.
 
-    Raises ConstructionError when no completion passes the validation gate,
-    rather than inventing a variant.
+    Completes the spiral cell with the closed-form red edges and doubles
+    of _spiral_completion, then runs the full validation gate; raises
+    ConstructionError when the completion fails it, rather than inventing
+    a variant.
     """
     if k < 3:
         raise ValueError("spiral parameter must be at least 3")
     cell = _spiral_cell(k)
-    g = _complete_cell(cell)
-    if g is None:
-        raise ConstructionError(f"no validated completion for spiral k={k}")
+    faces = trace_faces(cell, colors=(BLUE,))  # face ids are trace order
+    edge_at = {frozenset(e.endpoints): e.id for e in cell.edges}
+    reds, doubles = _spiral_completion(k)
+    g = _apply_completion(cell, faces,
+                          {f: edge_at[frozenset(pair)] for f, pair in enumerate(reds)},
+                          [(edge_at[frozenset(pair)], f) for pair, f in doubles])
+    if not _is_nice(g):
+        raise ConstructionError(f"spiral k={k} completion fails the validation gate")
     return g
 
 

@@ -1,10 +1,14 @@
 import pytest
 
+from octacolor import families
+from octacolor.cli import main
 from octacolor.emg import render_emg, validate_plausible
-from octacolor.families import (bundled_names, gen_spiral, isomorphic,
-                                load_bundled, _spiral_cell)
+from octacolor.families import (ConstructionError, bundled_names, gen_spiral,
+                                isomorphic, load_bundled, _spiral_cell)
 from octacolor.labeling import assign_labels, polygon_boundaries
+from octacolor.pipeline import run_survey
 from octacolor.shapesys import build_constraints, kernel_basis
+from spiral_search import complete_cell
 
 
 def test_spiral_cell_structure():
@@ -78,10 +82,41 @@ def test_bundled_all_plausible():
         assert validate_plausible(g).plausible, name
 
 
-def test_bundled_spiral6_matches_generator(spiral3):
-    g = load_bundled("spiral-6")
-    assert g != spiral3  # different labels on disk
-    assert isomorphic(g, spiral3)
+def test_bundled_spiral6_matches_generator():
+    for k, name in ((3, "spiral-6"), (4, "spiral-8"), (5, "spiral-10")):
+        g = load_bundled(name)
+        assert g != gen_spiral(k), name  # different labels on disk
+        assert isomorphic(g, gen_spiral(k)), name
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_spiral_matches_search_oracle(k):
+    expected = complete_cell(_spiral_cell(k))
+    assert expected is not None
+    assert render_emg(gen_spiral(k)) == render_emg(expected)
+
+
+def test_spiral_gate_failure_raises(monkeypatch, capsys):
+    monkeypatch.setattr(families, "_is_nice", lambda g: False)
+    gen_spiral.cache_clear()
+    try:
+        with pytest.raises(ConstructionError):
+            gen_spiral(6)
+        assert main(["gen", "--family", "spiral", "--k", "6"]) == 2
+        assert "validation gate" in capsys.readouterr().err
+    finally:
+        gen_spiral.cache_clear()
+
+
+@pytest.mark.parametrize("k", (12, 16, 20))
+def test_spiral_rank_law_large_k(k):
+    g = gen_spiral(k)
+    [row] = run_survey([(f"spiral-k{k}", g)], max_len=0)["survey"]
+    assert row["rank"] == validate_plausible(g).counts["E_b"] - 4
+    assert row["dimension"] == 4
+    assert row["has_positive_point"] is True
+    assert row["signature"] == [1, 3, 0]
+    assert row["n_rays"] == 6
 
 
 def test_isomorphism_distinguishes(hexpair, spiral3):
