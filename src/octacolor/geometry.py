@@ -8,8 +8,13 @@ cuts integer-sided polygons into unit triangles, assembles the glued sphere
 triangulation with its proper 4-coloring, and lays out an unfolded net with
 proper isometries for rendering.
 
-Everything up to SVG emission stays in GridPoint arithmetic; angle checks
-are combinatorial, in units of pi/3.
+Realization, development and the net stay in exact GridPoint arithmetic.
+The mesh layer (unit triangulation, gluing, vertex numbering and the
+4-coloring) runs on doubled integer coordinates (X, Y) = (2x, 2y), where
+the unit directions are (2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1) and
+(1, -1); GridPoints appear again only in its results.  Nothing becomes a
+float before SVG emission, and angle checks are combinatorial, in units of
+pi/3.
 """
 
 from __future__ import annotations
@@ -274,8 +279,35 @@ def _gluing_shift(charts, gl: EdgeGluing, from_polygon: int) -> GridPoint:
 
 # ---------------------------------------------------------------------------
 # unit triangulation of integer-sided polygons
+#
+# The mesh layer runs on doubled coordinates: the grid point (x, y) becomes
+# the integer pair (2x, 2y).  Doubling is exact and keeps the order of
+# GridPoint, so sorting, hashing and comparing the pairs numbers vertices,
+# triangles and edges exactly as the grid points themselves would.
 
 Triangle = tuple[GridPoint, GridPoint, GridPoint]
+IPoint = tuple[int, int]
+ITriangle = tuple[IPoint, IPoint, IPoint]
+
+# unit direction k, at angle k*pi/3, in doubled coordinates
+_STEPS: tuple[IPoint, ...] = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
+
+
+def _doubled(p: GridPoint, error: type[ValueError] = MeshError) -> IPoint:
+    """Doubled coordinates of a point on the half-integer grid; never rounds."""
+    x, y = p.x, p.y
+    if 2 % x.denominator or 2 % y.denominator:
+        raise error(f"{p} is not on the half-integer grid")
+    return 2 * x.numerator // x.denominator, 2 * y.numerator // y.denominator
+
+
+def _undoubled(q: IPoint) -> GridPoint:
+    return GridPoint(Fraction(q[0], 2), Fraction(q[1], 2))
+
+
+def _step(p: IPoint, d: int, n: int) -> IPoint:
+    dx, dy = _STEPS[d]
+    return p[0] + n * dx, p[1] + n * dy
 
 
 def triarea(points) -> Fraction:
@@ -291,45 +323,59 @@ def unit_triangulate(chart_or_start, sides=None) -> list[Triangle]:
     length, smallest such corner first); an all-obtuse hexagon first sheds
     a four-sided piece at its shortest side, leaving a pentagon.  Returns
     exactly area / (sqrt(3)/4) triangles whose vertices are grid points at
-    mutual distance one.
+    mutual distance one.  The work happens in doubled coordinates.
     """
     if sides is None:
-        chart: PolygonChart = chart_or_start
-        start = chart.sides[0].start
-        side_list = [(s.length, s.direction) for s in chart.sides]
+        starts, int_sides = _integer_chain(chart_or_start)
+        start = starts[0]
     else:
-        start = chart_or_start
-        side_list = list(sides)
-    lengths: list[tuple[int, int]] = []
-    for ell, d in side_list:
+        start, int_sides = _doubled(chart_or_start), _integer_sides(sides)
+    return [tuple(map(_undoubled, t)) for t in _unit_triangles(start, int_sides)]
+
+
+def _integer_sides(sides) -> list[tuple[int, int]]:
+    out = []
+    for ell, d in sides:
         ell = Fraction(ell)
         if ell.denominator != 1 or ell <= 0:
-            raise ValueError(f"side lengths must be positive integers, got {ell}")
-        lengths.append((int(ell), d % 6))
-    k = len(lengths)
-    turns = {(lengths[(i + 1) % k][1] - lengths[i][1]) % 6 for i in range(k)}
+            raise MeshError(f"side lengths must be positive integers, got {ell}")
+        out.append((int(ell), d % 6))
+    return out
+
+
+def _integer_chain(chart: PolygonChart) -> tuple[list[IPoint], list[tuple[int, int]]]:
+    """Doubled side starts and integer (length, direction) sides of a chart."""
+    sides = _integer_sides((s.length, s.direction) for s in chart.sides)
+    return [_doubled(s.start) for s in chart.sides], sides
+
+
+def _unit_triangles(start: IPoint, sides: list[tuple[int, int]]) -> list[ITriangle]:
+    k = len(sides)
+    turns = {(sides[(i + 1) % k][1] - sides[i][1]) % 6 for i in range(k)}
     if turns <= {1, 2}:
-        tris = _triangulate_ccw(start, lengths)
+        tris = _triangulate_ccw(start, sides)
     elif turns <= {4, 5}:
-        mirrored = _triangulate_ccw(start.conj(), [(l, (-d) % 6) for l, d in lengths])
-        tris = [tuple(sorted(p.conj() for p in t)) for t in mirrored]
+        mirrored = _triangulate_ccw((start[0], -start[1]), [(l, (-d) % 6) for l, d in sides])
+        tris = [tuple(sorted((x, -y) for x, y in t)) for t in mirrored]
     else:
         raise ValueError(f"chain is not convex with sixth-turn corners (turns {sorted(turns)})")
-    expected = triarea(_chain_points(start, lengths))
-    if len(tris) != expected:
-        raise MeshError(f"triangulated {len(tris)} units, area holds {expected}")
+    # the shoelace sum in doubled coordinates is twice the area in unit triangles
+    pts = _chain_points(start, sides)
+    twice_area = abs(sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1])))
+    if 2 * len(tris) != twice_area:
+        raise MeshError(f"triangulated {len(tris)} units, area holds {Fraction(twice_area, 2)}")
     return tris
 
 
-def _chain_points(start: GridPoint, sides) -> list[GridPoint]:
+def _chain_points(start: IPoint, sides) -> list[IPoint]:
     pts = [start]
     for ell, d in sides[:-1]:
-        pts.append(pts[-1] + direction(d).scale(ell))
+        pts.append(_step(pts[-1], d, ell))
     return pts
 
 
-def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Triangle]:
-    tris: list[Triangle] = []
+def _triangulate_ccw(start: IPoint, sides: list[tuple[int, int]]) -> list[ITriangle]:
+    tris: list[ITriangle] = []
     work = list(sides)
     anchor = start
     while True:
@@ -351,7 +397,7 @@ def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Tri
             b, db = work[j]
             m = min(a, b)
             corner = pts[j] if j else anchor  # end of side i
-            apex = corner - direction(da).scale(m)
+            apex = _step(corner, da, -m)
             tris.extend(_subdivide_triangle(apex, da, (da + 1) % 6, m))
             new: list[tuple[int, int]] = []
             for t in range(k):
@@ -364,7 +410,7 @@ def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Tri
                     new.append(work[t])
             if j == 0:
                 # side 0 lost its first m units; its start moves forward
-                anchor = anchor + direction(db).scale(m)
+                anchor = _step(anchor, db, m)
             work = new
             continue
         # hexagon with all corners obtuse: shed the four-sided piece that
@@ -391,14 +437,14 @@ def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Tri
                 new.append(work[t])
         if i == k - 1:
             # merged side sits at slot i, shortened side wrapped to slot 0
-            anchor = pts[i] + direction(dj).scale(li + lj)
+            anchor = _step(pts[i], dj, li + lj)
         elif i == k - 2:
             # old side 0 was eaten from its start; side 1 leads now
             anchor = pts[1]
         work = new
 
 
-def _normalize_chain(sides, anchor):
+def _normalize_chain(sides, anchor: IPoint):
     """Drop zero sides and merge consecutive sides with equal direction."""
     out = [(l, d) for l, d in sides if l]
     changed = True
@@ -413,23 +459,30 @@ def _normalize_chain(sides, anchor):
                 merged.append((l, d))
         if len(merged) > 1 and merged[0][1] == merged[-1][1]:
             l, d = merged.pop()
-            anchor = anchor - direction(d).scale(l)
+            anchor = _step(anchor, d, -l)
             merged[0] = (merged[0][0] + l, d)
             changed = True
         out = merged
     return out, anchor
 
 
-def _subdivide_triangle(apex: GridPoint, d_u: int, d_v: int, n: int) -> list[Triangle]:
-    """Standard subdivision of an equilateral triangle of side n into n*n units."""
-    u, v = direction(d_u), direction(d_v)
+def _subdivide_triangle(apex: IPoint, d_u: int, d_v: int, n: int) -> list[ITriangle]:
+    """Standard subdivision of an equilateral triangle of side n into n*n units.
+
+    Order is translation invariant, so each unit triangle's sorted vertex
+    order is the sorted order of its corner offsets, fixed per call.
+    """
+    (ux, uy), (vx, vy) = _STEPS[d_u], _STEPS[d_v]
+    (p0, q0), (p1, q1), (p2, q2) = sorted(((0, 0), (ux, uy), (vx, vy)))
+    (r0, s0), (r1, s1), (r2, s2) = sorted(((ux, uy), (vx, vy), (ux + vx, uy + vy)))
+    ax, ay = apex
     tris = []
     for i in range(n):
         for j in range(n - i):
-            base = apex + u.scale(i) + v.scale(j)
-            tris.append(tuple(sorted((base, base + u, base + v))))
+            x, y = ax + i * ux + j * vx, ay + i * uy + j * vy
+            tris.append(((x + p0, y + q0), (x + p1, y + q1), (x + p2, y + q2)))
             if i + j < n - 1:
-                tris.append(tuple(sorted((base + u, base + v, base + u + v))))
+                tris.append(((x + r0, y + s0), (x + r1, y + s1), (x + r2, y + s2)))
     return tris
 
 
@@ -460,21 +513,22 @@ class ColoredTriangulation:
         return self.n_vertices - len(self.edges) + len(self.triangles)
 
 
-def build_triangulation(surface: RealizedSurface,
-                        triangulations: dict[int, list[Triangle]] | None = None) -> ColoredTriangulation:
+def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     """Glue per-polygon unit triangulations into one closed sphere.
 
     Subdivision points along a shared edge coincide exactly in the folded
     plane, so identification happens by position along each glued edge, and
     only there (the folding map is far from injective globally).  Verifies
     closedness, the Euler characteristic, and the degree sequence of six
-    4s with all remaining degrees 6.
+    4s with all remaining degrees 6.  Triangulation and gluing run in
+    doubled integer coordinates; only ``positions`` holds grid points.
     """
     placed = surface.placed
-    if triangulations is None:
-        triangulations = {pid: unit_triangulate(ch) for pid, ch in placed.items()}
+    chains = {pid: _integer_chain(ch) for pid, ch in placed.items()}
+    triangulations = {pid: _unit_triangles(starts[0], sides)
+                      for pid, (starts, sides) in chains.items()}
 
-    parent: dict[tuple[int, GridPoint], tuple[int, GridPoint]] = {}
+    parent: dict[tuple[int, IPoint], tuple[int, IPoint]] = {}
 
     def find(x):
         root = x
@@ -495,37 +549,38 @@ def build_triangulation(surface: RealizedSurface,
                 parent.setdefault((pid, p), (pid, p))
 
     for eid, gl in surface.gluings.items():
-        w = placed[gl.white_polygon].sides[gl.white_side]
-        if w.length.denominator != 1:
-            raise MeshError(f"edge {eid} has non-integer length {w.length}")
-        for t in range(int(w.length) + 1):
-            pt = w.start + direction(w.direction).scale(t)
+        starts, sides = chains[gl.white_polygon]
+        (x, y), (ell, d) = starts[gl.white_side], sides[gl.white_side]
+        dx, dy = _STEPS[d]
+        for t in range(ell + 1):
+            pt = (x + t * dx, y + t * dy)
             a = (gl.white_polygon, pt)
             b = (gl.black_polygon, pt)
             if a not in parent or b not in parent:
-                raise MeshError(f"edge {eid}: subdivision point {pt} missing from a triangulation")
+                raise MeshError(f"edge {eid}: subdivision point {_undoubled(pt)} missing from a triangulation")
             union(a, b)
 
-    classes: dict[tuple[int, GridPoint], list[tuple[int, GridPoint]]] = {}
+    classes: dict[tuple[int, IPoint], list[tuple[int, IPoint]]] = {}
     for key in parent:
         classes.setdefault(find(key), []).append(key)
     roots = sorted(classes, key=lambda k: (k[1], k[0]))
-    vid_of: dict[tuple[int, GridPoint], int] = {}
+    vid_of: dict[tuple[int, IPoint], int] = {}
     positions = []
     for vid, root in enumerate(roots):
         members = classes[root]
         pts = {pt for _, pt in members}
         if len(pts) != 1:
-            raise MeshError(f"identified vertices with distinct folded images {sorted(pts)[:2]}")
+            raise MeshError(f"identified vertices with distinct folded images "
+                            f"{[_undoubled(p) for p in sorted(pts)[:2]]}")
         for m in members:
             vid_of[m] = vid
-        positions.append(root[1])
+        positions.append(_undoubled(root[1]))
 
     surface_vertex = [-1] * len(positions)
     for b in surface.boundaries:
-        ch = placed[b.vertex_id]
+        starts = chains[b.vertex_id][0]
         for idx, fid in enumerate(b.corner_faces):
-            surface_vertex[vid_of[(b.vertex_id, ch.corner_point(idx))]] = fid
+            surface_vertex[vid_of[(b.vertex_id, starts[(idx + 1) % len(starts)])]] = fid
 
     triangles = []
     colors = []
@@ -565,23 +620,28 @@ def four_color(tri: ColoredTriangulation, surface: RealizedSurface | None = None
     Adjacent vertices differ by a unit direction, which is never in twice
     the lattice, so residue classes color properly; this is re-verified by
     a brute-force scan over all edges, as is the mod-3 balance of black and
-    white triangles around every vertex.
+    white triangles around every vertex.  In doubled coordinates (X, Y) a
+    lattice point has X = Y mod 2, and its lattice coordinates are
+    ((X - Y) / 2, Y).
     """
     colors = []
     for pt in tri.positions:
-        if not pt.is_lattice_point():
+        x, y = _doubled(pt, ColorError)
+        if (x - y) % 2:
             raise ColorError(f"folded vertex image {pt} is not a lattice point")
-        colors.append(pt.color_class())
+        colors.append(2 * (((x - y) // 2) & 1) + (y & 1))
     for a, b in tri.edges:
         if colors[a] == colors[b]:
             raise ColorError(f"adjacent vertices {a}, {b} share color {colors[a]}")
-    balance: dict[int, dict[str, int]] = {}
+    white = [0] * len(colors)
+    black = [0] * len(colors)
     for t, col in zip(tri.triangles, tri.triangle_colors):
+        counts = white if col == WHITE else black
         for v in t:
-            balance.setdefault(v, {"white": 0, "black": 0})[col] += 1
-    for v, counts in balance.items():
-        if (counts["white"] - counts["black"]) % 3 != 0:
-            raise ColorError(f"vertex {v}: {counts['white']} white vs {counts['black']} black triangles")
+            counts[v] += 1
+    for v, (w, b) in enumerate(zip(white, black)):
+        if (w - b) % 3 != 0:
+            raise ColorError(f"vertex {v}: {w} white vs {b} black triangles")
     return replace(tri, vertex_colors=tuple(colors))
 
 
@@ -686,8 +746,9 @@ def develop_net(surface: RealizedSurface, tree: set[int] | None = None) -> NetLa
         if (a1, b1) != (a2, b2):
             raise GluingError(f"net tree edge {eid} fails to coincide")
 
+    tree_set = set(tree_edges)
     glued_pairs = {frozenset((gl.white_polygon, gl.black_polygon))
-                   for eid, gl in surface.gluings.items() if eid in set(tree_edges)}
+                   for eid, gl in surface.gluings.items() if eid in tree_set}
     overlaps = []
     pids = sorted(points)
     for i, p in enumerate(pids):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octacolor.cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
-from octacolor.geometry import (ClosureError, build_triangulation,
-                                cone_point_coordinates, develop_net,
-                                develop_surface, four_color, realize_polygons,
-                                triarea, unit_triangulate)
-from octacolor.grid import ORIGIN, direction
+from octacolor.families import load_bundled
+from octacolor.geometry import (ClosureError, ColorError, MeshError,
+                                build_triangulation, cone_point_coordinates,
+                                develop_net, develop_surface, four_color,
+                                realize_polygons, triarea, unit_triangulate)
+from octacolor.grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
 from octacolor.labeling import assign_labels, polygon_boundaries
 from octacolor.shapesys import build_constraints, kernel_basis
 
@@ -184,6 +187,42 @@ def test_triangulation_of_general_nice_hexagons(a, b, c, e):
     assert all(p.is_lattice_point() for p in vertices)
 
 
+def _lattice_points_in(chain):
+    """Lattice points of the closed convex ccw polygon, by brute force over
+    the half-integer points of its bounding box with orientation tests."""
+    xs = [2 * p.x for p in chain]
+    ys = [2 * p.y for p in chain]
+    inside = set()
+    for y in range(int(min(ys)), int(max(ys)) + 1):
+        for x in range(int(min(xs)), int(max(xs)) + 1):
+            q = GridPoint(Fraction(x, 2), Fraction(y, 2))
+            if q.is_lattice_point() and all(signed_triarea([p, r, q]) >= 0
+                                            for p, r in zip(chain, chain[1:] + chain[:1])):
+                inside.add(q)
+    return inside
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_nice_hexagon_triangles_match_brute_force_lattice(a, b, c, e):
+    # an oracle that shares nothing with the chopping: unit edges, no
+    # repeated triangle, and the vertex set is every lattice point of the
+    # closed polygon
+    d, f = a + b - e, b + c - e
+    if d <= 0 or f <= 0:
+        return
+    sides = list(zip((a, b, c, d, e, f), range(6)))
+    tris = unit_triangulate(ORIGIN, sides)
+    units = set(DIRECTIONS)
+    for t in tris:
+        assert all(p - q in units or q - p in units for p, q in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])))
+    assert len({frozenset(t) for t in tris}) == len(tris)
+    chain = [ORIGIN]
+    for ell, k in sides[:-1]:
+        chain.append(chain[-1] + direction(k).scale(ell))
+    assert {p for t in tris for p in t} == _lattice_points_in(chain)
+
+
 # --- development and folding -----------------------------------------------
 
 def test_develop_surface_cone_count(spiral3):
@@ -338,3 +377,68 @@ def test_net_tree_edges_coincide(spiral3):
     b = tw.apply(w.end)
     chain_b = net.points[gl.black_polygon]
     assert a in chain_b or b in chain_b
+
+
+# --- golden meshes and error paths --------------------------------------------
+
+def _mesh_digest(tri):
+    key = (tri.positions, tri.triangles, tri.triangle_colors, tri.edges,
+           tri.degrees, tri.surface_vertex, tri.vertex_colors)
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+def _first_positive_surface(g, bound):
+    bnds, labels, kb, pts = _positive_points(g, bound=bound)
+    charts = realize_polygons(g, bnds, labels, _lengths(kb, pts[0].vector))
+    return develop_surface(g, bnds, charts)
+
+
+def test_golden_mesh_hexagon_pair():
+    g = load_bundled("hexagon-pair")
+    bnds, labels, kb = _context(g)
+    surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, {e: 1 for e in kb.col_edges}))
+    tri = four_color(build_triangulation(surf))
+    assert len(tri.triangles) == 12
+    assert _mesh_digest(tri) == "6adb73123b8f0722abfcabfd372803cc07353ba49f117b4d06e02098c8b26ff5"
+
+
+def test_golden_mesh_spiral6():
+    tri = four_color(build_triangulation(_first_positive_surface(load_bundled("spiral-6"), bound=5)))
+    assert len(tri.triangles) == 54
+    assert _mesh_digest(tri) == "a9ba7d89aa7e6e1e2a007405076ad41613ac4fd94a6bb6e37f53e6ad1ee28a06"
+
+
+def test_build_triangulation_rejects_half_lengths(spiral3):
+    bnds, labels, kb, pts = _positive_points(spiral3)
+    vector = pts[0].vector
+    assert any(x % 2 for x in vector)
+    halved = {e: Fraction(x, 2) for e, x in zip(kb.col_edges, vector)}
+    surf = develop_surface(spiral3, bnds, realize_polygons(spiral3, bnds, labels, halved))
+    with pytest.raises(MeshError, match="positive integers"):
+        build_triangulation(surf)
+
+
+@pytest.mark.parametrize("shift", [GridPoint(Fraction(1, 2), Fraction(0)),
+                                   GridPoint(Fraction(1, 3), Fraction(0))])
+def test_four_color_rejects_off_lattice_position(spiral3, shift):
+    tri = build_triangulation(_first_positive_surface(spiral3, bound=3))
+    moved = replace(tri, positions=(tri.positions[0] + shift,) + tri.positions[1:])
+    four_color(tri)
+    with pytest.raises(ColorError):
+        four_color(moved)
+
+
+def test_unit_triangulate_rejects_nonconvex_chain():
+    # closed pentagon with one reflex corner (a right turn between sides 3 and 4)
+    sides = [(2, 0), (1, 1), (1, 3), (1, 2), (2, 4)]
+    assert sum((direction(d).scale(ell) for ell, d in sides), ORIGIN) == ORIGIN
+    with pytest.raises(ValueError, match="not convex"):
+        unit_triangulate(ORIGIN, sides)
+
+
+def test_unit_triangulate_rejects_start_off_half_integer_grid():
+    start = GridPoint(Fraction(1, 3), Fraction(0))
+    with pytest.raises(MeshError, match="half-integer grid"):
+        unit_triangulate(start, [(1, 0), (1, 2), (1, 4)])
+    # a half-integer start that is not a lattice point is fine
+    assert len(unit_triangulate(GridPoint(Fraction(1, 2), Fraction(0)), [(1, 0), (1, 2), (1, 4)])) == 1
