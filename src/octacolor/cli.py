@@ -1,8 +1,14 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-Exit status: 0 on success, 1 on an invariant failure (the report is still
-written), 2 on input errors.  All JSON output encodes exact values as
-integer or rational strings.
+A stage subcommand loads a ``pipeline.Instance``, reads the one stage it
+reports (stages are computed lazily) and emits ``{"instance": name,
+**fragment}`` from that stage's ``pipeline.*_json`` function; ``check``
+emits ``pipeline.run_check``'s report, built from the same fragments.
+
+Exit status: 0 on success; 1 on an invariant failure or exceeded budget
+(the report is still written) and on a ``check`` that realized no point;
+2 on input errors, malformed option values included.  All JSON output
+encodes exact values as integer or rational strings.
 """
 
 from __future__ import annotations
@@ -13,36 +19,29 @@ import os
 import sys
 import tempfile
 
-from . import pipeline, svg
-from .cone import (EnumerationBudgetError, enumerate_lattice_points,
-                   extreme_rays, lattice_basis, restrict_to_kernel)
-from .emg import EmgError, parse_emg, render_emg, validate_plausible
+from . import linalg, svg
+from .cone import EnumerationBudgetError
+from .emg import EmgError, parse_emg, render_emg
 from .families import (ConstructionError, FamilySpec, bundled_names,
                        load_bundled)
 from .geometry import (AngleError, ClosureError, ColorError, GluingError,
-                       MeshError, build_triangulation, cone_point_coordinates,
-                       develop_net, develop_surface, four_color,
-                       realize_polygons)
-from .labeling import (BoundaryError, HolonomyError, assign_labels,
-                       polygon_boundaries)
-from .pipeline import matrix_json, run_check, run_survey, vector_json
-from .qform import assemble_form, restrict_form
-from .shapesys import build_constraints, kernel_basis, verify_lemmas
+                       MeshError, build_triangulation, develop_net, four_color)
+from .labeling import BoundaryError, HolonomyError
+from .pipeline import (Instance, cone_json, form_json, labeling_json,
+                       lattice_points_json, lemmas_json, matrix_json,
+                       realization_json, run_check, run_survey,
+                       validation_json)
 
 
 class InputError(Exception):
     pass
 
 
-def _load_instance(args) -> tuple[str, object]:
+def _load_graph(args) -> tuple[str, object]:
     if getattr(args, "family", None):
         if args.k is None:
             raise InputError("--family spiral requires --k")
-        try:
-            spec = FamilySpec(args.family, args.k)
-            return f"spiral-k{args.k}", spec.generate()
-        except (ConstructionError, ValueError) as exc:
-            raise InputError(str(exc)) from exc
+        return f"spiral-k{args.k}", _generate(args.family, args.k)
     if getattr(args, "bundled", None):
         try:
             return args.bundled, load_bundled(args.bundled)
@@ -61,6 +60,28 @@ def _load_instance(args) -> tuple[str, object]:
     raise InputError("no instance given; use --input, --family, or --bundled")
 
 
+def _generate(family: str, k: int):
+    try:
+        return FamilySpec(family, k).generate()
+    except (ConstructionError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _load_instance(args) -> tuple[str, Instance]:
+    name, g = _load_graph(args)
+    return name, Instance(g, _seed_flag(getattr(args, "seed_flag", None)))
+
+
+def _seed_flag(text: str | None) -> tuple[int, int] | None:
+    if not text:
+        return None
+    try:
+        v, e = text.split(":")
+        return int(v), int(e)
+    except ValueError as exc:
+        raise InputError(f"--seed-flag must be 'vertex:edge', got {text!r}") from exc
+
+
 def _emit(args, payload: str) -> None:
     if getattr(args, "out", None):
         directory = os.path.dirname(os.path.abspath(args.out)) or "."
@@ -76,181 +97,102 @@ def _emit_json(args, data: dict) -> None:
     _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _solution_context(g):
-    boundaries = polygon_boundaries(g)
-    labels = assign_labels(g, boundaries)
-    system = build_constraints(g, boundaries, labels)
-    kernel = kernel_basis(system)
-    return boundaries, labels, system, kernel
-
-
 def _cmd_validate(args) -> int:
-    name, g = _load_instance(args)
-    rep = validate_plausible(g)
-    _emit_json(args, {
-        "instance": name,
-        "plausible": rep.plausible,
-        "counts": rep.counts,
-        "findings": [{"rule": f.rule, "severity": f.severity, "message": f.message}
-                     for f in rep.findings],
-    })
-    return 0 if rep.plausible else 1
+    name, inst = _load_instance(args)
+    _emit_json(args, {"instance": name, **validation_json(inst.validation)})
+    return 0 if inst.validation.plausible else 1
 
 
 def _cmd_labels(args) -> int:
-    name, g = _load_instance(args)
-    boundaries = polygon_boundaries(g)
-    seed = None
-    if args.seed_flag:
-        try:
-            v, e = args.seed_flag.split(":")
-            seed = (int(v), int(e))
-        except ValueError as exc:
-            raise InputError(f"--seed-flag must be 'vertex:edge', got {args.seed_flag!r}") from exc
+    name, inst = _load_instance(args)
+    inst.boundaries  # a BoundaryError is an invariant failure, not bad input
     try:
-        labels = assign_labels(g, boundaries, seed)
-    except HolonomyError as exc:
-        _emit_json(args, {"instance": name, "consistent": False, "error": str(exc)})
-        return 1
-    _emit_json(args, {
-        "instance": name,
-        "consistent": True,
-        "seed": list(labels.seed),
-        "exponents": {str(eid): e for eid, e in labels.exponents},
-    })
-    return 0
+        labeling = labeling_json(inst)
+    except ValueError as exc:  # a seed flag that is not an incident pair
+        raise InputError(str(exc)) from exc
+    _emit_json(args, {"instance": name, **labeling})
+    return 0 if labeling["consistent"] else 1
 
 
 def _cmd_solve(args) -> int:
-    name, g = _load_instance(args)
-    _, _, system, kernel = _solution_context(g)
-    lemmas = verify_lemmas(system, kernel)
-    _emit_json(args, {
-        "instance": name,
-        "matrix": matrix_json(system.matrix),
-        "columns": list(system.col_edges),
-        "rank": kernel.rank,
-        "dimension": kernel.dimension,
-        "kernel_basis": [vector_json(v) for v in kernel.basis],
-        "lemmas": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in lemmas.checks],
-    })
-    return 0 if lemmas.all_passed else 1
+    name, inst = _load_instance(args)
+    _emit_json(args, {"instance": name,
+                      "matrix": matrix_json(inst.system.matrix),
+                      "columns": list(inst.system.col_edges),
+                      "kernel_basis": matrix_json(inst.kernel.basis),
+                      **lemmas_json(inst.kernel, inst.lemmas)})
+    return 0 if inst.lemmas.all_passed else 1
 
 
 def _cmd_rays(args) -> int:
-    name, g = _load_instance(args)
-    _, _, _, kernel = _solution_context(g)
-    cd = extreme_rays(restrict_to_kernel(kernel))
-    _emit_json(args, {
-        "instance": name,
-        "dimension": cd.dimension,
-        "inequalities": matrix_json(cd.inequalities),
-        "rays": [vector_json(r) for r in (cd.extreme_rays or ())],
-        "lineality": [vector_json(l) for l in cd.lineality],
-        "has_positive_point": cd.has_positive_point,
-    })
+    name, inst = _load_instance(args)
+    _emit_json(args, {"instance": name, **cone_json(inst.cone),
+                      "inequalities": matrix_json(inst.cone.inequalities)})
     return 0
 
 
 def _cmd_lattice(args) -> int:
-    name, g = _load_instance(args)
-    _, _, _, kernel = _solution_context(g)
-    cd = extreme_rays(restrict_to_kernel(kernel))
-    lb = lattice_basis(kernel)
+    name, inst = _load_instance(args)
     try:
-        points = enumerate_lattice_points(cd, lb, args.max_len, budget=args.budget)
+        points = inst.lattice_points(args.max_len, args.budget)
     except EnumerationBudgetError as exc:
         _emit_json(args, {"instance": name, "error": str(exc), "budget": exc.budget})
         return 1
-    _emit_json(args, {
-        "instance": name,
-        "max_len": args.max_len,
-        "columns": list(kernel.col_edges),
-        "lattice_basis": [vector_json(v) for v in lb.vectors],
-        "count": len(points),
-        "strictly_positive": sum(1 for p in points if p.strictly_positive),
-        "points": [{"vector": vector_json(p.vector), "strictly_positive": p.strictly_positive}
-                   for p in points],
-    })
+    _emit_json(args, {"instance": name, **lattice_points_json(points, args.max_len),
+                      "columns": list(inst.kernel.col_edges),
+                      "lattice_basis": matrix_json(inst.lattice.vectors)})
     return 0
 
 
-def _select_point(args, g, kernel):
-    cd = extreme_rays(restrict_to_kernel(kernel))
-    lb = lattice_basis(kernel)
-    if args.point and "," in args.point:
-        vec = tuple(int(x) for x in args.point.split(","))
-        if len(vec) != len(kernel.col_edges):
-            raise InputError(f"--point vector needs {len(kernel.col_edges)} entries")
+def _select_point(args, inst: Instance) -> tuple[int, ...]:
+    """The point ``--point`` names: a comma vector of edge lengths, or an
+    index into the strictly positive lattice points within ``--max-len``."""
+    text = args.point or "0"
+    try:
+        vec = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InputError(f"--point must be an index or a comma vector, got {text!r}") from None
+    if "," in text:
+        if len(vec) != len(inst.kernel.col_edges):
+            raise InputError(f"--point vector needs {len(inst.kernel.col_edges)} entries")
+        if min(vec) < 1:
+            raise InputError("--point vector must be strictly positive")
+        if any(linalg.mat_vec(inst.system.matrix, vec)):
+            raise InputError("--point vector does not solve the closure system")
         return vec
-    points = [p for p in enumerate_lattice_points(cd, lb, args.max_len, budget=args.budget)
-              if p.strictly_positive]
+    (idx,) = vec
+    points = [p for p in inst.lattice_points(args.max_len, args.budget) if p.strictly_positive]
     if not points:
         raise InputError(f"no strictly positive lattice point with lengths <= {args.max_len}")
-    idx = int(args.point) if args.point else 0
     if not 0 <= idx < len(points):
         raise InputError(f"--point index {idx} out of range (have {len(points)})")
     return points[idx].vector
 
 
 def _cmd_realize(args) -> int:
-    name, g = _load_instance(args)
-    boundaries, labels, system, kernel = _solution_context(g)
-    vec = _select_point(args, g, kernel)
-    lengths = dict(zip(kernel.col_edges, vec))
-    charts = realize_polygons(g, boundaries, labels, lengths)
-    surface = develop_surface(g, boundaries, charts)
+    name, inst = _load_instance(args)
+    vec = _select_point(args, inst)
+    surface = inst.develop(vec)
     tri = four_color(build_triangulation(surface), surface)
-    _emit_json(args, {
-        "instance": name,
-        "point": vector_json(vec),
-        "polygons": {
-            str(pid): [pipeline.grid_point_json(p) for p in ch.chain]
-            for pid, ch in sorted(surface.placed.items())
-        },
-        "cone_points": [pipeline.grid_point_json(c) for c in cone_point_coordinates(surface)],
-        "triangulation": {
-            "vertices": len(tri.positions),
-            "edges": len(tri.edges),
-            "triangles": len(tri.triangles),
-            "degree_histogram": {str(d): c for d, c in sorted(tri.degree_histogram().items())},
-            "vertex_colors": list(tri.vertex_colors),
-        },
-    })
+    _emit_json(args, {"instance": name, **realization_json(vec, surface, tri)})
     return 0
 
 
 def _cmd_qform(args) -> int:
-    name, g = _load_instance(args)
-    boundaries, _, system, kernel = _solution_context(g)
-    qf = assemble_form(g, boundaries)
-    qfr = restrict_form(qf, kernel)
-    sig = list(qfr.signature)
-    _emit_json(args, {
-        "instance": name,
-        "global_matrix": matrix_json(qf.global_matrix),
-        "restricted": matrix_json(qfr.restricted),
-        "signature": sig,
-        "expected_signature": [1, 3, 0],
-        "signature_as_expected": sig == [1, 3, 0],
-        "non_degenerate": sig[2] == 0,
-    })
+    name, inst = _load_instance(args)
+    _emit_json(args, {"instance": name, **form_json(inst.form)})
     return 0
 
 
 def _cmd_check(args) -> int:
-    name, g = _load_instance(args)
+    name, g = _load_graph(args)
     report = run_check(g, name=name, max_len=args.max_len, budget=args.budget)
     _emit_json(args, report.to_json_dict())
     return 0 if report.ok else 1
 
 
 def _cmd_gen(args) -> int:
-    try:
-        g = FamilySpec(args.family, args.k).generate()
-    except (ConstructionError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-    _emit(args, render_emg(g))
+    _emit(args, render_emg(_generate(args.family, args.k)))
     return 0
 
 
@@ -265,26 +207,20 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _cmd_survey(args) -> int:
-    ks = _parse_k_range(args.k_range)
     instances = []
-    for k in ks:
+    for k in _parse_k_range(args.k_range):
         try:
-            instances.append((f"spiral-k{k}", FamilySpec(args.family, k).generate()))
-        except (ConstructionError, ValueError) as exc:
+            instances.append((f"spiral-k{k}", _generate(args.family, k)))
+        except InputError as exc:
             raise InputError(f"k={k}: {exc}") from exc
     _emit_json(args, run_survey(instances, max_len=args.max_len, budget=args.budget))
     return 0
 
 
 def _cmd_render(args) -> int:
-    name, g = _load_instance(args)
-    boundaries, labels, system, kernel = _solution_context(g)
-    vec = _select_point(args, g, kernel)
-    lengths = dict(zip(kernel.col_edges, vec))
-    charts = realize_polygons(g, boundaries, labels, lengths)
-    surface = develop_surface(g, boundaries, charts)
-    net = develop_net(surface)
-    _emit(args, svg.render_net(g, surface, net,
+    name, inst = _load_instance(args)
+    surface = inst.develop(_select_point(args, inst))
+    _emit(args, svg.render_net(inst.g, surface, develop_net(surface),
                                triangles=args.triangles,
                                vertex_colors=args.vertex_colors,
                                overlay_dual=args.overlay_dual))
@@ -300,8 +236,6 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file (atomic)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable output (the default for report subcommands)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,10 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for nice colorings of flat cone octahedra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, instance=True, point=False, lattice=False):
+    def add(name, fn, help_, point=False, lattice=False):
         p = sub.add_parser(name, help=help_)
-        if instance:
-            _add_instance_args(p)
+        _add_instance_args(p)
         _add_common_out(p)
         if lattice or point:
             p.add_argument("--max-len", type=int, default=3, help="edge length bound")
@@ -360,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "max_len", 0) < 0:
+            raise InputError(f"--max-len must be >= 0, got {args.max_len}")
         return args.fn(args)
     except (InputError, EmgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

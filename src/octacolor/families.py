@@ -27,12 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .cone import extreme_rays, restrict_to_kernel
 from .emg import (BLACK, BLUE, RED, WHITE, Dart, Edge, EnhancedMultigraph,
-                  Vertex, check_well_formed, opposite, parse_emg, trace_faces,
-                  validate_plausible)
-from .labeling import HolonomyError, assign_labels, polygon_boundaries
-from .shapesys import build_constraints, kernel_basis
+                  Vertex, check_well_formed, opposite, parse_emg, trace_faces)
+from .pipeline import Instance
 
 
 class ConstructionError(RuntimeError):
@@ -107,19 +104,16 @@ def _spiral_cell(k: int) -> EnhancedMultigraph:
 # completion and its validation gate
 
 def _is_nice(g: EnhancedMultigraph) -> bool:
-    if not validate_plausible(g).plausible:
+    inst = Instance(g)
+    if not inst.validation.plausible:
         return False
     try:
-        boundaries = polygon_boundaries(g)
-        labels = assign_labels(g, boundaries)
-    except (HolonomyError, ValueError):
+        inst.labels
+    except ValueError:  # BoundaryError or HolonomyError
         return False
-    system = build_constraints(g, boundaries, labels)
-    kernel = kernel_basis(system)
-    if kernel.dimension != 4 or kernel.rank != system.n_cols - 4:
+    if inst.kernel.dimension != 4 or inst.kernel.rank != inst.system.n_cols - 4:
         return False
-    cd = extreme_rays(restrict_to_kernel(kernel))
-    return bool(cd.has_positive_point)
+    return bool(inst.cone.has_positive_point)
 
 
 # k = 3 and k = 4 are too short for the periodic pattern of _spiral_completion.

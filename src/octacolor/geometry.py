@@ -19,6 +19,7 @@ pi/3.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -150,27 +151,13 @@ def develop_surface(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
 
     gluings = _edge_gluings(boundaries)
 
-    adjacency: dict[int, list[tuple[int, int]]] = {b.vertex_id: [] for b in boundaries}
-    for eid, gl in sorted(gluings.items()):
-        adjacency[gl.white_polygon].append((eid, gl.black_polygon))
-        adjacency[gl.black_polygon].append((eid, gl.white_polygon))
-    for lst in adjacency.values():
-        lst.sort()
-
-    root = min(adjacency)
+    root, steps = _spanning_tree(by_vertex, gluings, tree)
     translations: dict[int, GridPoint] = {root: ORIGIN}
-    tree_edges: list[int] = []
-    queue = [root]
-    while queue:
-        pid = queue.pop(0)
-        for eid, other in adjacency[pid]:
-            if other in translations or (tree is not None and eid not in tree):
-                continue
-            translations[other] = translations[pid] + _gluing_shift(charts, gluings[eid], from_polygon=pid)
-            tree_edges.append(eid)
-            queue.append(other)
-    if len(translations) != len(adjacency):
+    for pid, eid, other in steps:
+        translations[other] = translations[pid] + _gluing_shift(charts, gluings[eid], from_polygon=pid)
+    if len(translations) != len(by_vertex):
         raise GluingError("spanning tree does not reach every polygon")
+    tree_edges = [eid for _, eid, _ in steps]
 
     # holonomy: every non-tree edge must be glued by the same translations
     tree_set = set(tree_edges)
@@ -244,6 +231,32 @@ def develop_surface(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
 
     return RealizedSurface(placed, gluings, folded, tuple(bigons), tuple(quads),
                            (cv, flag_pid, flag_side), tuple(boundaries), tuple(sorted(tree_edges)))
+
+
+def _spanning_tree(polygons, gluings: dict[int, EdgeGluing], tree: set[int] | None = None):
+    """Breadth-first spanning tree of the dual graph, over the edges in
+    ``tree`` if given: the root (smallest polygon id) and the steps
+    (polygon, edge, reached polygon) in visiting order, each polygon's
+    neighbours taken by ascending (edge id, polygon id)."""
+    adjacency: dict[int, list[tuple[int, int]]] = {pid: [] for pid in polygons}
+    for eid, gl in gluings.items():
+        adjacency[gl.white_polygon].append((eid, gl.black_polygon))
+        adjacency[gl.black_polygon].append((eid, gl.white_polygon))
+    for lst in adjacency.values():
+        lst.sort()
+    root = min(adjacency)
+    seen = {root}
+    steps: list[tuple[int, int, int]] = []
+    queue = deque([root])
+    while queue:
+        pid = queue.popleft()
+        for eid, other in adjacency[pid]:
+            if other in seen or (tree is not None and eid not in tree):
+                continue
+            seen.add(other)
+            steps.append((pid, eid, other))
+            queue.append(other)
+    return root, steps
 
 
 def _edge_gluings(boundaries) -> dict[int, EdgeGluing]:
@@ -678,7 +691,7 @@ class NetLayout:
     overlaps: tuple[tuple[int, int], ...]         # non-adjacent polygons with overlapping interiors
 
 
-def develop_net(surface: RealizedSurface, tree: set[int] | None = None) -> NetLayout:
+def develop_net(surface: RealizedSurface) -> NetLayout:
     """Lay the polygons out edge-to-edge with orientation-preserving maps.
 
     Black charts are reflected once, restoring their unfolded shape, and
@@ -688,12 +701,6 @@ def develop_net(surface: RealizedSurface, tree: set[int] | None = None) -> NetLa
     repaired.
     """
     placed = surface.placed
-    adjacency: dict[int, list[tuple[int, int]]] = {pid: [] for pid in placed}
-    for eid, gl in sorted(surface.gluings.items()):
-        adjacency[gl.white_polygon].append((eid, gl.black_polygon))
-        adjacency[gl.black_polygon].append((eid, gl.white_polygon))
-    for lst in adjacency.values():
-        lst.sort()
 
     def proper_side(pid: int, side_idx: int) -> SideRecord:
         s = placed[pid].sides[side_idx]
@@ -701,30 +708,23 @@ def develop_net(surface: RealizedSurface, tree: set[int] | None = None) -> NetLa
             return s
         return SideRecord(s.edge_id, s.start.conj(), (-s.direction) % 6, s.length)
 
-    root = min(placed)
+    root, steps = _spanning_tree(placed, surface.gluings)
     transforms: dict[int, NetTransform] = {root: NetTransform(0, ORIGIN, placed[root].color != WHITE)}
-    tree_edges: list[int] = []
-    queue = [root]
-    while queue:
-        pid = queue.pop(0)
-        for eid, other in adjacency[pid]:
-            if other in transforms or (tree is not None and eid not in tree):
-                continue
-            gl = surface.gluings[eid]
-            here = gl.white_side if pid == gl.white_polygon else gl.black_side
-            there = gl.black_side if pid == gl.white_polygon else gl.white_side
-            s_here = proper_side(pid, here)
-            s_there = proper_side(other, there)
-            t_here = transforms[pid]
-            # the two polygons traverse the shared edge in opposite directions
-            rot = (t_here.rotation + s_here.direction + 3 - s_there.direction) % 6
-            mirrored = placed[other].color != WHITE
-            target = s_here.start.rot(t_here.rotation) + t_here.shift + \
-                direction((s_here.direction + t_here.rotation) % 6).scale(s_here.length)
-            shift = target - s_there.start.rot(rot)
-            transforms[other] = NetTransform(rot, shift, mirrored)
-            tree_edges.append(eid)
-            queue.append(other)
+    for pid, eid, other in steps:
+        gl = surface.gluings[eid]
+        here = gl.white_side if pid == gl.white_polygon else gl.black_side
+        there = gl.black_side if pid == gl.white_polygon else gl.white_side
+        s_here = proper_side(pid, here)
+        s_there = proper_side(other, there)
+        t_here = transforms[pid]
+        # the two polygons traverse the shared edge in opposite directions
+        rot = (t_here.rotation + s_here.direction + 3 - s_there.direction) % 6
+        mirrored = placed[other].color != WHITE
+        target = s_here.start.rot(t_here.rotation) + t_here.shift + \
+            direction((s_here.direction + t_here.rotation) % 6).scale(s_here.length)
+        shift = target - s_there.start.rot(rot)
+        transforms[other] = NetTransform(rot, shift, mirrored)
+    tree_edges = [eid for _, eid, _ in steps]
     if len(transforms) != len(placed):
         raise GluingError("net spanning tree does not reach every polygon")
 

@@ -1,10 +1,13 @@
-"""End-to-end pipeline runs and machine-readable reports.
+"""The derivation chain of one instance, check runs and JSON reports.
 
-A check run chains every stage on one instance: validation, labelling,
-closure system, kernel, cone and rays, lattice sample, realization of
-sample points (triangulation, coloring, form identity), and the restricted
-form's exact signature.  Reports serialize exact quantities as integer or
-rational strings, never floats.
+``Instance`` derives the chain of one combinatorial type once: validation,
+polygon boundaries, direction labels, closure system, kernel and lemma
+checks, cone and extreme rays, lattice basis and restricted quadratic form.
+Each stage is a cached property computed on first use, so a caller pays
+only for the stages it reads; ``develop`` realizes and develops one
+edge-length vector.  One ``*_json`` function per stage builds its report
+fragment: the CLI emits them, and ``run_check`` assembles its report from
+them.  Exact quantities serialize as integer or rational strings.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
 from .emg import EnhancedMultigraph, validate_plausible
@@ -20,6 +24,61 @@ from .geometry import (build_triangulation, cone_point_coordinates,
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
 from .qform import assemble_form, restrict_form, verify_triangle_identity
 from .shapesys import build_constraints, kernel_basis, verify_lemmas
+
+
+class Instance:
+    """One combinatorial type and its derivation chain.  Stages look the
+    stage functions up by their module names at call time, so rebinding
+    a name (as a tracer does) reaches every caller."""
+
+    def __init__(self, g: EnhancedMultigraph, seed_flag: tuple[int, int] | None = None):
+        self.g = g
+        self.seed_flag = seed_flag
+
+    @cached_property
+    def validation(self):
+        return validate_plausible(self.g)
+
+    @cached_property
+    def boundaries(self):
+        return polygon_boundaries(self.g)
+
+    @cached_property
+    def labels(self):
+        return assign_labels(self.g, self.boundaries, self.seed_flag)
+
+    @cached_property
+    def system(self):
+        return build_constraints(self.g, self.boundaries, self.labels)
+
+    @cached_property
+    def kernel(self):
+        return kernel_basis(self.system)
+
+    @cached_property
+    def lemmas(self):
+        return verify_lemmas(self.system, self.kernel)
+
+    @cached_property
+    def cone(self):
+        return extreme_rays(restrict_to_kernel(self.kernel))
+
+    @cached_property
+    def lattice(self):
+        return lattice_basis(self.kernel)
+
+    @cached_property
+    def form(self):
+        return restrict_form(assemble_form(self.g, self.boundaries), self.kernel)
+
+    def lattice_points(self, max_len: int, budget: int = 10 ** 6):
+        return enumerate_lattice_points(self.cone, self.lattice, max_len, budget=budget)
+
+    def develop(self, vector):
+        """Realize the edge-length vector (in kernel column order) and develop it."""
+        lengths = dict(zip(self.kernel.col_edges, vector))
+        charts = realize_polygons(self.g, self.boundaries, self.labels, lengths)
+        return develop_surface(self.g, self.boundaries, charts)
 
 
 def frac_str(x) -> str:
@@ -37,6 +96,67 @@ def vector_json(vec) -> list[str]:
 def matrix_json(rows) -> list[list[str]]:
     return [vector_json(row) for row in rows]
 
+
+# ---------------------------------------------------------------------------
+# one JSON fragment per stage
+
+def validation_json(rep) -> dict:
+    findings = [{"rule": f.rule, "severity": f.severity, "message": f.message} for f in rep.findings]
+    return {"plausible": rep.plausible, "counts": rep.counts, "findings": findings}
+
+
+def labeling_json(inst: Instance) -> dict:
+    """The labelling, or its holonomy conflict reported as ``consistent: false``."""
+    try:
+        labels = inst.labels
+    except HolonomyError as exc:
+        return {"consistent": False, "error": str(exc)}
+    return {"consistent": True, "seed": list(labels.seed),
+            "exponents": {str(eid): e for eid, e in labels.exponents}}
+
+
+def lemmas_json(kernel, lemmas) -> dict:
+    checks = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in lemmas.checks]
+    return {"rank": kernel.rank, "dimension": kernel.dimension, "lemmas": checks}
+
+
+def cone_json(cd) -> dict:
+    return {"dimension": cd.dimension, "rays": matrix_json(cd.extreme_rays or ()),
+            "lineality": matrix_json(cd.lineality), "has_positive_point": cd.has_positive_point}
+
+
+def lattice_points_json(points, max_len: int) -> dict:
+    return {"max_len": max_len, "count": len(points),
+            "strictly_positive": sum(1 for p in points if p.strictly_positive),
+            "points": [{"vector": vector_json(p.vector), "strictly_positive": p.strictly_positive}
+                       for p in points]}
+
+
+def form_json(qf) -> dict:
+    sig = list(qf.signature)
+    return {"global_matrix": matrix_json(qf.global_matrix), "restricted": matrix_json(qf.restricted),
+            "signature": sig, "expected_signature": [1, 3, 0],
+            "signature_as_expected": sig == [1, 3, 0], "non_degenerate": sig[2] == 0}
+
+
+def realization_json(vector, surface, tri) -> dict:
+    """One realized point: placed polygons, cone points and the colored mesh."""
+    return {"point": vector_json(vector),
+            "polygons": {str(pid): [grid_point_json(p) for p in ch.chain]
+                         for pid, ch in sorted(surface.placed.items())},
+            "cone_points": [grid_point_json(c) for c in cone_point_coordinates(surface)],
+            "triangulation": {"vertices": len(tri.positions), "edges": len(tri.edges),
+                              "triangles": len(tri.triangles),
+                              "degree_histogram": _histogram_json(tri),
+                              "vertex_colors": list(tri.vertex_colors)}}
+
+
+def _histogram_json(tri) -> dict:
+    return {str(d): c for d, c in sorted(tri.degree_histogram().items())}
+
+
+# ---------------------------------------------------------------------------
+# check and survey runs
 
 @dataclass
 class PipelineReport:
@@ -57,130 +177,76 @@ class PipelineReport:
 
 def run_check(g: EnhancedMultigraph, name: str = "instance", max_len: int = 3,
               budget: int = 10 ** 6, realize_limit: int | None = None) -> PipelineReport:
-    """Full pipeline on one instance; every verdict is an upstream invariant."""
-    t_start = time.perf_counter()
+    """Full pipeline on one instance; every verdict is an upstream invariant.
+
+    ``ok`` needs at least one realized point: a length bound that admits
+    no strictly positive lattice point (or ``realize_limit=0``) fails.
+    """
+    t_start = t0 = time.perf_counter()
     timings: dict[str, float] = {}
+    inst = Instance(g)
+    rep = inst.validation
+    report = PipelineReport(instance={"name": name, "V": rep.counts["V"], "E_b": rep.counts["E_b"],
+                                      "E_red": rep.counts["E_red"]},
+                            validation=validation_json(rep))
 
-    rep = validate_plausible(g)
-    report = PipelineReport(
-        instance={"name": name, "V": rep.counts["V"], "E_b": rep.counts["E_b"],
-                  "E_red": rep.counts["E_red"]},
-        validation={"plausible": rep.plausible,
-                    "counts": rep.counts,
-                    "findings": [{"rule": f.rule, "severity": f.severity, "message": f.message}
-                                 for f in rep.findings]},
-    )
-    timings["validate"] = time.perf_counter() - t_start
+    def lap(stage: str) -> None:
+        nonlocal t0
+        t1 = time.perf_counter()
+        timings[stage], t0 = t1 - t0, t1
+
+    def done() -> PipelineReport:
+        timings["total"] = time.perf_counter() - t_start
+        report.timings = {k: round(v, 6) for k, v in timings.items()}
+        return report
+
+    lap("validate")
     if not rep.plausible:
-        report.timings = _round_timings(timings, t_start)
-        return report
-
-    t0 = time.perf_counter()
-    boundaries = polygon_boundaries(g)
-    try:
-        labels = assign_labels(g, boundaries)
-    except HolonomyError as exc:
-        report.labeling = {"consistent": False, "error": str(exc)}
-        report.timings = _round_timings(timings, t_start)
-        return report
-    report.labeling = {
-        "consistent": True,
-        "seed": list(labels.seed),
-        "exponents": {str(eid): e for eid, e in labels.exponents},
-    }
-    timings["labels"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    system = build_constraints(g, boundaries, labels)
-    kernel = kernel_basis(system)
-    lemmas = verify_lemmas(system, kernel)
-    report.system = {
-        "rows": system.n_rows,
-        "cols": system.n_cols,
-        "rank": kernel.rank,
-        "dimension": kernel.dimension,
-        "lemmas": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in lemmas.checks],
-    }
-    timings["solve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cd = extreme_rays(restrict_to_kernel(kernel))
-    lb = lattice_basis(kernel)
-    report.cone = {
-        "dimension": cd.dimension,
-        "rays": [vector_json(r) for r in (cd.extreme_rays or ())],
-        "lineality": [vector_json(l) for l in cd.lineality],
-        "has_positive_point": cd.has_positive_point,
-        "lattice_basis": [vector_json(v) for v in lb.vectors],
-    }
-    timings["cone"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    points = enumerate_lattice_points(cd, lb, max_len, budget=budget)
-    positive = [p for p in points if p.strictly_positive]
-    report.lattice = {
-        "max_len": max_len,
-        "count": len(points),
-        "strictly_positive": len(positive),
-        "points": [{"vector": vector_json(p.vector), "strictly_positive": p.strictly_positive}
-                   for p in points],
-    }
-    timings["lattice"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    qf = assemble_form(g, boundaries)
-    qfr = restrict_form(qf, kernel)
-    sig = qfr.signature
-    report.form = {
-        "global_matrix": matrix_json(qf.global_matrix),
-        "restricted": matrix_json(qfr.restricted),
-        "signature": list(sig),
-        "expected_signature": [1, 3, 0],
-        "signature_as_expected": list(sig) == [1, 3, 0],
-        "non_degenerate": sig[2] == 0,
-    }
-    timings["form"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+        return done()
+    report.labeling = labeling_json(inst)
+    if not report.labeling["consistent"]:
+        return done()
+    lap("labels")
+    report.system = {"rows": inst.system.n_rows, "cols": inst.system.n_cols,
+                     **lemmas_json(inst.kernel, inst.lemmas)}
+    lap("solve")
+    report.cone = {**cone_json(inst.cone), "lattice_basis": matrix_json(inst.lattice.vectors)}
+    lap("cone")
+    points = inst.lattice_points(max_len, budget)
+    report.lattice = lattice_points_json(points, max_len)
+    lap("lattice")
+    report.form = form_json(inst.form)
+    lap("form")
+    positive = [p.vector for p in points if p.strictly_positive]
     sample = positive if realize_limit is None else positive[:realize_limit]
-    all_ok = True
-    for p in sample:
-        lengths = dict(zip(kernel.col_edges, p.vector))
-        entry: dict = {"vector": vector_json(p.vector)}
-        try:
-            charts = realize_polygons(g, boundaries, labels, lengths)
-            surface = develop_surface(g, boundaries, charts)
-            tri = build_triangulation(surface)
-            tri = four_color(tri, surface)
-            areas = sum(triarea(ch.chain) for ch in surface.placed.values())
-            identity = verify_triangle_identity(qfr, lengths, tri, areas)
-            entry.update({
-                "triangles": identity.triangle_count,
-                "form_value": frac_str(identity.form_value),
-                "identity_holds": identity.holds,
-                "degree_histogram": {str(d): c for d, c in sorted(tri.degree_histogram().items())},
-                # four_color raises on a properness or mod-3 failure, so
-                # reaching this point certifies both
-                "four_colored": tri.vertex_colors is not None,
-                "mod3_balanced": tri.vertex_colors is not None,
-                "cone_points": [grid_point_json(c) for c in cone_point_coordinates(surface)],
-            })
-            all_ok = all_ok and identity.holds
-        except ValueError as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-            all_ok = False
-        report.realizations.append(entry)
-    timings["realize"] = time.perf_counter() - t0
-
-    report.ok = (rep.plausible and lemmas.all_passed and bool(cd.has_positive_point) and all_ok)
-    report.timings = _round_timings(timings, t_start)
-    return report
+    report.realizations = [_check_realization(inst, vector) for vector in sample]
+    lap("realize")
+    report.ok = (inst.lemmas.all_passed and bool(inst.cone.has_positive_point)
+                 and bool(report.realizations)
+                 and all(r.get("identity_holds") for r in report.realizations))
+    return done()
 
 
-def _round_timings(timings: dict[str, float], t_start: float) -> dict:
-    out = {k: round(v, 6) for k, v in timings.items()}
-    out["total"] = round(time.perf_counter() - t_start, 6)
-    return out
+def _check_realization(inst: Instance, vector) -> dict:
+    """Realize one point and check the form identity on its mesh."""
+    entry: dict = {"vector": vector_json(vector)}
+    try:
+        surface = inst.develop(vector)
+        tri = four_color(build_triangulation(surface), surface)
+        areas = sum(triarea(ch.chain) for ch in surface.placed.values())
+        lengths = dict(zip(inst.kernel.col_edges, vector))
+        identity = verify_triangle_identity(inst.form, lengths, tri, areas)
+    except ValueError as exc:
+        entry["error"] = f"{type(exc).__name__}: {exc}"
+        return entry
+    # four_color raises on a properness or mod-3 failure, so reaching this
+    # point certifies both
+    return {**entry, "triangles": identity.triangle_count,
+            "form_value": frac_str(identity.form_value), "identity_holds": identity.holds,
+            "degree_histogram": _histogram_json(tri),
+            "four_colored": tri.vertex_colors is not None,
+            "mod3_balanced": tri.vertex_colors is not None,
+            "cone_points": [grid_point_json(c) for c in cone_point_coordinates(surface)]}
 
 
 def run_survey(instances: list[tuple[str, EnhancedMultigraph]], max_len: int = 0,

@@ -15,6 +15,7 @@ exact rational congruence yields its signature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,11 +32,20 @@ SLOT_MATRIX: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-def slot_value(slot_lengths) -> Fraction:
+def _form_value(matrix, vec):
+    """Half of vec^T matrix vec for a doubled Gram matrix, exactly: an int
+    when integral (always, on integer vectors), else a Fraction."""
+    v = [Fraction(x) for x in vec]
+    d = math.lcm(*(x.denominator for x in v))
+    w = [x.numerator * (d // x.denominator) for x in v]  # d * v, in integers
+    n = len(w)
+    half = Fraction(sum(matrix[i][j] * w[i] * w[j] for i in range(n) for j in range(n)), 2 * d * d)
+    return int(half) if half.denominator == 1 else half
+
+
+def slot_value(slot_lengths):
     """Value of the six-slot form on a length-6 vector."""
-    ell = [Fraction(x) for x in slot_lengths]
-    total = sum(SLOT_MATRIX[i][j] * ell[i] * ell[j] for i in range(6) for j in range(6))
-    return total / 2
+    return _form_value(SLOT_MATRIX, slot_lengths)
 
 
 @dataclass(frozen=True)
@@ -46,11 +56,7 @@ class PolygonForm:
 
     def value(self, lengths):
         """Form value at an edge length vector (by edge id)."""
-        vec = [Fraction(lengths[eid]) for eid in self.col_edges]
-        total = sum(self.matrix[i][j] * vec[i] * vec[j]
-                    for i in range(len(vec)) for j in range(len(vec)))
-        half = total / 2
-        return int(half) if half.denominator == 1 else half
+        return _form_value(self.matrix, [lengths[eid] for eid in self.col_edges])
 
 
 @dataclass(frozen=True)
@@ -61,11 +67,8 @@ class QuadraticForm:
     signature: tuple[int, int, int] | None = None
 
     def value(self, lengths):
-        vec = [Fraction(lengths[eid]) for eid in self.col_edges]
-        n = len(vec)
-        total = sum(self.global_matrix[i][j] * vec[i] * vec[j] for i in range(n) for j in range(n))
-        half = total / 2
-        return int(half) if half.denominator == 1 else half
+        """Form value at an edge length vector (by edge id)."""
+        return _form_value(self.global_matrix, [lengths[eid] for eid in self.col_edges])
 
 
 def polygon_form(boundary: PolygonBoundary, col_edges) -> PolygonForm:

@@ -18,19 +18,17 @@ from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.geometry import (build_triangulation, cone_point_coordinates,
                                 develop_surface, four_color, realize_polygons,
                                 triarea)
-from octacolor.labeling import assign_labels, polygon_boundaries
+from octacolor.labeling import polygon_boundaries
+from octacolor.pipeline import Instance
 from octacolor.qform import assemble_form, polygon_form, restrict_form, slot_value
-from octacolor.shapesys import KernelBasis, build_constraints, kernel_basis
+from octacolor.shapesys import KernelBasis
 
 SPIRAL_RANGE = range(3, 9)
 
 
 def _pipeline(g):
-    bnds = polygon_boundaries(g)
-    labels = assign_labels(g, bnds)
-    system = build_constraints(g, bnds, labels)
-    kernel = kernel_basis(system)
-    return bnds, labels, system, kernel
+    inst = Instance(g)
+    return inst.boundaries, inst.labels, inst.system, inst.kernel
 
 
 @pytest.fixture(scope="module")

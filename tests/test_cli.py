@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from octacolor.cli import main
 from octacolor.emg import parse_emg, render_emg, validate_plausible
@@ -157,3 +160,82 @@ def test_unknown_family(capsys):
     code, _, err = run(capsys, "gen", "--family", "spiral", "--k", "2")
     assert code == 2
     assert "error" in err
+
+
+# sha256 of stdout per (instance, subcommand); `check` is hashed with its
+# `timings` removed.  Recorded before the CLI was rebuilt on
+# `pipeline.Instance`, so they pin its output byte for byte.
+GOLDEN_COMMANDS = {
+    "validate": [], "labels": [], "solve": [], "rays": [],
+    "lattice": ["--max-len", "3"], "realize": ["--point", "0"], "qform": [],
+    "render": ["--point", "0", "--triangles", "--vertex-colors", "--overlay-dual"],
+    "check": ["--max-len", "2"],
+}
+GOLDEN_SHA256 = {
+    "hexagon-pair": {
+        "validate": "a59c3aa5b5e5aee4fc5cbcf24da3d353e2f452a4d58b3ea0132c67e1ee469218",
+        "labels": "094650888f1427da3678027ec5cea73f9b06ace28679dd7fb72db86b2b5bdb79",
+        "solve": "d554a305e5f96ed9e731ce0dea9a3e5d7a014ace50451c9ea22f40f2caba0290",
+        "rays": "2e32d5922836bf3ee24aded85dadaccd75b82248f4fd49ad0b65458874fd228b",
+        "lattice": "47f93ac5f59ea3199ece27b70b581bf91c5695c3ae30362fb23120c951c0527b",
+        "realize": "1cb535e54e7a0ca817e31108ba6f28ba23c16c571c1f5b67d07c4027bfa80c36",
+        "qform": "9f4074664b374db84917e3143ae3e10ccba3226dc62f7705075b3df43a49929a",
+        "render": "1feb5e0eb663de50d0171dfb5022bff53ee7c8c5172959f349993383a66d166a",
+        "check": "fd11503fe33a5b456a17f88038114983c0adf9058e9346f9880826e2eeacd641",
+    },
+    "spiral-k3": {
+        "validate": "c635bf0723a15dc47e05aa564171b3d86cda2892bec5dc469c8a947fdf2ccfe7",
+        "labels": "a298aca95e37e9fb8d48cc7a471ba07643354226871619d9d9d91c3354123027",
+        "solve": "253e9cb80bdb5d219ca90a4ceba66c0fba29f25ddedf093db34e7c10c0bd212d",
+        "rays": "62457f632f5d0e3d65739fff840ddd10a03d0507791d735c4067c87d1dc03894",
+        "lattice": "982efa712f7d744a4088e5e09a6dab50ee180102b22d36f9a1b16325b434f03d",
+        "realize": "0a2d3865a0f4512cdbafd9bf99cb57ee497372e883fa22e7408f7f62fc624d70",
+        "qform": "2d1e975a539aabceeea5b638198d39e7ab4f67dd349062a6e18b7626154abf7d",
+        "render": "5def0a48a4bc6c1491f60613f0e89aadece569b8938dec925101814fb560d529",
+        "check": "133f7717938381a4441edaa3623a9a49e68b0b8d01e475f046d35c169e6efb93",
+    },
+}
+GOLDEN_INSTANCES = {"hexagon-pair": ["--bundled", "hexagon-pair"],
+                    "spiral-k3": ["--family", "spiral", "--k", "3"]}
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN_SHA256))
+@pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+def test_golden_stdout(capsys, instance, command):
+    code, out, err = run(capsys, command, *GOLDEN_INSTANCES[instance], *GOLDEN_COMMANDS[command])
+    assert (code, err) == (0, "")
+    if command == "check":
+        data = json.loads(out)
+        del data["timings"]
+        out = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[instance][command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--bundled", "hexagon-pair", "--point", "1,x"],
+    ["realize", "--bundled", "hexagon-pair", "--point", "abc"],
+    ["lattice", "--bundled", "hexagon-pair", "--max-len", "-1"],
+    ["labels", "--bundled", "hexagon-pair", "--seed-flag", "0:99"],
+    ["realize", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,-1"],  # not positive
+    ["render", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,0"],   # not positive
+    ["realize", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,2"],  # not a solution
+], ids=["point-vector-garbage", "point-index-garbage", "negative-max-len", "seed-flag-not-incident",
+        "point-negative", "point-zero", "point-not-in-kernel"])
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_point_vector_in_kernel_realizes(capsys):
+    code, out, _ = run(capsys, "realize", "--bundled", "hexagon-pair", "--point", "2,2,2,2,2,2")
+    assert code == 0
+    assert json.loads(out)["triangulation"]["triangles"] == 48
+
+
+def test_check_without_realization_is_not_ok(capsys):
+    # k = 4 has no strictly positive point with all lengths <= 3
+    code, out, _ = run(capsys, "check", "--family", "spiral", "--k", "4")
+    data = json.loads(out)
+    assert data["lattice"]["strictly_positive"] == 0 and data["realizations"] == []
+    assert (code, data["ok"]) == (1, False)

@@ -1,8 +1,12 @@
 import json
 
+import pytest
+
+from octacolor import pipeline
+from octacolor.cli import main
 from octacolor.emg import EnhancedMultigraph
 from octacolor.families import gen_spiral, load_bundled
-from octacolor.pipeline import frac_str, run_check, run_survey
+from octacolor.pipeline import Instance, frac_str, run_check, run_survey
 
 
 def test_check_report_spiral3(spiral3):
@@ -49,3 +53,49 @@ def test_frac_str():
     from fractions import Fraction
     assert frac_str(Fraction(3, 6)) == "1/2"
     assert frac_str(7) == "7"
+
+
+@pytest.mark.parametrize("name,max_len", [("spiral-8", 3), ("spiral-10", 3), ("spiral-6", 1)])
+def test_check_without_realization_is_not_ok(name, max_len):
+    report = run_check(load_bundled(name), name=name, max_len=max_len)
+    assert report.realizations == []
+    assert report.form["signature_as_expected"] and report.cone["has_positive_point"]
+    assert not report.ok
+
+
+def test_check_realize_limit_zero_is_not_ok(spiral3):
+    assert run_check(spiral3, max_len=2).ok
+    assert not run_check(spiral3, max_len=2, realize_limit=0).ok
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} should not be computed")
+    return call
+
+
+def test_spiral_gate_computes_only_its_stages(monkeypatch):
+    for name in ("lattice_basis", "verify_lemmas", "assemble_form", "enumerate_lattice_points"):
+        monkeypatch.setattr(pipeline, name, _forbidden(name))
+    gen_spiral.cache_clear()
+    try:
+        assert gen_spiral(5).vertices
+    finally:
+        gen_spiral.cache_clear()
+
+
+def test_point_vector_skips_cone_and_lattice(monkeypatch, capsys):
+    for name in ("extreme_rays", "lattice_basis", "enumerate_lattice_points"):
+        monkeypatch.setattr(pipeline, name, _forbidden(name))
+    assert main(["realize", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"] == ["1"] * 6
+
+
+def test_instance_computes_each_stage_once(monkeypatch, spiral3):
+    calls = []
+    real = pipeline.kernel_basis
+    monkeypatch.setattr(pipeline, "kernel_basis", lambda system: calls.append(1) or real(system))
+    inst = Instance(spiral3)
+    assert inst.cone.has_positive_point and inst.form.signature == (1, 3, 0)
+    assert inst.lattice.dimension == inst.kernel.dimension == 4
+    assert len(calls) == 1
