@@ -295,6 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "max_len", 0) < 0:
             raise InputError(f"--max-len must be >= 0, got {args.max_len}")
+        if getattr(args, "budget", 0) < 0:
+            raise InputError(f"--budget must be >= 0, got {args.budget}")
         return args.fn(args)
     except (InputError, EmgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

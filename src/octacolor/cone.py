@@ -2,10 +2,12 @@
 
 In kernel coordinates the nonnegativity of every edge length becomes an
 integer inequality system B x >= 0 with one row per blue edge.  This module
-computes the extreme rays of such cones by the double description method in
-exact rational arithmetic, an integer basis of the lattice of integer kernel
-points (saturated, so it spans every integer solution), and an exhaustive
-enumeration of the lattice points with bounded edge lengths.
+computes the extreme rays of such cones by the double description method, an
+integer basis of the lattice of integer kernel points (saturated, so it spans
+every integer solution), and an exhaustive enumeration of the lattice points
+with bounded edge lengths.  The double description and the enumeration run in
+exact integer arithmetic: every constraint is kept as an integer row, and
+rescaled only by positive factors.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ class ConeDescription:
     extreme_rays: tuple[tuple[int, ...], ...] | None = None
     lineality: tuple[tuple[int, ...], ...] = ()
     has_positive_point: bool | None = None
-
-    def contains(self, x) -> bool:
-        return all(linalg.dot(row, x) >= 0 for row in self.inequalities)
 
 
 def restrict_to_kernel(kernel: KernelBasis) -> ConeDescription:
@@ -71,9 +70,7 @@ def extreme_rays(cd: ConeDescription) -> ConeDescription:
     rays, lin = _double_description(rows, cd.dimension)
     total = [sum(r[i] for r in rays) for i in range(cd.dimension)] if rays else [0] * cd.dimension
     positive = bool(rays) and all(linalg.dot(row, total) > 0 for row in cd.inequalities)
-    return ConeDescription(cd.inequalities, cd.dimension, cd.col_edges,
-                           tuple(tuple(r) for r in rays),
-                           tuple(tuple(l) for l in lin), positive)
+    return ConeDescription(cd.inequalities, cd.dimension, cd.col_edges, tuple(rays), tuple(lin), positive)
 
 
 def _double_description(rows, dim):
@@ -84,8 +81,8 @@ def _double_description(rows, dim):
     some lineality direction consumes it; otherwise the classic split and
     adjacent-combination step runs on the rays.
     """
-    lineality = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    rays: list[list[Fraction]] = []
+    lineality = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    rays: list[list[int]] = []
     processed: list[tuple[int, ...]] = []
 
     for row in rows:
@@ -97,15 +94,15 @@ def _double_description(rows, dim):
             if v0 < 0:
                 l0 = [-x for x in l0]
                 v0 = -v0
-            lineality = [
-                [a - (linalg.dot(row, l) / v0) * b for a, b in zip(l, l0)]
-                for l in lineality
-            ]
-            rays = [
-                [a - (linalg.dot(row, r) / v0) * b for a, b in zip(r, l0)]
-                for r in rays
-            ]
-            rays.append(l0)
+
+            def project(v):
+                # onto the hyperplane of row, along l0; v0 > 0 times the
+                # rational projection, so the direction is kept
+                t = linalg.dot(row, v)
+                return _primitive([v0 * a - t * b for a, b in zip(v, l0)])
+
+            lineality = [project(l) for l in lineality]
+            rays = [project(r) for r in rays] + [l0]
             processed.append(row)
             continue
 
@@ -123,34 +120,23 @@ def _double_description(rows, dim):
         for ip in plus:
             for im in minus:
                 common = tight[ip] & tight[im]
-                adjacent = not any(
-                    k not in (ip, im) and common <= tight[k]
-                    for k in range(len(rays))
-                )
-                if not adjacent:
-                    continue
-                rp, rm = rays[ip], rays[im]
-                combo = [vals[ip] * b - vals[im] * a for a, b in zip(rp, rm)]
-                new_rays.append(combo)
-        rays = _dedupe(new_rays)
+                adjacent = not any(k not in (ip, im) and common <= tight[k]
+                                   for k in range(len(rays)))
+                if adjacent:
+                    new_rays.append([vals[ip] * b - vals[im] * a
+                                     for a, b in zip(rays[ip], rays[im])])
+        # drop zero and repeated directions, keeping the first of each
+        rays = [list(r) for r in dict.fromkeys(tuple(_primitive(r)) for r in new_rays if any(r))]
         processed.append(row)
 
-    out_rays = sorted({tuple(linalg.primitive_vector(r)) for r in rays if any(x != 0 for x in r)})
-    out_lin = [tuple(linalg.primitive_vector(l)) for l in lineality if any(x != 0 for x in l)]
-    return [list(r) for r in out_rays], [list(l) for l in out_lin]
+    # every ray and lineality vector is primitive already
+    return sorted({tuple(r) for r in rays if any(r)}), [tuple(l) for l in lineality]
 
 
-def _dedupe(rays):
-    seen = set()
-    out = []
-    for r in rays:
-        if all(x == 0 for x in r):
-            continue
-        key = tuple(linalg.primitive_vector(r))
-        if key not in seen:
-            seen.add(key)
-            out.append([Fraction(x) for x in key])
-    return out
+def _primitive(vec) -> list[int]:
+    """Divide an integer vector by the gcd of its entries (a positive factor)."""
+    g = math.gcd(*vec)
+    return [x // g for x in vec] if g > 1 else list(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +209,14 @@ def enumerate_lattice_points(cd: ConeDescription, lb: LatticeBasis, bound: int,
                              budget: int = 10 ** 6) -> list[LatticePoint]:
     """All integer cone points whose edge coordinates lie in [0, bound].
 
-    Box constraints 0 <= L c <= bound in lattice coefficients c are projected
-    by Fourier-Motzkin elimination, the resulting integer ranges enumerated
-    level by level, and candidates filtered through the cone inequalities.
-    Points classify as strictly positive (every edge length >= 1) or
-    boundary.  Exceeding ``budget`` candidates raises
+    In lattice coefficients c the box is 0 <= L c <= bound, and each cone
+    inequality B x >= 0 becomes an integer row through ``lb.to_kernel``,
+    cleared to a primitive vector (a positive rescaling).  Fourier-Motzkin
+    elimination projects box and cone rows together, and the integer
+    ranges are enumerated level by level.  The last level holds every
+    original row, so each value in its range is a point: nothing is
+    filtered afterwards.  Points classify as strictly positive (every edge
+    length >= 1) or boundary.  More than ``budget`` candidates raise
     EnumerationBudgetError.
     """
     if bound < 0:
@@ -243,6 +232,10 @@ def enumerate_lattice_points(cd: ConeDescription, lb: LatticeBasis, bound: int,
         li = [vec[i] for vec in lb.vectors]
         constraints.append((li, 0))
         constraints.append(([-x for x in li], bound))
+    for row in cd.inequalities:
+        mapped = [linalg.dot(row, t) for t in lb.to_kernel]
+        if any(mapped):
+            constraints.append((linalg.primitive_vector(mapped), 0))
     systems = _fourier_motzkin_levels(constraints, d)
 
     points: list[LatticePoint] = []
@@ -253,22 +246,17 @@ def enumerate_lattice_points(cd: ConeDescription, lb: LatticeBasis, bound: int,
         lo, hi = _integer_range(systems[level], prefix)
         if lo is None:
             return
+        if level + 1 < d:
+            for val in range(lo, hi + 1):
+                recurse(level + 1, prefix + [val])
+            return
+        visited += hi - lo + 1
+        if visited > budget:
+            raise EnumerationBudgetError(budget)
         for val in range(lo, hi + 1):
             values = prefix + [val]
-            if level + 1 == d:
-                visited += 1
-                if visited > budget:
-                    raise EnumerationBudgetError(budget)
-                vec = lb.point(values)
-                if any(x < 0 or x > bound for x in vec):
-                    continue
-                kx = [sum(Fraction(values[j]) * lb.to_kernel[j][t] for j in range(d))
-                      for t in range(cd.dimension)]
-                if not cd.contains(kx):
-                    continue
-                points.append(LatticePoint(vec, tuple(values), all(x >= 1 for x in vec)))
-            else:
-                recurse(level + 1, values)
+            vec = lb.point(values)
+            points.append(LatticePoint(vec, tuple(values), all(x >= 1 for x in vec)))
 
     recurse(0, [])
     points.sort(key=lambda p: p.vector)
@@ -276,53 +264,47 @@ def enumerate_lattice_points(cd: ConeDescription, lb: LatticeBasis, bound: int,
 
 
 def _fourier_motzkin_levels(constraints, d):
-    """systems[j] holds constraints in variables c_0..c_j only."""
+    """systems[j] holds integer constraints in variables c_0..c_j only."""
     systems = [None] * d
-    current = [( [Fraction(x) for x in coeffs], Fraction(const)) for coeffs, const in constraints]
-    for level in range(d - 1, -1, -1):
-        systems[level] = [(c[:level + 1], k) for c, k in current]
-        if level == 0:
-            break
-        nxt = []
-        pos, neg, zero = [], [], []
-        for coeffs, const in current:
-            a = coeffs[level]
-            if a > 0:
-                pos.append((coeffs, const))
-            elif a < 0:
-                neg.append((coeffs, const))
-            else:
-                zero.append((coeffs[:level] + [Fraction(0)], const))
-        nxt.extend(zero)
+    current = _prune(constraints)
+    for level in range(d - 1, 0, -1):
+        systems[level] = current
+        pos = [(c, k) for c, k in current if c[level] > 0]
+        neg = [(c, k) for c, k in current if c[level] < 0]
+        nxt = [(c[:level], k) for c, k in current if c[level] == 0]
         for cp, kp in pos:
             for cn, kn in neg:
                 ap, an = cp[level], -cn[level]
-                coeffs = [an * x + ap * y for x, y in zip(cp[:level], cn[:level])]
-                const = an * kp + ap * kn
-                nxt.append((coeffs + [Fraction(0)], const))
-        current = _prune(nxt, level)
+                nxt.append(([an * x + ap * y for x, y in zip(cp[:level], cn[:level])],
+                            an * kp + ap * kn))
+        current = _prune(nxt)
+    systems[0] = current
     return systems
 
 
-def _prune(constraints, level):
-    """Keep, per primitive direction, only the binding constant."""
-    best: dict[tuple, Fraction] = {}
-    absolute: Fraction | None = None
+def _prune(constraints):
+    """Keep, per primitive direction h/g (g = gcd(h)), the row with the least
+    k/g, compared by cross-multiplication.  Kept rows are divided by the gcd
+    of all their entries, a positive rescaling, so the rational region and
+    every integer range read from it are unchanged."""
+    best: dict[tuple[int, ...], tuple[int, int]] = {}
+    absolute = None
     for coeffs, const in constraints:
-        head = coeffs[:level]
-        if all(x == 0 for x in head):
+        g = math.gcd(*coeffs)
+        if g == 0:
             # 0 >= -const: either trivial or infeasible; keep the tightest
-            if absolute is None or const < absolute:
-                absolute = const
+            if absolute is None or const < absolute[1]:
+                absolute = (list(coeffs), const)
             continue
-        prim = tuple(linalg.primitive_vector(head))
-        scale = next(Fraction(p, int(h)) for p, h in zip(prim, head) if h != 0)
-        scaled_const = const * scale
-        if prim not in best or scaled_const < best[prim]:
-            best[prim] = scaled_const
-    out = [([Fraction(x) for x in prim] + [Fraction(0)], const) for prim, const in sorted(best.items())]
+        head = tuple(x // g for x in coeffs)
+        if head not in best or const * best[head][1] < best[head][0] * g:
+            best[head] = (const, g)
+    out = []
+    for head, (const, g) in best.items():
+        h = math.gcd(g, const)
+        out.append(([x * (g // h) for x in head], const // h))
     if absolute is not None:
-        out.append(([Fraction(0)] * (level + 1), absolute))
+        out.append(absolute)
     return out
 
 
@@ -332,19 +314,18 @@ def _integer_range(constraints, prefix):
     lo, hi = None, None
     for coeffs, const in constraints:
         a = coeffs[level]
-        rest = const + sum(c * Fraction(p) for c, p in zip(coeffs[:level], prefix))
-        if a == 0:
-            if rest < 0:
-                return None, None
-            continue
-        bound = -rest / a
+        rest = const + sum(c * p for c, p in zip(coeffs, prefix))
+        # a * x + rest >= 0
         if a > 0:
+            bound = -(rest // a)      # ceil(-rest / a)
             lo = bound if lo is None else max(lo, bound)
-        else:
+        elif a < 0:
+            bound = rest // -a        # floor(rest / -a)
             hi = bound if hi is None else min(hi, bound)
+        elif rest < 0:
+            return None, None
     if lo is None or hi is None:
         raise ValueError("enumeration region is unbounded; lattice basis must be full rank")
-    ilo, ihi = math.ceil(lo), math.floor(hi)
-    if ilo > ihi:
+    if lo > hi:
         return None, None
-    return ilo, ihi
+    return lo, hi

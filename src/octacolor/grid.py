@@ -41,9 +41,6 @@ class GridPoint:
         """Reflect across the real axis."""
         return GridPoint(self.x, -self.y)
 
-    def is_origin(self) -> bool:
-        return self.x == 0 and self.y == 0
-
     def is_lattice_point(self) -> bool:
         """Whether this is a point of the unit triangular (Eisenstein) lattice.
 
@@ -66,10 +63,6 @@ class GridPoint:
         """Residue class in (lattice / 2*lattice), encoded 0..3."""
         a, b = self.lattice_coords()
         return 2 * (a & 1) + (b & 1)
-
-    def as_floats(self) -> tuple[float, float]:
-        """Planar coordinates; the only sanctioned exit to floating point."""
-        return float(self.x), float(self.y) * 3 ** 0.5
 
 
 ORIGIN = GridPoint(Fraction(0), Fraction(0))

@@ -219,8 +219,12 @@ def test_golden_stdout(capsys, instance, command):
     ["realize", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,-1"],  # not positive
     ["render", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,0"],   # not positive
     ["realize", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,2"],  # not a solution
+    ["lattice", "--family", "spiral", "--k", "3", "--budget", "-1"],
+    ["check", "--bundled", "hexagon-pair", "--budget", "-1"],
+    ["survey", "--family", "spiral", "--k-range", "3..3", "--max-len", "2", "--budget", "-1"],
 ], ids=["point-vector-garbage", "point-index-garbage", "negative-max-len", "seed-flag-not-incident",
-        "point-negative", "point-zero", "point-not-in-kernel"])
+        "point-negative", "point-zero", "point-not-in-kernel", "negative-budget-lattice",
+        "negative-budget-check", "negative-budget-survey"])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

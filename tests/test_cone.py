@@ -8,6 +8,7 @@ from octacolor.cone import (ConeDescription, EnumerationBudgetError,
                             enumerate_lattice_points, extreme_rays,
                             lattice_basis, restrict_to_kernel)
 from octacolor.labeling import assign_labels, polygon_boundaries
+from octacolor.pipeline import Instance
 from octacolor.shapesys import KernelBasis, build_constraints, kernel_basis
 
 
@@ -206,3 +207,59 @@ def test_extreme_rays_are_lattice_points(spiral3):
         assert coords is not None
         assert all(c.denominator == 1 for c in coords)
         assert all(x >= 0 for x in prim)
+
+
+def test_enumerate_budget_boundary_is_exact(spiral3):
+    # every candidate the search visits is a point: 165 points, 165 candidates
+    inst = Instance(spiral3)
+    pts = enumerate_lattice_points(inst.cone, inst.lattice, 4)
+    assert (len(pts), sum(p.strictly_positive for p in pts)) == (165, 42)
+    assert enumerate_lattice_points(inst.cone, inst.lattice, 4, budget=len(pts)) == pts
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_lattice_points(inst.cone, inst.lattice, 4, budget=len(pts) - 1)
+
+
+def test_enumerate_through_non_identity_to_kernel():
+    # (1, 1, 1) is half the sum of the kernel basis, so to_kernel has halves
+    kb = KernelBasis(((2, 0, 1), (0, 2, 1)), 1, 2, (0, 1, 2))
+    lb = lattice_basis(kb)
+    assert any(x.denominator != 1 for row in lb.to_kernel for x in row)
+    basis_cols = linalg.transpose([list(b) for b in kb.basis])
+    rng = random.Random(7)
+    for _ in range(20):
+        # the box does not imply an arbitrary row in kernel coordinates
+        extra = [tuple(rng.randrange(-3, 4) for _ in range(2)) for _ in range(rng.randrange(1, 3))]
+        cd = ConeDescription(restrict_to_kernel(kb).inequalities + tuple(extra), 2, kb.col_edges)
+        bound = rng.randrange(0, 7)
+        got = enumerate_lattice_points(cd, lb, bound)
+        want = []
+        for v in itertools.product(range(bound + 1), repeat=3):
+            kx = linalg.solve(basis_cols, list(v))
+            if kx is not None and all(linalg.dot(r, kx) >= 0 for r in cd.inequalities):
+                want.append(v)
+        assert [p.vector for p in got] == want
+        assert all(lb.point(p.coeffs) == p.vector for p in got)
+
+
+def test_rays_lineality_pivot_above_one():
+    cd = extreme_rays(_cone([(2, 1)], 2))
+    assert (cd.extreme_rays, cd.lineality) == (((1, 0),), ((-1, 2),))
+    cd = extreme_rays(_cone([(2, 1, 0), (0, 3, 1)], 3))
+    assert (cd.extreme_rays, cd.lineality) == (((-1, 2, 0), (1, 0, 0)), ((1, -2, 6),))
+    assert cd.has_positive_point
+
+
+def test_rays_of_non_pointed_systems():
+    rng = random.Random(31)
+    seen = 0
+    while seen < 40:
+        dim = rng.randrange(2, 6)
+        rows = [[rng.randrange(-4, 5) for _ in range(dim)] for _ in range(rng.randrange(1, 6))]
+        rows = [r for r in rows if any(r)]
+        if not rows or not linalg.nullspace(rows):
+            continue
+        seen += 1
+        cd = extreme_rays(_cone(rows, dim))
+        assert all(linalg.dot(r, l) == 0 for r in rows for l in cd.lineality)
+        assert all(linalg.dot(r, ray) >= 0 for r in rows for ray in cd.extreme_rays)
+        assert len(cd.lineality) == dim - linalg.rank(rows)
