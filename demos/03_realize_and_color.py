@@ -17,6 +17,7 @@ from octacolor import (assemble_form, assign_labels, build_constraints,
                        lattice_basis, polygon_boundaries, realize_polygons,
                        restrict_form, restrict_to_kernel, triarea,
                        verify_triangle_identity)
+from octacolor.pipeline import grid_point_json
 from octacolor.svg import render_net
 
 graph = gen_spiral(3)
@@ -36,8 +37,8 @@ surface = develop_surface(graph, boundaries, charts)
 print(f"cone vertices (two polygons meet): {surface.cone_vertices}")
 print(f"regular vertices (four polygons meet): {surface.regular_vertices}")
 print("folded cone point coordinates (x, y*sqrt3):")
-for c in cone_point_coordinates(surface):
-    print(f"  ({c.x}, {c.y})")
+for c in map(grid_point_json, cone_point_coordinates(surface)):
+    print(f"  ({c['x']}, {c['ys3']})")
 
 tri = four_color(build_triangulation(surface), surface)
 print(f"\nglued triangulation: {tri.n_vertices} vertices, {len(tri.edges)} edges, "

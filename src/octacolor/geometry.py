@@ -8,23 +8,22 @@ cuts integer-sided polygons into unit triangles, assembles the glued sphere
 triangulation with its proper 4-coloring, and lays out an unfolded net with
 proper isometries for rendering.
 
-Realization, development and the net stay in exact GridPoint arithmetic.
-The mesh layer (unit triangulation, gluing, vertex numbering and the
-4-coloring) runs on doubled integer coordinates (X, Y) = (2x, 2y), where
-the unit directions are (2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1) and
-(1, -1); GridPoints appear again only in its results.  Nothing becomes a
-float before SVG emission, and angle checks are combinatorial, in units of
-pi/3.
+Every stage runs on one point type, the integer GridPoint in doubled
+coordinates (X, Y) = (2x, 2y): side lengths are integers and every corner
+is a lattice point, so realization, development, the mesh and the net are
+exact integer arithmetic.  The mesh's inner loops keep plain (X, Y) tuples,
+which compare and hash equal to GridPoints.  Nothing becomes a rational
+before JSON or a float before SVG emission, and angle checks are
+combinatorial, in units of pi/3.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-from .emg import BLUE, WHITE, EnhancedMultigraph, trace_faces
-from .grid import ORIGIN, GridPoint, direction, signed_triarea
+from .emg import WHITE, EnhancedMultigraph
+from .grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
 from .labeling import ACUTE, CORNER_UNITS, LabelMap, PolygonBoundary
 
 
@@ -53,7 +52,7 @@ class SideRecord:
     edge_id: int
     start: GridPoint
     direction: int  # exponent of the unit direction, 0..5
-    length: Fraction
+    length: int
 
     @property
     def end(self) -> GridPoint:
@@ -81,8 +80,9 @@ def realize_polygons(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
 
     Side i of a polygon runs for its length along the labelled direction
     (plus a half turn on black polygons, whose charts are the reflected,
-    folded image).  Raises ClosureError when a chain fails to close, which
-    means ``lengths`` is not a solution of the closure system.
+    folded image).  Raises ClosureError on a length that is not a positive
+    integer and when a chain fails to close, which means ``lengths`` is not
+    a solution of the closure system.
     """
     exp = labels.exponent_map()
     charts: dict[int, PolygonChart] = {}
@@ -92,9 +92,9 @@ def realize_polygons(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
         point = ORIGIN
         sides = []
         for eid in b.sides:
-            ell = Fraction(lengths[eid])
-            if ell <= 0:
-                raise ClosureError(f"edge {eid} has nonpositive length {ell}")
+            ell = int(lengths[eid])
+            if ell != lengths[eid] or ell <= 0:
+                raise ClosureError(f"edge {eid} has length {lengths[eid]}, expected a positive integer")
             d = (exp[eid] + offset) % 6
             sides.append(SideRecord(eid, point, d, ell))
             point = point + direction(d).scale(ell)
@@ -143,11 +143,18 @@ def develop_surface(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     the geometric holonomy test.  The base flag (cone vertex, polygon) is
     normalized to put the cone vertex at the origin, its boundary edge on
     the positive real axis, and the flag polygon in the upper half plane.
+
+    The vertices come from ``boundaries``, not from ``g``: a blue face owns
+    one polygon corner per side, so a face with two corners is a bigon (a
+    cone vertex) and one with four a quadrilateral (a regular vertex).
     """
     by_vertex = {b.vertex_id: b for b in boundaries}
-    blue_faces = trace_faces(g, colors=(BLUE,))
-    bigons = sorted(f.id for f in blue_faces.by_kind("bigon"))
-    quads = sorted(f.id for f in blue_faces.by_kind("quadrilateral"))
+    corner_count: dict[int, int] = {}
+    for b in boundaries:
+        for fid in b.corner_faces:
+            corner_count[fid] = corner_count.get(fid, 0) + 1
+    bigons = sorted(fid for fid, n in corner_count.items() if n == 2)
+    quads = sorted(fid for fid, n in corner_count.items() if n == 4)
 
     gluings = _edge_gluings(boundaries)
 
@@ -293,37 +300,19 @@ def _gluing_shift(charts, gl: EdgeGluing, from_polygon: int) -> GridPoint:
 # ---------------------------------------------------------------------------
 # unit triangulation of integer-sided polygons
 #
-# The mesh layer runs on doubled coordinates: the grid point (x, y) becomes
-# the integer pair (2x, 2y).  Doubling is exact and keeps the order of
-# GridPoint, so sorting, hashing and comparing the pairs numbers vertices,
-# triangles and edges exactly as the grid points themselves would.
+# The inner loops build plain (X, Y) tuples: they sort, hash and compare
+# exactly as GridPoints do, so vertices, triangles and edges are numbered
+# in GridPoint order.
 
 Triangle = tuple[GridPoint, GridPoint, GridPoint]
-IPoint = tuple[int, int]
-ITriangle = tuple[IPoint, IPoint, IPoint]
-
-# unit direction k, at angle k*pi/3, in doubled coordinates
-_STEPS: tuple[IPoint, ...] = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
 
 
-def _doubled(p: GridPoint, error: type[ValueError] = MeshError) -> IPoint:
-    """Doubled coordinates of a point on the half-integer grid; never rounds."""
-    x, y = p.x, p.y
-    if 2 % x.denominator or 2 % y.denominator:
-        raise error(f"{p} is not on the half-integer grid")
-    return 2 * x.numerator // x.denominator, 2 * y.numerator // y.denominator
-
-
-def _undoubled(q: IPoint) -> GridPoint:
-    return GridPoint(Fraction(q[0], 2), Fraction(q[1], 2))
-
-
-def _step(p: IPoint, d: int, n: int) -> IPoint:
-    dx, dy = _STEPS[d]
+def _step(p: GridPoint, d: int, n: int) -> tuple[int, int]:
+    dx, dy = DIRECTIONS[d]
     return p[0] + n * dx, p[1] + n * dy
 
 
-def triarea(points) -> Fraction:
+def triarea(points) -> int:
     """Area of a closed chain in units of one unit equilateral triangle."""
     return abs(signed_triarea(list(points)))
 
@@ -336,33 +325,30 @@ def unit_triangulate(chart_or_start, sides=None) -> list[Triangle]:
     length, smallest such corner first); an all-obtuse hexagon first sheds
     a four-sided piece at its shortest side, leaving a pentagon.  Returns
     exactly area / (sqrt(3)/4) triangles whose vertices are grid points at
-    mutual distance one.  The work happens in doubled coordinates.
+    mutual distance one.
     """
     if sides is None:
-        starts, int_sides = _integer_chain(chart_or_start)
-        start = starts[0]
+        start, int_sides = chart_or_start.sides[0].start, _chart_sides(chart_or_start)
     else:
-        start, int_sides = _doubled(chart_or_start), _integer_sides(sides)
-    return [tuple(map(_undoubled, t)) for t in _unit_triangles(start, int_sides)]
+        start, int_sides = chart_or_start, _integer_sides(sides)
+    return [tuple(GridPoint(*p) for p in t) for t in _unit_triangles(start, int_sides)]
 
 
 def _integer_sides(sides) -> list[tuple[int, int]]:
     out = []
     for ell, d in sides:
-        ell = Fraction(ell)
-        if ell.denominator != 1 or ell <= 0:
+        n = int(ell)
+        if n != ell or n <= 0:
             raise MeshError(f"side lengths must be positive integers, got {ell}")
-        out.append((int(ell), d % 6))
+        out.append((n, d % 6))
     return out
 
 
-def _integer_chain(chart: PolygonChart) -> tuple[list[IPoint], list[tuple[int, int]]]:
-    """Doubled side starts and integer (length, direction) sides of a chart."""
-    sides = _integer_sides((s.length, s.direction) for s in chart.sides)
-    return [_doubled(s.start) for s in chart.sides], sides
+def _chart_sides(chart: PolygonChart) -> list[tuple[int, int]]:
+    return [(s.length, s.direction) for s in chart.sides]
 
 
-def _unit_triangles(start: IPoint, sides: list[tuple[int, int]]) -> list[ITriangle]:
+def _unit_triangles(start: GridPoint, sides: list[tuple[int, int]]) -> list[Triangle]:
     k = len(sides)
     turns = {(sides[(i + 1) % k][1] - sides[i][1]) % 6 for i in range(k)}
     if turns <= {1, 2}:
@@ -372,23 +358,21 @@ def _unit_triangles(start: IPoint, sides: list[tuple[int, int]]) -> list[ITriang
         tris = [tuple(sorted((x, -y) for x, y in t)) for t in mirrored]
     else:
         raise ValueError(f"chain is not convex with sixth-turn corners (turns {sorted(turns)})")
-    # the shoelace sum in doubled coordinates is twice the area in unit triangles
-    pts = _chain_points(start, sides)
-    twice_area = abs(sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(pts, pts[1:] + pts[:1])))
-    if 2 * len(tris) != twice_area:
-        raise MeshError(f"triangulated {len(tris)} units, area holds {Fraction(twice_area, 2)}")
+    area = triarea(_chain_points(start, sides))
+    if len(tris) != area:
+        raise MeshError(f"triangulated {len(tris)} units, area holds {area}")
     return tris
 
 
-def _chain_points(start: IPoint, sides) -> list[IPoint]:
+def _chain_points(start: GridPoint, sides) -> list[tuple[int, int]]:
     pts = [start]
     for ell, d in sides[:-1]:
         pts.append(_step(pts[-1], d, ell))
     return pts
 
 
-def _triangulate_ccw(start: IPoint, sides: list[tuple[int, int]]) -> list[ITriangle]:
-    tris: list[ITriangle] = []
+def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Triangle]:
+    tris: list[Triangle] = []
     work = list(sides)
     anchor = start
     while True:
@@ -457,7 +441,7 @@ def _triangulate_ccw(start: IPoint, sides: list[tuple[int, int]]) -> list[ITrian
         work = new
 
 
-def _normalize_chain(sides, anchor: IPoint):
+def _normalize_chain(sides, anchor: GridPoint):
     """Drop zero sides and merge consecutive sides with equal direction."""
     out = [(l, d) for l, d in sides if l]
     changed = True
@@ -479,13 +463,13 @@ def _normalize_chain(sides, anchor: IPoint):
     return out, anchor
 
 
-def _subdivide_triangle(apex: IPoint, d_u: int, d_v: int, n: int) -> list[ITriangle]:
+def _subdivide_triangle(apex: GridPoint, d_u: int, d_v: int, n: int) -> list[Triangle]:
     """Standard subdivision of an equilateral triangle of side n into n*n units.
 
     Order is translation invariant, so each unit triangle's sorted vertex
     order is the sorted order of its corner offsets, fixed per call.
     """
-    (ux, uy), (vx, vy) = _STEPS[d_u], _STEPS[d_v]
+    (ux, uy), (vx, vy) = DIRECTIONS[d_u], DIRECTIONS[d_v]
     (p0, q0), (p1, q1), (p2, q2) = sorted(((0, 0), (ux, uy), (vx, vy)))
     (r0, s0), (r1, s1), (r2, s2) = sorted(((ux, uy), (vx, vy), (ux + vx, uy + vy)))
     ax, ay = apex
@@ -533,15 +517,13 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     plane, so identification happens by position along each glued edge, and
     only there (the folding map is far from injective globally).  Verifies
     closedness, the Euler characteristic, and the degree sequence of six
-    4s with all remaining degrees 6.  Triangulation and gluing run in
-    doubled integer coordinates; only ``positions`` holds grid points.
+    4s with all remaining degrees 6.
     """
     placed = surface.placed
-    chains = {pid: _integer_chain(ch) for pid, ch in placed.items()}
-    triangulations = {pid: _unit_triangles(starts[0], sides)
-                      for pid, (starts, sides) in chains.items()}
+    triangulations = {pid: _unit_triangles(ch.sides[0].start, _chart_sides(ch))
+                      for pid, ch in placed.items()}
 
-    parent: dict[tuple[int, IPoint], tuple[int, IPoint]] = {}
+    parent: dict[tuple[int, GridPoint], tuple[int, GridPoint]] = {}
 
     def find(x):
         root = x
@@ -562,38 +544,36 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
                 parent.setdefault((pid, p), (pid, p))
 
     for eid, gl in surface.gluings.items():
-        starts, sides = chains[gl.white_polygon]
-        (x, y), (ell, d) = starts[gl.white_side], sides[gl.white_side]
-        dx, dy = _STEPS[d]
-        for t in range(ell + 1):
+        side = placed[gl.white_polygon].sides[gl.white_side]
+        (x, y), (dx, dy) = side.start, DIRECTIONS[side.direction]
+        for t in range(side.length + 1):
             pt = (x + t * dx, y + t * dy)
             a = (gl.white_polygon, pt)
             b = (gl.black_polygon, pt)
             if a not in parent or b not in parent:
-                raise MeshError(f"edge {eid}: subdivision point {_undoubled(pt)} missing from a triangulation")
+                raise MeshError(f"edge {eid}: subdivision point {pt} missing from a triangulation")
             union(a, b)
 
-    classes: dict[tuple[int, IPoint], list[tuple[int, IPoint]]] = {}
+    classes: dict[tuple[int, GridPoint], list[tuple[int, GridPoint]]] = {}
     for key in parent:
         classes.setdefault(find(key), []).append(key)
     roots = sorted(classes, key=lambda k: (k[1], k[0]))
-    vid_of: dict[tuple[int, IPoint], int] = {}
+    vid_of: dict[tuple[int, GridPoint], int] = {}
     positions = []
     for vid, root in enumerate(roots):
         members = classes[root]
         pts = {pt for _, pt in members}
         if len(pts) != 1:
-            raise MeshError(f"identified vertices with distinct folded images "
-                            f"{[_undoubled(p) for p in sorted(pts)[:2]]}")
+            raise MeshError(f"identified vertices with distinct folded images {sorted(pts)[:2]}")
         for m in members:
             vid_of[m] = vid
-        positions.append(_undoubled(root[1]))
+        positions.append(GridPoint(*root[1]))
 
     surface_vertex = [-1] * len(positions)
     for b in surface.boundaries:
-        starts = chains[b.vertex_id][0]
+        chart = placed[b.vertex_id]
         for idx, fid in enumerate(b.corner_faces):
-            surface_vertex[vid_of[(b.vertex_id, starts[(idx + 1) % len(starts)])]] = fid
+            surface_vertex[vid_of[(b.vertex_id, chart.corner_point(idx))]] = fid
 
     triangles = []
     colors = []
@@ -633,16 +613,13 @@ def four_color(tri: ColoredTriangulation, surface: RealizedSurface | None = None
     Adjacent vertices differ by a unit direction, which is never in twice
     the lattice, so residue classes color properly; this is re-verified by
     a brute-force scan over all edges, as is the mod-3 balance of black and
-    white triangles around every vertex.  In doubled coordinates (X, Y) a
-    lattice point has X = Y mod 2, and its lattice coordinates are
-    ((X - Y) / 2, Y).
+    white triangles around every vertex.
     """
     colors = []
     for pt in tri.positions:
-        x, y = _doubled(pt, ColorError)
-        if (x - y) % 2:
+        if not pt.is_lattice_point():
             raise ColorError(f"folded vertex image {pt} is not a lattice point")
-        colors.append(2 * (((x - y) // 2) & 1) + (y & 1))
+        colors.append(pt.color_class())
     for a, b in tri.edges:
         if colors[a] == colors[b]:
             raise ColorError(f"adjacent vertices {a}, {b} share color {colors[a]}")
@@ -765,13 +742,12 @@ def _interiors_overlap(pts_a, pts_b) -> bool:
     def axes(pts):
         n = len(pts)
         for i in range(n):
-            d = pts[(i + 1) % n] - pts[i]
-            yield (d.x, d.y)
+            yield pts[(i + 1) % n] - pts[i]
 
     for dx, dy in list(axes(pts_a)) + list(axes(pts_b)):
         # projection onto the normal of direction (dx, dy*sqrt3), scaled
-        proj_a = [dx * p.y - dy * p.x for p in pts_a]
-        proj_b = [dx * p.y - dy * p.x for p in pts_b]
+        proj_a = [dx * y - dy * x for x, y in pts_a]
+        proj_b = [dx * y - dy * x for x, y in pts_b]
         if max(proj_a) <= min(proj_b) or max(proj_b) <= min(proj_a):
             return False
     return True

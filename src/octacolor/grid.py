@@ -1,53 +1,56 @@
-"""Exact planar points on the sixth-root-of-unity grid.
+"""Exact planar points on the sixth-root-of-unity grid, in integers.
 
-A :class:`GridPoint` with coordinates ``(x, y)`` represents the planar point
-``(x, y*sqrt(3))``.  In this chart every sixth root of unity has rational
-coordinates, so all the geometry of unit-direction polygons stays in exact
-rational arithmetic; floats appear only when rendering.
+A :class:`GridPoint` ``(X, Y)`` holds doubled coordinates: it represents the
+planar point ``(X/2, (Y/2)*sqrt(3))``.  The unit directions are then the
+integer pairs (2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1) and (1, -1), and the
+unit triangular (Eisenstein) lattice is the set of pairs with X = Y mod 2.
+Every polygon corner, folded image and net point of an integer-sided
+realization is a lattice point, so all of the geometry stays in integers:
+rationals appear only in JSON and floats only in SVG.
+
+GridPoint is a named pair, so it sorts as ``(x, y)`` does and compares and
+hashes equal to the plain tuple ``(X, Y)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class GridPoint:
-    x: Fraction
-    y: Fraction
+class GridPoint(NamedTuple):
+    X: int
+    Y: int
 
-    def __add__(self, other: "GridPoint") -> "GridPoint":
-        return GridPoint(self.x + other.x, self.y + other.y)
+    def __add__(self, other) -> "GridPoint":
+        return GridPoint(self[0] + other[0], self[1] + other[1])
 
-    def __sub__(self, other: "GridPoint") -> "GridPoint":
-        return GridPoint(self.x - other.x, self.y - other.y)
+    def __sub__(self, other) -> "GridPoint":
+        return GridPoint(self[0] - other[0], self[1] - other[1])
 
     def __neg__(self) -> "GridPoint":
-        return GridPoint(-self.x, -self.y)
+        return GridPoint(-self[0], -self[1])
 
-    def scale(self, r) -> "GridPoint":
-        r = Fraction(r)
-        return GridPoint(self.x * r, self.y * r)
+    def scale(self, n: int) -> "GridPoint":
+        return GridPoint(self[0] * n, self[1] * n)
 
     def rot(self, k: int) -> "GridPoint":
-        """Rotate by k sixth turns (multiplication by the k-th unit direction)."""
-        d = DIRECTIONS[k % 6]
-        c, s = d.x, d.y
-        # (x + y*sqrt3*i) * (c + s*sqrt3*i) in the (x, y*sqrt3) chart
-        return GridPoint(self.x * c - 3 * self.y * s, self.x * s + self.y * c)
+        """Rotate a lattice point by k sixth turns (multiplication by the
+        k-th unit direction).  One turn maps (X, Y) to ((X - 3Y)/2, (X + Y)/2),
+        exact on the lattice; any other point raises ValueError."""
+        X, Y = self
+        if (X - Y) % 2:
+            raise ValueError(f"{self} is not a lattice point")
+        for _ in range(k % 6):
+            X, Y = (X - 3 * Y) // 2, (X + Y) // 2
+        return GridPoint(X, Y)
 
     def conj(self) -> "GridPoint":
         """Reflect across the real axis."""
-        return GridPoint(self.x, -self.y)
+        return GridPoint(self[0], -self[1])
 
     def is_lattice_point(self) -> bool:
-        """Whether this is a point of the unit triangular (Eisenstein) lattice.
-
-        Holds exactly when x + y and x - y are both integers, i.e. x and y
-        are both integers or both half-integers.
-        """
-        return (self.x + self.y).denominator == 1 and (self.x - self.y).denominator == 1
+        """Whether this is a point of the unit triangular (Eisenstein) lattice."""
+        return (self[0] - self[1]) % 2 == 0
 
     def lattice_coords(self) -> tuple[int, int]:
         """Integer coordinates (a, b) with point = a*u0 + b*u1.
@@ -57,7 +60,7 @@ class GridPoint:
         """
         if not self.is_lattice_point():
             raise ValueError(f"{self} is not a lattice point")
-        return int(self.x - self.y), int(2 * self.y)
+        return (self[0] - self[1]) // 2, self[1]
 
     def color_class(self) -> int:
         """Residue class in (lattice / 2*lattice), encoded 0..3."""
@@ -65,16 +68,12 @@ class GridPoint:
         return 2 * (a & 1) + (b & 1)
 
 
-ORIGIN = GridPoint(Fraction(0), Fraction(0))
+ORIGIN = GridPoint(0, 0)
 
-# Unit directions at angles k*pi/3, k = 0..5, in the (x, y*sqrt3) chart.
+# Unit directions at angles k*pi/3, k = 0..5, in doubled coordinates.
 DIRECTIONS: tuple[GridPoint, ...] = (
-    GridPoint(Fraction(1), Fraction(0)),
-    GridPoint(Fraction(1, 2), Fraction(1, 2)),
-    GridPoint(Fraction(-1, 2), Fraction(1, 2)),
-    GridPoint(Fraction(-1), Fraction(0)),
-    GridPoint(Fraction(-1, 2), Fraction(-1, 2)),
-    GridPoint(Fraction(1, 2), Fraction(-1, 2)),
+    GridPoint(2, 0), GridPoint(1, 1), GridPoint(-1, 1),
+    GridPoint(-2, 0), GridPoint(-1, -1), GridPoint(1, -1),
 )
 
 
@@ -82,15 +81,19 @@ def direction(k: int) -> GridPoint:
     return DIRECTIONS[k % 6]
 
 
-def signed_triarea(points) -> Fraction:
+def signed_triarea(points) -> int:
     """Signed area of a closed chain in units of one unit equilateral triangle.
 
-    Positive for counterclockwise chains.  Twice the shoelace sum in grid
-    coordinates equals area / (sqrt(3)/4) exactly.
+    Positive for counterclockwise chains.  The shoelace sum in doubled
+    coordinates is twice that area; a chain whose area is not a whole
+    number of unit triangles raises ValueError.
     """
-    total = Fraction(0)
     n = len(points)
+    total = 0
     for i in range(n):
         p, q = points[i], points[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
-    return 2 * total
+        total += p[0] * q[1] - q[0] * p[1]
+    half, odd = divmod(total, 2)
+    if odd:
+        raise ValueError(f"chain area {total}/2 is not a whole number of unit triangles")
+    return half

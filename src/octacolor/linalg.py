@@ -19,17 +19,6 @@ def frac_matrix(rows) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 

@@ -86,7 +86,9 @@ def frac_str(x) -> str:
 
 
 def grid_point_json(p) -> dict:
-    return {"x": frac_str(p.x), "ys3": frac_str(p.y)}
+    """GridPoint (X, Y) as the rationals x = X/2 and ys3 = Y/2 of the
+    planar point (x, ys3*sqrt(3))."""
+    return {"x": str(Fraction(p.X, 2)), "ys3": str(Fraction(p.Y, 2))}
 
 
 def vector_json(vec) -> list[str]:

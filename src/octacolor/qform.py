@@ -63,7 +63,7 @@ class PolygonForm:
 class QuadraticForm:
     global_matrix: tuple[tuple[int, ...], ...]   # doubled Gram matrix, E_b x E_b
     col_edges: tuple[int, ...]
-    restricted: tuple[tuple[Fraction, ...], ...] | None = None
+    restricted: tuple[tuple[int, ...], ...] | None = None
     signature: tuple[int, int, int] | None = None
 
     def value(self, lengths):
@@ -102,13 +102,11 @@ def assemble_form(g: EnhancedMultigraph, boundaries: list[PolygonBoundary]) -> Q
 
 
 def restrict_form(q: QuadraticForm, kernel: KernelBasis) -> QuadraticForm:
-    """Exact congruence restriction to the kernel basis."""
+    """Exact congruence restriction to the kernel basis, in integers."""
     if kernel.dimension < 1:
         raise ValueError("kernel dimension must be at least 1")
-    basis = [list(map(Fraction, v)) for v in kernel.basis]
-    g = [list(map(Fraction, row)) for row in q.global_matrix]
-    gk = linalg.mat_mul(g, linalg.transpose(basis))
-    restricted = linalg.mat_mul(basis, gk)
+    gk = linalg.mat_mul(q.global_matrix, linalg.transpose(kernel.basis))
+    restricted = linalg.mat_mul(kernel.basis, gk)
     restricted_t = tuple(tuple(row) for row in restricted)
     return QuadraticForm(q.global_matrix, q.col_edges, restricted_t, signature(restricted_t))
 

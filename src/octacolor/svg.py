@@ -1,9 +1,11 @@
 """Deterministic SVG emission for nets, triangulations, and colorings.
 
-Exact grid points convert to floats only here, at the last moment.  Output
-bytes are a pure function of the scene: fixed float formatting, fixed
-element order, viewport computed from the exact bounding box with five
-percent padding.
+Exact points convert to floats only here, at the last moment.  A point is
+a pair in doubled coordinates: a GridPoint, or for the dual overlay's
+centroids and side midpoints a pair of Fractions, interpolated exactly
+between lattice points already placed in the net.  Output bytes are a pure
+function of the scene: fixed float formatting, fixed element order,
+viewport computed from the exact bounding box with five percent padding.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _xy(p: GridPoint) -> tuple[float, float]:
-    # SVG y grows downward; flip so the upper half plane renders upward
-    return float(p.x), -float(p.y) * SQRT3
+def _xy(p) -> tuple[float, float]:
+    # halving is exact in floating point; SVG y grows downward, so flip it
+    # to render the upper half plane upward
+    return float(p[0]) / 2, -float(p[1]) / 2 * SQRT3
 
 
 @dataclass
@@ -69,7 +72,7 @@ class SvgScene:
             f'<polyline points="{" ".join(coords)}" fill="none" '
             f'stroke="{stroke}" stroke-width="{_fmt(width)}" stroke-linecap="round"/>')
 
-    def circle(self, center: GridPoint, radius: float, fill: str) -> None:
+    def circle(self, center, radius: float, fill: str) -> None:
         x, y = _xy(center)
         self._grow(x - radius, y - radius)
         self._grow(x + radius, y + radius)
@@ -90,14 +93,13 @@ class SvgScene:
         return "\n".join([header, *self.elements, "</svg>"]) + "\n"
 
 
-def _centroid(points) -> GridPoint:
+def _centroid(points) -> tuple[Fraction, Fraction]:
     n = len(points)
-    return GridPoint(sum((p.x for p in points), Fraction(0)) / n,
-                     sum((p.y for p in points), Fraction(0)) / n)
+    return Fraction(sum(p[0] for p in points), n), Fraction(sum(p[1] for p in points), n)
 
 
-def _between(a: GridPoint, b: GridPoint, t: Fraction) -> GridPoint:
-    return a + (b - a).scale(t)
+def _between(a, b, t: Fraction) -> tuple[Fraction, Fraction]:
+    return a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t
 
 
 def render_net(g: EnhancedMultigraph, surface: RealizedSurface, net: NetLayout,
@@ -126,7 +128,9 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
                   net: NetLayout) -> None:
     """Blue arcs run from each polygon center across the middle of the side
     they cross; the two halves coincide exactly on tree-glued edges.  Red
-    arcs hug the blue edge they run parallel to, offset into the polygon."""
+    arcs hug the blue edge they run parallel to, offset into the polygon.
+    The net map is affine, so side ends are placed first and midpoints
+    taken in the net."""
     placed = surface.placed
     centers = {pid: _centroid(net.points[pid]) for pid in net.points}
     side_of: dict[tuple[int, int], int] = {}
@@ -134,26 +138,22 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
         for idx, s in enumerate(ch.sides):
             side_of[(pid, s.edge_id)] = idx
 
-    def chart_mid(pid: int, eid: int, pull: Fraction) -> GridPoint:
+    def net_mid(pid: int, eid: int, pull: Fraction):
         s = placed[pid].sides[side_of[(pid, eid)]]
-        mid = _between(s.start, s.end, Fraction(1, 2))
-        mid = _between(mid, _chart_centroid(placed[pid]), pull)
-        return net.transforms[pid].apply(mid)
+        t = net.transforms[pid]
+        mid = _between(t.apply(s.start), t.apply(s.end), Fraction(1, 2))
+        return _between(mid, centers[pid], pull)
 
     for e in sorted(g.blue_edges(), key=lambda e: e.id):
         for pid in (surface.gluings[e.id].white_polygon, surface.gluings[e.id].black_polygon):
-            scene.polyline([centers[pid], chart_mid(pid, e.id, Fraction(0))], BLUE_EDGE, 0.04)
+            scene.polyline([centers[pid], net_mid(pid, e.id, Fraction(0))], BLUE_EDGE, 0.04)
     for e in sorted(g.red_edges(), key=lambda e: e.id):
         partners = [b for b in g.blue_edges() if {b.a, b.b} == {e.a, e.b}]
         if not partners:
             continue
         eid = partners[0].id
         for pid in (surface.gluings[eid].white_polygon, surface.gluings[eid].black_polygon):
-            scene.polyline([centers[pid], chart_mid(pid, eid, Fraction(1, 5))], RED_EDGE, 0.03)
-
-
-def _chart_centroid(chart) -> GridPoint:
-    return _centroid(chart.chain)
+            scene.polyline([centers[pid], net_mid(pid, eid, Fraction(1, 5))], RED_EDGE, 0.03)
 
 
 def _vertex_dots(scene: SvgScene, surface: RealizedSurface, net: NetLayout) -> None:

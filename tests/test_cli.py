@@ -211,6 +211,16 @@ def test_golden_stdout(capsys, instance, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[instance][command]
 
 
+def test_golden_render_spiral6_overlay(capsys):
+    # the dual overlay's centroids and side midpoints are the only
+    # non-lattice points drawn; recorded when GridPoint held Fractions
+    code, out, err = run(capsys, "render", "--bundled", "spiral-6", "--max-len", "5", "--point", "3",
+                         "--triangles", "--vertex-colors", "--overlay-dual")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f83cc43d1133f72045441bcd5854cde01e2a978549a6609a287efe04b0e8474c"
+
+
 @pytest.mark.parametrize("argv", [
     ["realize", "--bundled", "hexagon-pair", "--point", "1,x"],
     ["realize", "--bundled", "hexagon-pair", "--point", "abc"],

@@ -152,12 +152,6 @@ def test_triarea_values():
     assert triarea(para) == 4
 
 
-def test_triarea_rational_chains():
-    pts = [ORIGIN, direction(0).scale(Fraction(1, 2)),
-           direction(0).scale(Fraction(1, 2)) + direction(2).scale(Fraction(1, 2))]
-    assert triarea(pts) == Fraction(1, 4)
-
-
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_triangulation_of_centrally_symmetric_hexagons(a, b, c):
@@ -190,12 +184,12 @@ def test_triangulation_of_general_nice_hexagons(a, b, c, e):
 def _lattice_points_in(chain):
     """Lattice points of the closed convex ccw polygon, by brute force over
     the half-integer points of its bounding box with orientation tests."""
-    xs = [2 * p.x for p in chain]
-    ys = [2 * p.y for p in chain]
+    xs = [p.X for p in chain]
+    ys = [p.Y for p in chain]
     inside = set()
-    for y in range(int(min(ys)), int(max(ys)) + 1):
-        for x in range(int(min(xs)), int(max(xs)) + 1):
-            q = GridPoint(Fraction(x, 2), Fraction(y, 2))
+    for y in range(min(ys), max(ys) + 1):
+        for x in range(min(xs), max(xs) + 1):
+            q = GridPoint(x, y)
             if q.is_lattice_point() and all(signed_triarea([p, r, q]) >= 0
                                             for p, r in zip(chain, chain[1:] + chain[:1])):
                 inside.add(q)
@@ -282,11 +276,11 @@ def test_base_flag_override_white_and_black(spiral3):
             surf = develop_surface(spiral3, bnds, charts, base_flag=(cv, pid))
             assert surf.folded_vertex_image[cv] == ORIGIN
             chain = surf.placed[pid].chain
-            assert all(p.y >= 0 for p in chain)
-            assert any(p.y > 0 for p in chain)
+            assert all(p.Y >= 0 for p in chain)
+            assert any(p.Y > 0 for p in chain)
             flag_side = surf.placed[pid].sides[surf.base_flag[2]]
             ends = {flag_side.start, flag_side.end}
-            assert all(p.y == 0 and p.x >= 0 for p in ends)
+            assert all(p.Y == 0 and p.X >= 0 for p in ends)
 
 
 def test_base_flag_rejects_regular_vertex(spiral3):
@@ -382,7 +376,8 @@ def test_net_tree_edges_coincide(spiral3):
 # --- golden meshes and error paths --------------------------------------------
 
 def _mesh_digest(tri):
-    key = (tri.positions, tri.triangles, tri.triangle_colors, tri.edges,
+    # positions hash as plain doubled (X, Y) = (2x, 2y) pairs
+    key = (tuple(map(tuple, tri.positions)), tri.triangles, tri.triangle_colors, tri.edges,
            tri.degrees, tri.surface_vertex, tri.vertex_colors)
     return hashlib.sha256(repr(key).encode()).hexdigest()
 
@@ -399,27 +394,30 @@ def test_golden_mesh_hexagon_pair():
     surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, {e: 1 for e in kb.col_edges}))
     tri = four_color(build_triangulation(surf))
     assert len(tri.triangles) == 12
-    assert _mesh_digest(tri) == "6adb73123b8f0722abfcabfd372803cc07353ba49f117b4d06e02098c8b26ff5"
+    assert _mesh_digest(tri) == "4a453c8efe4f53c45a25a0dc684645897af4aed6b4c355f72488d7c1a7a24275"
 
 
 def test_golden_mesh_spiral6():
     tri = four_color(build_triangulation(_first_positive_surface(load_bundled("spiral-6"), bound=5)))
     assert len(tri.triangles) == 54
-    assert _mesh_digest(tri) == "a9ba7d89aa7e6e1e2a007405076ad41613ac4fd94a6bb6e37f53e6ad1ee28a06"
+    assert _mesh_digest(tri) == "59d1c62d52745fd0cfa2836ac9cb3fe83811e7c364f4c266603a8fa6309eb412"
 
 
 def test_build_triangulation_rejects_half_lengths(spiral3):
+    # a halved solution still closes, but its sides are not integers: the
+    # realization refuses it, and so does the triangulation of one chain
     bnds, labels, kb, pts = _positive_points(spiral3)
     vector = pts[0].vector
     assert any(x % 2 for x in vector)
     halved = {e: Fraction(x, 2) for e, x in zip(kb.col_edges, vector)}
-    surf = develop_surface(spiral3, bnds, realize_polygons(spiral3, bnds, labels, halved))
+    with pytest.raises(ClosureError, match="positive integer"):
+        realize_polygons(spiral3, bnds, labels, halved)
     with pytest.raises(MeshError, match="positive integers"):
-        build_triangulation(surf)
+        unit_triangulate(ORIGIN, [(Fraction(1, 2), 0), (Fraction(1, 2), 2), (Fraction(1, 2), 4)])
 
 
-@pytest.mark.parametrize("shift", [GridPoint(Fraction(1, 2), Fraction(0)),
-                                   GridPoint(Fraction(1, 3), Fraction(0))])
+# (1/2, 0) and (0, 1/2): half-integer points off the lattice
+@pytest.mark.parametrize("shift", [GridPoint(1, 0), GridPoint(0, 1)])
 def test_four_color_rejects_off_lattice_position(spiral3, shift):
     tri = build_triangulation(_first_positive_surface(spiral3, bound=3))
     moved = replace(tri, positions=(tri.positions[0] + shift,) + tri.positions[1:])
@@ -437,8 +435,7 @@ def test_unit_triangulate_rejects_nonconvex_chain():
 
 
 def test_unit_triangulate_rejects_start_off_half_integer_grid():
-    start = GridPoint(Fraction(1, 3), Fraction(0))
-    with pytest.raises(MeshError, match="half-integer grid"):
-        unit_triangulate(start, [(1, 0), (1, 2), (1, 4)])
-    # a half-integer start that is not a lattice point is fine
-    assert len(unit_triangulate(GridPoint(Fraction(1, 2), Fraction(0)), [(1, 0), (1, 2), (1, 4)])) == 1
+    # every GridPoint is on the half-integer grid; a half-integer start that
+    # is not a lattice point triangulates like any other
+    tris = unit_triangulate(GridPoint(1, 0), [(1, 0), (1, 2), (1, 4)])
+    assert tris == [(GridPoint(1, 0), GridPoint(2, 1), GridPoint(3, 0))]

@@ -98,16 +98,20 @@ def test_per_polygon_value_is_three_triareas(spiral3):
 
 
 def test_slot_value_is_three_areas_for_rational_sides():
-    # the 3-to-1 area identity holds for rational side lengths too
+    # the 3-to-1 area identity holds for rational side lengths too: both
+    # sides are quadratic, so scale the chain by the common denominator L
+    from math import lcm
+
     from octacolor.geometry import triarea
     from octacolor.grid import ORIGIN, direction
     for a, b, c in [(Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)),
                     (Fraction(5, 4), Fraction(1, 4), Fraction(7, 3))]:
         ell = (a, b, c, a, b, c)
+        big = lcm(*(x.denominator for x in ell))
         pts = [ORIGIN]
         for k in range(5):
-            pts.append(pts[-1] + direction(k).scale(ell[k]))
-        assert slot_value(ell) == 3 * triarea(pts)
+            pts.append(pts[-1] + direction(k).scale(int(big * ell[k])))
+        assert slot_value(ell) * big ** 2 == 3 * triarea(pts)
 
 
 def test_restrict_full_space_is_identity_transform():
