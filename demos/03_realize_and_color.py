@@ -40,7 +40,7 @@ print("folded cone point coordinates (x, y*sqrt3):")
 for c in map(grid_point_json, cone_point_coordinates(surface)):
     print(f"  ({c['x']}, {c['ys3']})")
 
-tri = four_color(build_triangulation(surface), surface)
+tri = four_color(build_triangulation(surface))
 print(f"\nglued triangulation: {tri.n_vertices} vertices, {len(tri.edges)} edges, "
       f"{len(tri.triangles)} triangles")
 print(f"degree histogram: {tri.degree_histogram()}  (six 4s: the cone points)")

@@ -173,7 +173,7 @@ def _cmd_realize(args) -> int:
     name, inst = _load_instance(args)
     vec = _select_point(args, inst)
     surface = inst.develop(vec)
-    tri = four_color(build_triangulation(surface), surface)
+    tri = four_color(build_triangulation(surface))
     _emit_json(args, {"instance": name, **realization_json(vec, surface, tri)})
     return 0
 

@@ -607,7 +607,7 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     return tri
 
 
-def four_color(tri: ColoredTriangulation, surface: RealizedSurface | None = None) -> ColoredTriangulation:
+def four_color(tri: ColoredTriangulation) -> ColoredTriangulation:
     """Proper 4-coloring by lattice residues of folded vertex images.
 
     Adjacent vertices differ by a unit direction, which is never in twice

@@ -1,22 +1,20 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the integers.
 
-Matrices are plain lists of lists holding ``int`` or ``fractions.Fraction``
-entries.  Problem sizes here are desk scale (a few hundred columns at most),
-so the implementations favour clarity and exactness over asymptotics.
-Nothing in this module ever touches floating point.
+Matrices are plain lists of lists of ``int``.  One elimination engine, the
+unimodular integer row echelon form, serves :func:`rank`,
+:func:`nullspace`, :func:`solve`, :func:`integer_kernel` and
+:func:`hermite_normal_form`; the Bareiss elimination of
+:func:`rank_fraction_free` stays separate as an independent check of the
+rank.  Only rational results are ``fractions.Fraction``: the solution of
+:func:`solve` and the input of :func:`primitive_vector`.  Nothing in this
+module ever touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-Row = list[Fraction]
-Matrix = list[Row]
-
-
-def frac_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+from operator import index, mul
 
 
 def transpose(m):
@@ -36,49 +34,13 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def rref(rows) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = frac_matrix(rows)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
 def rank_fraction_free(rows) -> int:
-    """Rank by Bareiss fraction-free elimination on integer data.
+    """Rank of an integer matrix by Bareiss fraction-free elimination.
 
-    Independent of :func:`rank`; the two are cross-checked in the test
-    suite.  Rational input is cleared to integers row by row.
+    Independent of the echelon behind :func:`rank`; ``verify_lemmas``
+    cross-checks the two.
     """
-    m = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        m.append([int(x * den) for x in fr])
+    m = [list(row) for row in rows]
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -118,53 +80,14 @@ def primitive_vector(vec) -> list[int]:
     return [x // g for x in ints]
 
 
-def nullspace(rows) -> list[list[int]]:
-    """Canonical basis of the rational null space, as primitive integer vectors.
-
-    One vector per free column of the RREF, ordered by free column index;
-    the entry at the free column is positive.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(primitive_vector(v))
-    return basis
-
-
-def solve(a_rows, b) -> Row | None:
-    """One exact solution of A x = b, or None if inconsistent."""
-    if not a_rows:
-        return None
-    ncols = len(a_rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a_rows, b)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][-1]
-    return x
-
-
 def _int_row_echelon_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Integer row echelon form of ``rows`` via unimodular row operations.
 
     Returns (echelon, transform) with transform @ rows == echelon and
-    transform unimodular.  Uses Euclidean elimination column by column.
+    transform unimodular.  Uses Euclidean elimination column by column;
+    every pivot is positive.
     """
-    m = [list(map(int, r)) for r in rows]
+    m = [list(map(index, r)) for r in rows]
     n = len(m)
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n == 0:
@@ -202,6 +125,73 @@ def _int_row_echelon_with_transform(rows: list[list[int]]) -> tuple[list[list[in
     return m, t
 
 
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Nonzero rows of the integer echelon form of ``rows`` and the pivot
+    (leading) column of each, in increasing order."""
+    ech, _ = _int_row_echelon_with_transform(rows)
+    ech = [row for row in ech if any(row)]
+    return ech, [next(j for j, x in enumerate(row) if x) for row in ech]
+
+
+def _null_vector(ech, pivots, f: int, ncols: int) -> list[int]:
+    """The primitive null vector of the echelon rows that is positive at the
+    free column ``f`` and zero at every other free column.
+
+    Integer back-substitution from the last row up; whenever a pivot does
+    not divide its row's sum, the whole vector is scaled so that it does.
+    """
+    x = [0] * ncols
+    x[f] = 1
+    for row, p in zip(reversed(ech), reversed(pivots)):
+        if p > f:
+            continue  # x is zero right of f, so x[p] stays 0
+        s = sum(map(mul, row, x))  # x[p] is still 0
+        d = row[p]
+        if s % d:
+            scale = d // gcd(s, d)
+            x = [scale * v for v in x]
+            s *= scale
+        x[p] = -s // d
+    return primitive_vector(x)
+
+
+def rank(rows) -> int:
+    return len(_echelon(rows)[1])
+
+
+def nullspace(rows) -> list[list[int]]:
+    """Canonical basis of the rational null space, as primitive integer vectors.
+
+    One vector per free column, ordered by free column index; the entry at
+    its free column is positive and every other free entry is zero.  Such a
+    vector is unique up to scale, so this is the basis the reduced row
+    echelon form gives.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    ech, pivots = _echelon(rows)
+    pivot_set = set(pivots)
+    return [_null_vector(ech, pivots, f, ncols) for f in range(ncols) if f not in pivot_set]
+
+
+def solve(a_rows, b) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None if inconsistent.
+
+    The solution with every free variable zero: the canonical null vector
+    of [A | -b] at its last column, divided by its last entry.  The system
+    is inconsistent exactly when that column is a pivot.
+    """
+    if not a_rows:
+        return None
+    ncols = len(a_rows[0])
+    ech, pivots = _echelon([[*row, -bi] for row, bi in zip(a_rows, b)])
+    if ncols in pivots:
+        return None
+    *x, d = _null_vector(ech, pivots, ncols, ncols + 1)
+    return [Fraction(v, d) for v in x]
+
+
 def integer_kernel(rows) -> list[list[int]]:
     """Basis of {x integer : rows @ x == 0}; always a saturated lattice basis.
 
@@ -224,16 +214,9 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
     Pivots positive, entries above each pivot reduced to [0, pivot).
     Canonical: equal lattices map to equal output.
     """
-    m = [list(map(int, r)) for r in rows]
-    if not m:
+    if not rows:
         return []
-    ech, _ = _int_row_echelon_with_transform(m)
-    ech = [row for row in ech if any(x != 0 for x in row)]
-    ncols = len(m[0])
-    pivots = []
-    for row in ech:
-        c = next(j for j in range(ncols) if row[j] != 0)
-        pivots.append(c)
+    ech, pivots = _echelon(rows)
     for ri in range(len(ech) - 1, -1, -1):
         c = pivots[ri]
         for up in range(ri):

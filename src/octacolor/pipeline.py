@@ -81,10 +81,6 @@ class Instance:
         return develop_surface(self.g, self.boundaries, charts)
 
 
-def frac_str(x) -> str:
-    return str(Fraction(x))
-
-
 def grid_point_json(p) -> dict:
     """GridPoint (X, Y) as the rationals x = X/2 and ys3 = Y/2 of the
     planar point (x, ys3*sqrt(3))."""
@@ -92,7 +88,7 @@ def grid_point_json(p) -> dict:
 
 
 def vector_json(vec) -> list[str]:
-    return [frac_str(x) for x in vec]
+    return [str(x) for x in vec]
 
 
 def matrix_json(rows) -> list[list[str]]:
@@ -234,7 +230,7 @@ def _check_realization(inst: Instance, vector) -> dict:
     entry: dict = {"vector": vector_json(vector)}
     try:
         surface = inst.develop(vector)
-        tri = four_color(build_triangulation(surface), surface)
+        tri = four_color(build_triangulation(surface))
         areas = sum(triarea(ch.chain) for ch in surface.placed.values())
         lengths = dict(zip(inst.kernel.col_edges, vector))
         identity = verify_triangle_identity(inst.form, lengths, tri, areas)
@@ -244,7 +240,7 @@ def _check_realization(inst: Instance, vector) -> dict:
     # four_color raises on a properness or mod-3 failure, so reaching this
     # point certifies both
     return {**entry, "triangles": identity.triangle_count,
-            "form_value": frac_str(identity.form_value), "identity_holds": identity.holds,
+            "form_value": str(identity.form_value), "identity_holds": identity.holds,
             "degree_histogram": _histogram_json(tri),
             "four_colored": tri.vertex_colors is not None,
             "mod3_balanced": tri.vertex_colors is not None,

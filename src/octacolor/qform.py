@@ -164,13 +164,13 @@ def signature(matrix) -> tuple[int, int, int]:
 class IdentityReport:
     form_value: int
     triangle_count: int
-    triarea_total: Fraction
+    triarea_total: int
     holds: bool
 
 
 def verify_triangle_identity(q: QuadraticForm, lengths,
                              tri: ColoredTriangulation,
-                             triarea_total: Fraction) -> IdentityReport:
+                             triarea_total: int) -> IdentityReport:
     """Check form value = 3 * triangle count = 3 * summed triangle-area.
 
     The triangle count comes from the glued mesh and the area total from
@@ -178,5 +178,5 @@ def verify_triangle_identity(q: QuadraticForm, lengths,
     """
     value = q.value(lengths)
     count = len(tri.triangles)
-    holds = value == 3 * count and Fraction(value) == 3 * Fraction(triarea_total)
-    return IdentityReport(value, count, Fraction(triarea_total), holds)
+    holds = value == 3 * count == 3 * triarea_total
+    return IdentityReport(value, count, triarea_total, holds)

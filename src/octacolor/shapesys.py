@@ -84,8 +84,9 @@ def build_constraints(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
 def kernel_basis(system: ShapeSystem) -> KernelBasis:
     """Exact null space basis, canonicalized.
 
-    Rational reduced echelon form; one primitive integer vector per free
-    column, ordered by free column index.  No tolerances anywhere.
+    Integer row echelon form and back-substitution; one primitive integer
+    vector per free column, ordered by free column index, the basis the
+    reduced row echelon form gives.  No tolerances anywhere.
     """
     rows = [list(r) for r in system.matrix]
     basis = linalg.nullspace(rows)
@@ -127,7 +128,7 @@ def verify_lemmas(system: ShapeSystem, kernel: KernelBasis) -> LemmaReport:
     checks.append(LemmaCheck("dimension", kernel.dimension == 4,
                              f"kernel dimension {kernel.dimension}, expected 4"))
     # cross-check the rank with an independent elimination
-    ff = linalg.rank_fraction_free([list(r) for r in system.matrix])
+    ff = linalg.rank_fraction_free(system.matrix)
     checks.append(LemmaCheck("rank-methods-agree", ff == kernel.rank,
                              f"fraction-free rank {ff} vs echelon rank {kernel.rank}"))
     return LemmaReport(tuple(checks))

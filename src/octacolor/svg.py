@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .emg import WHITE, EnhancedMultigraph
-from .geometry import NetLayout, RealizedSurface, unit_triangulate
+from .geometry import NetLayout, RealizedSurface, Triangle, unit_triangulate
 from .grid import GridPoint
 
 SQRT3 = 3 ** 0.5
@@ -112,15 +112,18 @@ def render_net(g: EnhancedMultigraph, surface: RealizedSurface, net: NetLayout,
     for pid in sorted(net.points):
         fill = FILL_WHITE if placed[pid].color == WHITE else FILL_BLACK
         scene.polygon(net.points[pid], fill)
+    # one triangulation per chart serves both the grid and the dots
+    triangulations = ({pid: unit_triangulate(placed[pid]) for pid in net.points}
+                      if triangles or vertex_colors else {})
     if triangles:
         for pid in sorted(net.points):
             t = net.transforms[pid]
-            for tri in unit_triangulate(placed[pid]):
+            for tri in triangulations[pid]:
                 scene.polygon([t.apply(p) for p in tri], "none", TRIANGLE_STROKE, 0.012)
     if overlay_dual:
         _overlay_dual(scene, g, surface, net)
     if vertex_colors:
-        _vertex_dots(scene, surface, net)
+        _vertex_dots(scene, triangulations, net)
     return scene.render()
 
 
@@ -156,14 +159,14 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
             scene.polyline([centers[pid], net_mid(pid, eid, Fraction(1, 5))], RED_EDGE, 0.03)
 
 
-def _vertex_dots(scene: SvgScene, surface: RealizedSurface, net: NetLayout) -> None:
+def _vertex_dots(scene: SvgScene, triangulations: dict[int, list[Triangle]], net: NetLayout) -> None:
     """One dot per triangulation vertex instance, colored by lattice residue
-    of its folded image (shared vertices repeat with the same color)."""
+    of its folded image (shared vertices repeat with the same color).
+    ``triangulations`` maps each polygon to its unit triangles."""
     for pid in sorted(net.points):
-        chart = surface.placed[pid]
         t = net.transforms[pid]
         seen: set[GridPoint] = set()
-        for tri in unit_triangulate(chart):
+        for tri in triangulations[pid]:
             for p in tri:
                 if p in seen or not p.is_lattice_point():
                     continue

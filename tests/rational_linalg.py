@@ -1,0 +1,90 @@
+"""Reference implementation of the kernel and solve: rational Gauss-Jordan.
+
+This is the ``Fraction`` reduced row echelon form that ``linalg.rank``,
+``linalg.nullspace`` and ``linalg.solve`` ran on before they moved to the
+integer echelon form.  Tests use it as the oracle those three must match
+exactly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from octacolor.linalg import primitive_vector
+
+Row = list[Fraction]
+Matrix = list[Row]
+
+
+def frac_matrix(rows) -> Matrix:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def rref(rows) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    m = frac_matrix(rows)
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[1])
+
+
+def nullspace(rows) -> list[list[int]]:
+    """Canonical basis of the rational null space, as primitive integer vectors.
+
+    One vector per free column of the RREF, ordered by free column index;
+    the entry at the free column is positive.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = rref(rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(primitive_vector(v))
+    return basis
+
+
+def solve(a_rows, b) -> Row | None:
+    """One exact solution of A x = b, or None if inconsistent."""
+    if not a_rows:
+        return None
+    ncols = len(a_rows[0])
+    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a_rows, b)]
+    red, pivots = rref(aug)
+    for row in red:
+        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
+            return None
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][-1]
+    return x

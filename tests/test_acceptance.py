@@ -59,7 +59,7 @@ def realized_sample():
         lengths = dict(zip(kernel.col_edges, p.vector))
         charts = realize_polygons(g, bnds, labels, lengths)
         surface = develop_surface(g, bnds, charts)
-        tri = four_color(build_triangulation(surface), surface)
+        tri = four_color(build_triangulation(surface))
         realized.append((p.vector, lengths, charts, surface, tri))
     return g, bnds, labels, kernel, qf, realized
 

@@ -308,7 +308,7 @@ def test_four_color_proper_and_balanced(spiral3):
     bnds, labels, kb, pts = _positive_points(spiral3)
     charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
     surf = develop_surface(spiral3, bnds, charts)
-    tri = four_color(build_triangulation(surf), surf)
+    tri = four_color(build_triangulation(surf))
     colors = tri.vertex_colors
     assert set(colors) <= {0, 1, 2, 3}
     for a, b in tri.edges:
@@ -320,7 +320,7 @@ def test_four_color_survives_doubling(spiral3):
     doubled = tuple(2 * x for x in pts[0].vector)
     charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, doubled))
     surf = develop_surface(spiral3, bnds, charts)
-    tri = four_color(build_triangulation(surf), surf)
+    tri = four_color(build_triangulation(surf))
     assert tri.vertex_colors is not None
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octacolor import linalg
+import rational_linalg
 
 
 def small_int_matrix(max_dim=5, lo=-4, hi=4):
@@ -30,9 +31,39 @@ def test_nullspace_vectors_annihilate(m):
 
 
 def test_rref_identity():
-    red, pivots = linalg.rref([[1, 0], [0, 1]])
+    red, pivots = rational_linalg.rref([[1, 0], [0, 1]])
     assert pivots == [0, 1]
     assert red == [[1, 0], [0, 1]]
+
+
+@st.composite
+def integer_systems(draw):
+    """(A, b) with A random, zero or with a dependent row, and b either
+    random (often inconsistent) or A x for an integer x (consistent)."""
+    m = draw(small_int_matrix(max_dim=6, lo=-6, hi=6))
+    ncols = len(m[0])
+    kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+    if kind == "zero":
+        m = [[0] * ncols for _ in m]
+    elif kind == "dependent":
+        a, c = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m = m + [[a * x + c * y for x, y in zip(m[0], m[-1])]]
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols))
+        b = linalg.mat_vec(m, x)
+    else:
+        b = draw(st.lists(st.integers(-6, 6), min_size=len(m), max_size=len(m)))
+    return m, b
+
+
+@given(integer_systems())
+@settings(max_examples=300, deadline=None)
+def test_echelon_engine_matches_rational_oracle(system):
+    m, b = system
+    assert linalg.rank(m) == rational_linalg.rank(m)
+    assert linalg.nullspace(m) == rational_linalg.nullspace(m)
+    # repr also pins the entry types: a list of Fractions, or None
+    assert repr(linalg.solve(m, b)) == repr(rational_linalg.solve(m, b))
 
 
 def test_primitive_vector():

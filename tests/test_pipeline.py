@@ -6,7 +6,7 @@ from octacolor import pipeline
 from octacolor.cli import main
 from octacolor.emg import EnhancedMultigraph
 from octacolor.families import gen_spiral, load_bundled
-from octacolor.pipeline import Instance, frac_str, run_check, run_survey
+from octacolor.pipeline import Instance, run_check, run_survey, vector_json
 
 
 def test_check_report_spiral3(spiral3):
@@ -49,10 +49,9 @@ def test_survey_rows():
     assert row["plausible"] and row["signature"] == [1, 3, 0]
 
 
-def test_frac_str():
+def test_vector_json():
     from fractions import Fraction
-    assert frac_str(Fraction(3, 6)) == "1/2"
-    assert frac_str(7) == "7"
+    assert vector_json([Fraction(3, 6), 7]) == ["1/2", "7"]
 
 
 @pytest.mark.parametrize("name,max_len", [("spiral-8", 3), ("spiral-10", 3), ("spiral-6", 1)])

@@ -199,7 +199,7 @@ def test_homogeneity_of_identity(spiral3):
     assert qf.value(doubled) == 4 * qf.value(lengths)
     charts = realize_polygons(spiral3, bnds, labels, doubled)
     surf = develop_surface(spiral3, bnds, charts)
-    tri = four_color(build_triangulation(surf), surf)
+    tri = four_color(build_triangulation(surf))
     areas = sum(triarea(ch.chain) for ch in surf.placed.values())
     rep = verify_triangle_identity(qf, doubled, tri, areas)
     assert rep.holds

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octacolor import linalg
+from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.labeling import assign_labels, polygon_boundaries
 from octacolor.shapesys import (ShapeSystem, build_constraints,
                                 kernel_basis, verify_lemmas)
+import rational_linalg
 
 V1 = (1, 1, 0, -1, -1, 0)
 V2 = (0, 1, 1, 0, -1, -1)
@@ -136,3 +139,12 @@ def test_kernel_basis_is_canonical_under_row_shuffle(seed):
                            tuple(system.row_origin[i] for i in order),
                            system.col_edges)
     assert kernel_basis(shuffled).basis == kernel_basis(system).basis
+
+
+@pytest.mark.parametrize("instance", bundled_names() + list(range(3, 21)))
+def test_kernel_basis_matches_rational_oracle(instance):
+    """Bundled instances by name, spiral instances by k."""
+    g = load_bundled(instance) if isinstance(instance, str) else gen_spiral(instance)
+    system = _system(g)
+    kb = kernel_basis(system)
+    assert [list(v) for v in kb.basis] == rational_linalg.nullspace([list(r) for r in system.matrix])

@@ -1,5 +1,6 @@
+from octacolor import svg
 from octacolor.cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
-from octacolor.geometry import develop_net, develop_surface, realize_polygons
+from octacolor.geometry import develop_net, develop_surface, realize_polygons, unit_triangulate
 from octacolor.labeling import assign_labels, polygon_boundaries
 from octacolor.qform import assemble_form, restrict_form
 from octacolor.shapesys import build_constraints, kernel_basis
@@ -55,3 +56,18 @@ def test_svg_viewbox_padding_is_deterministic(hexpair):
     assert a == b
     assert a.startswith("<svg ")
     assert a.rstrip().endswith("</svg>")
+
+
+def test_render_net_triangulates_each_chart_once(spiral3, monkeypatch):
+    _, _, surface, _ = _realized(spiral3)
+    net = develop_net(surface)
+    want = render_net(spiral3, surface, net, triangles=True, vertex_colors=True)
+    calls = []
+
+    def counting(chart):
+        calls.append(chart)
+        return unit_triangulate(chart)
+
+    monkeypatch.setattr(svg, "unit_triangulate", counting)
+    assert render_net(spiral3, surface, net, triangles=True, vertex_colors=True) == want
+    assert len(calls) == len(net.points)
