@@ -19,8 +19,9 @@ combinatorial, in units of pi/3.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .emg import WHITE, EnhancedMultigraph
 from .grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
@@ -349,13 +350,19 @@ def _chart_sides(chart: PolygonChart) -> list[tuple[int, int]]:
 
 
 def _unit_triangles(start: GridPoint, sides: list[tuple[int, int]]) -> list[Triangle]:
+    """Unit triangles of a convex sixth-turn chain, each a sorted point triple.
+
+    A clockwise chain (a black chart) is chopped as its mirror image, and
+    each subdivided triangle is conjugated back as it is emitted, so both
+    orientations follow one chopping sequence and no triangle is re-sorted.
+    Raises MeshError when the count differs from the chain's area.
+    """
     k = len(sides)
     turns = {(sides[(i + 1) % k][1] - sides[i][1]) % 6 for i in range(k)}
     if turns <= {1, 2}:
         tris = _triangulate_ccw(start, sides)
     elif turns <= {4, 5}:
-        mirrored = _triangulate_ccw((start[0], -start[1]), [(l, (-d) % 6) for l, d in sides])
-        tris = [tuple(sorted((x, -y) for x, y in t)) for t in mirrored]
+        tris = _triangulate_ccw((start[0], -start[1]), [(l, (-d) % 6) for l, d in sides], flip=True)
     else:
         raise ValueError(f"chain is not convex with sixth-turn corners (turns {sorted(turns)})")
     area = triarea(_chain_points(start, sides))
@@ -371,7 +378,10 @@ def _chain_points(start: GridPoint, sides) -> list[tuple[int, int]]:
     return pts
 
 
-def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Triangle]:
+def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]],
+                     flip: bool = False) -> list[Triangle]:
+    """Chop a counterclockwise chain into unit triangles; with ``flip`` the
+    triangles are emitted conjugated, as points of the mirror image."""
     tris: list[Triangle] = []
     work = list(sides)
     anchor = start
@@ -381,7 +391,7 @@ def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Tri
         if k < 3:
             raise ValueError("chain degenerated during chopping")
         if k == 3:
-            tris.extend(_subdivide_triangle(anchor, work[0][1], (work[0][1] + 1) % 6, work[0][0]))
+            _subdivide_triangle(tris, anchor, work[0][1], (work[0][1] + 1) % 6, work[0][0], flip)
             return tris
         pts = _chain_points(anchor, work)
         acute = [(min(work[i][0], work[(i + 1) % k][0]), i)
@@ -395,7 +405,7 @@ def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Tri
             m = min(a, b)
             corner = pts[j] if j else anchor  # end of side i
             apex = _step(corner, da, -m)
-            tris.extend(_subdivide_triangle(apex, da, (da + 1) % 6, m))
+            _subdivide_triangle(tris, apex, da, (da + 1) % 6, m, flip)
             new: list[tuple[int, int]] = []
             for t in range(k):
                 if t == i:
@@ -420,7 +430,7 @@ def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Tri
         if li > lk_:
             raise MeshError("hexagon chop: chosen side is not minimal")
         piece = [(li, di), (lj, dj), (li, (di + 2) % 6), (li + lj, (di + 4) % 6)]
-        tris.extend(_triangulate_ccw(pts[i], piece))
+        tris.extend(_triangulate_ccw(pts[i], piece, flip))
         new = []
         for t in range(k):
             if t == i:
@@ -463,24 +473,27 @@ def _normalize_chain(sides, anchor: GridPoint):
     return out, anchor
 
 
-def _subdivide_triangle(apex: GridPoint, d_u: int, d_v: int, n: int) -> list[Triangle]:
-    """Standard subdivision of an equilateral triangle of side n into n*n units.
+def _subdivide_triangle(out: list[Triangle], apex, d_u: int, d_v: int, n: int, flip: bool) -> None:
+    """Append the standard subdivision of an equilateral triangle of side n
+    into n*n units to ``out``, conjugated when ``flip`` is set.
 
     Order is translation invariant, so each unit triangle's sorted vertex
     order is the sorted order of its corner offsets, fixed per call.
+    Conjugation keeps the order of the (i, j) loop.
     """
     (ux, uy), (vx, vy) = DIRECTIONS[d_u], DIRECTIONS[d_v]
+    ax, ay = apex
+    if flip:
+        ay, uy, vy = -ay, -uy, -vy
     (p0, q0), (p1, q1), (p2, q2) = sorted(((0, 0), (ux, uy), (vx, vy)))
     (r0, s0), (r1, s1), (r2, s2) = sorted(((ux, uy), (vx, vy), (ux + vx, uy + vy)))
-    ax, ay = apex
-    tris = []
+    append = out.append
     for i in range(n):
         for j in range(n - i):
             x, y = ax + i * ux + j * vx, ay + i * uy + j * vy
-            tris.append(((x + p0, y + q0), (x + p1, y + q1), (x + p2, y + q2)))
+            append(((x + p0, y + q0), (x + p1, y + q1), (x + p2, y + q2)))
             if i + j < n - 1:
-                tris.append(((x + r0, y + s0), (x + r1, y + s1), (x + r2, y + s2)))
-    return tris
+                append(((x + r0, y + s0), (x + r1, y + s1), (x + r2, y + s2)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +528,22 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
 
     Subdivision points along a shared edge coincide exactly in the folded
     plane, so identification happens by position along each glued edge, and
-    only there (the folding map is far from injective globally).  Verifies
-    closedness, the Euler characteristic, and the degree sequence of six
-    4s with all remaining degrees 6.
+    only there (the folding map is far from injective globally): a
+    union-find over the points of glued sides joins each point of one
+    polygon with the same point of the other.  A vertex is a point with the
+    smallest polygon of its class, and vertex ids follow (point, polygon)
+    order.  Within one chart the points are distinct, so ids follow point
+    order there and every sorted point triple maps to a sorted id triple.
+    Verifies that every glued point subdivides both charts, closedness, the
+    Euler characteristic, and the degree sequence of six 4s with all
+    remaining degrees 6.
     """
     placed = surface.placed
     triangulations = {pid: _unit_triangles(ch.sides[0].start, _chart_sides(ch))
                       for pid, ch in placed.items()}
+    # each chart's points, mapped to the polygon that owns their vertex
+    owner = {pid: dict.fromkeys(chain.from_iterable(tris), pid)
+             for pid, tris in triangulations.items()}
 
     parent: dict[tuple[int, GridPoint], tuple[int, GridPoint]] = {}
 
@@ -533,60 +555,43 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
             parent[x], x = root, parent[x]
         return root
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for pid, tris in triangulations.items():
-        for t in tris:
-            for p in t:
-                parent.setdefault((pid, p), (pid, p))
-
     for eid, gl in surface.gluings.items():
         side = placed[gl.white_polygon].sides[gl.white_side]
+        white, black = owner[gl.white_polygon], owner[gl.black_polygon]
         (x, y), (dx, dy) = side.start, DIRECTIONS[side.direction]
         for t in range(side.length + 1):
             pt = (x + t * dx, y + t * dy)
-            a = (gl.white_polygon, pt)
-            b = (gl.black_polygon, pt)
-            if a not in parent or b not in parent:
+            if pt not in white or pt not in black:
                 raise MeshError(f"edge {eid}: subdivision point {pt} missing from a triangulation")
-            union(a, b)
+            a, b = (gl.white_polygon, pt), (gl.black_polygon, pt)
+            parent.setdefault(a, a)
+            parent.setdefault(b, b)
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    for pid, pt in parent:
+        owner[pid][pt] = find((pid, pt))[0]
 
-    classes: dict[tuple[int, GridPoint], list[tuple[int, GridPoint]]] = {}
-    for key in parent:
-        classes.setdefault(find(key), []).append(key)
-    roots = sorted(classes, key=lambda k: (k[1], k[0]))
-    vid_of: dict[tuple[int, GridPoint], int] = {}
-    positions = []
-    for vid, root in enumerate(roots):
-        members = classes[root]
-        pts = {pt for _, pt in members}
-        if len(pts) != 1:
-            raise MeshError(f"identified vertices with distinct folded images {sorted(pts)[:2]}")
-        for m in members:
-            vid_of[m] = vid
-        positions.append(GridPoint(*root[1]))
+    vertices = sorted(set(chain.from_iterable(pts.items() for pts in owner.values())))
+    vid = {v: i for i, v in enumerate(vertices)}
+    positions = [GridPoint(*pt) for pt, _ in vertices]
+    index = {pid: {pt: vid[pt, o] for pt, o in pts.items()} for pid, pts in owner.items()}
 
     surface_vertex = [-1] * len(positions)
     for b in surface.boundaries:
         chart = placed[b.vertex_id]
         for idx, fid in enumerate(b.corner_faces):
-            surface_vertex[vid_of[(b.vertex_id, chart.corner_point(idx))]] = fid
+            surface_vertex[index[b.vertex_id][chart.corner_point(idx)]] = fid
 
     triangles = []
     colors = []
     for pid in sorted(triangulations):
-        col = placed[pid].color
-        for t in triangulations[pid]:
-            triangles.append(tuple(sorted(vid_of[(pid, p)] for p in t)))
-            colors.append(col)
+        m = index[pid]
+        tris = triangulations[pid]
+        triangles.extend([(m[p], m[q], m[r]) for p, q, r in tris])
+        colors.extend([placed[pid].color] * len(tris))
 
-    edge_count: dict[tuple[int, int], int] = {}
-    for t in triangles:
-        for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            edge_count[(a, b)] = edge_count.get((a, b), 0) + 1
+    edge_count = Counter(chain.from_iterable(((a, b), (a, c), (b, c)) for a, b, c in triangles))
     bad = [e for e, c in edge_count.items() if c != 2]
     if bad:
         raise MeshError(f"{len(bad)} edges not shared by exactly two triangles, e.g. {bad[0]}")

@@ -80,21 +80,20 @@ def primitive_vector(vec) -> list[int]:
     return [x // g for x in ints]
 
 
-def _int_row_echelon_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+def _int_row_echelon(rows, ncols: int | None = None) -> list[list[int]]:
     """Integer row echelon form of ``rows`` via unimodular row operations.
 
-    Returns (echelon, transform) with transform @ rows == echelon and
-    transform unimodular.  Uses Euclidean elimination column by column;
-    every pivot is positive.
+    Euclidean elimination column by column over the first ``ncols`` columns
+    (all by default); any further columns ride along with the row
+    operations, so an identity block there records the transform.  Every
+    pivot is positive.
     """
     m = [list(map(index, r)) for r in rows]
     n = len(m)
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n == 0:
-        return m, t
-    ncols = len(m[0])
+        return m
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if ncols is None else ncols):
         # euclidean gcd sweep within column c, rows r..n-1
         while True:
             nz = [i for i in range(r, n) if m[i][c] != 0]
@@ -103,14 +102,12 @@ def _int_row_echelon_with_transform(rows: list[list[int]]) -> tuple[list[list[in
             piv = min(nz, key=lambda i: (abs(m[i][c]), i))
             if piv != r:
                 m[r], m[piv] = m[piv], m[r]
-                t[r], t[piv] = t[piv], t[r]
             done = True
             for i in range(r + 1, n):
                 if m[i][c] != 0:
                     q = m[i][c] // m[r][c]
                     if q:
                         m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                        t[i] = [a - q * b for a, b in zip(t[i], t[r])]
                     if m[i][c] != 0:
                         done = False
             if done:
@@ -118,18 +115,16 @@ def _int_row_echelon_with_transform(rows: list[list[int]]) -> tuple[list[list[in
         if m[r][c] != 0:
             if m[r][c] < 0:
                 m[r] = [-a for a in m[r]]
-                t[r] = [-a for a in t[r]]
             r += 1
             if r == n:
                 break
-    return m, t
+    return m
 
 
 def _echelon(rows) -> tuple[list[list[int]], list[int]]:
     """Nonzero rows of the integer echelon form of ``rows`` and the pivot
     (leading) column of each, in increasing order."""
-    ech, _ = _int_row_echelon_with_transform(rows)
-    ech = [row for row in ech if any(row)]
+    ech = [row for row in _int_row_echelon(rows) if any(row)]
     return ech, [next(j for j, x in enumerate(row) if x) for row in ech]
 
 
@@ -195,16 +190,18 @@ def solve(a_rows, b) -> list[Fraction] | None:
 def integer_kernel(rows) -> list[list[int]]:
     """Basis of {x integer : rows @ x == 0}; always a saturated lattice basis.
 
-    Works by reducing the transpose to integer row echelon form with a
-    unimodular transform; transform rows matching zero echelon rows span
-    the kernel over the integers.
+    Works by reducing the transpose, with an identity block appended, to
+    integer row echelon form: the block then holds the unimodular
+    transform, and its rows beside zero echelon rows span the kernel over
+    the integers.
     """
     m = [list(map(int, r)) for r in rows]
     if not m:
         return []
-    at = [list(col) for col in zip(*m)]
-    ech, t = _int_row_echelon_with_transform(at)
-    out = [t[i] for i in range(len(ech)) if all(x == 0 for x in ech[i])]
+    n, width = len(m[0]), len(m)
+    aug = [[*col, *(1 if i == j else 0 for j in range(n))] for i, col in enumerate(zip(*m))]
+    ech = _int_row_echelon(aug, width)
+    out = [row[width:] for row in ech if not any(row[:width])]
     return hermite_normal_form(out)
 
 

@@ -13,7 +13,7 @@ them.  Exact quantities serialize as integer or rational strings.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -170,7 +170,9 @@ class PipelineReport:
     ok: bool = False
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The report's fields, shared, not copied: each already holds plain
+        JSON data."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def run_check(g: EnhancedMultigraph, name: str = "instance", max_len: int = 3,

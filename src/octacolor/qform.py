@@ -80,24 +80,29 @@ def polygon_form(boundary: PolygonBoundary, col_edges) -> PolygonForm:
     col_of = {eid: i for i, eid in enumerate(col_edges)}
     n = len(col_edges)
     m = [[0] * n for _ in range(n)]
-    incident = list(zip(boundary.sides, boundary.slots))
-    for e1, s1 in incident:
-        for e2, s2 in incident:
-            m[col_of[e1]][col_of[e2]] += SLOT_MATRIX[s1][s2]
+    _add_slot_terms(m, boundary, col_of)
     return PolygonForm(boundary.vertex_id, tuple(tuple(r) for r in m), tuple(col_edges))
 
 
+def _add_slot_terms(m, boundary: PolygonBoundary, col_of) -> None:
+    """Add the polygon's slot-pair terms into ``m``, touching only the
+    entries of its own edges."""
+    incident = [(col_of[eid], s) for eid, s in zip(boundary.sides, boundary.slots)]
+    for i, s1 in incident:
+        row, slot_row = m[i], SLOT_MATRIX[s1]
+        for j, s2 in incident:
+            row[j] += slot_row[s2]
+
+
 def assemble_form(g: EnhancedMultigraph, boundaries: list[PolygonBoundary]) -> QuadraticForm:
-    """Exact integer sum of the per-polygon forms."""
+    """Exact integer sum of the per-polygon forms, each polygon's terms
+    added straight into the total."""
     col_edges = tuple(sorted(e.id for e in g.blue_edges()))
+    col_of = {eid: i for i, eid in enumerate(col_edges)}
     n = len(col_edges)
     total = [[0] * n for _ in range(n)]
     for b in boundaries:
-        pf = polygon_form(b, col_edges)
-        for i in range(n):
-            row = pf.matrix[i]
-            for j in range(n):
-                total[i][j] += row[j]
+        _add_slot_terms(total, b, col_of)
     return QuadraticForm(tuple(tuple(r) for r in total), col_edges)
 
 

@@ -4,11 +4,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mesh_oracle
 from octacolor.cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
-from octacolor.families import load_bundled
+from octacolor.families import gen_spiral, load_bundled
 from octacolor.geometry import (ClosureError, ColorError, MeshError,
                                 build_triangulation, cone_point_coordinates,
                                 develop_net, develop_surface, four_color,
@@ -215,6 +216,44 @@ def test_nice_hexagon_triangles_match_brute_force_lattice(a, b, c, e):
     for ell, k in sides[:-1]:
         chain.append(chain[-1] + direction(k).scale(ell))
     assert {p for t in tris for p in t} == _lattice_points_in(chain)
+
+
+@st.composite
+def convex_chains(draw):
+    """A convex sixth-turn chain with sides 1..6, counterclockwise or
+    clockwise, from any start and any first side."""
+    # hexagon side vector (a, b, c, d, e, f) along directions 0..5; closure
+    # forces d = a + b - e and f = b + c - e, and a zero side may not
+    # follow another (that would be a half turn)
+    a, b, c, e = (draw(st.integers(0, 6)) for _ in range(4))
+    lengths = (a, b, c, a + b - e, e, b + c - e)
+    assume(all(0 <= ell <= 6 for ell in lengths))
+    assume(all(lengths[i] or lengths[(i + 1) % 6] for i in range(6)))
+    turn = draw(st.integers(0, 5))
+    sides = [(ell, (d + turn) % 6) for d, ell in enumerate(lengths) if ell]
+    first = draw(st.integers(0, len(sides) - 1))
+    sides = sides[first:] + sides[:first]
+    if draw(st.booleans()):
+        # the same polygon traversed clockwise from the same start
+        sides = [(ell, (d + 3) % 6) for ell, d in reversed(sides)]
+    start = GridPoint(draw(st.integers(-6, 6)), draw(st.integers(-6, 6)))
+    return start, sides
+
+
+@given(convex_chains())
+@settings(max_examples=200, deadline=None)
+def test_unit_triangles_match_oracle_on_both_orientations(chain):
+    start, sides = chain
+    tris = unit_triangulate(start, sides)
+    assert tris == mesh_oracle._unit_triangles(start, sides)
+    pts = [start]
+    for ell, d in sides[:-1]:
+        pts.append(pts[-1] + direction(d).scale(ell))
+    assert len(tris) == triarea(pts)
+    units = set(DIRECTIONS)
+    for t in tris:
+        assert list(t) == sorted(t)
+        assert all(p - q in units or q - p in units for p, q in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])))
 
 
 # --- development and folding -----------------------------------------------
@@ -439,3 +478,63 @@ def test_unit_triangulate_rejects_start_off_half_integer_grid():
     # is not a lattice point triangulates like any other
     tris = unit_triangulate(GridPoint(1, 0), [(1, 0), (1, 2), (1, 4)])
     assert tris == [(GridPoint(1, 0), GridPoint(2, 1), GridPoint(3, 0))]
+
+
+BUNDLED = ("hexagon-pair", "spiral-6", "spiral-8", "spiral-10")
+
+
+@pytest.mark.parametrize("g", [load_bundled(name) for name in BUNDLED] + [gen_spiral(k) for k in (3, 4, 5)],
+                         ids=[*BUNDLED, "gen-spiral-3", "gen-spiral-4", "gen-spiral-5"])
+def test_build_triangulation_matches_oracle(g):
+    bnds, labels, kb, pts = _positive_points(g, bound=4)
+    for p in pts:
+        surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, _lengths(kb, p.vector)))
+        assert build_triangulation(surf) == mesh_oracle.build_triangulation(surf)
+
+
+def test_build_triangulation_rejects_translated_chart(spiral3):
+    surf = _first_positive_surface(spiral3, bound=3)
+    chart = surf.placed[0]
+    moved = replace(chart, sides=tuple(replace(s, start=s.start + DIRECTIONS[0]) for s in chart.sides))
+    with pytest.raises(MeshError, match="missing from a triangulation"):
+        build_triangulation(replace(surf, placed={**surf.placed, 0: moved}))
+
+
+def test_build_triangulation_rejects_dropped_gluing(spiral3):
+    surf = _first_positive_surface(spiral3, bound=3)
+    gluings = dict(surf.gluings)
+    del gluings[min(gluings)]
+    with pytest.raises(MeshError, match="not shared by exactly two triangles"):
+        build_triangulation(replace(surf, gluings=gluings))
+
+
+def _doubled_hexagon_pair(length):
+    """Two copies of the hexagon pair's sphere over the same folded image,
+    glued only within each copy: the copies share no vertex."""
+    g = load_bundled("hexagon-pair")
+    bnds, labels, kb = _context(g)
+    surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, {e: length for e in kb.col_edges}))
+    n, m = 1 + max(surf.placed), 1 + max(surf.gluings)
+    placed = {**surf.placed, **{pid + n: ch for pid, ch in surf.placed.items()}}
+    copies = {eid + m: replace(gl, edge_id=eid + m, white_polygon=gl.white_polygon + n,
+                               black_polygon=gl.black_polygon + n)
+              for eid, gl in surf.gluings.items()}
+    return replace(surf, placed=placed, gluings={**surf.gluings, **copies}), m
+
+
+def test_build_triangulation_rejects_two_spheres():
+    surf, _ = _doubled_hexagon_pair(2)
+    with pytest.raises(MeshError, match="Euler characteristic 4"):
+        build_triangulation(surf)
+
+
+def test_build_triangulation_rejects_swapped_gluing():
+    # swapping the black polygons of one edge and its copy cuts both spheres
+    # open along that side and glues them crosswise: a connected sum, so a
+    # closed sphere, whose two slit ends each gather both copies' degrees
+    surf, m = _doubled_hexagon_pair(2)
+    a, b = surf.gluings[0], surf.gluings[m]
+    gluings = {**surf.gluings, 0: replace(a, black_polygon=b.black_polygon),
+               m: replace(b, black_polygon=a.black_polygon)}
+    with pytest.raises(MeshError, match="degree histogram"):
+        build_triangulation(replace(surf, gluings=gluings))
