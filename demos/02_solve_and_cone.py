@@ -39,7 +39,7 @@ print(f"\ninteger solution lattice basis (edge coordinates):")
 for vec in lattice.vectors:
     print(f"  {vec}")
 
-points = enumerate_lattice_points(cone, lattice, bound=2)
+points = enumerate_lattice_points(lattice, bound=2)
 positive = [p for p in points if p.strictly_positive]
 print(f"\nlattice points with all edge lengths <= 2: {len(points)} "
       f"({len(positive)} strictly positive, i.e. genuine shapes)")

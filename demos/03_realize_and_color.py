@@ -13,10 +13,9 @@ import pathlib
 from octacolor import (assemble_form, assign_labels, build_constraints,
                        build_triangulation, cone_point_coordinates,
                        develop_net, develop_surface, enumerate_lattice_points,
-                       extreme_rays, four_color, gen_spiral, kernel_basis,
-                       lattice_basis, polygon_boundaries, realize_polygons,
-                       restrict_form, restrict_to_kernel, triarea,
-                       verify_triangle_identity)
+                       four_color, gen_spiral, kernel_basis, lattice_basis,
+                       polygon_boundaries, realize_polygons, restrict_form,
+                       triarea, verify_triangle_identity)
 from octacolor.pipeline import grid_point_json
 from octacolor.svg import render_net
 
@@ -24,10 +23,9 @@ graph = gen_spiral(3)
 boundaries = polygon_boundaries(graph)
 labels = assign_labels(graph, boundaries)
 kernel = kernel_basis(build_constraints(graph, boundaries, labels))
-cone = extreme_rays(restrict_to_kernel(kernel))
 lattice = lattice_basis(kernel)
 
-points = [p for p in enumerate_lattice_points(cone, lattice, 3) if p.strictly_positive]
+points = [p for p in enumerate_lattice_points(lattice, 3) if p.strictly_positive]
 vector = points[0].vector
 lengths = dict(zip(kernel.col_edges, vector))
 print(f"realizing edge lengths {vector}")

@@ -200,10 +200,14 @@ def _parse_k_range(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            ks = list(range(int(lo), int(hi) + 1))
+        else:
+            ks = [int(text)]
     except ValueError as exc:
         raise InputError(f"bad k range {text!r}; use A..B") from exc
+    if not ks:
+        raise InputError(f"empty k range {text!r}; use A..B with A <= B")
+    return ks
 
 
 def _cmd_survey(args) -> int:

@@ -1,20 +1,21 @@
-"""The cone of consistent positive length assignments.
+"""The cone C_tau of consistent nonnegative length assignments.
 
-In kernel coordinates the nonnegativity of every edge length becomes an
-integer inequality system B x >= 0 with one row per blue edge.  This module
-computes the extreme rays of such cones by the double description method, an
-integer basis of the lattice of integer kernel points (saturated, so it spans
-every integer solution), and an exhaustive enumeration of the lattice points
-with bounded edge lengths.  The double description and the enumeration run in
-exact integer arithmetic: every constraint is kept as an integer row, and
-rescaled only by positive factors.
+C_tau is the closure kernel intersected with the nonnegative orthant.  In
+kernel coordinates the nonnegativity of every edge length becomes an integer
+inequality system B x >= 0 with one row per blue edge, and this module
+computes the extreme rays of that cone by the double description method.
+The integer points of C_tau are enumerated in edge coordinates instead: an
+integer basis of the lattice of integer kernel points (saturated, so it
+spans every integer solution) turns the points with every length in
+[0, bound] into the integer points of a box, found by Fourier-Motzkin
+elimination.  Everything runs in exact integer arithmetic: every constraint
+is kept as an integer row, and rescaled only by positive factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .shapesys import KernelBasis
@@ -30,7 +31,6 @@ class EnumerationBudgetError(RuntimeError):
 class ConeDescription:
     inequalities: tuple[tuple[int, ...], ...]  # rows: edge coordinates in the kernel basis, primitive
     dimension: int                             # ambient (kernel) dimension
-    col_edges: tuple[int, ...]
     extreme_rays: tuple[tuple[int, ...], ...] | None = None
     lineality: tuple[tuple[int, ...], ...] = ()
     has_positive_point: bool | None = None
@@ -50,7 +50,7 @@ def restrict_to_kernel(kernel: KernelBasis) -> ConeDescription:
     for i in range(len(kernel.col_edges)):
         row = [b[i] for b in kernel.basis]
         rows.append(tuple(linalg.primitive_vector(row)) if any(row) else tuple([0] * kernel.dimension))
-    return ConeDescription(tuple(rows), kernel.dimension, kernel.col_edges)
+    return ConeDescription(tuple(rows), kernel.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ def extreme_rays(cd: ConeDescription) -> ConeDescription:
     rays, lin = _double_description(rows, cd.dimension)
     total = [sum(r[i] for r in rays) for i in range(cd.dimension)] if rays else [0] * cd.dimension
     positive = bool(rays) and all(linalg.dot(row, total) > 0 for row in cd.inequalities)
-    return ConeDescription(cd.inequalities, cd.dimension, cd.col_edges, tuple(rays), tuple(lin), positive)
+    return ConeDescription(cd.inequalities, cd.dimension, tuple(rays), tuple(lin), positive)
 
 
 def _double_description(rows, dim):
@@ -99,7 +99,7 @@ def _double_description(rows, dim):
                 # onto the hyperplane of row, along l0; v0 > 0 times the
                 # rational projection, so the direction is kept
                 t = linalg.dot(row, v)
-                return _primitive([v0 * a - t * b for a, b in zip(v, l0)])
+                return linalg.primitive_vector([v0 * a - t * b for a, b in zip(v, l0)])
 
             lineality = [project(l) for l in lineality]
             rays = [project(r) for r in rays] + [l0]
@@ -126,17 +126,12 @@ def _double_description(rows, dim):
                     new_rays.append([vals[ip] * b - vals[im] * a
                                      for a, b in zip(rays[ip], rays[im])])
         # drop zero and repeated directions, keeping the first of each
-        rays = [list(r) for r in dict.fromkeys(tuple(_primitive(r)) for r in new_rays if any(r))]
+        rays = [list(r) for r in dict.fromkeys(tuple(linalg.primitive_vector(r))
+                                               for r in new_rays if any(r))]
         processed.append(row)
 
     # every ray and lineality vector is primitive already
     return sorted({tuple(r) for r in rays if any(r)}), [tuple(l) for l in lineality]
-
-
-def _primitive(vec) -> list[int]:
-    """Divide an integer vector by the gcd of its entries (a positive factor)."""
-    g = math.gcd(*vec)
-    return [x // g for x in vec] if g > 1 else list(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +141,6 @@ def _primitive(vec) -> list[int]:
 class LatticeBasis:
     vectors: tuple[tuple[int, ...], ...]  # basis of the integer kernel points, in edge coordinates
     col_edges: tuple[int, ...]
-    to_kernel: tuple[tuple[Fraction, ...], ...]  # lattice coefficients -> kernel-basis coordinates
 
     @property
     def dimension(self) -> int:
@@ -159,14 +153,6 @@ class LatticeBasis:
             for i in range(n):
                 out[i] += c * vec[i]
         return tuple(out)
-
-    def coeffs(self, edge_vector) -> tuple[int, ...]:
-        """Lattice coordinates of an integer kernel point; inverse of point()."""
-        sol = linalg.solve(linalg.transpose([list(v) for v in self.vectors]),
-                           list(edge_vector))
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise ValueError("vector is not an integer point of the kernel lattice")
-        return tuple(int(c) for c in sol)
 
 
 def lattice_basis(kernel: KernelBasis) -> LatticeBasis:
@@ -185,14 +171,7 @@ def lattice_basis(kernel: KernelBasis) -> LatticeBasis:
         vectors = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     else:
         vectors = linalg.integer_kernel(complement)
-    to_kernel = []
-    basis_cols = linalg.transpose([list(v) for v in kernel.basis])
-    for vec in vectors:
-        coords = linalg.solve(basis_cols, list(vec))
-        if coords is None:
-            raise AssertionError("lattice vector escaped the kernel span")
-        to_kernel.append(tuple(coords))
-    return LatticeBasis(tuple(tuple(v) for v in vectors), kernel.col_edges, tuple(to_kernel))
+    return LatticeBasis(tuple(tuple(v) for v in vectors), kernel.col_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +184,14 @@ class LatticePoint:
     strictly_positive: bool
 
 
-def enumerate_lattice_points(cd: ConeDescription, lb: LatticeBasis, bound: int,
+def enumerate_lattice_points(lb: LatticeBasis, bound: int,
                              budget: int = 10 ** 6) -> list[LatticePoint]:
-    """All integer cone points whose edge coordinates lie in [0, bound].
+    """The integer points of C_tau with every length <= bound, sorted by vector.
 
-    In lattice coefficients c the box is 0 <= L c <= bound, and each cone
-    inequality B x >= 0 becomes an integer row through ``lb.to_kernel``,
-    cleared to a primitive vector (a positive rescaling).  Fourier-Motzkin
-    elimination projects box and cone rows together, and the integer
+    C_tau is the kernel intersected with the nonnegative orthant, and ``lb``
+    spans every integer kernel point, so these are the points L c of the
+    lattice inside the box 0 <= L c <= bound, one per coefficient vector c.
+    Fourier-Motzkin elimination projects the box rows, and the integer
     ranges are enumerated level by level.  The last level holds every
     original row, so each value in its range is a point: nothing is
     filtered afterwards.  Points classify as strictly positive (every edge
@@ -232,10 +211,6 @@ def enumerate_lattice_points(cd: ConeDescription, lb: LatticeBasis, bound: int,
         li = [vec[i] for vec in lb.vectors]
         constraints.append((li, 0))
         constraints.append(([-x for x in li], bound))
-    for row in cd.inequalities:
-        mapped = [linalg.dot(row, t) for t in lb.to_kernel]
-        if any(mapped):
-            constraints.append((linalg.primitive_vector(mapped), 0))
     systems = _fourier_motzkin_levels(constraints, d)
 
     points: list[LatticePoint] = []

@@ -102,6 +102,8 @@ def check_well_formed(g: EnhancedMultigraph) -> None:
         if v.color not in (BLACK, WHITE):
             raise EmgError(f"vertex {v.id} has unknown color {v.color!r}")
     rot_of = g.rotation_map()
+    if len(rot_of) != len(g.rotations):
+        raise EmgError("duplicate rotation vertex id")
     if set(rot_of) != set(vmap):
         missing = set(vmap) - set(rot_of)
         extra = set(rot_of) - set(vmap)

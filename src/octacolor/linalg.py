@@ -2,17 +2,14 @@
 
 Matrices are plain lists of lists of ``int``.  One elimination engine, the
 unimodular integer row echelon form, serves :func:`rank`,
-:func:`nullspace`, :func:`solve`, :func:`integer_kernel` and
-:func:`hermite_normal_form`; the Bareiss elimination of
-:func:`rank_fraction_free` stays separate as an independent check of the
-rank.  Only rational results are ``fractions.Fraction``: the solution of
-:func:`solve` and the input of :func:`primitive_vector`.  Nothing in this
-module ever touches floating point.
+:func:`nullspace`, :func:`integer_kernel` and :func:`hermite_normal_form`;
+the Bareiss elimination of :func:`rank_fraction_free` stays separate as an
+independent check of the rank.  Every input and result is an integer:
+nothing in this module uses rationals or floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import index, mul
 
@@ -63,21 +60,12 @@ def rank_fraction_free(rows) -> int:
 
 
 def primitive_vector(vec) -> list[int]:
-    """Scale a rational vector to a primitive integer vector.
-
-    The first nonzero entry keeps its sign.  Raises on the zero vector.
-    """
-    fr = [Fraction(x) for x in vec]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    """Divide an integer vector by the gcd of its entries, a positive factor,
+    so every sign is kept.  Raises on the zero vector."""
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return [x // g for x in ints]
+    return [x // g for x in vec]
 
 
 def _int_row_echelon(rows, ncols: int | None = None) -> list[list[int]]:
@@ -168,23 +156,6 @@ def nullspace(rows) -> list[list[int]]:
     ech, pivots = _echelon(rows)
     pivot_set = set(pivots)
     return [_null_vector(ech, pivots, f, ncols) for f in range(ncols) if f not in pivot_set]
-
-
-def solve(a_rows, b) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    The solution with every free variable zero: the canonical null vector
-    of [A | -b] at its last column, divided by its last entry.  The system
-    is inconsistent exactly when that column is a pivot.
-    """
-    if not a_rows:
-        return None
-    ncols = len(a_rows[0])
-    ech, pivots = _echelon([[*row, -bi] for row, bi in zip(a_rows, b)])
-    if ncols in pivots:
-        return None
-    *x, d = _null_vector(ech, pivots, ncols, ncols + 1)
-    return [Fraction(v, d) for v in x]
 
 
 def integer_kernel(rows) -> list[list[int]]:

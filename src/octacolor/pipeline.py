@@ -72,7 +72,7 @@ class Instance:
         return restrict_form(assemble_form(self.g, self.boundaries), self.kernel)
 
     def lattice_points(self, max_len: int, budget: int = 10 ** 6):
-        return enumerate_lattice_points(self.cone, self.lattice, max_len, budget=budget)
+        return enumerate_lattice_points(self.lattice, max_len, budget=budget)
 
     def develop(self, vector):
         """Realize the edge-length vector (in kernel column order) and develop it."""

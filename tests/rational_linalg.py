@@ -1,16 +1,16 @@
-"""Reference implementation of the kernel and solve: rational Gauss-Jordan.
+"""Reference implementation of the kernel and a solver: rational Gauss-Jordan.
 
-This is the ``Fraction`` reduced row echelon form that ``linalg.rank``,
-``linalg.nullspace`` and ``linalg.solve`` ran on before they moved to the
-integer echelon form.  Tests use it as the oracle those three must match
-exactly.
+This is the ``Fraction`` reduced row echelon form that ``linalg.rank`` and
+``linalg.nullspace`` ran on before they moved to the integer echelon form.
+Tests use it as the oracle those two must match exactly, and its ``solve``
+to express points in a lattice basis.  It clears rationals itself and uses
+nothing from ``octacolor.linalg``, so the oracle stays independent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from octacolor.linalg import primitive_vector
+from math import gcd, lcm
 
 Row = list[Fraction]
 Matrix = list[Row]
@@ -68,8 +68,16 @@ def nullspace(rows) -> list[list[int]]:
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]
-        basis.append(primitive_vector(v))
+        basis.append(_primitive(v))
     return basis
+
+
+def _primitive(vec: Row) -> list[int]:
+    """The primitive integer vector with the direction of a rational one."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints]
 
 
 def solve(a_rows, b) -> Row | None:

@@ -5,7 +5,7 @@ import pytest
 
 from octacolor.cli import main
 from octacolor.emg import parse_emg, render_emg, validate_plausible
-from octacolor.families import gen_spiral
+from octacolor.families import gen_spiral, load_bundled
 
 
 def run(capsys, *argv):
@@ -232,13 +232,23 @@ def test_golden_render_spiral6_overlay(capsys):
     ["lattice", "--family", "spiral", "--k", "3", "--budget", "-1"],
     ["check", "--bundled", "hexagon-pair", "--budget", "-1"],
     ["survey", "--family", "spiral", "--k-range", "3..3", "--max-len", "2", "--budget", "-1"],
+    ["survey", "--family", "spiral", "--k-range", "5..3"],
 ], ids=["point-vector-garbage", "point-index-garbage", "negative-max-len", "seed-flag-not-incident",
         "point-negative", "point-zero", "point-not-in-kernel", "negative-budget-lattice",
-        "negative-budget-check", "negative-budget-survey"])
+        "negative-budget-check", "negative-budget-survey", "empty-k-range"])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def test_split_rotation_record_exits_2(tmp_path, capsys):
+    path = tmp_path / "split.emg"
+    path.write_text(render_emg(load_bundled("hexagon-pair")).replace("rot 0 0:0 1:0 2:0 3:0 4:0 5:0",
+                                                       "rot 0 0:0 1:0 2:0\nrot 0 3:0 4:0 5:0"))
+    code, out, err = run(capsys, "labels", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "duplicate rotation" in err
 
 
 def test_point_vector_in_kernel_realizes(capsys):

@@ -51,6 +51,14 @@ def test_parse_rejects_duplicate_dart():
         parse_emg(bad)
 
 
+def test_parse_rejects_rotation_split_over_two_records(hexpair):
+    # every dart still sits in exactly one slot, but vertex 0 has two rotations
+    text = render_emg(hexpair).replace("rot 0 0:0 1:0 2:0 3:0 4:0 5:0",
+                                              "rot 0 0:0 1:0 2:0\nrot 0 3:0 4:0 5:0")
+    with pytest.raises(EmgError, match="duplicate rotation"):
+        parse_emg(text)
+
+
 def test_roundtrip_spiral(spiral3):
     assert parse_emg(render_emg(spiral3)) == EnhancedMultigraph(
         tuple(sorted(spiral3.vertices, key=lambda v: v.id)),

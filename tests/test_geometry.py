@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mesh_oracle
-from octacolor.cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
+from octacolor.cone import enumerate_lattice_points, lattice_basis
 from octacolor.families import gen_spiral, load_bundled
 from octacolor.geometry import (ClosureError, ColorError, MeshError,
                                 build_triangulation, cone_point_coordinates,
@@ -28,9 +28,8 @@ def _context(g):
 
 def _positive_points(g, bound=3):
     bnds, labels, kb = _context(g)
-    cd = extreme_rays(restrict_to_kernel(kb))
     lb = lattice_basis(kb)
-    pts = [p for p in enumerate_lattice_points(cd, lb, bound) if p.strictly_positive]
+    pts = [p for p in enumerate_lattice_points(lb, bound) if p.strictly_positive]
     return bnds, labels, kb, pts
 
 

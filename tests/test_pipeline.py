@@ -90,6 +90,12 @@ def test_point_vector_skips_cone_and_lattice(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["point"] == ["1"] * 6
 
 
+def test_lattice_points_skip_the_double_description(monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "extreme_rays", _forbidden("extreme_rays"))
+    assert main(["lattice", "--bundled", "hexagon-pair", "--max-len", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] > 0
+
+
 def test_instance_computes_each_stage_once(monkeypatch, spiral3):
     calls = []
     real = pipeline.kernel_basis

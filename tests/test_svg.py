@@ -1,5 +1,5 @@
 from octacolor import svg
-from octacolor.cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
+from octacolor.cone import enumerate_lattice_points, lattice_basis
 from octacolor.geometry import develop_net, develop_surface, realize_polygons, unit_triangulate
 from octacolor.labeling import assign_labels, polygon_boundaries
 from octacolor.qform import assemble_form, restrict_form
@@ -11,9 +11,8 @@ def _realized(g, bound=3):
     bnds = polygon_boundaries(g)
     labels = assign_labels(g, bnds)
     kernel = kernel_basis(build_constraints(g, bnds, labels))
-    cd = extreme_rays(restrict_to_kernel(kernel))
     lb = lattice_basis(kernel)
-    point = next(p for p in enumerate_lattice_points(cd, lb, bound) if p.strictly_positive)
+    point = next(p for p in enumerate_lattice_points(lb, bound) if p.strictly_positive)
     lengths = dict(zip(kernel.col_edges, point.vector))
     charts = realize_polygons(g, bnds, labels, lengths)
     surface = develop_surface(g, bnds, charts)
