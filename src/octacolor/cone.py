@@ -8,14 +8,19 @@ The integer points of C_tau are enumerated in edge coordinates instead: an
 integer basis of the lattice of integer kernel points (saturated, so it
 spans every integer solution) turns the points with every length in
 [0, bound] into the integer points of a box, found by Fourier-Motzkin
-elimination.  Everything runs in exact integer arithmetic: every constraint
-is kept as an integer row, and rescaled only by positive factors.
+elimination.  The enumeration carries the partial vector of the fixed
+coefficients down the levels, and reads the last coefficient's range
+straight from it and the box rows, so each point costs one vector addition.
+Everything runs in exact integer arithmetic: every constraint is kept as an
+integer row, and rescaled only by positive factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 
 from . import linalg
 from .shapesys import KernelBasis
@@ -146,14 +151,6 @@ class LatticeBasis:
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def point(self, coeffs) -> tuple[int, ...]:
-        n = len(self.col_edges)
-        out = [0] * n
-        for c, vec in zip(coeffs, self.vectors):
-            for i in range(n):
-                out[i] += c * vec[i]
-        return tuple(out)
-
 
 def lattice_basis(kernel: KernelBasis) -> LatticeBasis:
     """Integer basis of all integer points of the kernel (saturated).
@@ -161,10 +158,11 @@ def lattice_basis(kernel: KernelBasis) -> LatticeBasis:
     The cleared kernel basis spans the right rational subspace; taking the
     integer kernel of its integer orthogonal complement yields a basis whose
     integer span is the full set of integer kernel points, in Hermite normal
-    form for reproducibility.
+    form for reproducibility.  That form is canonical for the lattice, so
+    the complement is left unnormalized: only the lattice it spans matters.
     """
     cleared = [list(v) for v in kernel.basis]
-    complement = linalg.integer_kernel(cleared)
+    complement = linalg._integer_kernel_rows(cleared)
     if not complement:
         # kernel is the whole space
         n = len(kernel.col_edges)
@@ -189,14 +187,18 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
     """The integer points of C_tau with every length <= bound, sorted by vector.
 
     C_tau is the kernel intersected with the nonnegative orthant, and ``lb``
-    spans every integer kernel point, so these are the points L c of the
-    lattice inside the box 0 <= L c <= bound, one per coefficient vector c.
-    Fourier-Motzkin elimination projects the box rows, and the integer
-    ranges are enumerated level by level.  The last level holds every
-    original row, so each value in its range is a point: nothing is
-    filtered afterwards.  Points classify as strictly positive (every edge
-    length >= 1) or boundary.  More than ``budget`` candidates raise
-    EnumerationBudgetError.
+    spans every integer kernel point, so these are the points
+    c_0 v_0 + ... + c_{d-1} v_{d-1} of the lattice inside the box
+    0 <= L c <= bound, one per coefficient vector c.  Fourier-Motzkin
+    elimination projects the box rows, and the integer ranges of c_0 ..
+    c_{d-2} are read level by level from the projected systems, carrying
+    the partial vector w = c_0 v_0 + ... down the levels.  The last level
+    holds every box row, so the range of c_{d-1} comes straight from w and
+    v_{d-1}: 0 <= w_j + c v_j <= bound for each edge j with v_j != 0 (the
+    others hold by the level above).  Each value in that range is a point,
+    the previous one plus v_{d-1}: nothing is filtered afterwards.  Points
+    classify as strictly positive (every edge length >= 1) or boundary.
+    More than ``budget`` candidates raise EnumerationBudgetError.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -212,28 +214,46 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
         constraints.append((li, 0))
         constraints.append(([-x for x in li], bound))
     systems = _fourier_motzkin_levels(constraints, d)
+    last = lb.vectors[-1]
+    # the box rows of the last level by the sign of v_{d-1}'s entry, with
+    # |v_j|; a row with v_j = 0 passed unchanged to the level above, which
+    # has enforced it already
+    rising = [(j, a) for j, a in enumerate(last) if a > 0]
+    falling = [(j, -a) for j, a in enumerate(last) if a < 0]
+    if not (rising or falling):
+        raise ValueError("enumeration region is unbounded; lattice basis must be full rank")
 
     points: list[LatticePoint] = []
     visited = 0
 
-    def recurse(level: int, prefix: list[int]):
+    def recurse(level: int, prefix: list[int], w: tuple[int, ...]):
         nonlocal visited
-        lo, hi = _integer_range(systems[level], prefix)
-        if lo is None:
-            return
         if level + 1 < d:
+            lo, hi = _integer_range(systems[level], prefix)
+            if lo is None:
+                return
+            v = lb.vectors[level]
+            w = tuple(x + lo * y for x, y in zip(w, v))
             for val in range(lo, hi + 1):
-                recurse(level + 1, prefix + [val])
+                recurse(level + 1, prefix + [val], w)
+                w = tuple(map(add, w, v))
+            return
+        # 0 <= w_j + c v_j <= bound, for v_j > 0 and for v_j < 0
+        lo = max(chain((-(w[j] // a) for j, a in rising),
+                       (-((bound - w[j]) // a) for j, a in falling)))
+        hi = min(chain(((bound - w[j]) // a for j, a in rising),
+                       (w[j] // a for j, a in falling)))
+        if lo > hi:
             return
         visited += hi - lo + 1
         if visited > budget:
             raise EnumerationBudgetError(budget)
+        vec = tuple(x + lo * y for x, y in zip(w, last))
         for val in range(lo, hi + 1):
-            values = prefix + [val]
-            vec = lb.point(values)
-            points.append(LatticePoint(vec, tuple(values), all(x >= 1 for x in vec)))
+            points.append(LatticePoint(vec, (*prefix, val), min(vec) >= 1))
+            vec = tuple(map(add, vec, last))
 
-    recurse(0, [])
+    recurse(0, [], tuple([0] * n))
     points.sort(key=lambda p: p.vector)
     return points
 

@@ -159,7 +159,15 @@ def nullspace(rows) -> list[list[int]]:
 
 
 def integer_kernel(rows) -> list[list[int]]:
-    """Basis of {x integer : rows @ x == 0}; always a saturated lattice basis.
+    """Basis of {x integer : rows @ x == 0}; always a saturated lattice
+    basis, in Hermite normal form."""
+    return hermite_normal_form(_integer_kernel_rows(rows))
+
+
+def _integer_kernel_rows(rows) -> list[list[int]]:
+    """A basis of {x integer : rows @ x == 0} over the integers, not
+    normalized: the lattice of :func:`integer_kernel`, cheaper when only
+    the lattice matters.
 
     Works by reducing the transpose, with an identity block appended, to
     integer row echelon form: the block then holds the unimodular
@@ -172,8 +180,7 @@ def integer_kernel(rows) -> list[list[int]]:
     n, width = len(m[0]), len(m)
     aug = [[*col, *(1 if i == j else 0 for j in range(n))] for i, col in enumerate(zip(*m))]
     ech = _int_row_echelon(aug, width)
-    out = [row[width:] for row in ech if not any(row[:width])]
-    return hermite_normal_form(out)
+    return [row[width:] for row in ech if not any(row[:width])]
 
 
 def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:

@@ -7,7 +7,9 @@ Each stage is a cached property computed on first use, so a caller pays
 only for the stages it reads; ``develop`` realizes and develops one
 edge-length vector.  One ``*_json`` function per stage builds its report
 fragment: the CLI emits them, and ``run_check`` assembles its report from
-them.  Exact quantities serialize as integer or rational strings.
+them.  ``run_survey`` reads the same stages but reports only a few fields,
+so it builds no fragment.  Exact quantities serialize as integer or
+rational strings.
 """
 
 from __future__ import annotations
@@ -175,6 +177,22 @@ class PipelineReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+class _Laps:
+    """Wall time per stage, each lap measured from the end of the last."""
+
+    def __init__(self):
+        self.start = self.last = time.perf_counter()
+        self.timings: dict[str, float] = {}
+
+    def __call__(self, stage: str) -> None:
+        t = time.perf_counter()
+        self.timings[stage], self.last = t - self.last, t
+
+    def done(self) -> dict:
+        self.timings["total"] = time.perf_counter() - self.start
+        return {k: round(v, 6) for k, v in self.timings.items()}
+
+
 def run_check(g: EnhancedMultigraph, name: str = "instance", max_len: int = 3,
               budget: int = 10 ** 6, realize_limit: int | None = None) -> PipelineReport:
     """Full pipeline on one instance; every verdict is an upstream invariant.
@@ -182,22 +200,15 @@ def run_check(g: EnhancedMultigraph, name: str = "instance", max_len: int = 3,
     ``ok`` needs at least one realized point: a length bound that admits
     no strictly positive lattice point (or ``realize_limit=0``) fails.
     """
-    t_start = t0 = time.perf_counter()
-    timings: dict[str, float] = {}
+    lap = _Laps()
     inst = Instance(g)
     rep = inst.validation
     report = PipelineReport(instance={"name": name, "V": rep.counts["V"], "E_b": rep.counts["E_b"],
                                       "E_red": rep.counts["E_red"]},
                             validation=validation_json(rep))
 
-    def lap(stage: str) -> None:
-        nonlocal t0
-        t1 = time.perf_counter()
-        timings[stage], t0 = t1 - t0, t1
-
     def done() -> PipelineReport:
-        timings["total"] = time.perf_counter() - t_start
-        report.timings = {k: round(v, 6) for k, v in timings.items()}
+        report.timings = lap.done()
         return report
 
     lap("validate")
@@ -251,19 +262,47 @@ def _check_realization(inst: Instance, vector) -> dict:
 
 def run_survey(instances: list[tuple[str, EnhancedMultigraph]], max_len: int = 0,
                budget: int = 10 ** 6) -> dict:
-    """Pipeline summary per instance: rank, cone, positivity, signature."""
-    rows = []
-    for name, g in instances:
-        rep = run_check(g, name=name, max_len=max_len, budget=budget, realize_limit=0)
-        rows.append({
-            "instance": name,
-            "plausible": rep.validation["plausible"],
-            "rank": rep.system.get("rank"),
-            "dimension": rep.system.get("dimension"),
-            "has_positive_point": rep.cone.get("has_positive_point"),
-            "n_rays": len(rep.cone.get("rays", [])),
-            "signature": rep.form.get("signature"),
-            "signature_as_expected": rep.form.get("signature_as_expected"),
-            "timings": rep.timings,
-        })
-    return {"survey": rows}
+    """Pipeline summary per instance: rank, cone, positivity, signature and
+    the lattice point counts at ``max_len``.
+
+    Each row reads the stages ``run_check`` reads, in the same order, from
+    one ``Instance``, and serializes only what it reports.  A stage that
+    cannot run (an implausible instance, a holonomy conflict) leaves its
+    fields and every later one ``None``, with ``n_rays`` 0.
+    """
+    return {"survey": [_survey_row(name, g, max_len, budget) for name, g in instances]}
+
+
+def _survey_row(name: str, g: EnhancedMultigraph, max_len: int, budget: int) -> dict:
+    lap = _Laps()
+    inst = Instance(g)
+    row = {"instance": name, "plausible": inst.validation.plausible, "rank": None,
+           "dimension": None, "has_positive_point": None, "n_rays": 0, "signature": None,
+           "signature_as_expected": None, "points": None, "strictly_positive": None}
+
+    def done() -> dict:
+        row["timings"] = lap.done()
+        return row
+
+    lap("validate")
+    if not row["plausible"]:
+        return done()
+    try:
+        inst.labels
+    except HolonomyError:
+        return done()
+    lap("labels")
+    row["rank"], row["dimension"] = inst.kernel.rank, inst.kernel.dimension
+    inst.lemmas  # checked as in run_check, though no row field reports it
+    lap("solve")
+    row["has_positive_point"] = inst.cone.has_positive_point
+    row["n_rays"] = len(inst.cone.extreme_rays)
+    lap("cone")
+    points = inst.lattice_points(max_len, budget)
+    row["points"] = len(points)
+    row["strictly_positive"] = sum(p.strictly_positive for p in points)
+    lap("lattice")
+    row["signature"] = list(inst.form.signature)
+    row["signature_as_expected"] = row["signature"] == [1, 3, 0]
+    lap("form")
+    return done()

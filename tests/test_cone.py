@@ -2,12 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import enumeration_oracle
 import rational_linalg
 from octacolor import linalg
 from octacolor.cone import (ConeDescription, EnumerationBudgetError,
-                            enumerate_lattice_points, extreme_rays,
+                            LatticeBasis, enumerate_lattice_points, extreme_rays,
                             lattice_basis, restrict_to_kernel)
+from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.labeling import assign_labels, polygon_boundaries
 from octacolor.pipeline import Instance
 from octacolor.shapesys import KernelBasis, build_constraints, kernel_basis
@@ -180,7 +184,7 @@ def test_enumerate_matches_box_scan():
         bound = rng.randrange(0, 5)
         got = enumerate_lattice_points(lb, bound)
         assert [p.vector for p in got] == box_scan(basis, bound)
-        assert all(lb.point(p.coeffs) == p.vector for p in got)
+        assert all(enumeration_oracle.point(lb, p.coeffs) == p.vector for p in got)
         assert all(p.strictly_positive == all(p.vector) for p in got)
 
 
@@ -243,3 +247,77 @@ def test_rays_of_non_pointed_systems():
         assert all(linalg.dot(r, l) == 0 for r in rows for l in cd.lineality)
         assert all(linalg.dot(r, ray) >= 0 for r in rows for ray in cd.extreme_rays)
         assert len(cd.lineality) == dim - linalg.rank(rows)
+
+
+def _bundled():
+    return [load_bundled(name) for name in bundled_names()]
+
+
+def _instances():
+    return _bundled() + [gen_spiral(k) for k in range(3, 13)]
+
+
+def _triples(points):
+    return [(p.vector, p.coeffs, p.strictly_positive) for p in points]
+
+
+def _assert_matches_oracle(lb, bound):
+    want = enumeration_oracle.enumerate_lattice_points(lb, bound)
+    assert _triples(enumerate_lattice_points(lb, bound)) == _triples(want)
+    return want
+
+
+def _assert_same_budget(lb, bound, want):
+    """Every candidate is a point, so both raise exactly below the count."""
+    assert enumerate_lattice_points(lb, bound, budget=len(want)) == want
+    for enumerate_points in (enumerate_lattice_points, enumeration_oracle.enumerate_lattice_points):
+        with pytest.raises(EnumerationBudgetError):
+            enumerate_points(lb, bound, budget=len(want) - 1)
+
+
+def test_enumerate_matches_oracle_on_instances():
+    for g in _instances():
+        lb = Instance(g).lattice
+        for bound in range(9):
+            want = _assert_matches_oracle(lb, bound)
+        _assert_same_budget(lb, 8, want)
+
+
+@st.composite
+def full_rank_bases(draw):
+    """Integer bases of random rational subspaces: mostly not saturated, and
+    with zero entries, so some box rows vanish on the last basis vector."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, n))
+    basis = draw(st.lists(st.lists(st.integers(-2, 3), min_size=n, max_size=n),
+                          min_size=d, max_size=d))
+    if draw(st.booleans()):
+        basis[-1][draw(st.integers(0, n - 1))] = 0
+    basis = tuple(map(tuple, basis))
+    if rational_linalg.rank(basis) != d:
+        basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(d))
+    return LatticeBasis(basis, tuple(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_rank_bases(), st.integers(0, 4))
+def test_enumerate_matches_oracle_on_random_lattices(lb, bound):
+    _assert_same_budget(lb, bound, _assert_matches_oracle(lb, bound))
+
+
+def _parent_lattice_basis(kernel):
+    """``lattice_basis`` with the complement Hermite-normalized as well."""
+    complement = linalg.integer_kernel([list(v) for v in kernel.basis])
+    if not complement:
+        n = len(kernel.col_edges)
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple(map(tuple, linalg.integer_kernel(complement)))
+
+
+def test_lattice_basis_skips_only_a_normal_form():
+    kernels = [Instance(g).kernel for g in _bundled() + [gen_spiral(k) for k in range(3, 21)]]
+    rng = random.Random(7)
+    kernels += [KernelBasis(basis, 0, len(basis), tuple(range(len(basis[0]))))
+                for basis in random_kernel_bases(rng, 60)]
+    for kernel in kernels:
+        assert lattice_basis(kernel).vectors == _parent_lattice_basis(kernel)

@@ -1,10 +1,15 @@
+import contextlib
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octacolor.cli import main
 from octacolor.emg import (BLUE, RED, WHITE, BLACK, EmgError, EnhancedMultigraph,
                            Edge, Vertex, check_well_formed, parse_emg, render_emg,
                            trace_faces, validate_plausible)
+from octacolor.families import bundled_names, load_bundled
 
 MINIMAL = """
 # smallest well-formed input
@@ -165,3 +170,70 @@ def test_validation_reports_are_complete_not_first_failure(spiral3):
     rep = validate_plausible(EnhancedMultigraph(spiral3.vertices, edges, rotations))
     # degree failures at both endpoints plus the red placement failures
     assert len(rep.errors()) >= 3
+
+
+def _parses_or_emg_error(text: str) -> bool:
+    """Whether ``text`` parses; any exception other than EmgError escapes."""
+    try:
+        parse_emg(text)
+    except EmgError:
+        return False
+    return True
+
+
+def _validate_exit(text: str, path) -> int:
+    """Exit status of ``validate --input`` on ``text``; a traceback escapes."""
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(["validate", "--input", str(path)])
+
+
+@pytest.fixture(scope="module")
+def emg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.emg"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list("vertexdgrobluB W0123456789:#-\n\t")) | st.characters(),
+               max_size=200))
+def test_parse_raw_text_raises_only_emg_error(emg_path, text):
+    parsed = _parses_or_emg_error(text)
+    assert _validate_exit(text, emg_path) in ((0, 1) if parsed else (2,))
+
+
+_TOKENS = ["-1", "0", "1", "2", "5", "99", "x", "", ":", "0:2", "1:0:1", "0:-1", "B", "W",
+           "red", "blue", "vertex", "edge", "rot", "#"]
+
+
+@st.composite
+def mutated_bundled_emg(draw):
+    """A bundled instance with a few lines dropped, duplicated, swapped, or
+    with one token replaced or two tokens exchanged."""
+    lines = render_emg(load_bundled(draw(st.sampled_from(bundled_names())))).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split()
+        op = draw(st.sampled_from(["drop", "dup", "swap-lines", "token", "swap-tokens"]))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "dup":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "swap-lines":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = draw(st.sampled_from(_TOKENS) | st.text(max_size=3))
+            lines[i] = " ".join(fields)
+        elif op == "swap-tokens":
+            j, k = draw(st.integers(0, len(fields) - 1)), draw(st.integers(0, len(fields) - 1))
+            fields[j], fields[k] = fields[k], fields[j]
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_bundled_emg())
+def test_parse_mutated_bundled_raises_only_emg_error(emg_path, text):
+    parsed = _parses_or_emg_error(text)
+    assert _validate_exit(text, emg_path) in ((0, 1) if parsed else (2,))

@@ -5,7 +5,7 @@ import pytest
 from octacolor import pipeline
 from octacolor.cli import main
 from octacolor.emg import EnhancedMultigraph
-from octacolor.families import gen_spiral, load_bundled
+from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.pipeline import Instance, run_check, run_survey, vector_json
 
 
@@ -20,13 +20,17 @@ def test_check_report_spiral3(spiral3):
     assert "signature" in data
 
 
-def test_check_report_stops_on_implausible(spiral3):
-    red = spiral3.red_edges()[0]
-    edges = tuple(e for e in spiral3.edges if e.id != red.id)
+def _implausible(g):
+    """``g`` without its first red edge: no longer a plausible type."""
+    red = g.red_edges()[0]
+    edges = tuple(e for e in g.edges if e.id != red.id)
     rotations = tuple((vid, tuple(d for d in rot if d[0] != red.id))
-                      for vid, rot in spiral3.rotations)
-    broken = EnhancedMultigraph(spiral3.vertices, edges, rotations)
-    report = run_check(broken, name="broken")
+                      for vid, rot in g.rotations)
+    return EnhancedMultigraph(g.vertices, edges, rotations)
+
+
+def test_check_report_stops_on_implausible(spiral3):
+    report = run_check(_implausible(spiral3), name="broken")
     assert not report.ok
     assert not report.validation["plausible"]
     assert report.realizations == []
@@ -47,6 +51,35 @@ def test_survey_rows():
     out = run_survey([("hexagon-pair", load_bundled("hexagon-pair"))])
     row = out["survey"][0]
     assert row["plausible"] and row["signature"] == [1, 3, 0]
+    assert (row["points"], row["strictly_positive"]) == (1, 0)
+
+
+def test_survey_rows_match_check_reports():
+    instances = ([(name, load_bundled(name)) for name in bundled_names()]
+                 + [(f"spiral-k{k}", gen_spiral(k)) for k in range(3, 13)]
+                 + [("broken", _implausible(gen_spiral(3)))])
+    max_len = 3
+    rows = run_survey(instances, max_len=max_len)["survey"]
+    assert len(rows) == len(instances)
+    for (name, g), row in zip(instances, rows):
+        rep = run_check(g, name=name, max_len=max_len, realize_limit=0)
+        assert row == {
+            "instance": name, "plausible": rep.validation["plausible"],
+            "rank": rep.system.get("rank"), "dimension": rep.system.get("dimension"),
+            "has_positive_point": rep.cone.get("has_positive_point"),
+            "n_rays": len(rep.cone.get("rays", [])), "signature": rep.form.get("signature"),
+            "signature_as_expected": rep.form.get("signature_as_expected"),
+            "points": rep.lattice.get("count"),
+            "strictly_positive": rep.lattice.get("strictly_positive"),
+            "timings": row["timings"]}
+    assert not rows[-1]["plausible"] and rows[-1]["points"] is None
+
+
+def test_survey_builds_no_report_fragment(monkeypatch):
+    for name in ("lattice_points_json", "matrix_json", "vector_json", "cone_json", "form_json"):
+        monkeypatch.setattr(pipeline, name, _forbidden(name))
+    (row,) = run_survey([("spiral-k3", gen_spiral(3))], max_len=2)["survey"]
+    assert row["points"] > row["strictly_positive"] > 0
 
 
 def test_vector_json():
