@@ -5,10 +5,11 @@ reports (stages are computed lazily) and emits ``{"instance": name,
 **fragment}`` from that stage's ``pipeline.*_json`` function; ``check``
 emits ``pipeline.run_check``'s report, built from the same fragments.
 
-Exit status: 0 on success; 1 on an invariant failure or exceeded budget
-(the report is still written) and on a ``check`` that realized no point;
-2 on input errors, malformed option values included.  All JSON output
-encodes exact values as integer or rational strings.
+Exit status: 0 on success; 1 on an invariant failure, on a ``check`` that
+realized no point and on an exceeded budget (``lattice`` still writes its
+report; ``check`` and ``survey`` print only the error); 2 on input errors,
+malformed option values included.  All JSON output encodes exact values
+as integer or rational strings.
 """
 
 from __future__ import annotations

@@ -2,14 +2,18 @@
 
 Matrices are plain lists of lists of ``int``.  One elimination engine, the
 unimodular integer row echelon form, serves :func:`rank`,
-:func:`nullspace`, :func:`integer_kernel` and :func:`hermite_normal_form`;
-the Bareiss elimination of :func:`rank_fraction_free` stays separate as an
-independent check of the rank.  Every input and result is an integer:
-nothing in this module uses rationals or floating point.
+:func:`nullspace`, :func:`integer_kernel` and :func:`hermite_normal_form`.
+Two eliminations stay apart from it so that ``verify_lemmas`` can certify
+the echelon rank independently: :func:`rank_mod_p`, a sparse elimination
+over the integers modulo a prime, and :func:`rank_fraction_free`, the
+Bareiss elimination the certificate falls back on when every prime it
+tries gives a short rank.  Every input and result is an integer: nothing
+in this module uses rationals or floating point.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd
 from operator import index, mul
 
@@ -31,11 +35,41 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of an integer matrix over the integers modulo the prime ``p``.
+
+    Sparse row elimination: each row becomes a dict of its nonzero residues
+    and is reduced, lowest column first, by the pivot rows found so far,
+    each scaled to a leading 1.  A closure system has few nonzeros per row,
+    so rows stay short.  The result never exceeds the rank over the
+    rationals, and equals it unless ``p`` divides every maximal nonzero
+    minor.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {j: y for j, x in zip(compress(count(), row), filter(None, row)) if (y := x % p)}
+        while r:
+            c = min(r)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {j: x * inv % p for j, x in r.items()}
+                break
+            f = r[c]
+            for j, x in pivot.items():
+                y = (r.get(j, 0) - f * x) % p
+                if y:
+                    r[j] = y
+                else:  # f * x is nonzero mod p, so a zero means j was in r
+                    del r[j]
+    return len(pivots)
+
+
 def rank_fraction_free(rows) -> int:
     """Rank of an integer matrix by Bareiss fraction-free elimination.
 
-    Independent of the echelon behind :func:`rank`; ``verify_lemmas``
-    cross-checks the two.
+    Exact but cubic in the matrix size: ``verify_lemmas`` calls it only
+    when :func:`rank_mod_p` falls short for every prime it tries.
     """
     m = [list(row) for row in rows]
     if not m:

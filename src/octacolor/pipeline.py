@@ -197,8 +197,10 @@ def run_check(g: EnhancedMultigraph, name: str = "instance", max_len: int = 3,
               budget: int = 10 ** 6, realize_limit: int | None = None) -> PipelineReport:
     """Full pipeline on one instance; every verdict is an upstream invariant.
 
-    ``ok`` needs at least one realized point: a length bound that admits
-    no strictly positive lattice point (or ``realize_limit=0``) fails.
+    ``ok`` needs every lemma, a strictly positive cone, the signature
+    (1, 3, 0), at least one realized point and the form identity on every
+    realized point: a length bound that admits no strictly positive
+    lattice point (or ``realize_limit=0``) fails.
     """
     lap = _Laps()
     inst = Instance(g)
@@ -233,7 +235,7 @@ def run_check(g: EnhancedMultigraph, name: str = "instance", max_len: int = 3,
     report.realizations = [_check_realization(inst, vector) for vector in sample]
     lap("realize")
     report.ok = (inst.lemmas.all_passed and bool(inst.cone.has_positive_point)
-                 and bool(report.realizations)
+                 and report.form["signature_as_expected"] and bool(report.realizations)
                  and all(r.get("identity_holds") for r in report.realizations))
     return done()
 
@@ -262,8 +264,8 @@ def _check_realization(inst: Instance, vector) -> dict:
 
 def run_survey(instances: list[tuple[str, EnhancedMultigraph]], max_len: int = 0,
                budget: int = 10 ** 6) -> dict:
-    """Pipeline summary per instance: rank, cone, positivity, signature and
-    the lattice point counts at ``max_len``.
+    """Pipeline summary per instance: rank, lemma verdict, cone, positivity,
+    signature and the lattice point counts at ``max_len``.
 
     Each row reads the stages ``run_check`` reads, in the same order, from
     one ``Instance``, and serializes only what it reports.  A stage that
@@ -277,8 +279,9 @@ def _survey_row(name: str, g: EnhancedMultigraph, max_len: int, budget: int) -> 
     lap = _Laps()
     inst = Instance(g)
     row = {"instance": name, "plausible": inst.validation.plausible, "rank": None,
-           "dimension": None, "has_positive_point": None, "n_rays": 0, "signature": None,
-           "signature_as_expected": None, "points": None, "strictly_positive": None}
+           "dimension": None, "lemmas_ok": None, "has_positive_point": None, "n_rays": 0,
+           "signature": None, "signature_as_expected": None, "points": None,
+           "strictly_positive": None}
 
     def done() -> dict:
         row["timings"] = lap.done()
@@ -293,7 +296,7 @@ def _survey_row(name: str, g: EnhancedMultigraph, max_len: int, budget: int) -> 
         return done()
     lap("labels")
     row["rank"], row["dimension"] = inst.kernel.rank, inst.kernel.dimension
-    inst.lemmas  # checked as in run_check, though no row field reports it
+    row["lemmas_ok"] = inst.lemmas.all_passed
     lap("solve")
     row["has_positive_point"] = inst.cone.has_positive_point
     row["n_rays"] = len(inst.cone.extreme_rays)

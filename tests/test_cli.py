@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octacolor.cli import main
 from octacolor.emg import parse_emg, render_emg, validate_plausible
-from octacolor.families import gen_spiral, load_bundled
+from octacolor.families import bundled_names, gen_spiral, load_bundled
 
 
 def run(capsys, *argv):
@@ -93,6 +97,17 @@ def test_lattice_budget_exceeded(capsys):
     assert "budget" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "spiral", "--k", "3", "--budget", "1"],
+    ["survey", "--family", "spiral", "--k-range", "3..3", "--max-len", "2", "--budget", "1"],
+], ids=["check", "survey"])
+def test_budget_exceeded_writes_no_report(capsys, argv):
+    # unlike `lattice`, these subcommands report the overrun on stderr only
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "budget of 1" in err
+
+
 def test_realize_json(capsys):
     code, out, _ = run(capsys, "realize", "--family", "spiral", "--k", "3", "--point", "0")
     assert code == 0
@@ -164,7 +179,9 @@ def test_unknown_family(capsys):
 
 # sha256 of stdout per (instance, subcommand); `check` is hashed with its
 # `timings` removed.  Recorded before the CLI was rebuilt on
-# `pipeline.Instance`, so they pin its output byte for byte.
+# `pipeline.Instance`, so they pin its output byte for byte; `solve` and
+# `check` were re-pinned when the `rank-methods-agree` detail came to name
+# the rank certificate, the only field that changed.
 GOLDEN_COMMANDS = {
     "validate": [], "labels": [], "solve": [], "rays": [],
     "lattice": ["--max-len", "3"], "realize": ["--point", "0"], "qform": [],
@@ -175,24 +192,24 @@ GOLDEN_SHA256 = {
     "hexagon-pair": {
         "validate": "a59c3aa5b5e5aee4fc5cbcf24da3d353e2f452a4d58b3ea0132c67e1ee469218",
         "labels": "094650888f1427da3678027ec5cea73f9b06ace28679dd7fb72db86b2b5bdb79",
-        "solve": "d554a305e5f96ed9e731ce0dea9a3e5d7a014ace50451c9ea22f40f2caba0290",
+        "solve": "13e05178835ea8c37c712a388ac833985ca047e201fee2389b0b9c14e9b6aa79",
         "rays": "2e32d5922836bf3ee24aded85dadaccd75b82248f4fd49ad0b65458874fd228b",
         "lattice": "47f93ac5f59ea3199ece27b70b581bf91c5695c3ae30362fb23120c951c0527b",
         "realize": "1cb535e54e7a0ca817e31108ba6f28ba23c16c571c1f5b67d07c4027bfa80c36",
         "qform": "9f4074664b374db84917e3143ae3e10ccba3226dc62f7705075b3df43a49929a",
         "render": "1feb5e0eb663de50d0171dfb5022bff53ee7c8c5172959f349993383a66d166a",
-        "check": "fd11503fe33a5b456a17f88038114983c0adf9058e9346f9880826e2eeacd641",
+        "check": "a7f5f28a9c4d68592a62db4efd3e1ac3a2978c06e7ca9cd5894b396865d03073",
     },
     "spiral-k3": {
         "validate": "c635bf0723a15dc47e05aa564171b3d86cda2892bec5dc469c8a947fdf2ccfe7",
         "labels": "a298aca95e37e9fb8d48cc7a471ba07643354226871619d9d9d91c3354123027",
-        "solve": "253e9cb80bdb5d219ca90a4ceba66c0fba29f25ddedf093db34e7c10c0bd212d",
+        "solve": "de12ee6fb4517236520fbc4485cfb16dd2a794601f113655047fa1dab873a046",
         "rays": "62457f632f5d0e3d65739fff840ddd10a03d0507791d735c4067c87d1dc03894",
         "lattice": "982efa712f7d744a4088e5e09a6dab50ee180102b22d36f9a1b16325b434f03d",
         "realize": "0a2d3865a0f4512cdbafd9bf99cb57ee497372e883fa22e7408f7f62fc624d70",
         "qform": "2d1e975a539aabceeea5b638198d39e7ab4f67dd349062a6e18b7626154abf7d",
         "render": "5def0a48a4bc6c1491f60613f0e89aadece569b8938dec925101814fb560d529",
-        "check": "133f7717938381a4441edaa3623a9a49e68b0b8d01e475f046d35c169e6efb93",
+        "check": "96607b13e701a6f8b2b645192558c5573268e2fbb3792a105edc8208c79d3ddd",
     },
 }
 GOLDEN_INSTANCES = {"hexagon-pair": ["--bundled", "hexagon-pair"],
@@ -263,3 +280,39 @@ def test_check_without_realization_is_not_ok(capsys):
     data = json.loads(out)
     assert data["lattice"]["strictly_positive"] == 0 and data["realizations"] == []
     assert (code, data["ok"]) == (1, False)
+
+
+@st.composite
+def rotated_or_recolored_bundled_emg(draw):
+    """A bundled instance with a few rotation entries swapped within their
+    vertex or a few polygon colours flipped: it still parses, but usually
+    breaks an axiom or a later stage."""
+    lines = render_emg(load_bundled(draw(st.sampled_from(bundled_names())))).splitlines()
+    rots = [i for i, line in enumerate(lines) if line.startswith("rot ")]
+    verts = [i for i, line in enumerate(lines) if line.startswith("vertex ")]
+    for _ in range(draw(st.integers(1, 3))):
+        swap = draw(st.booleans())
+        i = draw(st.sampled_from(rots if swap else verts))
+        fields = lines[i].split()
+        if swap:  # fields 2.. are the half-edges around the vertex
+            j, k = draw(st.lists(st.integers(2, len(fields) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            fields[j], fields[k] = fields[k], fields[j]
+        else:
+            fields[2] = {"W": "B", "B": "W"}[fields[2]]
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def emg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations") / "input.emg"
+
+
+@settings(max_examples=100, deadline=None)
+@given(rotated_or_recolored_bundled_emg())
+def test_check_on_mutated_bundled_reports_every_failure(emg_path, text):
+    # a traceback escapes main and fails the test
+    emg_path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["check", "--input", str(emg_path), "--max-len", "2"]) in (0, 1, 2)

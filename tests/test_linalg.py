@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octacolor import linalg
+from octacolor.shapesys import RANK_PRIMES
 import rational_linalg
 
 
@@ -53,6 +54,27 @@ def integer_matrices(draw):
 def test_echelon_engine_matches_rational_oracle(m):
     assert linalg.rank(m) == rational_linalg.rank(m)
     assert linalg.nullspace(m) == rational_linalg.nullspace(m)
+
+
+@given(integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_mod_p_matches_rational_oracle(m):
+    # every minor of these matrices is far smaller than the primes, so no
+    # prime divides a nonzero one
+    for p in RANK_PRIMES:
+        assert linalg.rank_mod_p(m, p) == rational_linalg.rank(m)
+
+
+@given(integer_matrices(), st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=200, deadline=None)
+def test_rank_mod_small_prime_never_exceeds_rational_rank(m, p):
+    assert linalg.rank_mod_p(m, p) <= rational_linalg.rank(m)
+
+
+def test_rank_mod_p_drops_where_p_divides_the_minors():
+    assert linalg.rank_mod_p([[2, 4], [1, 3]], 2) == 1
+    assert [linalg.rank_mod_p([[6]], p) for p in (2, 3, 5)] == [0, 0, 1]
+    assert linalg.rank_mod_p([], 5) == 0
 
 
 def test_primitive_vector():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -50,7 +51,7 @@ def test_check_exact_values_are_strings(hexpair):
 def test_survey_rows():
     out = run_survey([("hexagon-pair", load_bundled("hexagon-pair"))])
     row = out["survey"][0]
-    assert row["plausible"] and row["signature"] == [1, 3, 0]
+    assert row["plausible"] and row["lemmas_ok"] and row["signature"] == [1, 3, 0]
     assert (row["points"], row["strictly_positive"]) == (1, 0)
 
 
@@ -63,16 +64,19 @@ def test_survey_rows_match_check_reports():
     assert len(rows) == len(instances)
     for (name, g), row in zip(instances, rows):
         rep = run_check(g, name=name, max_len=max_len, realize_limit=0)
+        lemmas = rep.system.get("lemmas")
         assert row == {
             "instance": name, "plausible": rep.validation["plausible"],
             "rank": rep.system.get("rank"), "dimension": rep.system.get("dimension"),
+            "lemmas_ok": None if lemmas is None else all(c["passed"] for c in lemmas),
             "has_positive_point": rep.cone.get("has_positive_point"),
             "n_rays": len(rep.cone.get("rays", [])), "signature": rep.form.get("signature"),
             "signature_as_expected": rep.form.get("signature_as_expected"),
             "points": rep.lattice.get("count"),
             "strictly_positive": rep.lattice.get("strictly_positive"),
             "timings": row["timings"]}
-    assert not rows[-1]["plausible"] and rows[-1]["points"] is None
+    assert not rows[-1]["plausible"] and rows[-1]["points"] is rows[-1]["lemmas_ok"] is None
+    assert all(row["lemmas_ok"] for row in rows[:-1])
 
 
 def test_survey_builds_no_report_fragment(monkeypatch):
@@ -93,6 +97,18 @@ def test_check_without_realization_is_not_ok(name, max_len):
     assert report.realizations == []
     assert report.form["signature_as_expected"] and report.cone["has_positive_point"]
     assert not report.ok
+
+
+def test_check_requires_the_expected_signature(monkeypatch, capsys):
+    real = pipeline.restrict_form
+    monkeypatch.setattr(pipeline, "restrict_form", lambda form, kernel: dataclasses.replace(
+        real(form, kernel), signature=(2, 2, 0)))
+    assert main(["check", "--family", "spiral", "--k", "3", "--max-len", "2"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["form"]["signature"] == [2, 2, 0] and not data["ok"]
+    # every other verdict held, so the signature alone decided
+    assert all(c["passed"] for c in data["system"]["lemmas"]) and data["cone"]["has_positive_point"]
+    assert data["realizations"] and all(r["identity_holds"] for r in data["realizations"])
 
 
 def test_check_realize_limit_zero_is_not_ok(spiral3):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from octacolor import linalg
 from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.labeling import assign_labels, polygon_boundaries
-from octacolor.shapesys import (ShapeSystem, build_constraints,
+from octacolor.shapesys import (RANK_PRIMES, ShapeSystem, build_constraints,
                                 kernel_basis, verify_lemmas)
 import rational_linalg
 
@@ -125,6 +127,77 @@ def test_verify_lemmas_flags_short_kernel():
     kb = kernel_basis(system)
     rep = verify_lemmas(system, kb)
     assert not rep.all_passed  # rank is not E_b - 4 and the row sum is not zero
+
+
+def _rank_check(system, kb):
+    (check,) = [c for c in verify_lemmas(system, kb).checks if c.name == "rank-methods-agree"]
+    return check
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} should not be called")
+    return call
+
+
+def test_rank_certificate_uses_neither_echelon_nor_bareiss(monkeypatch, spiral3):
+    system = _system(spiral3)
+    kb = kernel_basis(system)
+    for name in ("_int_row_echelon", "rank_fraction_free"):
+        monkeypatch.setattr(linalg, name, _forbidden(name))
+    check = _rank_check(system, kb)
+    assert check.passed
+    assert check.detail.startswith(f"mod-p certificate, p = {RANK_PRIMES[0]}:")
+
+
+def test_rank_certificate_falls_back_to_bareiss():
+    # rank 1 over the rationals, rank 0 modulo every listed prime
+    system = ShapeSystem(((math.prod(RANK_PRIMES),),), ((0, "re"),), (0,))
+    kb = kernel_basis(system)
+    assert (kb.rank, kb.dimension) == (1, 0)
+    assert [linalg.rank_mod_p(system.matrix, p) for p in RANK_PRIMES] == [0] * len(RANK_PRIMES)
+    check = _rank_check(system, kb)
+    assert check.passed
+    assert check.detail.startswith("fraction-free fallback")
+
+
+def _tampered(kb, kind):
+    basis = [list(v) for v in kb.basis]
+    if kind == "vector-off-kernel":
+        basis[0][0] += 1
+    elif kind == "vector-repeated":  # still in the kernel, but spans one dimension less
+        basis[0] = basis[1]
+    elif kind == "vector-dropped":  # consistent with itself, but not the whole kernel
+        return dataclasses.replace(kb, basis=kb.basis[1:], dimension=kb.dimension - 1)
+    else:
+        return dataclasses.replace(kb, **kind)
+    return dataclasses.replace(kb, basis=tuple(map(tuple, basis)))
+
+
+@pytest.mark.parametrize("kind", [
+    "vector-off-kernel", "vector-repeated", "vector-dropped", {"rank": 11}, {"rank": 9},
+    {"rank": 11, "dimension": 3}, {"rank": 9, "dimension": 5}],
+    ids=["vector-off-kernel", "vector-repeated", "vector-dropped", "rank-up", "rank-down",
+         "rank-up-dimension-down", "rank-down-dimension-up"])
+def test_rank_certificate_rejects_a_tampered_kernel(spiral3, kind):
+    system = _system(spiral3)
+    kb = kernel_basis(system)
+    assert (kb.rank, kb.dimension) == (10, 4) and _rank_check(system, kb).passed
+    check = _rank_check(system, _tampered(kb, kind))
+    assert not check.passed
+    if kind == "vector-off-kernel":
+        assert check.detail.startswith("A*K != 0")
+
+
+@pytest.mark.parametrize("instance", bundled_names() + list(range(3, 41)))
+def test_rank_certificate_matches_bareiss_oracle(instance):
+    """Bundled instances by name, spiral instances by k."""
+    g = load_bundled(instance) if isinstance(instance, str) else gen_spiral(instance)
+    system = _system(g)
+    kb = kernel_basis(system)
+    check = _rank_check(system, kb)
+    assert check.passed == (linalg.rank_fraction_free(system.matrix) == kb.rank)
+    assert check.passed and check.detail.startswith("mod-p certificate")
 
 
 @given(st.integers(0, 10 ** 6))
