@@ -4,9 +4,10 @@ Given a labelled multigraph and a positive solution of the closure system,
 this module lays out every polygon on the rational grid, develops the whole
 surface into the plane through the folding map (orientation preserving on
 white polygons, reversing on black, so all gluing maps become translations),
-cuts integer-sided polygons into unit triangles, assembles the glued sphere
-triangulation with its proper 4-coloring, and lays out an unfolded net with
-proper isometries for rendering.
+cuts each integer-sided polygon into unit triangles by one scan over its
+lattice rows, assembles the glued sphere triangulation with its proper
+4-coloring, and lays out an unfolded net with proper isometries for
+rendering.
 
 Every stage runs on one point type, the integer GridPoint in doubled
 coordinates (X, Y) = (2x, 2y): side lengths are integers and every corner
@@ -321,18 +322,18 @@ def triarea(points) -> int:
 def unit_triangulate(chart_or_start, sides=None) -> list[Triangle]:
     """Cut an integer-sided convex chain into unit triangles.
 
-    Inductive chopping: a triangle subdivides directly; at an acute corner
-    an integer equilateral triangle comes off (side = the shorter adjacent
-    length, smallest such corner first); an all-obtuse hexagon first sheds
-    a four-sided piece at its shortest side, leaving a pentagon.  Returns
-    exactly area / (sqrt(3)/4) triangles whose vertices are grid points at
-    mutual distance one.
+    Row scan: every side runs along a lattice row or climbs one row per
+    unit, so the chain's lattice points in each row Y form the span
+    between its lowest and highest boundary X.  Each strip between rows
+    Y and Y + 1 is a trapezoid filled by alternating up and down unit
+    triangles.  Returns exactly area / (sqrt(3)/4) triangles, each a
+    sorted triple of grid points at mutual distance one.
     """
     if sides is None:
         start, int_sides = chart_or_start.sides[0].start, _chart_sides(chart_or_start)
     else:
         start, int_sides = chart_or_start, _integer_sides(sides)
-    return [tuple(GridPoint(*p) for p in t) for t in _unit_triangles(start, int_sides)]
+    return [tuple(GridPoint(*p) for p in t) for t in _unit_triangles(start, int_sides)[1]]
 
 
 def _integer_sides(sides) -> list[tuple[int, int]]:
@@ -349,26 +350,57 @@ def _chart_sides(chart: PolygonChart) -> list[tuple[int, int]]:
     return [(s.length, s.direction) for s in chart.sides]
 
 
-def _unit_triangles(start: GridPoint, sides: list[tuple[int, int]]) -> list[Triangle]:
-    """Unit triangles of a convex sixth-turn chain, each a sorted point triple.
+def _unit_triangles(start: GridPoint, sides: list[tuple[int, int]]
+                    ) -> tuple[dict[int, list[int]], list[Triangle]]:
+    """Row extents and unit triangles of a convex sixth-turn chain.
 
-    A clockwise chain (a black chart) is chopped as its mirror image, and
-    each subdivided triangle is conjugated back as it is emitted, so both
-    orientations follow one chopping sequence and no triangle is re-sorted.
-    Raises MeshError when the count differs from the chain's area.
+    Walks the chain one unit at a time and records each row's lowest and
+    highest boundary X, which serves clockwise (black) and counterclockwise
+    (white) charts alike; by convexity the chain's lattice points in row Y
+    are every second X from ``rows[Y][0]`` to ``rows[Y][1]``.  In the
+    strip between rows y and y + 1, with extents [l0, r0] below and
+    [l1, r1] above, an up triangle (x, y), (x + 1, y + 1), (x + 2, y) fits
+    for every x of the row's parity with l0 <= x, x + 2 <= r0 and
+    l1 <= x + 1 <= r1, and a down triangle (x - 1, y + 1), (x, y),
+    (x + 1, y + 1) for l0 <= x <= r0 and l1 <= x - 1, x + 1 <= r1; both
+    triples are sorted as written.  Raises ValueError on a chain that is
+    not convex with sixth-turn corners and MeshError when the count
+    differs from the chain's area.
     """
     k = len(sides)
     turns = {(sides[(i + 1) % k][1] - sides[i][1]) % 6 for i in range(k)}
-    if turns <= {1, 2}:
-        tris = _triangulate_ccw(start, sides)
-    elif turns <= {4, 5}:
-        tris = _triangulate_ccw((start[0], -start[1]), [(l, (-d) % 6) for l, d in sides], flip=True)
-    else:
+    if not (turns <= {1, 2} or turns <= {4, 5}):
         raise ValueError(f"chain is not convex with sixth-turn corners (turns {sorted(turns)})")
+    rows: dict[int, list[int]] = {}
+    x, y = start
+    for ell, d in sides:
+        dx, dy = DIRECTIONS[d]
+        for _ in range(ell):
+            x += dx
+            y += dy
+            ext = rows.get(y)
+            if ext is None:
+                rows[y] = [x, x]
+            elif x < ext[0]:
+                ext[0] = x
+            elif x > ext[1]:
+                ext[1] = x
+    tris: list[Triangle] = []
+    append = tris.append
+    bottom, top = min(rows), max(rows)
+    l0, r0 = rows[bottom]
+    for y in range(bottom, top):
+        y1 = y + 1
+        l1, r1 = rows[y1]
+        for x in range(max(l0, l1 - 1), min(r0, r1 + 1) - 1, 2):
+            append(((x, y), (x + 1, y1), (x + 2, y)))
+        for x in range(max(l1 + 1, l0), min(r1 - 1, r0) + 1, 2):
+            append(((x - 1, y1), (x, y), (x + 1, y1)))
+        l0, r0 = l1, r1
     area = triarea(_chain_points(start, sides))
     if len(tris) != area:
         raise MeshError(f"triangulated {len(tris)} units, area holds {area}")
-    return tris
+    return rows, tris
 
 
 def _chain_points(start: GridPoint, sides) -> list[tuple[int, int]]:
@@ -376,124 +408,6 @@ def _chain_points(start: GridPoint, sides) -> list[tuple[int, int]]:
     for ell, d in sides[:-1]:
         pts.append(_step(pts[-1], d, ell))
     return pts
-
-
-def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]],
-                     flip: bool = False) -> list[Triangle]:
-    """Chop a counterclockwise chain into unit triangles; with ``flip`` the
-    triangles are emitted conjugated, as points of the mirror image."""
-    tris: list[Triangle] = []
-    work = list(sides)
-    anchor = start
-    while True:
-        work, anchor = _normalize_chain(work, anchor)
-        k = len(work)
-        if k < 3:
-            raise ValueError("chain degenerated during chopping")
-        if k == 3:
-            _subdivide_triangle(tris, anchor, work[0][1], (work[0][1] + 1) % 6, work[0][0], flip)
-            return tris
-        pts = _chain_points(anchor, work)
-        acute = [(min(work[i][0], work[(i + 1) % k][0]), i)
-                 for i in range(k)
-                 if (work[(i + 1) % k][1] - work[i][1]) % 6 == 2]
-        if acute:
-            _, i = min(acute)
-            j = (i + 1) % k
-            a, da = work[i]
-            b, db = work[j]
-            m = min(a, b)
-            corner = pts[j] if j else anchor  # end of side i
-            apex = _step(corner, da, -m)
-            _subdivide_triangle(tris, apex, da, (da + 1) % 6, m, flip)
-            new: list[tuple[int, int]] = []
-            for t in range(k):
-                if t == i:
-                    new.append((a - m, da))
-                    new.append((m, (da + 1) % 6))
-                elif t == j:
-                    new.append((b - m, db))
-                else:
-                    new.append(work[t])
-            if j == 0:
-                # side 0 lost its first m units; its start moves forward
-                anchor = _step(anchor, db, m)
-            work = new
-            continue
-        # hexagon with all corners obtuse: shed the four-sided piece that
-        # fully covers the shortest side i and side i+1, eating the first
-        # li units of side i+2
-        i = min(range(k), key=lambda t: (work[t][0], t))
-        li, di = work[i]
-        lj, dj = work[(i + 1) % k]
-        lk_, dk_ = work[(i + 2) % k]
-        if li > lk_:
-            raise MeshError("hexagon chop: chosen side is not minimal")
-        piece = [(li, di), (lj, dj), (li, (di + 2) % 6), (li + lj, (di + 4) % 6)]
-        tris.extend(_triangulate_ccw(pts[i], piece, flip))
-        new = []
-        for t in range(k):
-            if t == i:
-                new.append((li + lj, dj))
-            elif t == (i + 1) % k:
-                if lk_ > li:
-                    new.append((lk_ - li, dk_))
-            elif t == (i + 2) % k:
-                continue
-            else:
-                new.append(work[t])
-        if i == k - 1:
-            # merged side sits at slot i, shortened side wrapped to slot 0
-            anchor = _step(pts[i], dj, li + lj)
-        elif i == k - 2:
-            # old side 0 was eaten from its start; side 1 leads now
-            anchor = pts[1]
-        work = new
-
-
-def _normalize_chain(sides, anchor: GridPoint):
-    """Drop zero sides and merge consecutive sides with equal direction."""
-    out = [(l, d) for l, d in sides if l]
-    changed = True
-    while changed and len(out) > 1:
-        changed = False
-        merged: list[tuple[int, int]] = []
-        for l, d in out:
-            if merged and merged[-1][1] == d:
-                merged[-1] = (merged[-1][0] + l, d)
-                changed = True
-            else:
-                merged.append((l, d))
-        if len(merged) > 1 and merged[0][1] == merged[-1][1]:
-            l, d = merged.pop()
-            anchor = _step(anchor, d, -l)
-            merged[0] = (merged[0][0] + l, d)
-            changed = True
-        out = merged
-    return out, anchor
-
-
-def _subdivide_triangle(out: list[Triangle], apex, d_u: int, d_v: int, n: int, flip: bool) -> None:
-    """Append the standard subdivision of an equilateral triangle of side n
-    into n*n units to ``out``, conjugated when ``flip`` is set.
-
-    Order is translation invariant, so each unit triangle's sorted vertex
-    order is the sorted order of its corner offsets, fixed per call.
-    Conjugation keeps the order of the (i, j) loop.
-    """
-    (ux, uy), (vx, vy) = DIRECTIONS[d_u], DIRECTIONS[d_v]
-    ax, ay = apex
-    if flip:
-        ay, uy, vy = -ay, -uy, -vy
-    (p0, q0), (p1, q1), (p2, q2) = sorted(((0, 0), (ux, uy), (vx, vy)))
-    (r0, s0), (r1, s1), (r2, s2) = sorted(((ux, uy), (vx, vy), (ux + vx, uy + vy)))
-    append = out.append
-    for i in range(n):
-        for j in range(n - i):
-            x, y = ax + i * ux + j * vx, ay + i * uy + j * vy
-            append(((x + p0, y + q0), (x + p1, y + q1), (x + p2, y + q2)))
-            if i + j < n - 1:
-                append(((x + r0, y + s0), (x + r1, y + s1), (x + r2, y + s2)))
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +453,12 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     remaining degrees 6.
     """
     placed = surface.placed
-    triangulations = {pid: _unit_triangles(ch.sides[0].start, _chart_sides(ch))
-                      for pid, ch in placed.items()}
+    triangulations = {}
     # each chart's points, mapped to the polygon that owns their vertex
-    owner = {pid: dict.fromkeys(chain.from_iterable(tris), pid)
-             for pid, tris in triangulations.items()}
+    owner: dict[int, dict[tuple[int, int], int]] = {}
+    for pid, ch in placed.items():
+        rows, triangulations[pid] = _unit_triangles(ch.sides[0].start, _chart_sides(ch))
+        owner[pid] = {(x, y): pid for y, (lo, hi) in rows.items() for x in range(lo, hi + 1, 2)}
 
     parent: dict[tuple[int, GridPoint], tuple[int, GridPoint]] = {}
 
@@ -622,9 +537,12 @@ def four_color(tri: ColoredTriangulation) -> ColoredTriangulation:
     """
     colors = []
     for pt in tri.positions:
-        if not pt.is_lattice_point():
+        # lattice coordinates (a, b) = ((X - Y)/2, Y); the class is
+        # 2*(a & 1) + (b & 1), as GridPoint.color_class computes it
+        diff = pt[0] - pt[1]
+        if diff & 1:
             raise ColorError(f"folded vertex image {pt} is not a lattice point")
-        colors.append(pt.color_class())
+        colors.append((diff & 2) | (pt[1] & 1))
     for a, b in tri.edges:
         if colors[a] == colors[b]:
             raise ColorError(f"adjacent vertices {a}, {b} share color {colors[a]}")

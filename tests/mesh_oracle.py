@@ -1,17 +1,24 @@
 """Reference implementation of the glued sphere mesh.
 
 These are ``geometry.build_triangulation`` and ``geometry._unit_triangles``
-as they were before the mesh was glued by index: a union-find over every
-(polygon, point) key, interior points included, one ``sorted`` per
-triangle to number it, and black charts triangulated as their mirror image
-and conjugated back triangle by triangle.  Tests use them as the oracle
-the library must match field for field.
+as they were before the mesh was glued by index and charts were cut by a
+row scan: a union-find over every (polygon, point) key, interior points
+included, one ``sorted`` per triangle to number it, and each chart cut by
+inductive chopping, black charts as their mirror image conjugated back
+triangle by triangle.  The chopper numbers triangles in another order than
+the library, so tests compare triangles as multisets (sorted
+``(triangle, colour)`` pairs) and every other field exactly.
+
+Inductive chopping: a triangle subdivides directly; at an acute corner an
+integer equilateral triangle comes off (side = the shorter adjacent
+length, smallest such corner first); an all-obtuse hexagon first sheds a
+four-sided piece at its shortest side, leaving a pentagon.
 """
 
 from __future__ import annotations
 
 from octacolor.geometry import (ColoredTriangulation, MeshError, RealizedSurface, Triangle,
-                                _chain_points, _chart_sides, _triangulate_ccw, triarea)
+                                _chain_points, _chart_sides, _step, triarea)
 from octacolor.grid import DIRECTIONS, GridPoint
 
 
@@ -118,3 +125,121 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     if hist.get(4, 0) != 6 or set(hist) - {4, 6}:
         raise MeshError(f"degree histogram {hist}, expected six 4s and the rest 6s")
     return tri
+
+
+def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]],
+                     flip: bool = False) -> list[Triangle]:
+    """Chop a counterclockwise chain into unit triangles; with ``flip`` the
+    triangles are emitted conjugated, as points of the mirror image."""
+    tris: list[Triangle] = []
+    work = list(sides)
+    anchor = start
+    while True:
+        work, anchor = _normalize_chain(work, anchor)
+        k = len(work)
+        if k < 3:
+            raise ValueError("chain degenerated during chopping")
+        if k == 3:
+            _subdivide_triangle(tris, anchor, work[0][1], (work[0][1] + 1) % 6, work[0][0], flip)
+            return tris
+        pts = _chain_points(anchor, work)
+        acute = [(min(work[i][0], work[(i + 1) % k][0]), i)
+                 for i in range(k)
+                 if (work[(i + 1) % k][1] - work[i][1]) % 6 == 2]
+        if acute:
+            _, i = min(acute)
+            j = (i + 1) % k
+            a, da = work[i]
+            b, db = work[j]
+            m = min(a, b)
+            corner = pts[j] if j else anchor  # end of side i
+            apex = _step(corner, da, -m)
+            _subdivide_triangle(tris, apex, da, (da + 1) % 6, m, flip)
+            new: list[tuple[int, int]] = []
+            for t in range(k):
+                if t == i:
+                    new.append((a - m, da))
+                    new.append((m, (da + 1) % 6))
+                elif t == j:
+                    new.append((b - m, db))
+                else:
+                    new.append(work[t])
+            if j == 0:
+                # side 0 lost its first m units; its start moves forward
+                anchor = _step(anchor, db, m)
+            work = new
+            continue
+        # hexagon with all corners obtuse: shed the four-sided piece that
+        # fully covers the shortest side i and side i+1, eating the first
+        # li units of side i+2
+        i = min(range(k), key=lambda t: (work[t][0], t))
+        li, di = work[i]
+        lj, dj = work[(i + 1) % k]
+        lk_, dk_ = work[(i + 2) % k]
+        if li > lk_:
+            raise MeshError("hexagon chop: chosen side is not minimal")
+        piece = [(li, di), (lj, dj), (li, (di + 2) % 6), (li + lj, (di + 4) % 6)]
+        tris.extend(_triangulate_ccw(pts[i], piece, flip))
+        new = []
+        for t in range(k):
+            if t == i:
+                new.append((li + lj, dj))
+            elif t == (i + 1) % k:
+                if lk_ > li:
+                    new.append((lk_ - li, dk_))
+            elif t == (i + 2) % k:
+                continue
+            else:
+                new.append(work[t])
+        if i == k - 1:
+            # merged side sits at slot i, shortened side wrapped to slot 0
+            anchor = _step(pts[i], dj, li + lj)
+        elif i == k - 2:
+            # old side 0 was eaten from its start; side 1 leads now
+            anchor = pts[1]
+        work = new
+
+
+def _normalize_chain(sides, anchor: GridPoint):
+    """Drop zero sides and merge consecutive sides with equal direction."""
+    out = [(l, d) for l, d in sides if l]
+    changed = True
+    while changed and len(out) > 1:
+        changed = False
+        merged: list[tuple[int, int]] = []
+        for l, d in out:
+            if merged and merged[-1][1] == d:
+                merged[-1] = (merged[-1][0] + l, d)
+                changed = True
+            else:
+                merged.append((l, d))
+        if len(merged) > 1 and merged[0][1] == merged[-1][1]:
+            l, d = merged.pop()
+            anchor = _step(anchor, d, -l)
+            merged[0] = (merged[0][0] + l, d)
+            changed = True
+        out = merged
+    return out, anchor
+
+
+def _subdivide_triangle(out: list[Triangle], apex, d_u: int, d_v: int, n: int, flip: bool) -> None:
+    """Append the standard subdivision of an equilateral triangle of side n
+    into n*n units to ``out``, conjugated when ``flip`` is set.
+
+    Order is translation invariant, so each unit triangle's sorted vertex
+    order is the sorted order of its corner offsets, fixed per call.
+    Conjugation keeps the order of the (i, j) loop.
+    """
+    (ux, uy), (vx, vy) = DIRECTIONS[d_u], DIRECTIONS[d_v]
+    ax, ay = apex
+    if flip:
+        ay, uy, vy = -ay, -uy, -vy
+    (p0, q0), (p1, q1), (p2, q2) = sorted(((0, 0), (ux, uy), (vx, vy)))
+    (r0, s0), (r1, s1), (r2, s2) = sorted(((ux, uy), (vx, vy), (ux + vx, uy + vy)))
+    append = out.append
+    for i in range(n):
+        for j in range(n - i):
+            x, y = ax + i * ux + j * vx, ay + i * uy + j * vy
+            append(((x + p0, y + q0), (x + p1, y + q1), (x + p2, y + q2)))
+            if i + j < n - 1:
+                append(((x + r0, y + s0), (x + r1, y + s1), (x + r2, y + s2)))

@@ -181,7 +181,10 @@ def test_unknown_family(capsys):
 # `timings` removed.  Recorded before the CLI was rebuilt on
 # `pipeline.Instance`, so they pin its output byte for byte; `solve` and
 # `check` were re-pinned when the `rank-methods-agree` detail came to name
-# the rank certificate, the only field that changed.
+# the rank certificate, the only field that changed; `render` was re-pinned
+# when charts came to be cut into unit triangles by a row scan, which
+# reorders the triangle outlines and leaves the multiset of SVG lines as it
+# was.
 GOLDEN_COMMANDS = {
     "validate": [], "labels": [], "solve": [], "rays": [],
     "lattice": ["--max-len", "3"], "realize": ["--point", "0"], "qform": [],
@@ -197,7 +200,7 @@ GOLDEN_SHA256 = {
         "lattice": "47f93ac5f59ea3199ece27b70b581bf91c5695c3ae30362fb23120c951c0527b",
         "realize": "1cb535e54e7a0ca817e31108ba6f28ba23c16c571c1f5b67d07c4027bfa80c36",
         "qform": "9f4074664b374db84917e3143ae3e10ccba3226dc62f7705075b3df43a49929a",
-        "render": "1feb5e0eb663de50d0171dfb5022bff53ee7c8c5172959f349993383a66d166a",
+        "render": "79d665e694a9096f0ee7c343a9bc3956bf8f5ee92da8f5a1ddacd3f570cdaefc",
         "check": "a7f5f28a9c4d68592a62db4efd3e1ac3a2978c06e7ca9cd5894b396865d03073",
     },
     "spiral-k3": {
@@ -208,7 +211,7 @@ GOLDEN_SHA256 = {
         "lattice": "982efa712f7d744a4088e5e09a6dab50ee180102b22d36f9a1b16325b434f03d",
         "realize": "0a2d3865a0f4512cdbafd9bf99cb57ee497372e883fa22e7408f7f62fc624d70",
         "qform": "2d1e975a539aabceeea5b638198d39e7ab4f67dd349062a6e18b7626154abf7d",
-        "render": "5def0a48a4bc6c1491f60613f0e89aadece569b8938dec925101814fb560d529",
+        "render": "dc22efa5766c7af43ceff77a209aeddf9dc17a8f66cda5c7c428ff74f490b593",
         "check": "96607b13e701a6f8b2b645192558c5573268e2fbb3792a105edc8208c79d3ddd",
     },
 }
@@ -230,12 +233,13 @@ def test_golden_stdout(capsys, instance, command):
 
 def test_golden_render_spiral6_overlay(capsys):
     # the dual overlay's centroids and side midpoints are the only
-    # non-lattice points drawn; recorded when GridPoint held Fractions
+    # non-lattice points drawn; recorded when GridPoint held Fractions and
+    # re-pinned for the row scan's triangle order (same multiset of lines)
     code, out, err = run(capsys, "render", "--bundled", "spiral-6", "--max-len", "5", "--point", "3",
                          "--triangles", "--vertex-colors", "--overlay-dual")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "f83cc43d1133f72045441bcd5854cde01e2a978549a6609a287efe04b0e8474c"
+        "4daee3f37339179f9a202328a094bc5479401c33de1a35a49564086da89aa2be"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -182,16 +183,20 @@ def test_triangulation_of_general_nice_hexagons(a, b, c, e):
 
 
 def _lattice_points_in(chain):
-    """Lattice points of the closed convex ccw polygon, by brute force over
-    the half-integer points of its bounding box with orientation tests."""
+    """Lattice points of the closed convex polygon, counterclockwise or
+    clockwise, by brute force over the half-integer points of its bounding
+    box with orientation tests.  The lattice is the one through the chain's
+    first point, so a start off the Eisenstein lattice shifts it along."""
     xs = [p.X for p in chain]
     ys = [p.Y for p in chain]
+    sign = 1 if signed_triarea(chain) > 0 else -1
+    parity = (chain[0].X - chain[0].Y) % 2
     inside = set()
     for y in range(min(ys), max(ys) + 1):
         for x in range(min(xs), max(xs) + 1):
             q = GridPoint(x, y)
-            if q.is_lattice_point() and all(signed_triarea([p, r, q]) >= 0
-                                            for p, r in zip(chain, chain[1:] + chain[:1])):
+            if (x - y) % 2 == parity and all(sign * signed_triarea([p, r, q]) >= 0
+                                             for p, r in zip(chain, chain[1:] + chain[:1])):
                 inside.add(q)
     return inside
 
@@ -242,17 +247,41 @@ def convex_chains(draw):
 @given(convex_chains())
 @settings(max_examples=200, deadline=None)
 def test_unit_triangles_match_oracle_on_both_orientations(chain):
+    # the row scan and the chopper number triangles in different orders
     start, sides = chain
     tris = unit_triangulate(start, sides)
-    assert tris == mesh_oracle._unit_triangles(start, sides)
+    assert sorted(tris) == sorted(mesh_oracle._unit_triangles(start, sides))
+
+
+@given(convex_chains())
+@settings(max_examples=200, deadline=None)
+def test_unit_triangles_tile_the_closed_polygon(chain):
+    # an oracle that shares nothing with the row scan: the vertices are
+    # every lattice point of the closed polygon, triangles are distinct,
+    # sorted and unit-sided, interior edges are shared by two triangles
+    # and boundary edges by one, and the count is the shoelace area
+    start, sides = chain
+    tris = unit_triangulate(start, sides)
     pts = [start]
     for ell, d in sides[:-1]:
         pts.append(pts[-1] + direction(d).scale(ell))
-    assert len(tris) == triarea(pts)
+    assert {p for t in tris for p in t} == _lattice_points_in(pts)
+    assert len(set(tris)) == len(tris)
     units = set(DIRECTIONS)
+    edge_count = Counter()
     for t in tris:
         assert list(t) == sorted(t)
-        assert all(p - q in units or q - p in units for p, q in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])))
+        for p, q in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
+            assert q - p in units or p - q in units
+            edge_count[p, q] += 1
+    boundary = set()
+    for p, (ell, d) in zip(pts, sides):
+        walk = [p + direction(d).scale(i) for i in range(ell + 1)]
+        boundary.update(tuple(sorted(e)) for e in zip(walk, walk[1:]))
+    assert boundary <= set(edge_count)
+    for e, n in edge_count.items():
+        assert n == (1 if e in boundary else 2), e
+    assert len(tris) == abs(signed_triarea(pts)) == triarea(pts)
 
 
 # --- development and folding -----------------------------------------------
@@ -348,6 +377,7 @@ def test_four_color_proper_and_balanced(spiral3):
     surf = develop_surface(spiral3, bnds, charts)
     tri = four_color(build_triangulation(surf))
     colors = tri.vertex_colors
+    assert colors == tuple(p.color_class() for p in tri.positions)
     assert set(colors) <= {0, 1, 2, 3}
     for a, b in tri.edges:
         assert colors[a] != colors[b]
@@ -432,13 +462,13 @@ def test_golden_mesh_hexagon_pair():
     surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, {e: 1 for e in kb.col_edges}))
     tri = four_color(build_triangulation(surf))
     assert len(tri.triangles) == 12
-    assert _mesh_digest(tri) == "4a453c8efe4f53c45a25a0dc684645897af4aed6b4c355f72488d7c1a7a24275"
+    assert _mesh_digest(tri) == "856bbdac931dd5a610e2027dcc65f1603d03452d862d2721f6cbb7f0c730bfc0"
 
 
 def test_golden_mesh_spiral6():
     tri = four_color(build_triangulation(_first_positive_surface(load_bundled("spiral-6"), bound=5)))
     assert len(tri.triangles) == 54
-    assert _mesh_digest(tri) == "59d1c62d52745fd0cfa2836ac9cb3fe83811e7c364f4c266603a8fa6309eb412"
+    assert _mesh_digest(tri) == "c93a976e592818e3b0dcf6962d7ca5fbdfe1bbcea37b737b0f1c457bef1f6875"
 
 
 def test_build_triangulation_rejects_half_lengths(spiral3):
@@ -488,7 +518,11 @@ def test_build_triangulation_matches_oracle(g):
     bnds, labels, kb, pts = _positive_points(g, bound=4)
     for p in pts:
         surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, _lengths(kb, p.vector)))
-        assert build_triangulation(surf) == mesh_oracle.build_triangulation(surf)
+        got, want = build_triangulation(surf), mesh_oracle.build_triangulation(surf)
+        assert sorted(zip(got.triangles, got.triangle_colors)) == \
+            sorted(zip(want.triangles, want.triangle_colors))
+        blank = dict(triangles=(), triangle_colors=())
+        assert replace(got, **blank) == replace(want, **blank)
 
 
 def test_build_triangulation_rejects_translated_chart(spiral3):
