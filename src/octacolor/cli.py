@@ -52,7 +52,7 @@ def _load_graph(args) -> tuple[str, object]:
         try:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
         try:
             return os.path.basename(args.input), parse_emg(text)

@@ -9,6 +9,13 @@ lattice rows, assembles the glued sphere triangulation with its proper
 4-coloring, and lays out an unfolded net with proper isometries for
 rendering.
 
+What depends on the combinatorial type alone is paid once per type: a
+``SurfaceFrame`` holds the gluing table, the spanning tree, the angle
+closure verdict, the base flag and, for each blue face, the polygon that
+owns its mesh vertex.  Per point, ``place_surface`` computes the
+translations and checks holonomy, and ``build_triangulation`` numbers the
+mesh by those combinatorial owners, with no search over glued points.
+
 Every stage runs on one point type, the integer GridPoint in doubled
 coordinates (X, Y) = (2x, 2y): side lengths are integers and every corner
 is a lattice point, so realization, development, the mesh and the net are
@@ -58,7 +65,7 @@ class SideRecord:
 
     @property
     def end(self) -> GridPoint:
-        return self.start + direction(self.direction).scale(self.length)
+        return GridPoint(*_step(self.start, self.direction, self.length))
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,31 @@ class RealizedSurface:
     base_flag: tuple[int, int, int]               # (cone vertex face id, polygon id, side index)
     boundaries: tuple[PolygonBoundary, ...]
     tree_edges: tuple[int, ...]
+    face_owner: dict[int, int]                    # blue face id -> smallest polygon with a corner there
+
+
+@dataclass(frozen=True)
+class SurfaceFrame:
+    """What developing a surface needs of its combinatorial type alone.
+
+    Built once from the boundaries (and an optional base flag and spanning
+    tree); ``place_surface`` then develops any length realization of the
+    type against it.  The angle closure is combinatorial, so its verdict is
+    decided here, but a failure is raised by ``place_surface``, after the
+    holonomy check, as a per-point ``AngleError``.
+    """
+    boundaries: tuple[PolygonBoundary, ...]
+    gluings: dict[int, EdgeGluing]
+    root: int                                          # polygon placed first
+    tree_steps: tuple[tuple[int, EdgeGluing, int], ...]  # (placed polygon, gluing, reached polygon)
+    non_tree: tuple[EdgeGluing, ...]                   # holonomy checks, in edge id order
+    tree_edges: tuple[int, ...]
+    cone_vertices: tuple[int, ...]
+    regular_vertices: tuple[int, ...]
+    angle_error: str | None                            # why the angles fail to close, or None
+    flag: tuple[int, int, int, int, int] | None        # (cone vertex, polygon, corner, side, half turn)
+    corners: tuple[tuple[int, int, int], ...]          # (polygon, side leaving the corner, face)
+    face_owner: dict[int, int]                         # blue face id -> smallest polygon with a corner there
 
 
 def develop_surface(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
@@ -146,100 +178,126 @@ def develop_surface(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     normalized to put the cone vertex at the origin, its boundary edge on
     the positive real axis, and the flag polygon in the upper half plane.
 
-    The vertices come from ``boundaries``, not from ``g``: a blue face owns
-    one polygon corner per side, so a face with two corners is a bigon (a
-    cone vertex) and one with four a quadrilateral (a regular vertex).
+    This is ``place_surface`` on the ``surface_frame`` of ``boundaries``;
+    a caller developing many points of one type builds the frame once.
+    """
+    return place_surface(surface_frame(boundaries, base_flag, tree), charts)
+
+
+def surface_frame(boundaries: list[PolygonBoundary], base_flag: tuple[int, int] | None = None,
+                  tree: set[int] | None = None) -> SurfaceFrame:
+    """The length-independent part of developing a surface of this type.
+
+    The vertices come from ``boundaries``: a blue face owns one polygon
+    corner per side, so a face with two corners is a bigon (a cone vertex)
+    and one with four a quadrilateral (a regular vertex).  Raises
+    GluingError when an edge does not join one white and one black side or
+    the spanning tree misses a polygon, and ValueError on a base flag that
+    is not a (cone vertex, polygon) pair.
     """
     by_vertex = {b.vertex_id: b for b in boundaries}
-    corner_count: dict[int, int] = {}
-    for b in boundaries:
-        for fid in b.corner_faces:
-            corner_count[fid] = corner_count.get(fid, 0) + 1
-    bigons = sorted(fid for fid, n in corner_count.items() if n == 2)
-    quads = sorted(fid for fid, n in corner_count.items() if n == 4)
-
-    gluings = _edge_gluings(boundaries)
-
-    root, steps = _spanning_tree(by_vertex, gluings, tree)
-    translations: dict[int, GridPoint] = {root: ORIGIN}
-    for pid, eid, other in steps:
-        translations[other] = translations[pid] + _gluing_shift(charts, gluings[eid], from_polygon=pid)
-    if len(translations) != len(by_vertex):
-        raise GluingError("spanning tree does not reach every polygon")
-    tree_edges = [eid for _, eid, _ in steps]
-
-    # holonomy: every non-tree edge must be glued by the same translations
-    tree_set = set(tree_edges)
-    for eid, gl in sorted(gluings.items()):
-        if eid in tree_set:
-            continue
-        want = translations[gl.white_polygon] + _gluing_shift(charts, gl, from_polygon=gl.white_polygon)
-        if want != translations[gl.black_polygon]:
-            raise GluingError(
-                f"edge {eid}: folded placements disagree by {translations[gl.black_polygon] - want}")
-
-    # combinatorial angle closure at every vertex of the coloring
-    corner_units: dict[int, dict[str, int]] = {}
-    for b in boundaries:
-        for idx, fid in enumerate(b.corner_faces):
-            units = CORNER_UNITS[b.corners[idx]]
-            slot = corner_units.setdefault(fid, {"white": 0, "black": 0})
-            slot[b.color] += units
-    for fid in bigons:
-        units = corner_units.get(fid, {"white": 0, "black": 0})
-        if units["white"] != 2 or units["black"] != 2:
-            raise AngleError(f"cone vertex {fid} has angle units {units}, expected white 2 and black 2")
-    for fid in quads:
-        units = corner_units.get(fid, {"white": 0, "black": 0})
-        if units["white"] != units["black"]:
-            raise AngleError(f"vertex {fid} has unbalanced folded angles {units}")
-
-    # normalization: cone vertex at 0, flag edge on the positive axis,
-    # flag polygon in the upper half plane
     corners_at: dict[int, list[tuple[int, int]]] = {}
     for b in boundaries:
         for idx, fid in enumerate(b.corner_faces):
             corners_at.setdefault(fid, []).append((b.vertex_id, idx))
-    if base_flag is None:
-        cv = bigons[0]
-        flag_pid = min(pid for pid, _ in corners_at[cv] if by_vertex[pid].color == WHITE)
-    else:
-        cv, flag_pid = base_flag
-        if cv not in bigons:
-            raise ValueError(f"base flag vertex {cv} is not a cone vertex")
-        if flag_pid not in {pid for pid, _ in corners_at[cv]}:
-            raise ValueError(f"polygon {flag_pid} does not touch cone vertex {cv}")
-    corner_idx = next(idx for pid, idx in corners_at[cv] if pid == flag_pid)
-    chart = charts[flag_pid]
-    k = len(chart.sides)
-    if by_vertex[flag_pid].color == WHITE:
-        flag_side = (corner_idx + 1) % k     # side departing the corner
-        delta = chart.sides[flag_side].direction
-    else:
-        flag_side = corner_idx               # side arriving at the corner
-        delta = (chart.sides[flag_side].direction + 3) % 6
-    origin = translations[flag_pid] + chart.corner_point(corner_idx)
+    bigons = sorted(fid for fid, at in corners_at.items() if len(at) == 2)
+    quads = sorted(fid for fid, at in corners_at.items() if len(at) == 4)
 
-    placed: dict[int, PolygonChart] = {}
-    for pid, ch in charts.items():
-        sides = tuple(
-            SideRecord(s.edge_id,
-                       (s.start + translations[pid] - origin).rot(-delta),
-                       (s.direction - delta) % 6,
-                       s.length)
-            for s in ch.sides)
-        placed[pid] = PolygonChart(pid, ch.color, sides)
+    gluings = _edge_gluings(boundaries)
+    root, steps = _spanning_tree(by_vertex, gluings, tree)
+    if len(steps) + 1 != len(by_vertex):
+        raise GluingError("spanning tree does not reach every polygon")
+    tree_set = {eid for _, eid, _ in steps}
+    non_tree = tuple(gl for eid, gl in sorted(gluings.items()) if eid not in tree_set)
 
-    folded: dict[int, GridPoint] = {}
+    angle_error = _angle_closure_error(boundaries, bigons, quads)
+
+    # normalization: cone vertex at 0, flag edge on the positive axis,
+    # flag polygon in the upper half plane
+    flag = None
+    if angle_error is None:
+        if base_flag is None:
+            cv = bigons[0]
+            flag_pid = min(pid for pid, _ in corners_at[cv] if by_vertex[pid].color == WHITE)
+        else:
+            cv, flag_pid = base_flag
+            if cv not in bigons:
+                raise ValueError(f"base flag vertex {cv} is not a cone vertex")
+            if flag_pid not in {pid for pid, _ in corners_at[cv]}:
+                raise ValueError(f"polygon {flag_pid} does not touch cone vertex {cv}")
+        corner_idx = next(idx for pid, idx in corners_at[cv] if pid == flag_pid)
+        if by_vertex[flag_pid].color == WHITE:
+            flag = (cv, flag_pid, corner_idx, (corner_idx + 1) % len(by_vertex[flag_pid].sides), 0)
+        else:
+            flag = (cv, flag_pid, corner_idx, corner_idx, 3)
+
+    corners = tuple((b.vertex_id, (idx + 1) % len(b.sides), fid)
+                    for b in boundaries for idx, fid in enumerate(b.corner_faces))
+    face_owner = {fid: min(pid for pid, _ in at) for fid, at in corners_at.items()}
+    return SurfaceFrame(tuple(boundaries), gluings, root,
+                        tuple((pid, gluings[eid], other) for pid, eid, other in steps), non_tree,
+                        tuple(sorted(tree_set)), tuple(bigons), tuple(quads), angle_error, flag,
+                        corners, face_owner)
+
+
+def _angle_closure_error(boundaries, bigons, quads) -> str | None:
+    """Why the corner angles fail to close at some vertex, or None."""
+    corner_units: dict[int, dict[str, int]] = {}
     for b in boundaries:
         for idx, fid in enumerate(b.corner_faces):
-            pt = placed[b.vertex_id].corner_point(idx)
-            if fid in folded and folded[fid] != pt:
-                raise GluingError(f"vertex {fid} has two folded images {folded[fid]} and {pt}")
-            folded[fid] = pt
+            slot = corner_units.setdefault(fid, {"white": 0, "black": 0})
+            slot[b.color] += CORNER_UNITS[b.corners[idx]]
+    for fid in bigons:
+        units = corner_units[fid]
+        if units["white"] != 2 or units["black"] != 2:
+            return f"cone vertex {fid} has angle units {units}, expected white 2 and black 2"
+    for fid in quads:
+        units = corner_units[fid]
+        if units["white"] != units["black"]:
+            return f"vertex {fid} has unbalanced folded angles {units}"
+    return None
 
-    return RealizedSurface(placed, gluings, folded, tuple(bigons), tuple(quads),
-                           (cv, flag_pid, flag_side), tuple(boundaries), tuple(sorted(tree_edges)))
+
+def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> RealizedSurface:
+    """Develop the charts of one length realization against ``frame``.
+
+    Translates each chart along the frame's spanning tree, checks holonomy
+    on every non-tree edge (GluingError), raises the frame's angle closure
+    failure (AngleError), normalizes by the base flag and checks that every
+    blue face gets one folded image (GluingError).
+    """
+    translations: dict[int, GridPoint] = {frame.root: ORIGIN}
+    for pid, gl, other in frame.tree_steps:
+        translations[other] = translations[pid] + _gluing_shift(charts, gl, from_polygon=pid)
+    for gl in frame.non_tree:
+        want = translations[gl.white_polygon] + _gluing_shift(charts, gl, from_polygon=gl.white_polygon)
+        if want != translations[gl.black_polygon]:
+            raise GluingError(
+                f"edge {gl.edge_id}: folded placements disagree by {translations[gl.black_polygon] - want}")
+    if frame.angle_error is not None:
+        raise AngleError(frame.angle_error)
+
+    cv, flag_pid, corner_idx, flag_side, half_turn = frame.flag
+    chart = charts[flag_pid]
+    delta = (chart.sides[flag_side].direction + half_turn) % 6
+    origin = translations[flag_pid] + chart.corner_point(corner_idx)
+    placed: dict[int, PolygonChart] = {}
+    for pid, ch in charts.items():
+        shift = translations[pid] - origin
+        placed[pid] = PolygonChart(pid, ch.color, tuple(
+            SideRecord(s.edge_id, (s.start + shift).rot(-delta), (s.direction - delta) % 6, s.length)
+            for s in ch.sides))
+
+    folded: dict[int, GridPoint] = {}
+    for pid, side, fid in frame.corners:
+        pt = placed[pid].sides[side].start
+        seen = folded.setdefault(fid, pt)
+        if seen != pt:
+            raise GluingError(f"vertex {fid} has two folded images {seen} and {pt}")
+
+    return RealizedSurface(placed, frame.gluings, folded, frame.cone_vertices, frame.regular_vertices,
+                           (cv, flag_pid, flag_side), frame.boundaries, frame.tree_edges,
+                           frame.face_owner)
 
 
 def _spanning_tree(polygons, gluings: dict[int, EdgeGluing], tree: set[int] | None = None):
@@ -441,16 +499,17 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     """Glue per-polygon unit triangulations into one closed sphere.
 
     Subdivision points along a shared edge coincide exactly in the folded
-    plane, so identification happens by position along each glued edge, and
-    only there (the folding map is far from injective globally): a
-    union-find over the points of glued sides joins each point of one
-    polygon with the same point of the other.  A vertex is a point with the
-    smallest polygon of its class, and vertex ids follow (point, polygon)
-    order.  Within one chart the points are distinct, so ids follow point
-    order there and every sorted point triple maps to a sorted id triple.
-    Verifies that every glued point subdivides both charts, closedness, the
-    Euler characteristic, and the degree sequence of six 4s with all
-    remaining degrees 6.
+    plane, so identification happens along each glued edge, and only there
+    (the folding map is far from injective globally).  A vertex is a chart
+    point keyed by (point, owner), and the boundaries alone fix the owner:
+    the chart itself for an interior point, the smaller of the two glued
+    polygons for a point inside a glued side, and the smallest polygon with
+    a corner at the face (``surface.face_owner``) for a corner.  Vertex ids
+    follow (point, owner) order.  Within one chart the points are distinct,
+    so ids follow point order there and every sorted point triple maps to a
+    sorted id triple.  Verifies that each glued white side runs from its
+    black side's end to its start, closedness, the Euler characteristic,
+    and the degree sequence of six 4s with all remaining degrees 6.
     """
     placed = surface.placed
     triangulations = {}
@@ -460,32 +519,22 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
         rows, triangulations[pid] = _unit_triangles(ch.sides[0].start, _chart_sides(ch))
         owner[pid] = {(x, y): pid for y, (lo, hi) in rows.items() for x in range(lo, hi + 1, 2)}
 
-    parent: dict[tuple[int, GridPoint], tuple[int, GridPoint]] = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     for eid, gl in surface.gluings.items():
         side = placed[gl.white_polygon].sides[gl.white_side]
+        other = placed[gl.black_polygon].sides[gl.black_side]
+        if side.start != other.end or side.end != other.start:
+            pt = side.start if side.start != other.end else side.end
+            raise MeshError(f"edge {eid}: subdivision point {pt} missing from a triangulation")
         white, black = owner[gl.white_polygon], owner[gl.black_polygon]
+        o = min(gl.white_polygon, gl.black_polygon)
         (x, y), (dx, dy) = side.start, DIRECTIONS[side.direction]
-        for t in range(side.length + 1):
-            pt = (x + t * dx, y + t * dy)
-            if pt not in white or pt not in black:
-                raise MeshError(f"edge {eid}: subdivision point {pt} missing from a triangulation")
-            a, b = (gl.white_polygon, pt), (gl.black_polygon, pt)
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    for pid, pt in parent:
-        owner[pid][pt] = find((pid, pt))[0]
+        for t in range(1, side.length):
+            white[x + t * dx, y + t * dy] = black[x + t * dx, y + t * dy] = o
+    face_owner = surface.face_owner
+    for b in surface.boundaries:
+        chart, pts = placed[b.vertex_id], owner[b.vertex_id]
+        for idx, fid in enumerate(b.corner_faces):
+            pts[chart.corner_point(idx)] = face_owner[fid]
 
     vertices = sorted(set(chain.from_iterable(pts.items() for pts in owner.values())))
     vid = {v: i for i, v in enumerate(vertices)}

@@ -2,27 +2,27 @@
 
 ``Instance`` derives the chain of one combinatorial type once: validation,
 polygon boundaries, direction labels, closure system, kernel and lemma
-checks, cone and extreme rays, lattice basis and restricted quadratic form.
+checks, cone and extreme rays, lattice basis, restricted quadratic form,
+and the surface frame (what developing a surface needs of the type alone).
 Each stage is a cached property computed on first use, so a caller pays
-only for the stages it reads; ``develop`` realizes and develops one
-edge-length vector.  One ``*_json`` function per stage builds its report
-fragment: the CLI emits them, and ``run_check`` assembles its report from
-them.  ``run_survey`` reads the same stages but reports only a few fields,
-so it builds no fragment.  Exact quantities serialize as integer or
-rational strings.
+only for the stages it reads; ``develop`` realizes one edge-length vector
+and develops it against the frame.  One ``*_json`` function per stage
+builds its report fragment: the CLI emits them, and ``run_check``
+assembles its report from them.  ``run_survey`` reads the same stages but
+reports only a few fields, so it builds no fragment.  Exact quantities
+serialize as integer or rational strings.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from functools import cached_property
 
 from .cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
 from .emg import EnhancedMultigraph, validate_plausible
-from .geometry import (build_triangulation, cone_point_coordinates,
-                       develop_surface, four_color, realize_polygons, triarea)
+from .geometry import (build_triangulation, cone_point_coordinates, four_color,
+                       place_surface, realize_polygons, surface_frame, triarea)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
 from .qform import assemble_form, restrict_form, verify_triangle_identity
 from .shapesys import build_constraints, kernel_basis, verify_lemmas
@@ -73,20 +73,30 @@ class Instance:
     def form(self):
         return restrict_form(assemble_form(self.g, self.boundaries), self.kernel)
 
+    @cached_property
+    def frame(self):
+        return surface_frame(self.boundaries)
+
     def lattice_points(self, max_len: int, budget: int = 10 ** 6):
         return enumerate_lattice_points(self.lattice, max_len, budget=budget)
 
     def develop(self, vector):
-        """Realize the edge-length vector (in kernel column order) and develop it."""
+        """Realize the edge-length vector (in kernel column order) and
+        develop it against the type's frame, as ``develop_surface`` would."""
         lengths = dict(zip(self.kernel.col_edges, vector))
         charts = realize_polygons(self.g, self.boundaries, self.labels, lengths)
-        return develop_surface(self.g, self.boundaries, charts)
+        return place_surface(self.frame, charts)
+
+
+def _half(n: int) -> str:
+    """n/2 in lowest terms, as ``str(Fraction(n, 2))`` writes it."""
+    return f"{n}/2" if n % 2 else str(n // 2)
 
 
 def grid_point_json(p) -> dict:
     """GridPoint (X, Y) as the rationals x = X/2 and ys3 = Y/2 of the
     planar point (x, ys3*sqrt(3))."""
-    return {"x": str(Fraction(p.X, 2)), "ys3": str(Fraction(p.Y, 2))}
+    return {"x": _half(p.X), "ys3": _half(p.Y)}
 
 
 def vector_json(vec) -> list[str]:

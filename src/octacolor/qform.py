@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .emg import EnhancedMultigraph
@@ -66,9 +67,24 @@ class QuadraticForm:
     restricted: tuple[tuple[int, ...], ...] | None = None
     signature: tuple[int, int, int] | None = None
 
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int, int], ...]:
+        """Nonzero terms (i, j, m_ij + m_ji) for i < j and (i, i, m_ii)."""
+        m = self.global_matrix
+        terms = []
+        for i, row in enumerate(m):
+            for j in range(i, len(row)):
+                c = row[j] + m[j][i] if j > i else row[i]
+                if c:
+                    terms.append((i, j, c))
+        return tuple(terms)
+
     def value(self, lengths):
-        """Form value at an edge length vector (by edge id)."""
-        return _form_value(self.global_matrix, [lengths[eid] for eid in self.col_edges])
+        """Form value at an edge length vector (by edge id), exactly as
+        ``_form_value`` computes it, from the nonzero entries alone."""
+        v = [lengths[eid] for eid in self.col_edges]
+        half = Fraction(sum(c * v[i] * v[j] for i, j, c in self._terms)) / 2
+        return int(half) if half.denominator == 1 else half
 
 
 def polygon_form(boundary: PolygonBoundary, col_edges) -> PolygonForm:

@@ -1,13 +1,14 @@
 """Reference implementation of the glued sphere mesh.
 
 These are ``geometry.build_triangulation`` and ``geometry._unit_triangles``
-as they were before the mesh was glued by index and charts were cut by a
-row scan: a union-find over every (polygon, point) key, interior points
-included, one ``sorted`` per triangle to number it, and each chart cut by
-inductive chopping, black charts as their mirror image conjugated back
-triangle by triangle.  The chopper numbers triangles in another order than
-the library, so tests compare triangles as multisets (sorted
-``(triangle, colour)`` pairs) and every other field exactly.
+as they were before the mesh was glued by index with combinatorial vertex
+owners and charts were cut by a row scan: a union-find over every
+(polygon, point) key, interior points included, one ``sorted`` per
+triangle to number it, and each chart cut by inductive chopping, black
+charts as their mirror image conjugated back triangle by triangle.  The
+chopper numbers triangles in another order than the library, so tests
+compare triangles as multisets (sorted ``(triangle, colour)`` pairs) and
+every other field exactly.
 
 Inductive chopping: a triangle subdivides directly; at an acute corner an
 integer equilateral triangle comes off (side = the shorter adjacent
@@ -127,10 +128,8 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     return tri
 
 
-def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]],
-                     flip: bool = False) -> list[Triangle]:
-    """Chop a counterclockwise chain into unit triangles; with ``flip`` the
-    triangles are emitted conjugated, as points of the mirror image."""
+def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Triangle]:
+    """Chop a counterclockwise chain into unit triangles."""
     tris: list[Triangle] = []
     work = list(sides)
     anchor = start
@@ -140,7 +139,7 @@ def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]],
         if k < 3:
             raise ValueError("chain degenerated during chopping")
         if k == 3:
-            _subdivide_triangle(tris, anchor, work[0][1], (work[0][1] + 1) % 6, work[0][0], flip)
+            _subdivide_triangle(tris, anchor, work[0][1], (work[0][1] + 1) % 6, work[0][0])
             return tris
         pts = _chain_points(anchor, work)
         acute = [(min(work[i][0], work[(i + 1) % k][0]), i)
@@ -154,7 +153,7 @@ def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]],
             m = min(a, b)
             corner = pts[j] if j else anchor  # end of side i
             apex = _step(corner, da, -m)
-            _subdivide_triangle(tris, apex, da, (da + 1) % 6, m, flip)
+            _subdivide_triangle(tris, apex, da, (da + 1) % 6, m)
             new: list[tuple[int, int]] = []
             for t in range(k):
                 if t == i:
@@ -179,7 +178,7 @@ def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]],
         if li > lk_:
             raise MeshError("hexagon chop: chosen side is not minimal")
         piece = [(li, di), (lj, dj), (li, (di + 2) % 6), (li + lj, (di + 4) % 6)]
-        tris.extend(_triangulate_ccw(pts[i], piece, flip))
+        tris.extend(_triangulate_ccw(pts[i], piece))
         new = []
         for t in range(k):
             if t == i:
@@ -222,18 +221,15 @@ def _normalize_chain(sides, anchor: GridPoint):
     return out, anchor
 
 
-def _subdivide_triangle(out: list[Triangle], apex, d_u: int, d_v: int, n: int, flip: bool) -> None:
+def _subdivide_triangle(out: list[Triangle], apex, d_u: int, d_v: int, n: int) -> None:
     """Append the standard subdivision of an equilateral triangle of side n
-    into n*n units to ``out``, conjugated when ``flip`` is set.
+    into n*n units to ``out``.
 
     Order is translation invariant, so each unit triangle's sorted vertex
     order is the sorted order of its corner offsets, fixed per call.
-    Conjugation keeps the order of the (i, j) loop.
     """
     (ux, uy), (vx, vy) = DIRECTIONS[d_u], DIRECTIONS[d_v]
     ax, ay = apex
-    if flip:
-        ay, uy, vy = -ay, -uy, -vy
     (p0, q0), (p1, q1), (p2, q2) = sorted(((0, 0), (ux, uy), (vx, vy)))
     (r0, s0), (r1, s1), (r2, s2) = sorted(((ux, uy), (vx, vy), (ux + vx, uy + vy)))
     append = out.append

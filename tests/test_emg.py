@@ -2,7 +2,7 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octacolor.cli import main
@@ -182,8 +182,10 @@ def _parses_or_emg_error(text: str) -> bool:
 
 
 def _validate_exit(text: str, path) -> int:
-    """Exit status of ``validate --input`` on ``text``; a traceback escapes."""
-    path.write_text(text, encoding="utf-8")
+    """Exit status of ``validate --input`` on ``text``; a traceback escapes.
+    A lone surrogate is written as its UTF-8 pattern, which no UTF-8
+    decoder accepts, so the file holds bytes that are not UTF-8."""
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(["validate", "--input", str(path)])
 
@@ -196,9 +198,12 @@ def emg_path(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(st.text(alphabet=st.sampled_from(list("vertexdgrobluB W0123456789:#-\n\t")) | st.characters(),
                max_size=200))
+@example("\ud800")
+@example("# \udfff\n")
 def test_parse_raw_text_raises_only_emg_error(emg_path, text):
     parsed = _parses_or_emg_error(text)
-    assert _validate_exit(text, emg_path) in ((0, 1) if parsed else (2,))
+    utf8 = not any("\ud800" <= c <= "\udfff" for c in text)
+    assert _validate_exit(text, emg_path) in ((0, 1) if parsed and utf8 else (2,))
 
 
 _TOKENS = ["-1", "0", "1", "2", "5", "99", "x", "", ":", "0:2", "1:0:1", "0:-1", "B", "W",

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 import mesh_oracle
 from octacolor.cone import enumerate_lattice_points, lattice_basis
 from octacolor.families import gen_spiral, load_bundled
-from octacolor.geometry import (ClosureError, ColorError, MeshError,
+from octacolor.geometry import (AngleError, ClosureError, ColorError, GluingError, MeshError,
                                 build_triangulation, cone_point_coordinates,
                                 develop_net, develop_surface, four_color,
                                 realize_polygons, triarea, unit_triangulate)
 from octacolor.grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
-from octacolor.labeling import assign_labels, polygon_boundaries
+from octacolor.labeling import ACUTE, assign_labels, polygon_boundaries
 from octacolor.shapesys import build_constraints, kernel_basis
 
 
@@ -359,6 +359,28 @@ def test_base_flag_rejects_regular_vertex(spiral3):
         develop_surface(spiral3, bnds, charts, base_flag=(quad_vertex, 0))
 
 
+def test_develop_surface_rejects_holonomy_mismatch(hexpair):
+    # the two unit hexagons at different scales: the spanning tree fits
+    # polygon 1 to polygon 0 along one edge, and the other five disagree
+    bnds, labels, kb = _context(hexpair)
+    ones = realize_polygons(hexpair, bnds, labels, {e: 1 for e in range(6)})
+    twos = realize_polygons(hexpair, bnds, labels, {e: 2 for e in range(6)})
+    develop_surface(hexpair, bnds, ones)
+    with pytest.raises(GluingError, match="folded placements disagree"):
+        develop_surface(hexpair, bnds, {0: ones[0], 1: twos[1]})
+
+
+def test_develop_surface_rejects_open_angles(hexpair):
+    # one corner relabelled acute leaves its cone vertex a white angle of
+    # one unit; the charts still glue, so only the angle closure fails
+    bnds, labels, kb = _context(hexpair)
+    charts = realize_polygons(hexpair, bnds, labels, {e: 1 for e in range(6)})
+    b = next(b for b in bnds if b.color == "white")
+    tampered = [replace(b, corners=(ACUTE,) + b.corners[1:]) if x is b else x for x in bnds]
+    with pytest.raises(AngleError, match=f"cone vertex {b.corner_faces[0]} has angle units"):
+        develop_surface(hexpair, tampered, charts)
+
+
 # --- glued triangulation and coloring ---------------------------------------
 
 def test_build_triangulation_hexpair(hexpair):
@@ -543,20 +565,27 @@ def test_build_triangulation_rejects_dropped_gluing(spiral3):
 
 def _doubled_hexagon_pair(length):
     """Two copies of the hexagon pair's sphere over the same folded image,
-    glued only within each copy: the copies share no vertex."""
+    glued only within each copy: the copies share no vertex.  Returns the
+    surface and the copies' edge id and face id offsets."""
     g = load_bundled("hexagon-pair")
     bnds, labels, kb = _context(g)
     surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, {e: length for e in kb.col_edges}))
-    n, m = 1 + max(surf.placed), 1 + max(surf.gluings)
+    n, m, f = 1 + max(surf.placed), 1 + max(surf.gluings), 1 + max(surf.face_owner)
     placed = {**surf.placed, **{pid + n: ch for pid, ch in surf.placed.items()}}
     copies = {eid + m: replace(gl, edge_id=eid + m, white_polygon=gl.white_polygon + n,
                                black_polygon=gl.black_polygon + n)
               for eid, gl in surf.gluings.items()}
-    return replace(surf, placed=placed, gluings={**surf.gluings, **copies}), m
+    boundaries = surf.boundaries + tuple(
+        replace(b, vertex_id=b.vertex_id + n, sides=tuple(eid + m for eid in b.sides),
+                corner_faces=tuple(fid + f for fid in b.corner_faces))
+        for b in surf.boundaries)
+    face_owner = {**surf.face_owner, **{fid + f: pid + n for fid, pid in surf.face_owner.items()}}
+    return replace(surf, placed=placed, gluings={**surf.gluings, **copies}, boundaries=boundaries,
+                   face_owner=face_owner), m, f
 
 
 def test_build_triangulation_rejects_two_spheres():
-    surf, _ = _doubled_hexagon_pair(2)
+    surf, _, _ = _doubled_hexagon_pair(2)
     with pytest.raises(MeshError, match="Euler characteristic 4"):
         build_triangulation(surf)
 
@@ -565,9 +594,14 @@ def test_build_triangulation_rejects_swapped_gluing():
     # swapping the black polygons of one edge and its copy cuts both spheres
     # open along that side and glues them crosswise: a connected sum, so a
     # closed sphere, whose two slit ends each gather both copies' degrees
-    surf, m = _doubled_hexagon_pair(2)
+    surf, m, f = _doubled_hexagon_pair(2)
     a, b = surf.gluings[0], surf.gluings[m]
     gluings = {**surf.gluings, 0: replace(a, black_polygon=b.black_polygon),
                m: replace(b, black_polygon=a.black_polygon)}
+    # each slit end's corners now form one vertex, owned as the original's
+    faces = surf.boundaries[0].corner_faces
+    side = surf.boundaries[0].sides.index(0)
+    ends = (faces[side - 1], faces[side])
+    face_owner = {**surf.face_owner, **{fid + f: surf.face_owner[fid] for fid in ends}}
     with pytest.raises(MeshError, match="degree histogram"):
-        build_triangulation(replace(surf, gluings=gluings))
+        build_triangulation(replace(surf, gluings=gluings, face_owner=face_owner))

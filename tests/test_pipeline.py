@@ -1,13 +1,17 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from octacolor import pipeline
 from octacolor.cli import main
 from octacolor.emg import EnhancedMultigraph
 from octacolor.families import bundled_names, gen_spiral, load_bundled
-from octacolor.pipeline import Instance, run_check, run_survey, vector_json
+from octacolor.grid import GridPoint
+from octacolor.pipeline import Instance, grid_point_json, run_check, run_survey, vector_json
 
 
 def test_check_report_spiral3(spiral3):
@@ -87,7 +91,6 @@ def test_survey_builds_no_report_fragment(monkeypatch):
 
 
 def test_vector_json():
-    from fractions import Fraction
     assert vector_json([Fraction(3, 6), 7]) == ["1/2", "7"]
 
 
@@ -153,3 +156,38 @@ def test_instance_computes_each_stage_once(monkeypatch, spiral3):
     assert inst.cone.has_positive_point and inst.form.signature == (1, 3, 0)
     assert inst.lattice.dimension == inst.kernel.dimension == 4
     assert len(calls) == 1
+
+
+def test_instance_builds_its_frame_once(monkeypatch, spiral3):
+    calls = []
+    real = pipeline.surface_frame
+    monkeypatch.setattr(pipeline, "surface_frame", lambda boundaries: calls.append(1) or real(boundaries))
+    report = run_check(spiral3, max_len=2)
+    assert report.ok and len(report.realizations) > 1
+    assert len(calls) == 1
+
+
+def test_check_records_a_holonomy_failure_per_point(monkeypatch, hexpair):
+    # polygon 1 realized at twice the lengths of polygon 0: the tree edge
+    # fits by construction, every other edge disagrees
+    real = pipeline.realize_polygons
+
+    def mismatched(g, boundaries, labels, lengths):
+        doubled = real(g, boundaries, labels, {e: 2 * x for e, x in lengths.items()})
+        return {**real(g, boundaries, labels, lengths), 1: doubled[1]}
+
+    monkeypatch.setattr(pipeline, "realize_polygons", mismatched)
+    report = run_check(hexpair, max_len=2)
+    assert report.realizations and not report.ok
+    for entry in report.realizations:
+        assert entry["error"].startswith("GluingError: edge ")
+        assert "folded placements disagree" in entry["error"]
+
+
+@given(st.integers(), st.integers())
+@example(0, 0)
+@example(-1, 1)
+@example(-2, 3)
+@example(2 ** 70 + 1, -(2 ** 70))
+def test_grid_point_json_halves_like_fraction(x, y):
+    assert grid_point_json(GridPoint(x, y)) == {"x": str(Fraction(x, 2)), "ys3": str(Fraction(y, 2))}

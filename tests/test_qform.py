@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octacolor.cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
+from octacolor.families import gen_spiral
 from octacolor.geometry import (build_triangulation, develop_surface,
                                 four_color, realize_polygons, triarea)
 from octacolor.labeling import assign_labels, polygon_boundaries
-from octacolor.qform import (SLOT_MATRIX, assemble_form, polygon_form,
-                             restrict_form, signature, slot_value,
+from octacolor.qform import (SLOT_MATRIX, QuadraticForm, _form_value, assemble_form,
+                             polygon_form, restrict_form, signature, slot_value,
                              verify_triangle_identity)
 from octacolor.shapesys import KernelBasis, build_constraints, kernel_basis
 
@@ -202,3 +203,33 @@ def test_homogeneity_of_identity(spiral3):
     areas = sum(triarea(ch.chain) for ch in surf.placed.values())
     rep = verify_triangle_identity(qf, doubled, tri, areas)
     assert rep.holds
+
+
+_entries = st.integers(-3, 3)
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.integers(-20, 20) | _rationals, min_size=n, max_size=n))))
+@settings(max_examples=300, deadline=None)
+def test_form_value_from_nonzero_terms_matches_dense(case):
+    # any integer matrix, symmetric or not, odd diagonal included, on
+    # integer and rational vectors: the same exact value and type
+    matrix, vec = case
+    cols = tuple(range(10, 10 + len(vec)))
+    got = QuadraticForm(tuple(map(tuple, matrix)), cols).value(dict(zip(cols, vec)))
+    want = _form_value(matrix, vec)
+    assert got == want and type(got) is type(want)
+
+
+def test_form_value_matches_dense_on_spiral_forms():
+    rng = random.Random(7)
+    for k in (3, 6):
+        g = gen_spiral(k)
+        qf = assemble_form(g, polygon_boundaries(g))
+        for _ in range(20):
+            vec = [rng.randrange(-9, 10) for _ in qf.col_edges]
+            if rng.random() < 0.5:
+                vec = [Fraction(x, rng.randrange(1, 5)) for x in vec]
+            assert qf.value(dict(zip(qf.col_edges, vec))) == _form_value(qf.global_matrix, vec)
