@@ -9,8 +9,10 @@ integer basis of the lattice of integer kernel points (saturated, so it
 spans every integer solution) turns the points with every length in
 [0, bound] into the integer points of a box, found by Fourier-Motzkin
 elimination.  The enumeration carries the partial vector of the fixed
-coefficients down the levels, and reads the last coefficient's range
-straight from it and the box rows, so each point costs one vector addition.
+coefficients down the levels, and reads the last coefficient's range and
+the sub-range of strictly positive points straight from it and the box
+rows of the edges the last basis vector moves; each point then costs a
+step on those edges and one tuple copy.
 Everything runs in exact integer arithmetic: every constraint is kept as an
 integer row, and rescaled only by positive factors.
 """
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import add
+from operator import add, mul
+from typing import NamedTuple
 
 from . import linalg
 from .shapesys import KernelBasis
@@ -175,8 +177,7 @@ def lattice_basis(kernel: KernelBasis) -> LatticeBasis:
 # ---------------------------------------------------------------------------
 # lattice point enumeration
 
-@dataclass(frozen=True)
-class LatticePoint:
+class LatticePoint(NamedTuple):
     vector: tuple[int, ...]       # edge coordinates
     coeffs: tuple[int, ...]       # coordinates in the lattice basis
     strictly_positive: bool
@@ -192,13 +193,17 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
     0 <= L c <= bound, one per coefficient vector c.  Fourier-Motzkin
     elimination projects the box rows, and the integer ranges of c_0 ..
     c_{d-2} are read level by level from the projected systems, carrying
-    the partial vector w = c_0 v_0 + ... down the levels.  The last level
-    holds every box row, so the range of c_{d-1} comes straight from w and
-    v_{d-1}: 0 <= w_j + c v_j <= bound for each edge j with v_j != 0 (the
-    others hold by the level above).  Each value in that range is a point,
-    the previous one plus v_{d-1}: nothing is filtered afterwards.  Points
-    classify as strictly positive (every edge length >= 1) or boundary.
-    More than ``budget`` candidates raise EnumerationBudgetError.
+    the partial vector w = c_0 v_0 + ... down the levels.  Each prefix
+    leaves one run of points w + c v_{d-1}, read in one pass over the
+    moving edges j, those with v_j != 0 (the box rows of the still edges,
+    v_j = 0, hold by the level above): 0 <= w_j + c v_j <= bound gives the
+    run's range of c, and w_j + c v_j >= 1 the interval of c on which the
+    point is strictly positive (every edge length >= 1), empty unless
+    w_j >= 1 on every still edge.  The run's points are copies of one
+    working vector stepped by v_{d-1} on the moving edges only, so a point
+    costs work in the nonzeros of v_{d-1}, and nothing is filtered
+    afterwards.  More than ``budget`` candidates raise
+    EnumerationBudgetError.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -215,46 +220,65 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
         constraints.append(([-x for x in li], bound))
     systems = _fourier_motzkin_levels(constraints, d)
     last = lb.vectors[-1]
-    # the box rows of the last level by the sign of v_{d-1}'s entry, with
-    # |v_j|; a row with v_j = 0 passed unchanged to the level above, which
-    # has enforced it already
-    rising = [(j, a) for j, a in enumerate(last) if a > 0]
-    falling = [(j, -a) for j, a in enumerate(last) if a < 0]
-    if not (rising or falling):
+    moving = [(j, a) for j, a in enumerate(last) if a]
+    if not moving:
         raise ValueError("enumeration region is unbounded; lattice basis must be full rank")
+    still = [j for j, a in enumerate(last) if not a]
 
     points: list[LatticePoint] = []
+    append = points.append
+    # builds a LatticePoint without the Python-level __new__ of a NamedTuple
+    new = tuple.__new__
     visited = 0
 
-    def recurse(level: int, prefix: list[int], w: tuple[int, ...]):
+    def run(prefix: tuple[int, ...], w: list[int]):
         nonlocal visited
-        if level + 1 < d:
-            lo, hi = _integer_range(systems[level], prefix)
-            if lo is None:
-                return
-            v = lb.vectors[level]
-            w = tuple(x + lo * y for x, y in zip(w, v))
-            for val in range(lo, hi + 1):
-                recurse(level + 1, prefix + [val], w)
-                w = tuple(map(add, w, v))
-            return
-        # 0 <= w_j + c v_j <= bound, for v_j > 0 and for v_j < 0
-        lo = max(chain((-(w[j] // a) for j, a in rising),
-                       (-((bound - w[j]) // a) for j, a in falling)))
-        hi = min(chain(((bound - w[j]) // a for j, a in rising),
-                       (w[j] // a for j, a in falling)))
+        # every moving edge bounds c on both sides, so lo and hi end as
+        # integers; plo (phi) stays infinite without a rising (falling) edge
+        lo = plo = -math.inf
+        hi = phi = math.inf
+        for j, a in moving:
+            x = w[j]
+            if a > 0:
+                # 0 <= x + c a <= bound, and x + c a >= 1
+                lo = max(lo, -(x // a))
+                hi = min(hi, (bound - x) // a)
+                plo = max(plo, -((x - 1) // a))
+            else:
+                # 0 <= x - c |a| <= bound, and x - c |a| >= 1
+                lo = max(lo, -((bound - x) // -a))
+                hi = min(hi, x // -a)
+                phi = min(phi, (x - 1) // -a)
         if lo > hi:
             return
         visited += hi - lo + 1
         if visited > budget:
             raise EnumerationBudgetError(budget)
-        vec = tuple(x + lo * y for x, y in zip(w, last))
-        for val in range(lo, hi + 1):
-            points.append(LatticePoint(vec, (*prefix, val), min(vec) >= 1))
-            vec = tuple(map(add, vec, last))
+        if min(map(w.__getitem__, still), default=1) < 1:
+            plo, phi = 1, 0
+        vec = w.copy()
+        for j, a in moving:
+            vec[j] += lo * a
+        for c in range(lo, hi + 1):
+            append(new(LatticePoint, (tuple(vec), prefix + (c,), plo <= c <= phi)))
+            for j, a in moving:
+                vec[j] += a
 
-    recurse(0, [], tuple([0] * n))
-    points.sort(key=lambda p: p.vector)
+    def recurse(prefix: tuple[int, ...], w: list[int]):
+        level = len(prefix)
+        lo, hi = _integer_range(systems[level], prefix)
+        if lo is None:
+            return
+        v = lb.vectors[level]
+        descend = run if level + 2 == d else recurse
+        w = [x + lo * y for x, y in zip(w, v)]
+        for val in range(lo, hi + 1):
+            descend(prefix + (val,), w)
+            w = list(map(add, w, v))
+
+    (run if d == 1 else recurse)((), [0] * n)
+    # distinct coefficients give distinct vectors: this orders by vector
+    points.sort()
     return points
 
 
@@ -309,7 +333,7 @@ def _integer_range(constraints, prefix):
     lo, hi = None, None
     for coeffs, const in constraints:
         a = coeffs[level]
-        rest = const + sum(c * p for c, p in zip(coeffs, prefix))
+        rest = const + sum(map(mul, coeffs, prefix))
         # a * x + rest >= 0
         if a > 0:
             bound = -(rest // a)      # ceil(-rest / a)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 
 from .emg import WHITE, EnhancedMultigraph
 from .grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
@@ -555,11 +555,7 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
         triangles.extend([(m[p], m[q], m[r]) for p, q, r in tris])
         colors.extend([placed[pid].color] * len(tris))
 
-    edge_count = Counter(chain.from_iterable(((a, b), (a, c), (b, c)) for a, b, c in triangles))
-    bad = [e for e, c in edge_count.items() if c != 2]
-    if bad:
-        raise MeshError(f"{len(bad)} edges not shared by exactly two triangles, e.g. {bad[0]}")
-    edges = tuple(sorted(edge_count))
+    edges = _closed_mesh_edges(triangles, len(positions))
 
     degrees = [0] * len(positions)
     for a, b in edges:
@@ -574,6 +570,24 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     if hist.get(4, 0) != 6 or set(hist) - {4, 6}:
         raise MeshError(f"degree histogram {hist}, expected six 4s and the rest 6s")
     return tri
+
+
+def _closed_mesh_edges(triangles, n: int) -> tuple[tuple[int, int], ...]:
+    """The sorted edges of a closed mesh on vertex ids 0..n-1, each of whose
+    triangles is a sorted id triple; MeshError unless every edge lies in
+    exactly two triangles.
+
+    Edge (a, b) is the integer key a * n + b, so one sort of the 3T keys
+    lines up the copies of each edge: every edge has exactly two copies
+    when the even and odd positions agree and the even ones hold no
+    repeat."""
+    keys = sorted(chain.from_iterable((a * n + b, a * n + c, b * n + c) for a, b, c in triangles))
+    first = keys[0::2]
+    if first != keys[1::2] or len(set(first)) != len(first):
+        bad = [key for key, count in Counter(keys).items() if count != 2]
+        raise MeshError(f"{len(bad)} edges not shared by exactly two triangles, "
+                        f"e.g. {divmod(bad[0], n)}")
+    return tuple(map(divmod, first, repeat(n)))
 
 
 def four_color(tri: ColoredTriangulation) -> ColoredTriangulation:

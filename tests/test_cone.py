@@ -283,6 +283,20 @@ def test_enumerate_matches_oracle_on_instances():
         _assert_same_budget(lb, 8, want)
 
 
+@pytest.mark.parametrize("k, points, positive", [(3, 18513, 12840), (4, 2565, 840), (10, 5805, 2408)])
+def test_enumerate_matches_oracle_on_long_runs(k, points, positive):
+    """Runs of up to 17 points, on which the strictly positive interval
+    opens and closes inside the run."""
+    lb = Instance(gen_spiral(k)).lattice
+    want = _assert_matches_oracle(lb, 16)
+    assert (len(want), sum(p.strictly_positive for p in want)) == (points, positive)
+    runs: dict[tuple[int, ...], list[bool]] = {}
+    for p in sorted(want, key=lambda p: p.coeffs):
+        runs.setdefault(p.coeffs[:-1], []).append(p.strictly_positive)
+    assert any(not flags[0] and True in flags and not flags[-1] for flags in runs.values())
+    _assert_same_budget(lb, 16, want)
+
+
 @st.composite
 def full_rank_bases(draw):
     """Integer bases of random rational subspaces: mostly not saturated, and

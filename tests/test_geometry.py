@@ -12,7 +12,7 @@ import mesh_oracle
 from octacolor.cone import enumerate_lattice_points, lattice_basis
 from octacolor.families import gen_spiral, load_bundled
 from octacolor.geometry import (AngleError, ClosureError, ColorError, GluingError, MeshError,
-                                build_triangulation, cone_point_coordinates,
+                                _closed_mesh_edges, build_triangulation, cone_point_coordinates,
                                 develop_net, develop_surface, four_color,
                                 realize_polygons, triarea, unit_triangulate)
 from octacolor.grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
@@ -561,6 +561,25 @@ def test_build_triangulation_rejects_dropped_gluing(spiral3):
     del gluings[min(gluings)]
     with pytest.raises(MeshError, match="not shared by exactly two triangles"):
         build_triangulation(replace(surf, gluings=gluings))
+
+
+TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+def test_closed_mesh_edges_of_a_tetrahedron():
+    assert _closed_mesh_edges(TETRAHEDRON, 4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def test_closed_mesh_edges_rejects_a_doubly_covered_tetrahedron():
+    # every edge lies in four triangles: the sorted keys pair up evenly, so
+    # only the repeats among the pairs reveal it
+    with pytest.raises(MeshError, match=r"^6 edges not shared by exactly two triangles, e\.g\. \(0, 1\)$"):
+        _closed_mesh_edges(TETRAHEDRON + TETRAHEDRON, 4)
+
+
+def test_closed_mesh_edges_rejects_an_open_tetrahedron():
+    with pytest.raises(MeshError, match=r"^3 edges not shared by exactly two triangles, e\.g\. \(1, 2\)$"):
+        _closed_mesh_edges(TETRAHEDRON[:3], 4)
 
 
 def _doubled_hexagon_pair(length):
