@@ -17,7 +17,7 @@ for name, graph in [("hexagon-pair", load_bundled("hexagon-pair")),
     report = validate_plausible(graph)
     print(f"plausible: {report.plausible}   counts: {report.counts}")
 
-    faces = trace_faces(graph, colors=("blue",))
+    faces = trace_faces(graph)
     kinds = [f.kind for f in faces.faces]
     print(f"blue faces: {kinds.count('bigon')} bigons (cone points), "
           f"{kinds.count('quadrilateral')} quadrilaterals (regular vertices)")

@@ -32,8 +32,8 @@ print(f"realizing edge lengths {vector}")
 
 charts = realize_polygons(graph, boundaries, labels, lengths)
 surface = develop_surface(graph, boundaries, charts)
-print(f"cone vertices (two polygons meet): {surface.cone_vertices}")
-print(f"regular vertices (four polygons meet): {surface.regular_vertices}")
+print(f"cone vertices (two polygons meet): {surface.frame.cone_vertices}")
+print(f"regular vertices (four polygons meet): {surface.frame.regular_vertices}")
 print("folded cone point coordinates (x, y*sqrt3):")
 for c in map(grid_point_json, cone_point_coordinates(surface)):
     print(f"  ({c['x']}, {c['ys3']})")
@@ -51,7 +51,7 @@ print(f"\nquadratic form value {identity.form_value} = 3 * {identity.triangle_co
       f"{identity.holds}")
 
 net = develop_net(surface)
-print(f"\nnet layout: tree edges {net.tree_edges}, overlaps {net.overlaps or 'none'}")
+print(f"\nnet layout: tree edges {surface.frame.tree_edges}, overlaps {net.overlaps or 'none'}")
 out = pathlib.Path(__file__).with_name("net.svg")
 out.write_text(render_net(graph, surface, net, triangles=True, vertex_colors=True))
 print(f"wrote {out}")

@@ -14,8 +14,8 @@ from .cone import (ConeDescription, EnumerationBudgetError, LatticeBasis,
 from .emg import (EnhancedMultigraph, Edge, EmgError, Face, FaceSet, Finding,
                   ValidationReport, Vertex, parse_emg, render_emg, trace_faces,
                   validate_plausible)
-from .families import (ConstructionError, FamilySpec, bundled_names,
-                       gen_spiral, isomorphic, load_bundled)
+from .families import (ConstructionError, bundled_names, gen_spiral,
+                       isomorphic, load_bundled)
 from .geometry import (AngleError, ClosureError, ColorError,
                        ColoredTriangulation, EdgeGluing, GluingError,
                        MeshError, NetLayout, PolygonChart, RealizedSurface,

@@ -23,7 +23,7 @@ import tempfile
 from . import linalg, svg
 from .cone import EnumerationBudgetError
 from .emg import EmgError, parse_emg, render_emg
-from .families import (ConstructionError, FamilySpec, bundled_names,
+from .families import (ConstructionError, bundled_names, gen_spiral,
                        load_bundled)
 from .geometry import (AngleError, ClosureError, ColorError, GluingError,
                        MeshError, build_triangulation, develop_net, four_color)
@@ -42,7 +42,7 @@ def _load_graph(args) -> tuple[str, object]:
     if getattr(args, "family", None):
         if args.k is None:
             raise InputError("--family spiral requires --k")
-        return f"spiral-k{args.k}", _generate(args.family, args.k)
+        return f"spiral-k{args.k}", _generate(args.k)
     if getattr(args, "bundled", None):
         try:
             return args.bundled, load_bundled(args.bundled)
@@ -61,9 +61,10 @@ def _load_graph(args) -> tuple[str, object]:
     raise InputError("no instance given; use --input, --family, or --bundled")
 
 
-def _generate(family: str, k: int):
+def _generate(k: int):
+    """The spiral member for ``k``, the only family ``--family`` admits."""
     try:
-        return FamilySpec(family, k).generate()
+        return gen_spiral(k)
     except (ConstructionError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
@@ -193,7 +194,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _emit(args, render_emg(_generate(args.family, args.k)))
+    _emit(args, render_emg(_generate(args.k)))
     return 0
 
 
@@ -215,7 +216,7 @@ def _cmd_survey(args) -> int:
     instances = []
     for k in _parse_k_range(args.k_range):
         try:
-            instances.append((f"spiral-k{k}", _generate(args.family, k)))
+            instances.append((f"spiral-k{k}", _generate(k)))
         except InputError as exc:
             raise InputError(f"k={k}: {exc}") from exc
     _emit_json(args, run_survey(instances, max_len=args.max_len, budget=args.budget))

@@ -215,7 +215,6 @@ class Face:
 
 @dataclass(frozen=True)
 class FaceSet:
-    colors: tuple[str, ...]
     faces: tuple[Face, ...]
     corner_owner: tuple[tuple[Dart, int], ...]  # dart -> face owning the corner ccw-after it
     euler_characteristic: int
@@ -231,16 +230,17 @@ class FaceSet:
         return [f for f in self.faces if f.kind == kind]
 
 
-def trace_faces(g: EnhancedMultigraph, colors=("blue", "red")) -> FaceSet:
-    """Faces of the embedding restricted to edges whose colour is in ``colors``.
+def trace_faces(g: EnhancedMultigraph) -> FaceSet:
+    """Faces of the embedding restricted to its blue edges.
 
     The facial walk leaves a vertex by a dart, crosses to the dart's other
-    end, and turns to the next retained dart counterclockwise.  Orbits of
-    this rule partition the retained darts; each orbit is one face.
+    end, and turns to the next blue dart counterclockwise.  Orbits of this
+    rule partition the blue darts; each orbit is one face.  A red edge lies
+    in a face when the blue darts clockwise-before both its ends open
+    corners of that face.
     """
-    colors = tuple(colors)
     emap = g.edge_map()
-    keep = {eid for eid, e in emap.items() if e.color in colors}
+    keep = {eid for eid, e in emap.items() if e.color == BLUE}
     succ: dict[Dart, Dart] = {}
     for vid, rot in g.rotations:
         filtered = [d for d in rot if d[0] in keep]
@@ -274,32 +274,30 @@ def trace_faces(g: EnhancedMultigraph, colors=("blue", "red")) -> FaceSet:
     active_vertices = {g.dart_vertex(d) for d in succ}
     euler = len(active_vertices) - len(keep) + len(faces)
 
-    contained: list[tuple[int, tuple[int, ...]]] = []
-    if BLUE in colors and RED not in colors:
-        rot_of = g.rotation_map()
-        per_face: dict[int, list[int]] = {f.id: [] for f in faces}
-        for e in g.red_edges():
-            owners = []
-            for end in (0, 1):
-                dart = (e.id, end)
-                vid = emap[e.id].endpoint(end)
-                rot = rot_of[vid]
-                pos = rot.index(dart)
-                prev_blue = None
-                for step in range(1, len(rot) + 1):
-                    cand = rot[(pos - step) % len(rot)]
-                    if cand[0] in keep:
-                        prev_blue = cand
-                        break
-                if prev_blue is None:
-                    owners = []
+    rot_of = g.rotation_map()
+    per_face: dict[int, list[int]] = {f.id: [] for f in faces}
+    for e in g.red_edges():
+        owners = []
+        for end in (0, 1):
+            dart = (e.id, end)
+            vid = emap[e.id].endpoint(end)
+            rot = rot_of[vid]
+            pos = rot.index(dart)
+            prev_blue = None
+            for step in range(1, len(rot) + 1):
+                cand = rot[(pos - step) % len(rot)]
+                if cand[0] in keep:
+                    prev_blue = cand
                     break
-                owners.append(owner[prev_blue])
-            if len(owners) == 2 and owners[0] == owners[1]:
-                per_face[owners[0]].append(e.id)
-        contained = [(fid, tuple(sorted(eids))) for fid, eids in sorted(per_face.items()) if eids]
+            if prev_blue is None:
+                owners = []
+                break
+            owners.append(owner[prev_blue])
+        if len(owners) == 2 and owners[0] == owners[1]:
+            per_face[owners[0]].append(e.id)
+    contained = tuple((fid, tuple(sorted(eids))) for fid, eids in sorted(per_face.items()) if eids)
 
-    return FaceSet(colors, tuple(faces), tuple(sorted(owner.items())), euler, tuple(contained))
+    return FaceSet(tuple(faces), tuple(sorted(owner.items())), euler, contained)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +352,7 @@ def validate_plausible(g: EnhancedMultigraph) -> ValidationReport:
             findings.append(Finding(RULE_DEGREE, "error", f"vertex {vid} has degree {deg}, expected 6"))
 
     # (b) blue faces: exactly 6 bigons, all other faces quadrilaterals
-    blue_faces = trace_faces(g, colors=(BLUE,))
+    blue_faces = trace_faces(g)
     bigons = blue_faces.by_kind("bigon")
     quads = blue_faces.by_kind("quadrilateral")
     others = blue_faces.by_kind("other")

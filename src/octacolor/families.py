@@ -23,7 +23,6 @@ kept in tests/spiral_search.py as the oracle tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -34,22 +33,6 @@ from .pipeline import Instance
 
 class ConstructionError(RuntimeError):
     """No validated completion exists for the requested family member."""
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A procedural family member request; only the spiral family exists."""
-    family_id: str
-    k: int
-
-    def __post_init__(self):
-        if self.family_id != "spiral":
-            raise ValueError(f"unknown family {self.family_id!r}")
-        if self.k < 3:
-            raise ValueError("spiral parameter must be at least 3")
-
-    def generate(self) -> "EnhancedMultigraph":
-        return gen_spiral(self.k)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +199,7 @@ def gen_spiral(k: int) -> EnhancedMultigraph:
     if k < 3:
         raise ValueError("spiral parameter must be at least 3")
     cell = _spiral_cell(k)
-    faces = trace_faces(cell, colors=(BLUE,))  # face ids are trace order
+    faces = trace_faces(cell)  # face ids are trace order
     edge_at = {frozenset(e.endpoints): e.id for e in cell.edges}
     reds, doubles = _spiral_completion(k)
     g = _apply_completion(cell, faces,

@@ -11,10 +11,13 @@ rendering.
 
 What depends on the combinatorial type alone is paid once per type: a
 ``SurfaceFrame`` holds the gluing table, the spanning tree, the angle
-closure verdict, the base flag and, for each blue face, the polygon that
-owns its mesh vertex.  Per point, ``place_surface`` computes the
-translations and checks holonomy, and ``build_triangulation`` numbers the
-mesh by those combinatorial owners, with no search over glued points.
+closure verdict, the base flag, the polygon corners and, for each blue
+face, the polygon that owns its mesh vertex.  Per point, ``place_surface``
+computes the translations and checks holonomy, and the ``RealizedSurface``
+it returns holds the frame beside the placed charts.
+``build_triangulation`` numbers the mesh by the frame's combinatorial
+owners and corners, with no search over glued points, and ``develop_net``
+lays the net out along the frame's spanning tree.
 
 Every stage runs on one point type, the integer GridPoint in doubled
 coordinates (X, Y) = (2x, 2y): side lengths are integers and every corner
@@ -129,19 +132,6 @@ class EdgeGluing:
 
 
 @dataclass(frozen=True)
-class RealizedSurface:
-    placed: dict[int, PolygonChart]               # charts in global folded coordinates
-    gluings: dict[int, EdgeGluing]                # per blue edge
-    folded_vertex_image: dict[int, GridPoint]     # blue face id -> folding map image
-    cone_vertices: tuple[int, ...]                # bigon face ids (two polygons meet)
-    regular_vertices: tuple[int, ...]             # quad face ids (four polygons meet)
-    base_flag: tuple[int, int, int]               # (cone vertex face id, polygon id, side index)
-    boundaries: tuple[PolygonBoundary, ...]
-    tree_edges: tuple[int, ...]
-    face_owner: dict[int, int]                    # blue face id -> smallest polygon with a corner there
-
-
-@dataclass(frozen=True)
 class SurfaceFrame:
     """What developing a surface needs of its combinatorial type alone.
 
@@ -163,6 +153,15 @@ class SurfaceFrame:
     flag: tuple[int, int, int, int, int] | None        # (cone vertex, polygon, corner, side, half turn)
     corners: tuple[tuple[int, int, int], ...]          # (polygon, side leaving the corner, face)
     face_owner: dict[int, int]                         # blue face id -> smallest polygon with a corner there
+
+
+@dataclass(frozen=True)
+class RealizedSurface:
+    """One length realization of a type: the type's ``frame`` and the
+    point's own placements."""
+    frame: SurfaceFrame
+    placed: dict[int, PolygonChart]               # charts in global folded coordinates
+    folded_vertex_image: dict[int, GridPoint]     # blue face id -> folding map image
 
 
 def develop_surface(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
@@ -277,7 +276,7 @@ def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> Reali
     if frame.angle_error is not None:
         raise AngleError(frame.angle_error)
 
-    cv, flag_pid, corner_idx, flag_side, half_turn = frame.flag
+    _, flag_pid, corner_idx, flag_side, half_turn = frame.flag
     chart = charts[flag_pid]
     delta = (chart.sides[flag_side].direction + half_turn) % 6
     origin = translations[flag_pid] + chart.corner_point(corner_idx)
@@ -295,9 +294,7 @@ def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> Reali
         if seen != pt:
             raise GluingError(f"vertex {fid} has two folded images {seen} and {pt}")
 
-    return RealizedSurface(placed, frame.gluings, folded, frame.cone_vertices, frame.regular_vertices,
-                           (cv, flag_pid, flag_side), frame.boundaries, frame.tree_edges,
-                           frame.face_owner)
+    return RealizedSurface(frame, placed, folded)
 
 
 def _spanning_tree(polygons, gluings: dict[int, EdgeGluing], tree: set[int] | None = None):
@@ -504,14 +501,14 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     point keyed by (point, owner), and the boundaries alone fix the owner:
     the chart itself for an interior point, the smaller of the two glued
     polygons for a point inside a glued side, and the smallest polygon with
-    a corner at the face (``surface.face_owner``) for a corner.  Vertex ids
+    a corner at the face (``frame.face_owner``) for a corner.  Vertex ids
     follow (point, owner) order.  Within one chart the points are distinct,
     so ids follow point order there and every sorted point triple maps to a
     sorted id triple.  Verifies that each glued white side runs from its
     black side's end to its start, closedness, the Euler characteristic,
     and the degree sequence of six 4s with all remaining degrees 6.
     """
-    placed = surface.placed
+    frame, placed = surface.frame, surface.placed
     triangulations = {}
     # each chart's points, mapped to the polygon that owns their vertex
     owner: dict[int, dict[tuple[int, int], int]] = {}
@@ -519,7 +516,7 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
         rows, triangulations[pid] = _unit_triangles(ch.sides[0].start, _chart_sides(ch))
         owner[pid] = {(x, y): pid for y, (lo, hi) in rows.items() for x in range(lo, hi + 1, 2)}
 
-    for eid, gl in surface.gluings.items():
+    for eid, gl in frame.gluings.items():
         side = placed[gl.white_polygon].sides[gl.white_side]
         other = placed[gl.black_polygon].sides[gl.black_side]
         if side.start != other.end or side.end != other.start:
@@ -530,11 +527,8 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
         (x, y), (dx, dy) = side.start, DIRECTIONS[side.direction]
         for t in range(1, side.length):
             white[x + t * dx, y + t * dy] = black[x + t * dx, y + t * dy] = o
-    face_owner = surface.face_owner
-    for b in surface.boundaries:
-        chart, pts = placed[b.vertex_id], owner[b.vertex_id]
-        for idx, fid in enumerate(b.corner_faces):
-            pts[chart.corner_point(idx)] = face_owner[fid]
+    for pid, side, fid in frame.corners:
+        owner[pid][placed[pid].sides[side].start] = frame.face_owner[fid]
 
     vertices = sorted(set(chain.from_iterable(pts.items() for pts in owner.values())))
     vid = {v: i for i, v in enumerate(vertices)}
@@ -542,10 +536,8 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     index = {pid: {pt: vid[pt, o] for pt, o in pts.items()} for pid, pts in owner.items()}
 
     surface_vertex = [-1] * len(positions)
-    for b in surface.boundaries:
-        chart = placed[b.vertex_id]
-        for idx, fid in enumerate(b.corner_faces):
-            surface_vertex[index[b.vertex_id][chart.corner_point(idx)]] = fid
+    for pid, side, fid in frame.corners:
+        surface_vertex[index[pid][placed[pid].sides[side].start]] = fid
 
     triangles = []
     colors = []
@@ -628,7 +620,7 @@ def cone_point_coordinates(surface: RealizedSurface) -> tuple[GridPoint, ...]:
     combinatorial type and flag these coordinates are linear in the edge
     length vector.
     """
-    return tuple(surface.folded_vertex_image[f] for f in surface.cone_vertices)
+    return tuple(surface.folded_vertex_image[f] for f in surface.frame.cone_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -658,12 +650,12 @@ def develop_net(surface: RealizedSurface) -> NetLayout:
     """Lay the polygons out edge-to-edge with orientation-preserving maps.
 
     Black charts are reflected once, restoring their unfolded shape, and
-    every gluing along the spanning tree becomes a rotation by sixth turns
-    plus a translation; shared tree edges coincide exactly.  Overlaps
-    between polygons not glued in the tree are detected and reported, not
-    repaired.
+    every gluing along the frame's spanning tree becomes a rotation by
+    sixth turns plus a translation; shared tree edges coincide exactly.
+    Overlaps between polygons not glued in the tree are detected and
+    reported, not repaired.
     """
-    placed = surface.placed
+    frame, placed = surface.frame, surface.placed
 
     def proper_side(pid: int, side_idx: int) -> SideRecord:
         s = placed[pid].sides[side_idx]
@@ -671,10 +663,9 @@ def develop_net(surface: RealizedSurface) -> NetLayout:
             return s
         return SideRecord(s.edge_id, s.start.conj(), (-s.direction) % 6, s.length)
 
-    root, steps = _spanning_tree(placed, surface.gluings)
+    root = frame.root
     transforms: dict[int, NetTransform] = {root: NetTransform(0, ORIGIN, placed[root].color != WHITE)}
-    for pid, eid, other in steps:
-        gl = surface.gluings[eid]
+    for pid, gl, other in frame.tree_steps:
         here = gl.white_side if pid == gl.white_polygon else gl.black_side
         there = gl.black_side if pid == gl.white_polygon else gl.white_side
         s_here = proper_side(pid, here)
@@ -687,9 +678,6 @@ def develop_net(surface: RealizedSurface) -> NetLayout:
             direction((s_here.direction + t_here.rotation) % 6).scale(s_here.length)
         shift = target - s_there.start.rot(rot)
         transforms[other] = NetTransform(rot, shift, mirrored)
-    tree_edges = [eid for _, eid, _ in steps]
-    if len(transforms) != len(placed):
-        raise GluingError("net spanning tree does not reach every polygon")
 
     points: dict[int, tuple[GridPoint, ...]] = {}
     for pid, ch in placed.items():
@@ -697,8 +685,7 @@ def develop_net(surface: RealizedSurface) -> NetLayout:
         t = transforms[pid]
         points[pid] = tuple(p.rot(t.rotation) + t.shift for p in chain)
 
-    for eid in tree_edges:
-        gl = surface.gluings[eid]
+    for _, gl, _ in frame.tree_steps:
         sw = proper_side(gl.white_polygon, gl.white_side)
         sb = proper_side(gl.black_polygon, gl.black_side)
         tw, tb = transforms[gl.white_polygon], transforms[gl.black_polygon]
@@ -707,11 +694,9 @@ def develop_net(surface: RealizedSurface) -> NetLayout:
         b2 = sb.start.rot(tb.rotation) + tb.shift
         a2 = b2 + direction((sb.direction + tb.rotation) % 6).scale(sb.length)
         if (a1, b1) != (a2, b2):
-            raise GluingError(f"net tree edge {eid} fails to coincide")
+            raise GluingError(f"net tree edge {gl.edge_id} fails to coincide")
 
-    tree_set = set(tree_edges)
-    glued_pairs = {frozenset((gl.white_polygon, gl.black_polygon))
-                   for eid, gl in surface.gluings.items() if eid in tree_set}
+    glued_pairs = {frozenset((gl.white_polygon, gl.black_polygon)) for _, gl, _ in frame.tree_steps}
     overlaps = []
     pids = sorted(points)
     for i, p in enumerate(pids):
@@ -720,7 +705,7 @@ def develop_net(surface: RealizedSurface) -> NetLayout:
                 continue
             if _interiors_overlap(points[p], points[q]):
                 overlaps.append((p, q))
-    return NetLayout(transforms, points, tuple(sorted(tree_edges)), tuple(overlaps))
+    return NetLayout(transforms, points, frame.tree_edges, tuple(overlaps))
 
 
 def _interiors_overlap(pts_a, pts_b) -> bool:

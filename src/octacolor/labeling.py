@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .emg import BLUE, WHITE, EnhancedMultigraph, FaceSet, trace_faces
+from .emg import BLUE, WHITE, EnhancedMultigraph, trace_faces
 
 ACUTE = "acute"
 OBTUSE = "obtuse"
@@ -53,7 +53,7 @@ class PolygonBoundary:
         return self.slots[self.sides.index(edge_id)]
 
 
-def polygon_boundaries(g: EnhancedMultigraph, blue_faces: FaceSet | None = None) -> list[PolygonBoundary]:
+def polygon_boundaries(g: EnhancedMultigraph) -> list[PolygonBoundary]:
     """Boundary structure of every polygon, sorted by vertex id.
 
     The corner between consecutive blue darts is acute exactly when one red
@@ -62,9 +62,7 @@ def polygon_boundaries(g: EnhancedMultigraph, blue_faces: FaceSet | None = None)
     acute corner, anchored for determinism at a side flanked by two acute
     corners when one exists, else at the smallest edge id.
     """
-    if blue_faces is None:
-        blue_faces = trace_faces(g, colors=(BLUE,))
-    corner_of = blue_faces.face_of_corner()
+    corner_of = trace_faces(g).face_of_corner()
     emap = g.edge_map()
     out = []
     for vid, rot in sorted(g.rotations):

@@ -204,13 +204,13 @@ class _Laps:
 
 
 def run_check(g: EnhancedMultigraph, name: str = "instance", max_len: int = 3,
-              budget: int = 10 ** 6, realize_limit: int | None = None) -> PipelineReport:
+              budget: int = 10 ** 6) -> PipelineReport:
     """Full pipeline on one instance; every verdict is an upstream invariant.
 
     ``ok`` needs every lemma, a strictly positive cone, the signature
     (1, 3, 0), at least one realized point and the form identity on every
     realized point: a length bound that admits no strictly positive
-    lattice point (or ``realize_limit=0``) fails.
+    lattice point fails.
     """
     lap = _Laps()
     inst = Instance(g)
@@ -240,9 +240,7 @@ def run_check(g: EnhancedMultigraph, name: str = "instance", max_len: int = 3,
     lap("lattice")
     report.form = form_json(inst.form)
     lap("form")
-    positive = [p.vector for p in points if p.strictly_positive]
-    sample = positive if realize_limit is None else positive[:realize_limit]
-    report.realizations = [_check_realization(inst, vector) for vector in sample]
+    report.realizations = [_check_realization(inst, p.vector) for p in points if p.strictly_positive]
     lap("realize")
     report.ok = (inst.lemmas.all_passed and bool(inst.cone.has_positive_point)
                  and report.form["signature_as_expected"] and bool(report.realizations)

@@ -134,7 +134,7 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
     arcs hug the blue edge they run parallel to, offset into the polygon.
     The net map is affine, so side ends are placed first and midpoints
     taken in the net."""
-    placed = surface.placed
+    placed, gluings = surface.placed, surface.frame.gluings
     centers = {pid: _centroid(net.points[pid]) for pid in net.points}
     side_of: dict[tuple[int, int], int] = {}
     for pid, ch in placed.items():
@@ -148,14 +148,14 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
         return _between(mid, centers[pid], pull)
 
     for e in sorted(g.blue_edges(), key=lambda e: e.id):
-        for pid in (surface.gluings[e.id].white_polygon, surface.gluings[e.id].black_polygon):
+        for pid in (gluings[e.id].white_polygon, gluings[e.id].black_polygon):
             scene.polyline([centers[pid], net_mid(pid, e.id, Fraction(0))], BLUE_EDGE, 0.04)
     for e in sorted(g.red_edges(), key=lambda e: e.id):
         partners = [b for b in g.blue_edges() if {b.a, b.b} == {e.a, e.b}]
         if not partners:
             continue
         eid = partners[0].id
-        for pid in (surface.gluings[eid].white_polygon, surface.gluings[eid].black_polygon):
+        for pid in (gluings[eid].white_polygon, gluings[eid].black_polygon):
             scene.polyline([centers[pid], net_mid(pid, eid, Fraction(1, 5))], RED_EDGE, 0.03)
 
 

@@ -64,7 +64,7 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
             for p in t:
                 parent.setdefault((pid, p), (pid, p))
 
-    for eid, gl in surface.gluings.items():
+    for eid, gl in surface.frame.gluings.items():
         side = placed[gl.white_polygon].sides[gl.white_side]
         (x, y), (dx, dy) = side.start, DIRECTIONS[side.direction]
         for t in range(side.length + 1):
@@ -91,7 +91,7 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
         positions.append(GridPoint(*root[1]))
 
     surface_vertex = [-1] * len(positions)
-    for b in surface.boundaries:
+    for b in surface.frame.boundaries:
         chart = placed[b.vertex_id]
         for idx, fid in enumerate(b.corner_faces):
             surface_vertex[vid_of[(b.vertex_id, chart.corner_point(idx))]] = fid

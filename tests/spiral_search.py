@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 
-from octacolor.emg import BLUE, EnhancedMultigraph, trace_faces
+from octacolor.emg import EnhancedMultigraph, trace_faces
 from octacolor.families import _apply_completion, _is_nice
 
 
 def complete_cell(cell: EnhancedMultigraph) -> EnhancedMultigraph | None:
-    faces = trace_faces(cell, colors=(BLUE,))
+    faces = trace_faces(cell)
     emap = cell.edge_map()
     rot_of = cell.rotation_map()
     face_list = [f for f in faces.faces]

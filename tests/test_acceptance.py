@@ -214,7 +214,7 @@ def test_criterion_10_folding_map_well_defined(realized_sample):
     rng = random.Random(42)
     for vector, lengths, charts, surface, _ in realized:
         for _ in range(5):
-            order = sorted(surface.gluings)
+            order = sorted(surface.frame.gluings)
             rng.shuffle(order)
             parent = {}
 
@@ -227,7 +227,7 @@ def test_criterion_10_folding_map_well_defined(realized_sample):
 
             tree = set()
             for eid in order:
-                gl = surface.gluings[eid]
+                gl = surface.frame.gluings[eid]
                 ra, rb = find(gl.white_polygon), find(gl.black_polygon)
                 if ra != rb:
                     parent[ra] = rb

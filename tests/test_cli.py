@@ -231,15 +231,28 @@ def test_golden_stdout(capsys, instance, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[instance][command]
 
 
+def _overlay_render_digest(capsys, name, point):
+    code, out, err = run(capsys, "render", "--bundled", name, "--max-len", "5", "--point", point,
+                         "--triangles", "--vertex-colors", "--overlay-dual")
+    assert (code, err) == (0, "")
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 def test_golden_render_spiral6_overlay(capsys):
     # the dual overlay's centroids and side midpoints are the only
     # non-lattice points drawn; recorded when GridPoint held Fractions and
     # re-pinned for the row scan's triangle order (same multiset of lines)
-    code, out, err = run(capsys, "render", "--bundled", "spiral-6", "--max-len", "5", "--point", "3",
-                         "--triangles", "--vertex-colors", "--overlay-dual")
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == \
+    assert _overlay_render_digest(capsys, "spiral-6", "3") == \
         "4daee3f37339179f9a202328a094bc5479401c33de1a35a49564086da89aa2be"
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("spiral-8", "6bff2ff3badc8e448fd42511e5fe0180d0f9e12f4e1ce788481a15d73aa8873f"),
+    ("spiral-10", "dbe267c3dae757d2463e538c5fb60f5ec5bb5923050ce6b78fcb6dbc9d5a5afc"),
+])
+def test_golden_render_overlay_larger_spirals(capsys, name, digest):
+    # recorded before the realized surface came to hold its frame
+    assert _overlay_render_digest(capsys, name, "0") == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octacolor.cli import main
-from octacolor.emg import (BLUE, RED, WHITE, BLACK, EmgError, EnhancedMultigraph,
+from octacolor.emg import (BLUE, WHITE, BLACK, EmgError, EnhancedMultigraph,
                            Edge, Vertex, check_well_formed, parse_emg, render_emg,
                            trace_faces, validate_plausible)
 from octacolor.families import bundled_names, load_bundled
@@ -88,15 +88,10 @@ def test_single_loop_two_faces():
 
 
 def test_blue_trace_spiral(spiral3):
-    faces = trace_faces(spiral3, colors=(BLUE,))
+    faces = trace_faces(spiral3)
     kinds = sorted(f.kind for f in faces.faces)
     assert kinds.count("bigon") == 6
     assert kinds.count("quadrilateral") == 4
-    assert faces.euler_characteristic == 2
-
-
-def test_full_trace_euler(spiral3):
-    faces = trace_faces(spiral3, colors=(BLUE, RED))
     assert faces.euler_characteristic == 2
 
 
@@ -112,8 +107,8 @@ def test_face_multiset_invariant_under_rotation_shift(seed):
         for vid, rot in g.rotations)
     shifted = EnhancedMultigraph(g.vertices, g.edges, rotations)
     check_well_formed(shifted)
-    orig = sorted(sorted(f.edge_ids()) for f in trace_faces(g, colors=(BLUE,)).faces)
-    new = sorted(sorted(f.edge_ids()) for f in trace_faces(shifted, colors=(BLUE,)).faces)
+    orig = sorted(sorted(f.edge_ids()) for f in trace_faces(g).faces)
+    new = sorted(sorted(f.edge_ids()) for f in trace_faces(shifted).faces)
     assert orig == new
 
 
@@ -134,7 +129,7 @@ def test_blue_face_count_identity(spiral3, hexpair):
     from octacolor.families import bundled_names, load_bundled
     graphs = [spiral3, hexpair] + [load_bundled(n) for n in bundled_names()]
     for g in graphs:
-        faces = trace_faces(g, colors=(BLUE,))
+        faces = trace_faces(g)
         assert 2 * len(faces.faces) == len(g.blue_edges()) + 6
 
 

@@ -15,8 +15,8 @@ def test_spiral_cell_structure():
     cell = _spiral_cell(3)
     assert len(cell.vertices) == 6
     assert len(cell.edges) == 8
-    from octacolor.emg import trace_faces, BLUE
-    faces = trace_faces(cell, colors=(BLUE,))
+    from octacolor.emg import trace_faces
+    faces = trace_faces(cell)
     assert all(f.kind == "quadrilateral" for f in faces.faces)
     assert len(faces.faces) == 4
 
@@ -49,14 +49,6 @@ def test_spiral_rejects_small_k():
         gen_spiral(2)
 
 
-def test_family_spec_yields_2k_polygons():
-    from octacolor.families import FamilySpec
-    for k in (3, 4):
-        assert len(FamilySpec("spiral", k).generate().vertices) == 2 * k
-    with pytest.raises(ValueError):
-        FamilySpec("checkerboard", 3)
-    with pytest.raises(ValueError):
-        FamilySpec("spiral", 2)
 
 
 def test_spiral_small_range_fully_nice():

@@ -290,8 +290,8 @@ def test_develop_surface_cone_count(spiral3):
     bnds, labels, kb, pts = _positive_points(spiral3)
     charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
     surf = develop_surface(spiral3, bnds, charts)
-    assert len(surf.cone_vertices) == 6
-    assert surf.folded_vertex_image[surf.base_flag[0]] == ORIGIN
+    assert len(surf.frame.cone_vertices) == 6
+    assert surf.folded_vertex_image[surf.frame.flag[0]] == ORIGIN
 
 
 def test_folded_images_independent_of_tree(spiral3):
@@ -299,7 +299,7 @@ def test_folded_images_independent_of_tree(spiral3):
     charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
     base = develop_surface(spiral3, bnds, charts)
     for seed in range(5):
-        tree = _random_tree(spiral3, base.gluings, seed)
+        tree = _random_tree(spiral3, base.frame.gluings, seed)
         surf = develop_surface(spiral3, bnds, charts, tree=tree)
         assert surf.folded_vertex_image == base.folded_vertex_image
 
@@ -338,14 +338,14 @@ def test_base_flag_override_white_and_black(spiral3):
     for b in bnds:
         for idx, fid in enumerate(b.corner_faces):
             corners_at.setdefault(fid, []).append(b.vertex_id)
-    for cv in base.cone_vertices:
+    for cv in base.frame.cone_vertices:
         for pid in corners_at[cv]:
             surf = develop_surface(spiral3, bnds, charts, base_flag=(cv, pid))
             assert surf.folded_vertex_image[cv] == ORIGIN
             chain = surf.placed[pid].chain
             assert all(p.Y >= 0 for p in chain)
             assert any(p.Y > 0 for p in chain)
-            flag_side = surf.placed[pid].sides[surf.base_flag[2]]
+            flag_side = surf.placed[pid].sides[surf.frame.flag[3]]
             ends = {flag_side.start, flag_side.end}
             assert all(p.Y == 0 and p.X >= 0 for p in ends)
 
@@ -354,7 +354,7 @@ def test_base_flag_rejects_regular_vertex(spiral3):
     bnds, labels, kb, pts = _positive_points(spiral3)
     charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
     base = develop_surface(spiral3, bnds, charts)
-    quad_vertex = base.regular_vertices[0]
+    quad_vertex = base.frame.regular_vertices[0]
     with pytest.raises(ValueError):
         develop_surface(spiral3, bnds, charts, base_flag=(quad_vertex, 0))
 
@@ -454,13 +454,26 @@ def test_net_tree_edges_coincide(spiral3):
     surf = develop_surface(spiral3, bnds, charts)
     net = develop_net(surf)
     eid = net.tree_edges[0]
-    gl = surf.gluings[eid]
+    gl = surf.frame.gluings[eid]
     w = surf.placed[gl.white_polygon].sides[gl.white_side]
     tw = net.transforms[gl.white_polygon]
     a = tw.apply(w.start)
     b = tw.apply(w.end)
     chain_b = net.points[gl.black_polygon]
     assert a in chain_b or b in chain_b
+
+
+def test_net_follows_a_random_tree(spiral3):
+    # the net is laid out along the frame's tree, whichever tree it holds
+    bnds, labels, kb, pts = _positive_points(spiral3)
+    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
+    base = develop_surface(spiral3, bnds, charts)
+    for seed in range(5):
+        tree = _random_tree(spiral3, base.frame.gluings, seed)
+        surf = develop_surface(spiral3, bnds, charts, tree=tree)
+        net = develop_net(surf)
+        assert net.tree_edges == surf.frame.tree_edges == tuple(sorted(tree))
+        assert set(net.points) == set(surf.placed)
 
 
 # --- golden meshes and error paths --------------------------------------------
@@ -557,10 +570,10 @@ def test_build_triangulation_rejects_translated_chart(spiral3):
 
 def test_build_triangulation_rejects_dropped_gluing(spiral3):
     surf = _first_positive_surface(spiral3, bound=3)
-    gluings = dict(surf.gluings)
+    gluings = dict(surf.frame.gluings)
     del gluings[min(gluings)]
     with pytest.raises(MeshError, match="not shared by exactly two triangles"):
-        build_triangulation(replace(surf, gluings=gluings))
+        build_triangulation(replace(surf, frame=replace(surf.frame, gluings=gluings)))
 
 
 TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -589,18 +602,16 @@ def _doubled_hexagon_pair(length):
     g = load_bundled("hexagon-pair")
     bnds, labels, kb = _context(g)
     surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, {e: length for e in kb.col_edges}))
-    n, m, f = 1 + max(surf.placed), 1 + max(surf.gluings), 1 + max(surf.face_owner)
+    frame = surf.frame
+    n, m, f = 1 + max(surf.placed), 1 + max(frame.gluings), 1 + max(frame.face_owner)
     placed = {**surf.placed, **{pid + n: ch for pid, ch in surf.placed.items()}}
     copies = {eid + m: replace(gl, edge_id=eid + m, white_polygon=gl.white_polygon + n,
                                black_polygon=gl.black_polygon + n)
-              for eid, gl in surf.gluings.items()}
-    boundaries = surf.boundaries + tuple(
-        replace(b, vertex_id=b.vertex_id + n, sides=tuple(eid + m for eid in b.sides),
-                corner_faces=tuple(fid + f for fid in b.corner_faces))
-        for b in surf.boundaries)
-    face_owner = {**surf.face_owner, **{fid + f: pid + n for fid, pid in surf.face_owner.items()}}
-    return replace(surf, placed=placed, gluings={**surf.gluings, **copies}, boundaries=boundaries,
-                   face_owner=face_owner), m, f
+              for eid, gl in frame.gluings.items()}
+    corners = frame.corners + tuple((pid + n, side, fid + f) for pid, side, fid in frame.corners)
+    face_owner = {**frame.face_owner, **{fid + f: pid + n for fid, pid in frame.face_owner.items()}}
+    frame = replace(frame, gluings={**frame.gluings, **copies}, corners=corners, face_owner=face_owner)
+    return replace(surf, frame=frame, placed=placed), m, f
 
 
 def test_build_triangulation_rejects_two_spheres():
@@ -614,13 +625,14 @@ def test_build_triangulation_rejects_swapped_gluing():
     # open along that side and glues them crosswise: a connected sum, so a
     # closed sphere, whose two slit ends each gather both copies' degrees
     surf, m, f = _doubled_hexagon_pair(2)
-    a, b = surf.gluings[0], surf.gluings[m]
-    gluings = {**surf.gluings, 0: replace(a, black_polygon=b.black_polygon),
+    frame = surf.frame
+    a, b = frame.gluings[0], frame.gluings[m]
+    gluings = {**frame.gluings, 0: replace(a, black_polygon=b.black_polygon),
                m: replace(b, black_polygon=a.black_polygon)}
     # each slit end's corners now form one vertex, owned as the original's
-    faces = surf.boundaries[0].corner_faces
-    side = surf.boundaries[0].sides.index(0)
+    faces = frame.boundaries[0].corner_faces
+    side = frame.boundaries[0].sides.index(0)
     ends = (faces[side - 1], faces[side])
-    face_owner = {**surf.face_owner, **{fid + f: surf.face_owner[fid] for fid in ends}}
+    face_owner = {**frame.face_owner, **{fid + f: frame.face_owner[fid] for fid in ends}}
     with pytest.raises(MeshError, match="degree histogram"):
-        build_triangulation(replace(surf, gluings=gluings, face_owner=face_owner))
+        build_triangulation(replace(surf, frame=replace(frame, gluings=gluings, face_owner=face_owner)))

@@ -67,7 +67,7 @@ def test_survey_rows_match_check_reports():
     rows = run_survey(instances, max_len=max_len)["survey"]
     assert len(rows) == len(instances)
     for (name, g), row in zip(instances, rows):
-        rep = run_check(g, name=name, max_len=max_len, realize_limit=0)
+        rep = run_check(g, name=name, max_len=max_len)
         lemmas = rep.system.get("lemmas")
         assert row == {
             "instance": name, "plausible": rep.validation["plausible"],
@@ -112,11 +112,6 @@ def test_check_requires_the_expected_signature(monkeypatch, capsys):
     # every other verdict held, so the signature alone decided
     assert all(c["passed"] for c in data["system"]["lemmas"]) and data["cone"]["has_positive_point"]
     assert data["realizations"] and all(r["identity_holds"] for r in data["realizations"])
-
-
-def test_check_realize_limit_zero_is_not_ok(spiral3):
-    assert run_check(spiral3, max_len=2).ok
-    assert not run_check(spiral3, max_len=2, realize_limit=0).ok
 
 
 def _forbidden(name):
