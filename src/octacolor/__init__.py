@@ -25,9 +25,8 @@ from .geometry import (AngleError, ClosureError, ColorError,
 from .grid import DIRECTIONS, ORIGIN, GridPoint, direction
 from .labeling import (BoundaryError, HolonomyError, LabelMap,
                        PolygonBoundary, assign_labels, polygon_boundaries)
-from .qform import (IdentityReport, PolygonForm, QuadraticForm, assemble_form,
-                    polygon_form, restrict_form, signature, slot_value,
-                    verify_triangle_identity)
+from .qform import (IdentityReport, QuadraticForm, assemble_form, restrict_form,
+                    signature, slot_value, verify_triangle_identity)
 from .shapesys import (KernelBasis, LemmaReport, ShapeSystem,
                        build_constraints, kernel_basis, verify_lemmas)
 

@@ -75,9 +75,6 @@ class EnhancedMultigraph:
     def red_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.color == RED]
 
-    def dart_vertex(self, dart: Dart) -> int:
-        return self.edge_map()[dart[0]].endpoint(dart[1])
-
 
 def opposite(dart: Dart) -> Dart:
     return (dart[0], 1 - dart[1])
@@ -271,7 +268,7 @@ def trace_faces(g: EnhancedMultigraph) -> FaceSet:
             # the corner counterclockwise-after that arrival dart
             owner[opposite(out)] = fid
 
-    active_vertices = {g.dart_vertex(d) for d in succ}
+    active_vertices = {emap[eid].endpoint(end) for eid, end in succ}
     euler = len(active_vertices) - len(keep) + len(faces)
 
     rot_of = g.rotation_map()

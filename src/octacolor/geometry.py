@@ -91,7 +91,7 @@ def realize_polygons(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     """Per-polygon charts anchored at the origin.
 
     Side i of a polygon runs for its length along the labelled direction
-    (plus a half turn on black polygons, whose charts are the reflected,
+    (plus a half turn on black polygons, whose charts are the mirrored,
     folded image).  Raises ClosureError on a length that is not a positive
     integer and when a chain fails to close, which means ``lengths`` is not
     a solution of the closure system.
@@ -128,7 +128,6 @@ class EdgeGluing:
     white_side: int
     black_polygon: int
     black_side: int
-    reflected: bool = True  # the folding map reverses orientation across every edge
 
 
 @dataclass(frozen=True)
@@ -649,7 +648,7 @@ class NetLayout:
 def develop_net(surface: RealizedSurface) -> NetLayout:
     """Lay the polygons out edge-to-edge with orientation-preserving maps.
 
-    Black charts are reflected once, restoring their unfolded shape, and
+    Black charts are mirrored once, restoring their unfolded shape, and
     every gluing along the frame's spanning tree becomes a rotation by
     sixth turns plus a translation; shared tree edges coincide exactly.
     Overlaps between polygons not glued in the tree are detected and

@@ -64,6 +64,7 @@ def polygon_boundaries(g: EnhancedMultigraph) -> list[PolygonBoundary]:
     """
     corner_of = trace_faces(g).face_of_corner()
     emap = g.edge_map()
+    vmap = g.vertex_map()
     out = []
     for vid, rot in sorted(g.rotations):
         blue_pos = [i for i, d in enumerate(rot) if emap[d[0]].color == BLUE]
@@ -105,7 +106,7 @@ def polygon_boundaries(g: EnhancedMultigraph) -> list[PolygonBoundary]:
             raise BoundaryError(f"vertex {vid}: slot walk advances {slot} slots, expected 6")
 
         faces = tuple(corner_of[d] for d in darts)
-        out.append(PolygonBoundary(vid, g.vertex_map()[vid].color, tuple(side_edges),
+        out.append(PolygonBoundary(vid, vmap[vid].color, tuple(side_edges),
                                    tuple(darts), tuple(corners), faces, tuple(slots)))
     return out
 

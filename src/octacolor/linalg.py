@@ -18,17 +18,8 @@ from math import gcd
 from operator import index, mul
 
 
-def transpose(m):
-    return [list(col) for col in zip(*m)] if m else []
-
-
 def mat_vec(m, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m]
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def dot(u, v):

@@ -3,14 +3,18 @@
 Each polygon contributes a six-slot form whose value on slot lengths is
 2*sum(l_i*l_{i+1}) + sum(l_i*l_{i+2}) (indices cyclic); on a unit hexagon
 that is 18, three times its six unit triangles, and the same three-to-one
-area identity holds for every closed slot vector.  The stored matrices are
-the doubled Gram matrices, keeping every entry an integer (adjacent slots
-2, distance-two slots 1, diagonal and antipodal 0); form values halve the
-matrix product, which is always integral because the diagonal is even.
+area identity holds for every closed slot vector.  ``SLOT_MATRIX`` is its
+doubled Gram matrix, keeping every entry an integer (adjacent slots 2,
+distance-two slots 1, diagonal and antipodal 0).
 
 Summing the per-polygon forms pushed to edge variables gives the global
-form; restricting to the kernel of the closure system and diagonalizing by
-exact rational congruence yields its signature.
+form, held as its nonzero terms only: a term (i, j, c) with i <= j is the
+coefficient c of v_i*v_j in v^T M v, where M is the doubled Gram matrix on
+edge variables.  Form values halve that sum of terms, which is even on
+integer vectors because M is symmetric with an even diagonal.  The dense
+matrix is built only where JSON emits it.  Restricting to the kernel of the
+closure system reads the same terms, and diagonalizing by exact rational
+congruence yields its signature.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import combinations
 
 from . import linalg
 from .emg import EnhancedMultigraph
@@ -50,86 +54,69 @@ def slot_value(slot_lengths):
 
 
 @dataclass(frozen=True)
-class PolygonForm:
-    vertex_id: int
-    matrix: tuple[tuple[int, ...], ...]  # doubled Gram matrix on edge variables
-    col_edges: tuple[int, ...]
-
-    def value(self, lengths):
-        """Form value at an edge length vector (by edge id)."""
-        return _form_value(self.matrix, [lengths[eid] for eid in self.col_edges])
-
-
-@dataclass(frozen=True)
 class QuadraticForm:
-    global_matrix: tuple[tuple[int, ...], ...]   # doubled Gram matrix, E_b x E_b
+    terms: tuple[tuple[int, int, int], ...]  # nonzero (i, j, c) with i <= j
     col_edges: tuple[int, ...]
     restricted: tuple[tuple[int, ...], ...] | None = None
     signature: tuple[int, int, int] | None = None
 
-    @cached_property
-    def _terms(self) -> tuple[tuple[int, int, int], ...]:
-        """Nonzero terms (i, j, m_ij + m_ji) for i < j and (i, i, m_ii)."""
-        m = self.global_matrix
-        terms = []
-        for i, row in enumerate(m):
-            for j in range(i, len(row)):
-                c = row[j] + m[j][i] if j > i else row[i]
-                if c:
-                    terms.append((i, j, c))
-        return tuple(terms)
+    @property
+    def global_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The symmetric doubled Gram matrix, E_b x E_b, built from the
+        terms: c on the diagonal, c/2 at (i, j) and (j, i) off it."""
+        n = len(self.col_edges)
+        m = [[0] * n for _ in range(n)]
+        for i, j, c in self.terms:
+            if i == j:
+                m[i][i] = c
+            else:
+                m[i][j] = m[j][i] = c // 2
+        return tuple(map(tuple, m))
 
     def value(self, lengths):
         """Form value at an edge length vector (by edge id), exactly as
-        ``_form_value`` computes it, from the nonzero entries alone."""
+        ``_form_value`` computes it, from the nonzero terms alone."""
         v = [lengths[eid] for eid in self.col_edges]
-        half = Fraction(sum(c * v[i] * v[j] for i, j, c in self._terms)) / 2
+        half = Fraction(sum(c * v[i] * v[j] for i, j, c in self.terms)) / 2
         return int(half) if half.denominator == 1 else half
 
 
-def polygon_form(boundary: PolygonBoundary, col_edges) -> PolygonForm:
-    """Six-slot form conjugated by the slot embedding, on edge variables.
-
-    Zero slots drop out; a polygon meeting the same edge twice accumulates
-    both contributions.
-    """
-    col_of = {eid: i for i, eid in enumerate(col_edges)}
-    n = len(col_edges)
-    m = [[0] * n for _ in range(n)]
-    _add_slot_terms(m, boundary, col_of)
-    return PolygonForm(boundary.vertex_id, tuple(tuple(r) for r in m), tuple(col_edges))
-
-
-def _add_slot_terms(m, boundary: PolygonBoundary, col_of) -> None:
-    """Add the polygon's slot-pair terms into ``m``, touching only the
-    entries of its own edges."""
-    incident = [(col_of[eid], s) for eid, s in zip(boundary.sides, boundary.slots)]
-    for i, s1 in incident:
-        row, slot_row = m[i], SLOT_MATRIX[s1]
-        for j, s2 in incident:
-            row[j] += slot_row[s2]
-
-
 def assemble_form(g: EnhancedMultigraph, boundaries: list[PolygonBoundary]) -> QuadraticForm:
-    """Exact integer sum of the per-polygon forms, each polygon's terms
-    added straight into the total."""
+    """Exact integer sum of the per-polygon forms, each polygon's slot
+    pairs added straight into the terms; one polygon's form is
+    ``assemble_form(g, [boundary])``.
+
+    The six-slot form has a zero diagonal, so only pairs of distinct sides
+    contribute, each twice its slot entry.  A polygon meeting the same edge
+    twice adds that pair to the edge's diagonal term.
+    """
     col_edges = tuple(sorted(e.id for e in g.blue_edges()))
     col_of = {eid: i for i, eid in enumerate(col_edges)}
-    n = len(col_edges)
-    total = [[0] * n for _ in range(n)]
+    total: dict[tuple[int, int], int] = {}
     for b in boundaries:
-        _add_slot_terms(total, b, col_of)
-    return QuadraticForm(tuple(tuple(r) for r in total), col_edges)
+        incident = sorted(zip(map(col_of.__getitem__, b.sides), b.slots))
+        for (i, s1), (j, s2) in combinations(incident, 2):
+            c = SLOT_MATRIX[s1][s2]
+            if c:
+                total[i, j] = total.get((i, j), 0) + 2 * c
+    return QuadraticForm(tuple((i, j, c) for (i, j), c in total.items()), col_edges)
 
 
 def restrict_form(q: QuadraticForm, kernel: KernelBasis) -> QuadraticForm:
-    """Exact congruence restriction to the kernel basis, in integers."""
+    """Exact congruence restriction K M K^T to the kernel basis K, in
+    integers, from the terms: one pass over them per kernel vector k gives
+    the image 2 M k, and each restricted entry is half a dot product."""
     if kernel.dimension < 1:
         raise ValueError("kernel dimension must be at least 1")
-    gk = linalg.mat_mul(q.global_matrix, linalg.transpose(kernel.basis))
-    restricted = linalg.mat_mul(kernel.basis, gk)
-    restricted_t = tuple(tuple(row) for row in restricted)
-    return QuadraticForm(q.global_matrix, q.col_edges, restricted_t, signature(restricted_t))
+    images = []
+    for k in kernel.basis:
+        image = [0] * len(q.col_edges)
+        for i, j, c in q.terms:
+            image[i] += c * k[j]
+            image[j] += c * k[i]
+        images.append(image)
+    restricted = tuple(tuple(linalg.dot(row, image) // 2 for image in images) for row in kernel.basis)
+    return QuadraticForm(q.terms, q.col_edges, restricted, signature(restricted))
 
 
 def signature(matrix) -> tuple[int, int, int]:

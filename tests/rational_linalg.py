@@ -4,7 +4,9 @@ This is the ``Fraction`` reduced row echelon form that ``linalg.rank`` and
 ``linalg.nullspace`` ran on before they moved to the integer echelon form.
 Tests use it as the oracle those two must match exactly, and its ``solve``
 to express points in a lattice basis.  It clears rationals itself and uses
-nothing from ``octacolor.linalg``, so the oracle stays independent.
+nothing from ``octacolor.linalg``, so the oracle stays independent.  The
+dense ``transpose`` and ``mat_mul`` serve the dense form restriction in
+``form_oracle``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,15 @@ from math import gcd, lcm
 
 Row = list[Fraction]
 Matrix = list[Row]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)] if m else []
+
+
+def mat_mul(a, b):
+    bt = transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def frac_matrix(rows) -> Matrix:

@@ -19,7 +19,7 @@ from octacolor.geometry import (build_triangulation, cone_point_coordinates,
                                 triarea)
 from octacolor.labeling import polygon_boundaries
 from octacolor.pipeline import Instance
-from octacolor.qform import assemble_form, polygon_form, restrict_form, slot_value
+from octacolor.qform import assemble_form, restrict_form, slot_value
 from octacolor.shapesys import KernelBasis
 from test_cone import box_scan, brute_force_rays, random_kernel_bases
 
@@ -73,7 +73,8 @@ def test_criterion_1_unit_hexagon_form_value():
     # the same value through a hexagonal polygon's edge-variable form
     g = load_bundled("hexagon-pair")
     boundary = polygon_boundaries(g)[0]
-    pf = polygon_form(boundary, tuple(range(6)))
+    pf = assemble_form(g, [boundary])
+    assert pf.col_edges == tuple(range(6))
     t0 = time.perf_counter()
     value = pf.value({e: 1 for e in range(6)})
     elapsed = time.perf_counter() - t0

@@ -135,7 +135,7 @@ def test_lattice_basis_spans_all_integer_points(spiral3):
     kb = kernel_basis(build_constraints(spiral3, bnds, labels))
     lb = lattice_basis(kb)
     for p in enumerate_lattice_points(lb, 2):
-        coords = rational_linalg.solve(linalg.transpose([list(v) for v in lb.vectors]), list(p.vector))
+        coords = rational_linalg.solve(rational_linalg.transpose([list(v) for v in lb.vectors]), list(p.vector))
         assert coords is not None
         assert all(c.denominator == 1 for c in coords)
 
@@ -205,11 +205,11 @@ def test_extreme_rays_are_lattice_points(spiral3):
     kb = kernel_basis(build_constraints(spiral3, bnds, labels))
     lb = lattice_basis(kb)
     cd = extreme_rays(restrict_to_kernel(kb))
-    basis_cols = linalg.transpose([list(b) for b in kb.basis])
+    basis_cols = rational_linalg.transpose([list(b) for b in kb.basis])
     for ray in cd.extreme_rays:
         edge_vec = linalg.mat_vec(basis_cols, list(ray))
         prim = linalg.primitive_vector(edge_vec)
-        coords = rational_linalg.solve(linalg.transpose([list(v) for v in lb.vectors]), prim)
+        coords = rational_linalg.solve(rational_linalg.transpose([list(v) for v in lb.vectors]), prim)
         assert coords is not None
         assert all(c.denominator == 1 for c in coords)
         assert all(x >= 0 for x in prim)

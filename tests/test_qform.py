@@ -4,14 +4,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from form_oracle import dense_restriction, form_terms
+from rational_linalg import mat_mul, transpose
 from octacolor.cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
-from octacolor.families import gen_spiral
+from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.geometry import (build_triangulation, develop_surface,
                                 four_color, realize_polygons, triarea)
 from octacolor.labeling import assign_labels, polygon_boundaries
+from octacolor.pipeline import Instance
 from octacolor.qform import (SLOT_MATRIX, QuadraticForm, _form_value, assemble_form,
-                             polygon_form, restrict_form, signature, slot_value,
-                             verify_triangle_identity)
+                             restrict_form, signature, slot_value, verify_triangle_identity)
 from octacolor.shapesys import KernelBasis, build_constraints, kernel_basis
 
 
@@ -49,8 +51,8 @@ def test_slot_value_invariant_under_rotation_and_reflection():
 
 def test_polygon_form_accumulates_per_polygon(hexpair):
     bnds = polygon_boundaries(hexpair)
-    col_edges = tuple(range(6))
-    white = polygon_form(bnds[0], col_edges)
+    white = assemble_form(hexpair, [bnds[0]])
+    assert white.col_edges == tuple(range(6))
     assert white.value({e: 1 for e in range(6)}) == 18
 
 
@@ -60,8 +62,8 @@ def test_assemble_doubles_shared_hexagon(hexpair):
     qf = assemble_form(hexpair, bnds)
     ones = {e: 1 for e in range(6)}
     assert qf.value(ones) == 36
-    white = polygon_form(bnds[0], qf.col_edges)
-    black = polygon_form(bnds[1], qf.col_edges)
+    white = assemble_form(hexpair, [bnds[0]])
+    black = assemble_form(hexpair, [bnds[1]])
     assert qf.value(ones) == white.value(ones) + black.value(ones)
 
 
@@ -94,7 +96,7 @@ def test_per_polygon_value_is_three_triareas(spiral3):
         lengths = dict(zip(kb.col_edges, edge_vec))
         charts = realize_polygons(spiral3, bnds, labels, lengths)
         for b in bnds:
-            pf = polygon_form(b, kb.col_edges)
+            pf = assemble_form(spiral3, [b])
             assert pf.value(lengths) == 3 * triarea(charts[b.vertex_id].chain)
 
 
@@ -116,18 +118,16 @@ def test_slot_value_is_three_areas_for_rational_sides():
 
 
 def test_restrict_full_space_is_identity_transform():
-    from octacolor.qform import QuadraticForm
     m = ((0, 2), (2, 0))
     kb = KernelBasis(((1, 0), (0, 1)), 0, 2, (0, 1))
-    qf = restrict_form(QuadraticForm(m, (0, 1)), kb)
+    qf = restrict_form(QuadraticForm(form_terms(m), (0, 1)), kb)
     assert qf.restricted == ((Fraction(0), Fraction(2)), (Fraction(2), Fraction(0)))
 
 
 def test_restrict_one_dimensional():
-    from octacolor.qform import QuadraticForm
     m = ((2, 0), (0, 4))
     kb = KernelBasis(((1, 2),), 1, 1, (0, 1))
-    qf = restrict_form(QuadraticForm(m, (0, 1)), kb)
+    qf = restrict_form(QuadraticForm(form_terms(m), (0, 1)), kb)
     assert qf.restricted == ((Fraction(18),),)
     assert qf.signature == (1, 0, 0)
 
@@ -180,9 +180,8 @@ def test_signature_invariant_under_congruence(seed):
             c = rng.randrange(-2, 3)
             for k in range(n):
                 t[i][k] += c * t[j][k]
-    from octacolor import linalg
-    tm = linalg.mat_mul([list(map(Fraction, r)) for r in t], [list(map(Fraction, r)) for r in m])
-    tmt = linalg.mat_mul(tm, linalg.transpose([list(map(Fraction, r)) for r in t]))
+    tm = mat_mul([list(map(Fraction, r)) for r in t], [list(map(Fraction, r)) for r in m])
+    tmt = mat_mul(tm, transpose([list(map(Fraction, r)) for r in t]))
     assert signature(tmt) == base
 
 
@@ -218,7 +217,7 @@ def test_form_value_from_nonzero_terms_matches_dense(case):
     # integer and rational vectors: the same exact value and type
     matrix, vec = case
     cols = tuple(range(10, 10 + len(vec)))
-    got = QuadraticForm(tuple(map(tuple, matrix)), cols).value(dict(zip(cols, vec)))
+    got = QuadraticForm(form_terms(matrix), cols).value(dict(zip(cols, vec)))
     want = _form_value(matrix, vec)
     assert got == want and type(got) is type(want)
 
@@ -228,8 +227,39 @@ def test_form_value_matches_dense_on_spiral_forms():
     for k in (3, 6):
         g = gen_spiral(k)
         qf = assemble_form(g, polygon_boundaries(g))
+        # the terms and the dense matrix built from them describe one form
+        assert sorted(qf.terms) == list(form_terms(qf.global_matrix))
         for _ in range(20):
             vec = [rng.randrange(-9, 10) for _ in qf.col_edges]
             if rng.random() < 0.5:
                 vec = [Fraction(x, rng.randrange(1, 5)) for x in vec]
             assert qf.value(dict(zip(qf.col_edges, vec))) == _form_value(qf.global_matrix, vec)
+
+
+def _assert_restriction_matches_dense(qf, matrix, kernel):
+    got = restrict_form(qf, kernel)
+    assert got.restricted == dense_restriction(matrix, kernel.basis)
+    assert all(type(x) is int for row in got.restricted for x in row)
+
+
+def test_restrict_form_matches_dense_oracle_on_bundled_and_spiral():
+    cases = [load_bundled(name) for name in bundled_names()] + [gen_spiral(k) for k in range(3, 13)]
+    for g in cases:
+        inst = Instance(g)
+        qf = assemble_form(g, inst.boundaries)
+        _assert_restriction_matches_dense(qf, qf.global_matrix, inst.kernel)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=1, max_size=4))))
+@settings(max_examples=300, deadline=None)
+def test_restrict_form_matches_dense_oracle_on_random_symmetric(case):
+    # any symmetric integer matrix, odd diagonal included, against any
+    # integer basis of 1..4 vectors, dependent or zero ones included
+    square, basis = case
+    n = len(square)
+    m = [[square[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    cols = tuple(range(n))
+    kb = KernelBasis(tuple(map(tuple, basis)), max(n - len(basis), 0), len(basis), cols)
+    _assert_restriction_matches_dense(QuadraticForm(form_terms(m), cols), m, kb)
