@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import linalg, svg
 from .cone import EnumerationBudgetError
@@ -86,6 +85,7 @@ def _seed_flag(text: str | None) -> tuple[int, int] | None:
 
 def _emit(args, payload: str) -> None:
     if getattr(args, "out", None):
+        import tempfile  # only --out needs it; a cold start skips the import
         directory = os.path.dirname(os.path.abspath(args.out)) or "."
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".octacolor-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -20,7 +20,6 @@ integer row, and rescaled only by positive factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, mul
 from typing import NamedTuple
 
@@ -34,8 +33,7 @@ class EnumerationBudgetError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class ConeDescription:
+class ConeDescription(NamedTuple):
     inequalities: tuple[tuple[int, ...], ...]  # rows: edge coordinates in the kernel basis, primitive
     dimension: int                             # ambient (kernel) dimension
     extreme_rays: tuple[tuple[int, ...], ...] | None = None
@@ -144,8 +142,7 @@ def _double_description(rows, dim):
 # ---------------------------------------------------------------------------
 # lattice of integer solutions
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(NamedTuple):
     vectors: tuple[tuple[int, ...], ...]  # basis of the integer kernel points, in edge coordinates
     col_edges: tuple[int, ...]
 

@@ -19,7 +19,7 @@ order, one record per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Dart = tuple[int, int]  # (edge id, end index 0|1)
 
@@ -33,14 +33,12 @@ class EmgError(ValueError):
     """Structural or syntax error in an enhanced multigraph."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     color: str  # "black" | "white"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     a: int
     b: int
@@ -54,8 +52,7 @@ class Edge:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class EnhancedMultigraph:
+class EnhancedMultigraph(NamedTuple):
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     rotations: tuple[tuple[int, tuple[Dart, ...]], ...]
@@ -193,8 +190,7 @@ def render_emg(g: EnhancedMultigraph) -> str:
 # ---------------------------------------------------------------------------
 # face tracing
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     id: int
     darts: tuple[Dart, ...]  # outgoing darts along the facial walk
 
@@ -210,8 +206,7 @@ class Face:
         return tuple(d[0] for d in self.darts)
 
 
-@dataclass(frozen=True)
-class FaceSet:
+class FaceSet(NamedTuple):
     faces: tuple[Face, ...]
     corner_owner: tuple[tuple[Dart, int], ...]  # dart -> face owning the corner ccw-after it
     euler_characteristic: int
@@ -300,15 +295,13 @@ def trace_faces(g: EnhancedMultigraph) -> FaceSet:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     rule: str
     severity: str  # "error" | "info"
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     plausible: bool
     findings: tuple[Finding, ...]
     counts: dict

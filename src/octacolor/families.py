@@ -23,8 +23,8 @@ kept in tests/spiral_search.py as the oracle tests compare against.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
 
 from .emg import (BLACK, BLUE, RED, WHITE, Dart, Edge, EnhancedMultigraph,
                   Vertex, check_well_formed, opposite, parse_emg, trace_faces)
@@ -229,8 +229,9 @@ def load_bundled(name: str) -> EnhancedMultigraph:
     """Parse one of the instances shipped with the package."""
     if name not in _BUNDLED:
         raise KeyError(f"unknown bundled instance {name!r}; known: {bundled_names()}")
-    text = resources.files(__package__).joinpath("data", _BUNDLED[name]).read_text()
-    return parse_emg(text)
+    path = os.path.join(os.path.dirname(__file__), "data", _BUNDLED[name])
+    with open(path, encoding="utf-8") as fh:
+        return parse_emg(fh.read())
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ combinatorial, in units of pi/3.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, replace
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from .emg import WHITE, EnhancedMultigraph
 from .grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
@@ -59,8 +59,7 @@ class ColorError(ValueError):
     """A folded vertex image is not a lattice point."""
 
 
-@dataclass(frozen=True)
-class SideRecord:
+class SideRecord(NamedTuple):
     edge_id: int
     start: GridPoint
     direction: int  # exponent of the unit direction, 0..5
@@ -71,8 +70,7 @@ class SideRecord:
         return GridPoint(*_step(self.start, self.direction, self.length))
 
 
-@dataclass(frozen=True)
-class PolygonChart:
+class PolygonChart(NamedTuple):
     vertex_id: int
     color: str
     sides: tuple[SideRecord, ...]
@@ -121,8 +119,7 @@ def realize_polygons(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     return charts
 
 
-@dataclass(frozen=True)
-class EdgeGluing:
+class EdgeGluing(NamedTuple):
     edge_id: int
     white_polygon: int
     white_side: int
@@ -130,8 +127,7 @@ class EdgeGluing:
     black_side: int
 
 
-@dataclass(frozen=True)
-class SurfaceFrame:
+class SurfaceFrame(NamedTuple):
     """What developing a surface needs of its combinatorial type alone.
 
     Built once from the boundaries (and an optional base flag and spanning
@@ -154,8 +150,7 @@ class SurfaceFrame:
     face_owner: dict[int, int]                         # blue face id -> smallest polygon with a corner there
 
 
-@dataclass(frozen=True)
-class RealizedSurface:
+class RealizedSurface(NamedTuple):
     """One length realization of a type: the type's ``frame`` and the
     point's own placements."""
     frame: SurfaceFrame
@@ -467,8 +462,7 @@ def _chain_points(start: GridPoint, sides) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # glued triangulation and 4-coloring
 
-@dataclass(frozen=True)
-class ColoredTriangulation:
+class ColoredTriangulation(NamedTuple):
     positions: tuple[GridPoint, ...]                  # folded image per vertex
     triangles: tuple[tuple[int, int, int], ...]
     triangle_colors: tuple[str, ...]                  # polygon colour per triangle
@@ -609,7 +603,7 @@ def four_color(tri: ColoredTriangulation) -> ColoredTriangulation:
     for v, (w, b) in enumerate(zip(white, black)):
         if (w - b) % 3 != 0:
             raise ColorError(f"vertex {v}: {w} white vs {b} black triangles")
-    return replace(tri, vertex_colors=tuple(colors))
+    return tri._replace(vertex_colors=tuple(colors))
 
 
 def cone_point_coordinates(surface: RealizedSurface) -> tuple[GridPoint, ...]:
@@ -625,8 +619,7 @@ def cone_point_coordinates(surface: RealizedSurface) -> tuple[GridPoint, ...]:
 # ---------------------------------------------------------------------------
 # net development (proper isometries, for rendering)
 
-@dataclass(frozen=True)
-class NetTransform:
+class NetTransform(NamedTuple):
     rotation: int          # sixth turns
     shift: GridPoint
     mirrored: bool         # black charts are conjugated before placing
@@ -637,8 +630,7 @@ class NetTransform:
         return pt.rot(self.rotation) + self.shift
 
 
-@dataclass(frozen=True)
-class NetLayout:
+class NetLayout(NamedTuple):
     transforms: dict[int, NetTransform]
     points: dict[int, tuple[GridPoint, ...]]      # placed boundary chains
     tree_edges: tuple[int, ...]

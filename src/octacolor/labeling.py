@@ -16,7 +16,7 @@ traverses the same edge in the opposite direction (exponent + 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .emg import BLUE, WHITE, EnhancedMultigraph, trace_faces
 
@@ -35,8 +35,7 @@ class HolonomyError(ValueError):
     """Label propagation assigned two different exponents to one edge."""
 
 
-@dataclass(frozen=True)
-class PolygonBoundary:
+class PolygonBoundary(NamedTuple):
     vertex_id: int
     color: str
     sides: tuple[int, ...]        # blue edge ids in boundary (rotation) order
@@ -118,8 +117,7 @@ def _anchor_index(side_edges: list[int], corners: list[str]) -> int:
     return min(candidates, key=lambda j: side_edges[j])
 
 
-@dataclass(frozen=True)
-class LabelMap:
+class LabelMap(NamedTuple):
     exponents: tuple[tuple[int, int], ...]  # blue edge id -> direction exponent mod 6
     seed: tuple[int, int]                    # (vertex id, edge id) used as the zero anchor
 

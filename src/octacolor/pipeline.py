@@ -16,7 +16,6 @@ serialize as integer or rational strings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
@@ -168,23 +167,26 @@ def _histogram_json(tri) -> dict:
 # ---------------------------------------------------------------------------
 # check and survey runs
 
-@dataclass
 class PipelineReport:
-    instance: dict
-    validation: dict
-    labeling: dict = field(default_factory=dict)
-    system: dict = field(default_factory=dict)
-    cone: dict = field(default_factory=dict)
-    lattice: dict = field(default_factory=dict)
-    realizations: list = field(default_factory=list)
-    form: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    ok: bool = False
+    def __init__(self, instance: dict, validation: dict):
+        self.instance = instance
+        self.validation = validation
+        self.labeling: dict = {}
+        self.system: dict = {}
+        self.cone: dict = {}
+        self.lattice: dict = {}
+        self.realizations: list = []
+        self.form: dict = {}
+        self.timings: dict = {}
+        self.ok = False
 
     def to_json_dict(self) -> dict:
         """The report's fields, shared, not copied: each already holds plain
         JSON data."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"instance": self.instance, "validation": self.validation,
+                "labeling": self.labeling, "system": self.system, "cone": self.cone,
+                "lattice": self.lattice, "realizations": self.realizations,
+                "form": self.form, "timings": self.timings, "ok": self.ok}
 
 
 class _Laps:

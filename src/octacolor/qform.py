@@ -20,9 +20,9 @@ congruence yields its signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from . import linalg
 from .emg import EnhancedMultigraph
@@ -53,8 +53,7 @@ def slot_value(slot_lengths):
     return _form_value(SLOT_MATRIX, slot_lengths)
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple):
     terms: tuple[tuple[int, int, int], ...]  # nonzero (i, j, c) with i <= j
     col_edges: tuple[int, ...]
     restricted: tuple[tuple[int, ...], ...] | None = None
@@ -168,8 +167,7 @@ def signature(matrix) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     form_value: int
     triangle_count: int
     triarea_total: int

@@ -15,9 +15,9 @@ the same row space and leaves the kernel unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .emg import WHITE, EnhancedMultigraph
@@ -36,8 +36,7 @@ BLACK_SIGN = -1
 RANK_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1)
 
 
-@dataclass(frozen=True)
-class ShapeSystem:
+class ShapeSystem(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]          # 2V rows, E_b columns
     row_origin: tuple[tuple[int, str], ...]      # row -> (polygon vertex id, "re"|"im")
     col_edges: tuple[int, ...]                   # column -> blue edge id, ascending
@@ -51,8 +50,7 @@ class ShapeSystem:
         return len(self.col_edges)
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(NamedTuple):
     basis: tuple[tuple[int, ...], ...]  # primitive integer vectors, RREF-canonical
     rank: int
     dimension: int
@@ -99,15 +97,13 @@ def kernel_basis(system: ShapeSystem) -> KernelBasis:
     return KernelBasis(tuple(tuple(v) for v in basis), rk, len(basis), system.col_edges)
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     checks: tuple[LemmaCheck, ...]
 
     @property

@@ -10,7 +10,6 @@ viewport computed from the exact bounding box with five percent padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .emg import WHITE, EnhancedMultigraph
@@ -38,13 +37,13 @@ def _xy(p) -> tuple[float, float]:
     return float(p[0]) / 2, -float(p[1]) / 2 * SQRT3
 
 
-@dataclass
 class SvgScene:
-    elements: list[str] = field(default_factory=list)
-    min_x: float | None = None
-    min_y: float | None = None
-    max_x: float | None = None
-    max_y: float | None = None
+    def __init__(self):
+        self.elements: list[str] = []
+        self.min_x: float | None = None
+        self.min_y: float | None = None
+        self.max_x: float | None = None
+        self.max_y: float | None = None
 
     def _grow(self, x: float, y: float) -> None:
         self.min_x = x if self.min_x is None else min(self.min_x, x)

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -333,3 +336,15 @@ def test_check_on_mutated_bundled_reports_every_failure(emg_path, text):
     emg_path.write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["check", "--input", str(emg_path), "--max-len", "2"]) in (0, 1, 2)
+
+
+SLOW_IMPORTS = ("dataclasses", "inspect", "importlib.resources", "tempfile")
+
+
+def test_cold_import_skips_slow_modules():
+    # -S keeps site-packages .pth files from importing any of them first
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    probe = f"import octacolor.cli, sys; print(*[m for m in {SLOW_IMPORTS!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.split() == []

@@ -1,7 +1,6 @@
 import hashlib
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,11 @@ from octacolor.geometry import (AngleError, ClosureError, ColorError, GluingErro
 from octacolor.grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
 from octacolor.labeling import ACUTE, assign_labels, polygon_boundaries
 from octacolor.shapesys import build_constraints, kernel_basis
+
+
+def replace(record, **changes):
+    """A copy of a library record with some fields changed."""
+    return record._replace(**changes)
 
 
 def _context(g):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -104,8 +103,8 @@ def test_check_without_realization_is_not_ok(name, max_len):
 
 def test_check_requires_the_expected_signature(monkeypatch, capsys):
     real = pipeline.restrict_form
-    monkeypatch.setattr(pipeline, "restrict_form", lambda form, kernel: dataclasses.replace(
-        real(form, kernel), signature=(2, 2, 0)))
+    monkeypatch.setattr(pipeline, "restrict_form",
+                        lambda form, kernel: real(form, kernel)._replace(signature=(2, 2, 0)))
     assert main(["check", "--family", "spiral", "--k", "3", "--max-len", "2"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["form"]["signature"] == [2, 2, 0] and not data["ok"]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -168,10 +167,10 @@ def _tampered(kb, kind):
     elif kind == "vector-repeated":  # still in the kernel, but spans one dimension less
         basis[0] = basis[1]
     elif kind == "vector-dropped":  # consistent with itself, but not the whole kernel
-        return dataclasses.replace(kb, basis=kb.basis[1:], dimension=kb.dimension - 1)
+        return kb._replace(basis=kb.basis[1:], dimension=kb.dimension - 1)
     else:
-        return dataclasses.replace(kb, **kind)
-    return dataclasses.replace(kb, basis=tuple(map(tuple, basis)))
+        return kb._replace(**kind)
+    return kb._replace(basis=tuple(map(tuple, basis)))
 
 
 @pytest.mark.parametrize("kind", [
