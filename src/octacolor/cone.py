@@ -6,13 +6,14 @@ inequality system B x >= 0 with one row per blue edge, and this module
 computes the extreme rays of that cone by the double description method.
 The integer points of C_tau are enumerated in edge coordinates instead: an
 integer basis of the lattice of integer kernel points (saturated, so it
-spans every integer solution) turns the points with every length in
-[0, bound] into the integer points of a box, found by Fourier-Motzkin
-elimination.  The enumeration carries the partial vector of the fixed
-coefficients down the levels, and reads the last coefficient's range and
-the sub-range of strictly positive points straight from it and the box
-rows of the edges the last basis vector moves; each point then costs a
-step on those edges and one tuple copy.
+spans every integer solution; ``linalg.saturate`` finds it from one
+echelon of the n × 4 transposed kernel basis) turns the points with every
+length in [0, bound] into the integer points of a box, found by
+Fourier-Motzkin elimination.  The enumeration carries the partial vector of
+the fixed coefficients down the levels, and reads the last coefficient's
+range and the sub-range of strictly positive points straight from it and
+the box rows of the edges the last basis vector moves; each point then
+costs a step on those edges and one tuple copy.
 Everything runs in exact integer arithmetic: every constraint is kept as an
 integer row, and rescaled only by positive factors.
 """
@@ -152,23 +153,11 @@ class LatticeBasis(NamedTuple):
 
 
 def lattice_basis(kernel: KernelBasis) -> LatticeBasis:
-    """Integer basis of all integer points of the kernel (saturated).
-
-    The cleared kernel basis spans the right rational subspace; taking the
-    integer kernel of its integer orthogonal complement yields a basis whose
-    integer span is the full set of integer kernel points, in Hermite normal
-    form for reproducibility.  That form is canonical for the lattice, so
-    the complement is left unnormalized: only the lattice it spans matters.
-    """
-    cleared = [list(v) for v in kernel.basis]
-    complement = linalg._integer_kernel_rows(cleared)
-    if not complement:
-        # kernel is the whole space
-        n = len(kernel.col_edges)
-        vectors = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    else:
-        vectors = linalg.integer_kernel(complement)
-    return LatticeBasis(tuple(tuple(v) for v in vectors), kernel.col_edges)
+    """Integer basis of all integer points of the kernel (saturated), in
+    Hermite normal form for reproducibility: that form is canonical for the
+    lattice.  A zero-dimensional kernel gives the empty basis, whose only
+    point is zero."""
+    return LatticeBasis(tuple(map(tuple, linalg.saturate(kernel.basis))), kernel.col_edges)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Matrices are plain lists of lists of ``int``.  One elimination engine, the
 unimodular integer row echelon form, serves :func:`rank`,
-:func:`nullspace`, :func:`integer_kernel` and :func:`hermite_normal_form`.
+:func:`nullspace`, :func:`saturate` and :func:`hermite_normal_form`.
 Two eliminations stay apart from it so that ``verify_lemmas`` can certify
 the echelon rank independently: :func:`rank_mod_p`, a sparse elimination
 over the integers modulo a prime, and :func:`rank_fraction_free`, the
@@ -65,16 +65,16 @@ def rank_fraction_free(rows) -> int:
     m = [list(row) for row in rows]
     if not m:
         return 0
-    nrows, ncols = len(m), len(m[0])
+    nrows, width = len(m), len(m[0])
     prev = 1
     r = 0
-    for c in range(ncols):
+    for c in range(width):
         pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
+            for j in range(c + 1, width):
                 m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
@@ -93,20 +93,17 @@ def primitive_vector(vec) -> list[int]:
     return [x // g for x in vec]
 
 
-def _int_row_echelon(rows, ncols: int | None = None) -> list[list[int]]:
+def _int_row_echelon(rows) -> list[list[int]]:
     """Integer row echelon form of ``rows`` via unimodular row operations.
 
-    Euclidean elimination column by column over the first ``ncols`` columns
-    (all by default); any further columns ride along with the row
-    operations, so an identity block there records the transform.  Every
-    pivot is positive.
+    Euclidean elimination column by column.  Every pivot is positive.
     """
     m = [list(map(index, r)) for r in rows]
     n = len(m)
     if n == 0:
         return m
     r = 0
-    for c in range(len(m[0]) if ncols is None else ncols):
+    for c in range(len(m[0])):
         # euclidean gcd sweep within column c, rows r..n-1
         while True:
             nz = [i for i in range(r, n) if m[i][c] != 0]
@@ -141,14 +138,14 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
     return ech, [next(j for j, x in enumerate(row) if x) for row in ech]
 
 
-def _null_vector(ech, pivots, f: int, ncols: int) -> list[int]:
+def _null_vector(ech, pivots, f: int, width: int) -> list[int]:
     """The primitive null vector of the echelon rows that is positive at the
     free column ``f`` and zero at every other free column.
 
     Integer back-substitution from the last row up; whenever a pivot does
     not divide its row's sum, the whole vector is scaled so that it does.
     """
-    x = [0] * ncols
+    x = [0] * width
     x[f] = 1
     for row, p in zip(reversed(ech), reversed(pivots)):
         if p > f:
@@ -177,35 +174,40 @@ def nullspace(rows) -> list[list[int]]:
     """
     if not rows:
         return []
-    ncols = len(rows[0])
+    width = len(rows[0])
     ech, pivots = _echelon(rows)
     pivot_set = set(pivots)
-    return [_null_vector(ech, pivots, f, ncols) for f in range(ncols) if f not in pivot_set]
+    return [_null_vector(ech, pivots, f, width) for f in range(width) if f not in pivot_set]
 
 
-def integer_kernel(rows) -> list[list[int]]:
-    """Basis of {x integer : rows @ x == 0}; always a saturated lattice
-    basis, in Hermite normal form."""
-    return hermite_normal_form(_integer_kernel_rows(rows))
+def saturate(rows) -> list[list[int]]:
+    """Basis of every integer point of the rational span of the linearly
+    independent integer ``rows``, in Hermite normal form.
 
-
-def _integer_kernel_rows(rows) -> list[list[int]]:
-    """A basis of {x integer : rows @ x == 0} over the integers, not
-    normalized: the lattice of :func:`integer_kernel`, cheaper when only
-    the lattice matters.
-
-    Works by reducing the transpose, with an identity block appended, to
-    integer row echelon form: the block then holds the unimodular
-    transform, and its rows beside zero echelon rows span the kernel over
-    the integers.
+    With K the d × n matrix of ``rows``, unimodular row operations bring the
+    n × d transpose to echelon form, U·Kᵀ = E, so Kᵀ = W·R, with W the
+    first d columns of U⁻¹ and R the d × d upper triangular top of E.  W is
+    part of a unimodular matrix, so the rows of Wᵀ = (Rᵀ)⁻¹·K span exactly
+    the integer points of the span of K; forward substitution finds them,
+    and every division is exact (Cohen, A Course in Computational Algebraic
+    Number Theory, §2.4).
     """
-    m = [list(map(int, r)) for r in rows]
-    if not m:
+    k = [list(map(index, r)) for r in rows]
+    d = len(k)
+    if d == 0:
         return []
-    n, width = len(m[0]), len(m)
-    aug = [[*col, *(1 if i == j else 0 for j in range(n))] for i, col in enumerate(zip(*m))]
-    ech = _int_row_echelon(aug, width)
-    return [row[width:] for row in ech if not any(row[:width])]
+    r = _int_row_echelon(zip(*k))[:d]
+    if len(r) < d or not all(r[i][i] for i in range(d)):
+        raise ValueError("rows are not linearly independent")
+    w: list[list[int]] = []
+    for i, row in enumerate(k):
+        # row i of K is the sum of R[j][i] · (row j of Wᵀ) over j <= i
+        for j in range(i):
+            f = r[j][i]
+            if f:
+                row = [a - f * b for a, b in zip(row, w[j])]
+        w.append([a // r[i][i] for a in row])
+    return hermite_normal_form(w)
 
 
 def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
@@ -217,7 +219,9 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
     if not rows:
         return []
     ech, pivots = _echelon(rows)
-    for ri in range(len(ech) - 1, -1, -1):
+    # left to right: reducing by row ri changes only columns from its pivot
+    # on, so it leaves the columns of earlier pivots reduced
+    for ri in range(len(ech)):
         c = pivots[ri]
         for up in range(ri):
             q = ech[up][c] // ech[ri][c]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle
+import lattice_oracle
 import rational_linalg
 from octacolor import linalg
 from octacolor.cone import (ConeDescription, EnumerationBudgetError,
@@ -319,19 +320,17 @@ def test_enumerate_matches_oracle_on_random_lattices(lb, bound):
     _assert_same_budget(lb, bound, _assert_matches_oracle(lb, bound))
 
 
-def _parent_lattice_basis(kernel):
-    """``lattice_basis`` with the complement Hermite-normalized as well."""
-    complement = linalg.integer_kernel([list(v) for v in kernel.basis])
-    if not complement:
-        n = len(kernel.col_edges)
-        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return tuple(map(tuple, linalg.integer_kernel(complement)))
-
-
-def test_lattice_basis_skips_only_a_normal_form():
-    kernels = [Instance(g).kernel for g in _bundled() + [gen_spiral(k) for k in range(3, 21)]]
+def test_lattice_basis_matches_oracle():
+    spirals = [gen_spiral(k) for k in [*range(3, 41), 80]]
+    kernels = [Instance(g).kernel for g in _bundled() + spirals]
     rng = random.Random(7)
     kernels += [KernelBasis(basis, 0, len(basis), tuple(range(len(basis[0]))))
-                for basis in random_kernel_bases(rng, 60)]
+                for basis in random_kernel_bases(rng, 400)]
     for kernel in kernels:
-        assert lattice_basis(kernel).vectors == _parent_lattice_basis(kernel)
+        assert lattice_basis(kernel).vectors == lattice_oracle.lattice_basis(kernel)
+
+
+def test_lattice_basis_of_a_zero_dimensional_kernel():
+    lb = lattice_basis(KernelBasis((), 3, 0, (0, 1, 2)))
+    assert lb.vectors == ()
+    assert [p.vector for p in enumerate_lattice_points(lb, 1)] == [(0, 0, 0)]

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from octacolor import linalg
 from octacolor.shapesys import RANK_PRIMES
+import lattice_oracle
 import rational_linalg
 
 
@@ -88,24 +89,24 @@ def test_primitive_vector():
 
 def test_integer_kernel_saturates_half_integer_span():
     # rational span of (1, 1): the integer points are generated by (1, 1)
-    assert linalg.integer_kernel([[1, -1]]) == [[1, 1]]
+    assert lattice_oracle.integer_kernel([[1, -1]]) == [[1, 1]]
 
 
 def test_integer_kernel_matches_hand_reduction():
     # span of (1,0,1) and (0,1,0): complement is (1,0,-1)
-    basis = linalg.integer_kernel([[1, 0, -1]])
+    basis = lattice_oracle.integer_kernel([[1, 0, -1]])
     assert basis == [[1, 0, 1], [0, 1, 0]]
 
 
 def test_integer_kernel_is_saturated():
     # the scaled row (2, 2) must not trap the kernel in an index-2 sublattice
-    assert linalg.integer_kernel([[2, -2]]) == [[1, 1]]
+    assert lattice_oracle.integer_kernel([[2, -2]]) == [[1, 1]]
 
 
 @given(small_int_matrix(max_dim=4, lo=-3, hi=3))
 @settings(max_examples=60, deadline=None)
 def test_integer_kernel_membership_and_rank(m):
-    basis = linalg.integer_kernel(m)
+    basis = lattice_oracle.integer_kernel(m)
     for v in basis:
         assert all(x == 0 for x in linalg.mat_vec(m, v))
     assert len(basis) == len(m[0]) - linalg.rank(m)
@@ -115,3 +116,50 @@ def test_hnf_is_canonical_under_row_mixing():
     a = [[2, 4, 4], [-6, 6, 12]]
     b = [[2, 4, 4], [-4, 10, 16]]  # row2 + row1
     assert linalg.hermite_normal_form(a) == linalg.hermite_normal_form(b)
+    # one lattice; reducing by the pivots right to left left row 0 as
+    # [1, 0, -5, 4] for the first and [1, 0, 30, -10] for the second
+    a = [[1, 2, 1, 2], [1, -1, 2, 1], [0, -1, 2, -1]]
+    b = [[1, -10, 0, 0], [0, 2, 1, 0], [0, 5, 0, 1]]
+    assert linalg.hermite_normal_form(a) == linalg.hermite_normal_form(b)
+    assert linalg.hermite_normal_form(a)[0] == [1, 0, 0, 2]
+
+
+@st.composite
+def lattice_and_unimodular_image(draw):
+    """A full-row-rank integer matrix B and U·B for a random unimodular U,
+    a product of row swaps, row negations and additions of a multiple of
+    one row to another."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, n))
+    b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=d, max_size=d))
+    assume(linalg.rank(b) == d)
+    ub = [row[:] for row in b]
+    steps = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-3, 3))
+    for i, j, q in draw(st.lists(steps, max_size=10)):
+        if i == j:
+            ub[i] = [-x for x in ub[i]]
+        elif q == 0:
+            ub[i], ub[j] = ub[j], ub[i]
+        else:
+            ub[i] = [x + q * y for x, y in zip(ub[i], ub[j])]
+    return b, ub
+
+
+@given(lattice_and_unimodular_image())
+@settings(max_examples=300, deadline=None)
+def test_hnf_is_canonical_under_unimodular_maps(pair):
+    b, ub = pair
+    h = linalg.hermite_normal_form(b)
+    assert linalg.hermite_normal_form(ub) == h
+    for ri, row in enumerate(h):
+        c = next(j for j, x in enumerate(row) if x)
+        assert row[c] > 0
+        assert all(0 <= h[up][c] < row[c] for up in range(ri))
+
+
+def test_saturate_rejects_dependent_rows():
+    with pytest.raises(ValueError):
+        linalg.saturate([[1, 2, 3], [2, 4, 6]])
+    with pytest.raises(ValueError):
+        linalg.saturate([[1], [2]])
