@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from . import linalg, svg
+from . import svg
 from .cone import EnumerationBudgetError
 from .emg import EmgError, parse_emg, render_emg
 from .families import (ConstructionError, bundled_names, gen_spiral,
@@ -159,7 +159,7 @@ def _select_point(args, inst: Instance) -> tuple[int, ...]:
             raise InputError(f"--point vector needs {len(inst.kernel.col_edges)} entries")
         if min(vec) < 1:
             raise InputError("--point vector must be strictly positive")
-        if any(linalg.mat_vec(inst.system.matrix, vec)):
+        if not inst.system.solves(vec):
             raise InputError("--point vector does not solve the closure system")
         return vec
     (idx,) = vec

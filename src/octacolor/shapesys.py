@@ -3,7 +3,10 @@
 Every polygon must close up in the plane: the sum of its side lengths times
 their unit directions vanishes.  Splitting that complex equation into two
 integer-valued real equations per polygon gives a 2V x E_b integer matrix
-whose kernel is the space of consistent length assignments.
+whose kernel is the space of consistent length assignments.  A polygon
+touches only its own sides, so each row is held as its nonzeros, a dict
+from column to coefficient; the dense matrix is built only where JSON
+emits it.
 
 Row scaling: with Re and Im the real and imaginary parts of the unit
 direction at angle e*pi/3, the two rows use the integer combinations
@@ -15,8 +18,7 @@ the same row space and leaves the kernel unchanged.
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import mul
+from collections import Counter
 from typing import NamedTuple
 
 from . import linalg
@@ -37,13 +39,23 @@ RANK_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1)
 
 
 class ShapeSystem(NamedTuple):
-    matrix: tuple[tuple[int, ...], ...]          # 2V rows, E_b columns
+    rows: tuple[dict[int, int], ...]             # 2V rows: column -> nonzero coefficient
     row_origin: tuple[tuple[int, str], ...]      # row -> (polygon vertex id, "re"|"im")
     col_edges: tuple[int, ...]                   # column -> blue edge id, ascending
 
     @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The dense 2V x E_b matrix, built from the rows."""
+        n = len(self.col_edges)
+        return tuple(tuple(row.get(j, 0) for j in range(n)) for row in self.rows)
+
+    def solves(self, vec) -> bool:
+        """Whether the vector of E_b edge lengths closes every polygon."""
+        return not any(sum(x * vec[j] for j, x in row.items()) for row in self.rows)
+
+    @property
     def n_rows(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
     @property
     def n_cols(self) -> int:
@@ -62,37 +74,33 @@ def build_constraints(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     """Two integer rows per polygon; +1 sign for white polygons, -1 for black.
 
     An edge's coefficient accumulates over occurrences, so a side bounding
-    the same polygon twice contributes twice.
+    the same polygon twice contributes twice.  A row stores no zero: a side
+    whose direction has coefficient 0 in it is left out.
     """
     exp = labels.exponent_map()
     col_edges = tuple(sorted(e.id for e in g.blue_edges()))
     col_of = {eid: i for i, eid in enumerate(col_edges)}
-    rows: list[tuple[int, ...]] = []
+    rows: list[dict[int, int]] = []
     origin: list[tuple[int, str]] = []
     for b in sorted(boundaries, key=lambda b: b.vertex_id):
         sign = WHITE_SIGN if b.color == WHITE else BLACK_SIGN
-        row_re = [0] * len(col_edges)
-        row_im = [0] * len(col_edges)
-        for eid in b.sides:
-            d = exp[eid]
-            row_re[col_of[eid]] += sign * _ROW_RE[d]
-            row_im[col_of[eid]] += sign * _ROW_IM[d]
-        rows.append(tuple(row_re))
-        origin.append((b.vertex_id, "re"))
-        rows.append(tuple(row_im))
-        origin.append((b.vertex_id, "im"))
+        for part, pattern in (("re", _ROW_RE), ("im", _ROW_IM)):
+            row = Counter()
+            for eid in b.sides:
+                row[col_of[eid]] += sign * pattern[exp[eid]]
+            rows.append({c: x for c, x in row.items() if x})
+            origin.append((b.vertex_id, part))
     return ShapeSystem(tuple(rows), tuple(origin), col_edges)
 
 
 def kernel_basis(system: ShapeSystem) -> KernelBasis:
     """Exact null space basis, canonicalized.
 
-    Integer row echelon form and back-substitution; one primitive integer
-    vector per free column, ordered by free column index, the basis the
-    reduced row echelon form gives.  No tolerances anywhere.
+    Sparse integer row echelon form and back-substitution; one primitive
+    integer vector per free column, ordered by free column index, the basis
+    the reduced row echelon form gives.  No tolerances anywhere.
     """
-    rows = [list(r) for r in system.matrix]
-    basis = linalg.nullspace(rows)
+    basis = linalg.nullspace(system.rows, system.n_cols)
     rk = system.n_cols - len(basis)
     return KernelBasis(tuple(tuple(v) for v in basis), rk, len(basis), system.col_edges)
 
@@ -127,11 +135,13 @@ def verify_lemmas(system: ShapeSystem, kernel: KernelBasis) -> LemmaReport:
     these identities are proved for.
     """
     checks = []
-    col_sums = list(map(sum, zip(*system.matrix)))
-    zero_sum = all(s == 0 for s in col_sums)
-    checks.append(LemmaCheck("row-sum-zero", zero_sum,
-                             "sum of all constraint rows is the zero vector" if zero_sum
-                             else f"nonzero column sums at {[c for c, s in enumerate(col_sums) if s]}"))
+    col_sums = Counter()
+    for row in system.rows:
+        col_sums.update(row)
+    nonzero = sorted(c for c, s in col_sums.items() if s)
+    checks.append(LemmaCheck("row-sum-zero", not nonzero,
+                             f"nonzero column sums at {nonzero}" if nonzero
+                             else "sum of all constraint rows is the zero vector"))
     expected_rank = system.n_cols - 4
     checks.append(LemmaCheck("rank", kernel.rank == expected_rank,
                              f"rank {kernel.rank}, expected E_b - 4 = {expected_rank}"))
@@ -148,15 +158,13 @@ def _rank_certificate(system: ShapeSystem, kernel: KernelBasis) -> LemmaCheck:
     rank, dim = kernel.rank, kernel.dimension
     if rank + dim != system.n_cols:
         return verdict(False, f"rank {rank} + dimension {dim} is not E_b = {system.n_cols}")
-    # A is sparse, at most four nonzeros per column: multiply by its nonzeros only
-    sparse_rows = [(tuple(compress(count(), row)), tuple(filter(None, row)))
-                   for row in system.matrix]
     for i, v in enumerate(kernel.basis):
-        if any(sum(map(mul, vals, map(v.__getitem__, cols))) for cols, vals in sparse_rows):
+        if not system.solves(v):
             return verdict(False, f"A*K != 0: kernel vector {i} does not solve the system")
+    kernel_rows = [linalg.nonzeros(v) for v in kernel.basis]
     for p in RANK_PRIMES:
-        rank_a = linalg.rank_mod_p(system.matrix, p)
-        rank_k = linalg.rank_mod_p(kernel.basis, p)
+        rank_a = linalg.rank_mod_p(system.rows, p)
+        rank_k = linalg.rank_mod_p(kernel_rows, p)
         if rank_a > rank or rank_k > dim:
             return verdict(False, f"mod-p certificate, p = {p}: rank_p(A) = {rank_a} and "
                                   f"rank_p(K) = {rank_k}, one above echelon rank {rank} "

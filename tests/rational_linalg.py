@@ -1,12 +1,13 @@
 """Reference implementation of the kernel and a solver: rational Gauss-Jordan.
 
-This is the ``Fraction`` reduced row echelon form that ``linalg.rank`` and
-``linalg.nullspace`` ran on before they moved to the integer echelon form.
-Tests use it as the oracle those two must match exactly, and its ``solve``
-to express points in a lattice basis.  It clears rationals itself and uses
-nothing from ``octacolor.linalg``, so the oracle stays independent.  The
-dense ``transpose`` and ``mat_mul`` serve the dense form restriction in
-``form_oracle``.
+This is the ``Fraction`` reduced row echelon form that ``linalg.nullspace``
+and the rank ran on before they moved to the integer echelon form.  Tests
+use it as the oracle the kernel and the echelon pivots must match exactly,
+its ``rank`` wherever a test needs one, and its ``solve`` to express points
+in a lattice basis.  It clears rationals itself and uses nothing from
+``octacolor.linalg``, so the oracle stays independent.  The dense
+``transpose`` and ``mat_mul`` serve the dense form restriction in
+``form_oracle``, and ``mat_vec`` checks that vectors solve a dense system.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ Matrix = list[Row]
 
 def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
+
+
+def mat_vec(m, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
 def mat_mul(a, b):

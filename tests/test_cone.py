@@ -33,15 +33,15 @@ def brute_force_rays(rows, dim):
     rays = set()
     for subset in itertools.combinations(range(len(rows)), dim - 1):
         sub = [rows[i] for i in subset]
-        if linalg.rank(sub) != dim - 1:
+        if rational_linalg.rank(sub) != dim - 1:
             continue
-        kernel = linalg.nullspace(sub)
+        kernel = rational_linalg.nullspace(sub)
         if len(kernel) != 1:
             continue
         for cand in (kernel[0], [-x for x in kernel[0]]):
             if all(linalg.dot(r, cand) >= 0 for r in rows):
                 active = [r for r in rows if linalg.dot(r, cand) == 0]
-                if linalg.rank(active) == dim - 1:
+                if rational_linalg.rank(active) == dim - 1:
                     rays.add(tuple(linalg.primitive_vector(cand)))
     return sorted(rays)
 
@@ -100,7 +100,7 @@ def test_rays_match_brute_force_on_random_systems():
         nrows = rng.randrange(dim, 10)
         rows = [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(nrows)]
         rows = [r for r in rows if any(r)]
-        if not rows or linalg.nullspace(rows):
+        if not rows or rational_linalg.nullspace(rows):
             continue  # oracle assumes a pointed cone
         got = extreme_rays(_cone(rows, dim))
         assert list(got.extreme_rays) == [tuple(r) for r in brute_force_rays(rows, dim)]
@@ -127,7 +127,7 @@ def test_lattice_basis_spiral_members_satisfy_system(spiral3):
     assert len(lb.vectors) == 4
     rows = [list(r) for r in system.matrix]
     for v in lb.vectors:
-        assert all(x == 0 for x in linalg.mat_vec(rows, list(v)))
+        assert all(x == 0 for x in rational_linalg.mat_vec(rows, list(v)))
 
 
 def test_lattice_basis_spans_all_integer_points(spiral3):
@@ -208,7 +208,7 @@ def test_extreme_rays_are_lattice_points(spiral3):
     cd = extreme_rays(restrict_to_kernel(kb))
     basis_cols = rational_linalg.transpose([list(b) for b in kb.basis])
     for ray in cd.extreme_rays:
-        edge_vec = linalg.mat_vec(basis_cols, list(ray))
+        edge_vec = rational_linalg.mat_vec(basis_cols, list(ray))
         prim = linalg.primitive_vector(edge_vec)
         coords = rational_linalg.solve(rational_linalg.transpose([list(v) for v in lb.vectors]), prim)
         assert coords is not None
@@ -241,13 +241,13 @@ def test_rays_of_non_pointed_systems():
         dim = rng.randrange(2, 6)
         rows = [[rng.randrange(-4, 5) for _ in range(dim)] for _ in range(rng.randrange(1, 6))]
         rows = [r for r in rows if any(r)]
-        if not rows or not linalg.nullspace(rows):
+        if not rows or not rational_linalg.nullspace(rows):
             continue
         seen += 1
         cd = extreme_rays(_cone(rows, dim))
         assert all(linalg.dot(r, l) == 0 for r in rows for l in cd.lineality)
         assert all(linalg.dot(r, ray) >= 0 for r in rows for ray in cd.extreme_rays)
-        assert len(cd.lineality) == dim - linalg.rank(rows)
+        assert len(cd.lineality) == dim - rational_linalg.rank(rows)
 
 
 def _bundled():
