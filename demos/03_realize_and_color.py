@@ -10,28 +10,23 @@ folded vertex images give a proper 4-coloring.  Writes net.svg alongside.
 
 import pathlib
 
-from octacolor import (assemble_form, assign_labels, build_constraints,
-                       build_triangulation, cone_point_coordinates,
-                       develop_net, develop_surface, enumerate_lattice_points,
-                       four_color, gen_spiral, kernel_basis, lattice_basis,
-                       polygon_boundaries, realize_polygons, restrict_form,
-                       triarea, verify_triangle_identity)
+from octacolor import (build_triangulation, cone_point_coordinates, develop_net,
+                       four_color, spiral_instance, triarea, verify_triangle_identity)
 from octacolor.pipeline import grid_point_json
 from octacolor.svg import render_net
 
-graph = gen_spiral(3)
-boundaries = polygon_boundaries(graph)
-labels = assign_labels(graph, boundaries)
-kernel = kernel_basis(build_constraints(graph, boundaries, labels))
-lattice = lattice_basis(kernel)
+# the spiral member as the pipeline Instance its validation gate derived:
+# each stage (boundaries, labels, kernel, lattice, form) is computed once
+inst = spiral_instance(3)
+graph = inst.g
 
-points = [p for p in enumerate_lattice_points(lattice, 3) if p.strictly_positive]
+points = [p for p in inst.lattice_points(3) if p.strictly_positive]
 vector = points[0].vector
-lengths = dict(zip(kernel.col_edges, vector))
+lengths = dict(zip(inst.kernel.col_edges, vector))
 print(f"realizing edge lengths {vector}")
 
-charts = realize_polygons(graph, boundaries, labels, lengths)
-surface = develop_surface(graph, boundaries, charts)
+# realize the polygons of these lengths and develop them into one plane
+surface = inst.develop(vector)
 print(f"cone vertices (two polygons meet): {surface.frame.cone_vertices}")
 print(f"regular vertices (four polygons meet): {surface.frame.regular_vertices}")
 print("folded cone point coordinates (x, y*sqrt3):")
@@ -44,9 +39,8 @@ print(f"\nglued triangulation: {tri.n_vertices} vertices, {len(tri.edges)} edges
 print(f"degree histogram: {tri.degree_histogram()}  (six 4s: the cone points)")
 print(f"vertex colors: {tri.vertex_colors}")
 
-form = restrict_form(assemble_form(graph, boundaries), kernel)
 areas = sum(triarea(ch.chain) for ch in surface.placed.values())
-identity = verify_triangle_identity(form, lengths, tri, areas)
+identity = verify_triangle_identity(inst.form, lengths, tri, areas)
 print(f"\nquadratic form value {identity.form_value} = 3 * {identity.triangle_count} triangles: "
       f"{identity.holds}")
 

@@ -9,18 +9,13 @@ instance; any deviation would be reported as a finding, not silenced.
 
 import time
 
-from octacolor import (assemble_form, assign_labels, build_constraints,
-                       gen_spiral, kernel_basis, polygon_boundaries,
-                       restrict_form)
+from octacolor import spiral_instance
 
 print(f"{'k':>3} {'E_b':>5} {'rank':>5} {'dim':>4} {'signature':>12} {'verdict':>10} {'secs':>7}")
 for k in range(3, 7):
     t0 = time.perf_counter()
-    graph = gen_spiral(k)
-    boundaries = polygon_boundaries(graph)
-    labels = assign_labels(graph, boundaries)
-    kernel = kernel_basis(build_constraints(graph, boundaries, labels))
-    form = restrict_form(assemble_form(graph, boundaries), kernel)
+    inst = spiral_instance(k)  # the gated pipeline Instance: kernel and cone already derived
+    kernel, form = inst.kernel, inst.form
     elapsed = time.perf_counter() - t0
     sig = form.signature
     verdict = "expected" if sig == (1, 3, 0) else "FINDING"
@@ -28,10 +23,5 @@ for k in range(3, 7):
           f"{str(sig):>12} {verdict:>10} {elapsed:>7.2f}")
 
 print("\nrestricted form for k=3 (doubled Gram matrix on the kernel basis):")
-graph = gen_spiral(3)
-boundaries = polygon_boundaries(graph)
-labels = assign_labels(graph, boundaries)
-kernel = kernel_basis(build_constraints(graph, boundaries, labels))
-form = restrict_form(assemble_form(graph, boundaries), kernel)
-for row in form.restricted:
+for row in spiral_instance(3).form.restricted:
     print("  " + "  ".join(f"{str(x):>6}" for x in row))

@@ -15,7 +15,7 @@ from .emg import (EnhancedMultigraph, Edge, EmgError, Face, FaceSet, Finding,
                   ValidationReport, Vertex, parse_emg, render_emg, trace_faces,
                   validate_plausible)
 from .families import (ConstructionError, bundled_names, gen_spiral,
-                       isomorphic, load_bundled)
+                       isomorphic, load_bundled, spiral_instance)
 from .geometry import (AngleError, ClosureError, ColorError,
                        ColoredTriangulation, EdgeGluing, GluingError,
                        MeshError, NetLayout, PolygonChart, RealizedSurface,

@@ -1,9 +1,10 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-A stage subcommand loads a ``pipeline.Instance``, reads the one stage it
-reports (stages are computed lazily) and emits ``{"instance": name,
-**fragment}`` from that stage's ``pipeline.*_json`` function; ``check``
-emits ``pipeline.run_check``'s report, built from the same fragments.
+Each command loads one ``pipeline.Instance`` per instance (a spiral
+member is the one its validation gate derived), so it derives each stage
+once.  A stage subcommand emits ``{"instance": name, **fragment}`` from
+its stage's ``pipeline.*_json`` function; ``check`` and ``survey`` emit
+``run_check``'s report and ``run_survey``'s rows.
 
 Exit status: 0 on success; 1 on an invariant failure, on a ``check`` that
 realized no point and on an exceeded budget (``lattice`` still writes its
@@ -20,10 +21,10 @@ import os
 import sys
 
 from . import svg
-from .cone import EnumerationBudgetError
+from .cone import ENUMERATION_BUDGET, EnumerationBudgetError
 from .emg import EmgError, parse_emg, render_emg
-from .families import (ConstructionError, bundled_names, gen_spiral,
-                       load_bundled)
+from .families import (ConstructionError, bundled_names, load_bundled,
+                       spiral_instance)
 from .geometry import (AngleError, ClosureError, ColorError, GluingError,
                        MeshError, build_triangulation, develop_net, four_color)
 from .labeling import BoundaryError, HolonomyError
@@ -37,40 +38,37 @@ class InputError(Exception):
     pass
 
 
-def _load_graph(args) -> tuple[str, object]:
+def _load_instance(args) -> tuple[str, Instance]:
+    """The named instance; a spiral member is its gate's, rebuilt for --seed-flag."""
+    seed_flag = _seed_flag(getattr(args, "seed_flag", None))
     if getattr(args, "family", None):
         if args.k is None:
             raise InputError("--family spiral requires --k")
-        return f"spiral-k{args.k}", _generate(args.k)
+        inst = _generate(args.k)
+        return f"spiral-k{args.k}", inst if seed_flag is None else Instance(inst.g, seed_flag)
     if getattr(args, "bundled", None):
         try:
-            return args.bundled, load_bundled(args.bundled)
+            return args.bundled, Instance(load_bundled(args.bundled), seed_flag)
         except KeyError as exc:
             raise InputError(str(exc)) from exc
     if getattr(args, "input", None):
         try:
             with open(args.input, encoding="utf-8") as fh:
-                text = fh.read()
+                g = parse_emg(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
-        try:
-            return os.path.basename(args.input), parse_emg(text)
         except EmgError as exc:
             raise InputError(f"{args.input}: {exc}") from exc
+        return os.path.basename(args.input), Instance(g, seed_flag)
     raise InputError("no instance given; use --input, --family, or --bundled")
 
 
-def _generate(k: int):
-    """The spiral member for ``k``, the only family ``--family`` admits."""
+def _generate(k: int) -> Instance:
+    """The gated spiral member for ``k``, the only family ``--family`` admits."""
     try:
-        return gen_spiral(k)
+        return spiral_instance(k)
     except (ConstructionError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-
-
-def _load_instance(args) -> tuple[str, Instance]:
-    name, g = _load_graph(args)
-    return name, Instance(g, _seed_flag(getattr(args, "seed_flag", None)))
 
 
 def _seed_flag(text: str | None) -> tuple[int, int] | None:
@@ -187,14 +185,14 @@ def _cmd_qform(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    name, g = _load_graph(args)
-    report = run_check(g, name=name, max_len=args.max_len, budget=args.budget)
+    name, inst = _load_instance(args)
+    report = run_check(inst, name=name, max_len=args.max_len, budget=args.budget)
     _emit_json(args, report.to_json_dict())
     return 0 if report.ok else 1
 
 
 def _cmd_gen(args) -> int:
-    _emit(args, render_emg(_generate(args.k)))
+    _emit(args, render_emg(_generate(args.k).g))
     return 0
 
 
@@ -213,13 +211,13 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _cmd_survey(args) -> int:
-    instances = []
-    for k in _parse_k_range(args.k_range):
-        try:
-            instances.append((f"spiral-k{k}", _generate(k)))
-        except InputError as exc:
-            raise InputError(f"k={k}: {exc}") from exc
-    _emit_json(args, run_survey(instances, max_len=args.max_len, budget=args.budget))
+    def instances():  # each k is gated only when its row is due
+        for k in _parse_k_range(args.k_range):
+            try:
+                yield f"spiral-k{k}", _generate(k)
+            except InputError as exc:
+                raise InputError(f"k={k}: {exc}") from exc
+    _emit_json(args, run_survey(instances(), max_len=args.max_len, budget=args.budget))
     return 0
 
 
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_out(p)
         if lattice or point:
             p.add_argument("--max-len", type=int, default=3, help="edge length bound")
-            p.add_argument("--budget", type=int, default=10 ** 6,
+            p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET,
                            help="candidate budget for lattice enumeration")
         if point:
             p.add_argument("--point", help="index into the positive lattice points, or a comma vector")
@@ -283,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--family", choices=["spiral"], required=True)
     p_survey.add_argument("--k-range", required=True, help="A..B inclusive")
     p_survey.add_argument("--max-len", type=int, default=0)
-    p_survey.add_argument("--budget", type=int, default=10 ** 6)
+    p_survey.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
     _add_common_out(p_survey)
     p_survey.set_defaults(fn=_cmd_survey)
 

@@ -28,6 +28,9 @@ from . import linalg
 from .shapesys import KernelBasis
 
 
+ENUMERATION_BUDGET = 10 ** 6  # the default candidate budget of every enumeration
+
+
 class EnumerationBudgetError(RuntimeError):
     def __init__(self, budget: int):
         super().__init__(f"lattice enumeration exceeded the budget of {budget} candidates")
@@ -170,7 +173,7 @@ class LatticePoint(NamedTuple):
 
 
 def enumerate_lattice_points(lb: LatticeBasis, bound: int,
-                             budget: int = 10 ** 6) -> list[LatticePoint]:
+                             budget: int = ENUMERATION_BUDGET) -> list[LatticePoint]:
     """The integer points of C_tau with every length <= bound, sorted by vector.
 
     C_tau is the kernel intersected with the nonnegative orthant, and ``lb``

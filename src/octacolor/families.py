@@ -12,11 +12,11 @@ The completion is built in closed form.  For k >= 5 it is periodic in k:
 fixed red edges and doubles near the seed square and near the last wrap
 step, and the chord (2j+3, 2j) as red edge of both quadrilaterals of each
 step in between.  k = 3 and k = 4 are too short for that pattern and are
-given as literal tables.  Every result still passes the full validation
-gate (plausibility, a consistent direction labelling, kernel dimension
-four, and a strictly positive solution); a completion that fails it
-raises ConstructionError rather than returning an unvalidated variant.
-The closed form reproduces, byte for byte, the first completion in
+given as literal tables.  Every result passes the full validation gate
+(the chain's stop rule, kernel dimension four and a strictly positive
+solution) or raises ConstructionError: ``spiral_instance`` returns the
+``pipeline.Instance`` the gate derived, ``gen_spiral`` its graph, cached
+per k.  The closed form reproduces, byte for byte, the first completion in
 canonical order of the backtracking search it replaced; that search is
 kept in tests/spiral_search.py as the oracle tests compare against.
 """
@@ -86,17 +86,14 @@ def _spiral_cell(k: int) -> EnhancedMultigraph:
 # ---------------------------------------------------------------------------
 # completion and its validation gate
 
-def _is_nice(g: EnhancedMultigraph) -> bool:
-    inst = Instance(g)
-    if not inst.validation.plausible:
-        return False
+def _is_nice(inst: Instance) -> bool:
+    """The gate: the chain's stop rule, a kernel of dimension four (so of
+    rank E_b - 4) and a strictly positive point of the cone."""
     try:
-        inst.labels
-    except ValueError:  # BoundaryError or HolonomyError
+        derivable = inst.derivable
+    except ValueError:  # a BoundaryError
         return False
-    if inst.kernel.dimension != 4 or inst.kernel.rank != inst.system.n_cols - 4:
-        return False
-    return bool(inst.cone.has_positive_point)
+    return derivable and inst.kernel.dimension == 4 and bool(inst.cone.has_positive_point)
 
 
 # k = 3 and k = 4 are too short for the periodic pattern of _spiral_completion.
@@ -187,14 +184,14 @@ def _apply_completion(cell: EnhancedMultigraph, faces, red_choice: dict[int, int
     return g
 
 
-@lru_cache(maxsize=None)
-def gen_spiral(k: int) -> EnhancedMultigraph:
-    """Spiral family member on 2k polygons; deterministic for each k.
+def spiral_instance(k: int) -> Instance:
+    """Spiral family member on 2k polygons, deterministic for each k.
 
     Completes the spiral cell with the closed-form red edges and doubles
-    of _spiral_completion, then runs the full validation gate; raises
-    ConstructionError when the completion fails it, rather than inventing
-    a variant.
+    of _spiral_completion and runs the full validation gate on it.  Returns
+    the ``Instance`` the gate derived, so no stage it read is derived
+    again; raises ConstructionError when the completion fails the gate,
+    rather than inventing a variant.
     """
     if k < 3:
         raise ValueError("spiral parameter must be at least 3")
@@ -205,9 +202,16 @@ def gen_spiral(k: int) -> EnhancedMultigraph:
     g = _apply_completion(cell, faces,
                           {f: edge_at[frozenset(pair)] for f, pair in enumerate(reds)},
                           [(edge_at[frozenset(pair)], f) for pair, f in doubles])
-    if not _is_nice(g):
+    inst = Instance(g)
+    if not _is_nice(inst):
         raise ConstructionError(f"spiral k={k} completion fails the validation gate")
-    return g
+    return inst
+
+
+@lru_cache(maxsize=None)
+def gen_spiral(k: int) -> EnhancedMultigraph:
+    """The gated graph of ``spiral_instance(k)``, cached per k."""
+    return spiral_instance(k).g
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,26 @@
 """The derivation chain of one instance, check runs and JSON reports.
 
-``Instance`` derives the chain of one combinatorial type once: validation,
-polygon boundaries, direction labels, closure system, kernel and lemma
-checks, cone and extreme rays, lattice basis, restricted quadratic form,
-and the surface frame (what developing a surface needs of the type alone).
-Each stage is a cached property computed on first use, so a caller pays
-only for the stages it reads; ``develop`` realizes one edge-length vector
-and develops it against the frame.  One ``*_json`` function per stage
-builds its report fragment: the CLI emits them, and ``run_check``
-assembles its report from them.  ``run_survey`` reads the same stages but
-reports only a few fields, so it builds no fragment.  Exact quantities
+``Instance`` is the one place the chain of a combinatorial type is built:
+validation, polygon boundaries, direction labels, closure system, kernel
+and lemma checks, cone and extreme rays, lattice basis, restricted form,
+and the surface frame.  Each stage is a cached property computed on first
+use; ``develop`` realizes one edge-length vector against the frame.
+``derivable`` is the stop rule, and ``walk`` visits the stages in report
+order under it, timing each: ``run_check`` and ``run_survey`` read that
+one walk.  One ``*_json`` function per stage builds its report fragment,
+for the CLI and ``run_check``; a survey row builds none.  Exact quantities
 serialize as integer or rational strings.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from functools import cached_property
+from types import SimpleNamespace
 
-from .cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
+from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays,
+                   lattice_basis, restrict_to_kernel)
 from .emg import EnhancedMultigraph, validate_plausible
 from .geometry import (build_triangulation, cone_point_coordinates, four_color,
                        place_surface, realize_polygons, surface_frame, triarea)
@@ -49,6 +51,21 @@ class Instance:
         return assign_labels(self.g, self.boundaries, self.seed_flag)
 
     @cached_property
+    def conflict(self) -> HolonomyError | None:
+        """The labelling's holonomy conflict, or None if it is consistent."""
+        try:
+            self.labels
+        except HolonomyError as exc:
+            return exc
+        return None
+
+    @property
+    def derivable(self) -> bool:
+        """The stop rule: the chain goes past the labels of a plausible
+        instance with no holonomy conflict, and no further otherwise."""
+        return self.validation.plausible and self.conflict is None
+
+    @cached_property
     def system(self):
         return build_constraints(self.g, self.boundaries, self.labels)
 
@@ -76,8 +93,32 @@ class Instance:
     def frame(self):
         return surface_frame(self.boundaries)
 
-    def lattice_points(self, max_len: int, budget: int = 10 ** 6):
+    def lattice_points(self, max_len: int, budget: int = ENUMERATION_BUDGET):
         return enumerate_lattice_points(self.lattice, max_len, budget=budget)
+
+    def walk(self, timings: dict, tail: tuple[str, ...] = ()):
+        """Yield a report's stage names in order, then the caller's ``tail``,
+        under the stop rule: an implausible instance ends the walk after
+        ``validate``, a holonomy conflict after ``labels``, unlapped.  A lap
+        runs until the caller resumes the walk; ``timings`` gets each by its
+        stage name, and the whole walk as ``total``."""
+        start = last = time.perf_counter()
+
+        def lap(stage: str) -> None:
+            nonlocal last
+            t = time.perf_counter()
+            timings[stage], last = round(t - last, 6), t
+
+        yield "validate"
+        lap("validate")
+        if self.validation.plausible:
+            yield "labels"
+        if self.derivable:
+            lap("labels")
+            for stage in ("solve", "cone", "lattice", "form", *tail):
+                yield stage
+                lap(stage)
+        timings["total"] = round(time.perf_counter() - start, 6)
 
     def develop(self, vector):
         """Realize the edge-length vector (in kernel column order) and
@@ -116,12 +157,10 @@ def validation_json(rep) -> dict:
 
 def labeling_json(inst: Instance) -> dict:
     """The labelling, or its holonomy conflict reported as ``consistent: false``."""
-    try:
-        labels = inst.labels
-    except HolonomyError as exc:
-        return {"consistent": False, "error": str(exc)}
-    return {"consistent": True, "seed": list(labels.seed),
-            "exponents": {str(eid): e for eid, e in labels.exponents}}
+    if inst.conflict is not None:
+        return {"consistent": False, "error": str(inst.conflict)}
+    return {"consistent": True, "seed": list(inst.labels.seed),
+            "exponents": {str(eid): e for eid, e in inst.labels.exponents}}
 
 
 def lemmas_json(kernel, lemmas) -> dict:
@@ -167,87 +206,52 @@ def _histogram_json(tri) -> dict:
 # ---------------------------------------------------------------------------
 # check and survey runs
 
-class PipelineReport:
-    def __init__(self, instance: dict, validation: dict):
-        self.instance = instance
-        self.validation = validation
-        self.labeling: dict = {}
-        self.system: dict = {}
-        self.cone: dict = {}
-        self.lattice: dict = {}
-        self.realizations: list = []
-        self.form: dict = {}
-        self.timings: dict = {}
-        self.ok = False
+class PipelineReport(SimpleNamespace):
+    def __init__(self):
+        super().__init__(instance={}, validation={}, labeling={}, system={}, cone={},
+                         lattice={}, realizations=[], form={}, timings={}, ok=False)
 
     def to_json_dict(self) -> dict:
-        """The report's fields, shared, not copied: each already holds plain
-        JSON data."""
-        return {"instance": self.instance, "validation": self.validation,
-                "labeling": self.labeling, "system": self.system, "cone": self.cone,
-                "lattice": self.lattice, "realizations": self.realizations,
-                "form": self.form, "timings": self.timings, "ok": self.ok}
+        """The fields, shared, not copied: each already holds plain JSON data."""
+        return dict(vars(self))
 
 
-class _Laps:
-    """Wall time per stage, each lap measured from the end of the last."""
-
-    def __init__(self):
-        self.start = self.last = time.perf_counter()
-        self.timings: dict[str, float] = {}
-
-    def __call__(self, stage: str) -> None:
-        t = time.perf_counter()
-        self.timings[stage], self.last = t - self.last, t
-
-    def done(self) -> dict:
-        self.timings["total"] = time.perf_counter() - self.start
-        return {k: round(v, 6) for k, v in self.timings.items()}
-
-
-def run_check(g: EnhancedMultigraph, name: str = "instance", max_len: int = 3,
-              budget: int = 10 ** 6) -> PipelineReport:
-    """Full pipeline on one instance; every verdict is an upstream invariant.
+def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len: int = 3,
+              budget: int = ENUMERATION_BUDGET) -> PipelineReport:
+    """Full pipeline on one instance (a graph, or an ``Instance`` whose
+    derived stages it reuses); every verdict is an upstream invariant.
 
     ``ok`` needs every lemma, a strictly positive cone, the signature
     (1, 3, 0), at least one realized point and the form identity on every
     realized point: a length bound that admits no strictly positive
     lattice point fails.
     """
-    lap = _Laps()
-    inst = Instance(g)
-    rep = inst.validation
-    report = PipelineReport(instance={"name": name, "V": rep.counts["V"], "E_b": rep.counts["E_b"],
-                                      "E_red": rep.counts["E_red"]},
-                            validation=validation_json(rep))
-
-    def done() -> PipelineReport:
-        report.timings = lap.done()
-        return report
-
-    lap("validate")
-    if not rep.plausible:
-        return done()
-    report.labeling = labeling_json(inst)
-    if not report.labeling["consistent"]:
-        return done()
-    lap("labels")
-    report.system = {"rows": inst.system.n_rows, "cols": inst.system.n_cols,
-                     **lemmas_json(inst.kernel, inst.lemmas)}
-    lap("solve")
-    report.cone = {**cone_json(inst.cone), "lattice_basis": matrix_json(inst.lattice.vectors)}
-    lap("cone")
-    points = inst.lattice_points(max_len, budget)
-    report.lattice = lattice_points_json(points, max_len)
-    lap("lattice")
-    report.form = form_json(inst.form)
-    lap("form")
-    report.realizations = [_check_realization(inst, p.vector) for p in points if p.strictly_positive]
-    lap("realize")
-    report.ok = (inst.lemmas.all_passed and bool(inst.cone.has_positive_point)
-                 and report.form["signature_as_expected"] and bool(report.realizations)
-                 and all(r.get("identity_holds") for r in report.realizations))
-    return done()
+    inst = g if isinstance(g, Instance) else Instance(g)
+    report = PipelineReport()
+    for stage in inst.walk(report.timings, tail=("realize",)):
+        if stage == "validate":
+            counts = inst.validation.counts
+            report.instance = {"name": name, "V": counts["V"], "E_b": counts["E_b"],
+                               "E_red": counts["E_red"]}
+            report.validation = validation_json(inst.validation)
+        elif stage == "labels":
+            report.labeling = labeling_json(inst)
+        elif stage == "solve":
+            report.system = {"rows": inst.system.n_rows, "cols": inst.system.n_cols,
+                             **lemmas_json(inst.kernel, inst.lemmas)}
+        elif stage == "cone":
+            report.cone = {**cone_json(inst.cone), "lattice_basis": matrix_json(inst.lattice.vectors)}
+        elif stage == "lattice":
+            points = inst.lattice_points(max_len, budget)
+            report.lattice = lattice_points_json(points, max_len)
+        elif stage == "form":
+            report.form = form_json(inst.form)
+        elif stage == "realize":
+            report.realizations = [_check_realization(inst, p.vector) for p in points if p.strictly_positive]
+            report.ok = (inst.lemmas.all_passed and bool(inst.cone.has_positive_point)
+                         and report.form["signature_as_expected"] and bool(report.realizations)
+                         and all(r.get("identity_holds") for r in report.realizations))
+    return report
 
 
 def _check_realization(inst: Instance, vector) -> dict:
@@ -272,50 +276,40 @@ def _check_realization(inst: Instance, vector) -> dict:
             "cone_points": [grid_point_json(c) for c in cone_point_coordinates(surface)]}
 
 
-def run_survey(instances: list[tuple[str, EnhancedMultigraph]], max_len: int = 0,
-               budget: int = 10 ** 6) -> dict:
-    """Pipeline summary per instance: rank, lemma verdict, cone, positivity,
-    signature and the lattice point counts at ``max_len``.
+def run_survey(instances: Iterable[tuple[str, EnhancedMultigraph | Instance]], max_len: int = 0,
+               budget: int = ENUMERATION_BUDGET) -> dict:
+    """Pipeline summary per instance (a graph or an ``Instance``): rank,
+    lemma verdict, cone, positivity, signature and the lattice point
+    counts at ``max_len``.
 
-    Each row reads the stages ``run_check`` reads, in the same order, from
-    one ``Instance``, and serializes only what it reports.  A stage that
-    cannot run (an implausible instance, a holonomy conflict) leaves its
-    fields and every later one ``None``, with ``n_rays`` 0.
+    Each row walks the stages ``run_check`` walks and serializes only what
+    it reports.  A stage the stop rule skips leaves its fields and every
+    later one ``None``, with ``n_rays`` 0.  Rows are built as
+    ``instances`` yields its entries, so a generator may derive each
+    instance only when its row is due.
     """
     return {"survey": [_survey_row(name, g, max_len, budget) for name, g in instances]}
 
 
-def _survey_row(name: str, g: EnhancedMultigraph, max_len: int, budget: int) -> dict:
-    lap = _Laps()
-    inst = Instance(g)
-    row = {"instance": name, "plausible": inst.validation.plausible, "rank": None,
-           "dimension": None, "lemmas_ok": None, "has_positive_point": None, "n_rays": 0,
-           "signature": None, "signature_as_expected": None, "points": None,
-           "strictly_positive": None}
-
-    def done() -> dict:
-        row["timings"] = lap.done()
-        return row
-
-    lap("validate")
-    if not row["plausible"]:
-        return done()
-    try:
-        inst.labels
-    except HolonomyError:
-        return done()
-    lap("labels")
-    row["rank"], row["dimension"] = inst.kernel.rank, inst.kernel.dimension
-    row["lemmas_ok"] = inst.lemmas.all_passed
-    lap("solve")
-    row["has_positive_point"] = inst.cone.has_positive_point
-    row["n_rays"] = len(inst.cone.extreme_rays)
-    lap("cone")
-    points = inst.lattice_points(max_len, budget)
-    row["points"] = len(points)
-    row["strictly_positive"] = sum(p.strictly_positive for p in points)
-    lap("lattice")
-    row["signature"] = list(inst.form.signature)
-    row["signature_as_expected"] = row["signature"] == [1, 3, 0]
-    lap("form")
-    return done()
+def _survey_row(name: str, g: EnhancedMultigraph | Instance, max_len: int, budget: int) -> dict:
+    inst = g if isinstance(g, Instance) else Instance(g)
+    row = {"instance": name, "plausible": None, "rank": None, "dimension": None,
+           "lemmas_ok": None, "has_positive_point": None, "n_rays": 0, "signature": None,
+           "signature_as_expected": None, "points": None, "strictly_positive": None,
+           "timings": {}}
+    for stage in inst.walk(row["timings"]):
+        if stage == "validate":
+            row["plausible"] = inst.validation.plausible
+        elif stage == "solve":
+            row.update(rank=inst.kernel.rank, dimension=inst.kernel.dimension,
+                       lemmas_ok=inst.lemmas.all_passed)
+        elif stage == "cone":
+            row.update(has_positive_point=inst.cone.has_positive_point,
+                       n_rays=len(inst.cone.extreme_rays))
+        elif stage == "lattice":
+            points = inst.lattice_points(max_len, budget)
+            row.update(points=len(points), strictly_positive=sum(p.strictly_positive for p in points))
+        elif stage == "form":
+            row["signature"] = list(inst.form.signature)
+            row["signature_as_expected"] = row["signature"] == [1, 3, 0]
+    return row

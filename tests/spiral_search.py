@@ -15,6 +15,7 @@ import itertools
 
 from octacolor.emg import EnhancedMultigraph, trace_faces
 from octacolor.families import _apply_completion, _is_nice
+from octacolor.pipeline import Instance
 
 
 def complete_cell(cell: EnhancedMultigraph) -> EnhancedMultigraph | None:
@@ -110,7 +111,7 @@ def complete_cell(cell: EnhancedMultigraph) -> EnhancedMultigraph | None:
                 for assignment in stage3(doubles):
                     red_choice = {face_list[j].id: reds[j] for j in range(len(reds))}
                     g = _apply_completion(cell, faces, red_choice, assignment)
-                    if _is_nice(g):
+                    if _is_nice(Instance(g)):
                         return g
             return None
         for eid in face_edge_choices[i]:

@@ -11,8 +11,7 @@ import time
 import pytest
 
 from octacolor.cone import ConeDescription, enumerate_lattice_points, extreme_rays, lattice_basis
-from octacolor.emg import validate_plausible
-from octacolor.families import bundled_names, gen_spiral, load_bundled
+from octacolor.families import bundled_names, load_bundled, spiral_instance
 from octacolor.geometry import (build_triangulation, cone_point_coordinates,
                                 develop_surface, four_color, realize_polygons,
                                 triarea)
@@ -26,21 +25,15 @@ from test_cone import box_scan, brute_force_rays, random_kernel_bases
 SPIRAL_RANGE = range(3, 9)
 
 
-def _pipeline(g):
-    inst = Instance(g)
-    return inst.boundaries, inst.labels, inst.system, inst.kernel
-
-
 @pytest.fixture(scope="module")
 def spiral_instances():
+    """k -> (the gated instance, whose gate derived its kernel and cone;
+    the seconds that took)."""
     out = {}
     for k in SPIRAL_RANGE:
-        gen_spiral.cache_clear()
         t0 = time.perf_counter()
-        g = gen_spiral(k)
-        bnds, labels, system, kernel = _pipeline(g)
-        elapsed = time.perf_counter() - t0
-        out[k] = (g, bnds, labels, system, kernel, elapsed)
+        inst = spiral_instance(k)
+        out[k] = (inst, time.perf_counter() - t0)
     return out
 
 
@@ -48,19 +41,14 @@ def spiral_instances():
 def realized_sample():
     """Criterion 5's exhaustive sample: all strictly positive lattice points
     of the k=3 spiral instance with every edge length at most 3."""
-    g = gen_spiral(3)
-    bnds, labels, system, kernel = _pipeline(g)
-    lb = lattice_basis(kernel)
-    points = [p for p in enumerate_lattice_points(lb, 3) if p.strictly_positive]
-    qf = restrict_form(assemble_form(g, bnds), kernel)
+    inst = spiral_instance(3)
     realized = []
-    for p in points:
-        lengths = dict(zip(kernel.col_edges, p.vector))
-        charts = realize_polygons(g, bnds, labels, lengths)
-        surface = develop_surface(g, bnds, charts)
-        tri = four_color(build_triangulation(surface))
-        realized.append((p.vector, lengths, charts, surface, tri))
-    return g, bnds, labels, kernel, qf, realized
+    for p in inst.lattice_points(3):
+        if p.strictly_positive:
+            surface = inst.develop(p.vector)
+            tri = four_color(build_triangulation(surface))
+            realized.append((p.vector, dict(zip(inst.kernel.col_edges, p.vector)), surface, tri))
+    return inst, realized
 
 
 def test_criterion_1_unit_hexagon_form_value():
@@ -90,20 +78,17 @@ def test_criterion_1_unit_hexagon_form_value():
 
 
 def test_criterion_2_rank_law(spiral_instances):
-    for k, (g, bnds, labels, system, kernel, elapsed) in spiral_instances.items():
-        assert kernel.rank == system.n_cols - 4, f"k={k}"
-        assert kernel.dimension == 4, f"k={k}"
+    for k, (inst, elapsed) in spiral_instances.items():
+        assert inst.kernel.rank == inst.system.n_cols - 4, f"k={k}"
+        assert inst.kernel.dimension == 4, f"k={k}"
         assert elapsed < 10.0, f"k={k} pipeline took {elapsed:.2f}s"
     print("PASS criterion-2: rank = E_b - 4 and kernel dimension 4 for spiral k=3..8, each pipeline < 10 s")
 
 
 def test_criterion_3_dependency_law(spiral_instances):
-    systems = [spiral_instances[k][3] for k in SPIRAL_RANGE]
-    for name in bundled_names():
-        g = load_bundled(name)
-        _, _, system, _ = _pipeline(g)
-        systems.append(system)
-    for system in systems:
+    instances = [inst for inst, _ in spiral_instances.values()]
+    instances += [Instance(load_bundled(name)) for name in bundled_names()]
+    for system in (inst.system for inst in instances):
         matrix = system.matrix
         for c in range(system.n_cols):
             assert sum(row[c] for row in matrix) == 0
@@ -111,21 +96,20 @@ def test_criterion_3_dependency_law(spiral_instances):
 
 
 def test_criterion_4_euler_law(spiral_instances):
-    graphs = [spiral_instances[k][0] for k in SPIRAL_RANGE]
-    graphs += [load_bundled(name) for name in bundled_names()]
-    for g in graphs:
-        rep = validate_plausible(g)
+    instances = [inst for inst, _ in spiral_instances.values()]
+    instances += [Instance(load_bundled(name)) for name in bundled_names()]
+    for rep in (inst.validation for inst in instances):
         assert rep.plausible
         assert rep.counts["E_b"] - 2 * rep.counts["V"] == 2
     print("PASS criterion-4: E_b - 2V = 2 on every plausible instance")
 
 
 def test_criterion_5_triangle_count_identity(realized_sample):
-    g, bnds, labels, kernel, qf, realized = realized_sample
+    inst, realized = realized_sample
     t0 = time.perf_counter()
     assert realized, "no strictly positive lattice points found"
-    for vector, lengths, charts, surface, tri in realized:
-        value = qf.value(lengths)
+    for vector, lengths, surface, tri in realized:
+        value = inst.form.value(lengths)
         count = len(tri.triangles)
         areas = sum(triarea(ch.chain) for ch in surface.placed.values())
         assert value == 3 * count, vector
@@ -137,8 +121,8 @@ def test_criterion_5_triangle_count_identity(realized_sample):
 
 
 def test_criterion_6_degree_sequence(realized_sample):
-    _, _, _, _, _, realized = realized_sample
-    for vector, _, _, _, tri in realized:
+    _, realized = realized_sample
+    for vector, _, _, tri in realized:
         hist = tri.degree_histogram()
         assert hist.get(4, 0) == 6, vector
         assert set(hist) <= {4, 6}, vector
@@ -146,8 +130,8 @@ def test_criterion_6_degree_sequence(realized_sample):
 
 
 def test_criterion_7_four_coloring(realized_sample):
-    _, _, _, _, _, realized = realized_sample
-    for vector, _, _, surface, tri in realized:
+    _, realized = realized_sample
+    for vector, _, _, tri in realized:
         colors = tri.vertex_colors
         assert colors is not None and set(colors) <= {0, 1, 2, 3}, vector
         # independent brute-force properness scan
@@ -166,13 +150,13 @@ def test_criterion_7_four_coloring(realized_sample):
 def test_criterion_8_signature_survey(spiral_instances):
     verdicts = {}
     findings = []
-    for k, (g, bnds, labels, system, kernel, _) in spiral_instances.items():
-        qf = assemble_form(g, bnds)
+    for k, (inst, _) in spiral_instances.items():
+        qf = assemble_form(inst.g, inst.boundaries)
         t0 = time.perf_counter()
-        restricted = restrict_form(qf, kernel)
+        restricted = restrict_form(qf, inst.kernel)
         elapsed = time.perf_counter() - t0
         sig = restricted.signature
-        assert sum(sig) == kernel.dimension
+        assert sum(sig) == inst.kernel.dimension
         assert elapsed < 1.0, f"k={k} signature took {elapsed:.3f}s"
         verdicts[k] = sig
         if sig != (1, 3, 0):
@@ -212,9 +196,10 @@ def test_criterion_9_cone_engine_oracle():
 
 
 def test_criterion_10_folding_map_well_defined(realized_sample):
-    g, bnds, labels, kernel, _, realized = realized_sample
+    inst, realized = realized_sample
     rng = random.Random(42)
-    for vector, lengths, charts, surface, _ in realized:
+    for vector, lengths, surface, _ in realized:
+        charts = realize_polygons(inst.g, inst.boundaries, inst.labels, lengths)
         for _ in range(5):
             order = sorted(surface.frame.gluings)
             rng.shuffle(order)
@@ -234,23 +219,17 @@ def test_criterion_10_folding_map_well_defined(realized_sample):
                 if ra != rb:
                     parent[ra] = rb
                     tree.add(eid)
-            alt = develop_surface(g, bnds, charts, tree=tree)
+            alt = develop_surface(inst.g, inst.boundaries, charts, tree=tree)
             assert alt.folded_vertex_image == surface.folded_vertex_image, vector
     print("PASS criterion-10: folded vertex images identical across 5 random spanning trees per realized point")
 
 
 def test_criterion_11_coordinate_map_linearity(realized_sample):
-    g, bnds, labels, kernel, _, realized = realized_sample
+    inst, realized = realized_sample
     vectors = [r[0] for r in realized]
-
-    def coords(vec):
-        lengths = dict(zip(kernel.col_edges, vec))
-        charts = realize_polygons(g, bnds, labels, lengths)
-        return cone_point_coordinates(develop_surface(g, bnds, charts))
-
     pairs = list(itertools.combinations(vectors[:5], 2))
     for v1, v2 in pairs:
         vs = tuple(a + b for a, b in zip(v1, v2))
-        c1, c2, cs = coords(v1), coords(v2), coords(vs)
+        c1, c2, cs = (cone_point_coordinates(inst.develop(v)) for v in (v1, v2, vs))
         assert all(cs[i] == c1[i] + c2[i] for i in range(6))
     print(f"PASS criterion-11: cone point coordinates additive on {len(pairs)} lattice point pairs")

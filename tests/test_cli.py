@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octacolor import pipeline
 from octacolor.cli import main
 from octacolor.emg import parse_emg, render_emg, validate_plausible
 from octacolor.families import bundled_names, gen_spiral, load_bundled
@@ -59,6 +60,33 @@ def test_labels_json(capsys):
     assert data["consistent"] is True
     assert len(data["exponents"]) == 14
     assert all(0 <= v <= 5 for v in data["exponents"].values())
+
+
+def test_labels_seed_flag_on_a_generated_spiral(tmp_path, capsys):
+    # the generated instance is rebuilt with the flag, as a file of it is read
+    path = tmp_path / "spiral-k3.emg"
+    assert main(["gen", "--family", "spiral", "--k", "3", "--out", str(path)]) == 0
+    spiral, flag = ["--family", "spiral", "--k", "3"], ["--seed-flag", "1:1"]
+    outs = []
+    for argv in (spiral + flag, ["--input", str(path)] + flag, spiral):
+        code, out, _ = run(capsys, "labels", *argv)
+        assert code == 0
+        outs.append({k: v for k, v in json.loads(out).items() if k != "instance"})
+    assert outs[0] == outs[1] != outs[2]
+    assert outs[0]["seed"] == [1, 1]
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["solve", "--k", "3"], 1), (["check", "--k", "3"], 1), (["survey", "--k-range", "3..5"], 3),
+], ids=["solve", "check", "survey"])
+def test_spiral_commands_derive_each_kernel_once(monkeypatch, capsys, argv, calls):
+    # the spiral gate's Instance is the one the command reads
+    seen = []
+    real = pipeline.kernel_basis
+    monkeypatch.setattr(pipeline, "kernel_basis", lambda system: seen.append(1) or real(system))
+    gen_spiral.cache_clear()
+    assert main([argv[0], "--family", "spiral", *argv[1:]]) == 0
+    assert len(seen) == calls
 
 
 def test_labels_seed_flag(capsys):

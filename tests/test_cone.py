@@ -13,9 +13,8 @@ from octacolor.cone import (ConeDescription, EnumerationBudgetError,
                             LatticeBasis, enumerate_lattice_points, extreme_rays,
                             lattice_basis, restrict_to_kernel)
 from octacolor.families import bundled_names, gen_spiral, load_bundled
-from octacolor.labeling import assign_labels, polygon_boundaries
 from octacolor.pipeline import Instance
-from octacolor.shapesys import KernelBasis, build_constraints, kernel_basis
+from octacolor.shapesys import KernelBasis
 
 
 def _cone(rows, dim):
@@ -53,10 +52,7 @@ def test_restrict_unit_kernel():
 
 
 def test_restrict_spiral_shape(spiral3):
-    bnds = polygon_boundaries(spiral3)
-    labels = assign_labels(spiral3, bnds)
-    kb = kernel_basis(build_constraints(spiral3, bnds, labels))
-    cd = restrict_to_kernel(kb)
+    cd = restrict_to_kernel(Instance(spiral3).kernel)
     assert len(cd.inequalities) == 14
     assert cd.dimension == 4
 
@@ -119,22 +115,16 @@ def test_lattice_basis_hand_reduction():
 
 
 def test_lattice_basis_spiral_members_satisfy_system(spiral3):
-    bnds = polygon_boundaries(spiral3)
-    labels = assign_labels(spiral3, bnds)
-    system = build_constraints(spiral3, bnds, labels)
-    kb = kernel_basis(system)
-    lb = lattice_basis(kb)
+    inst = Instance(spiral3)
+    lb = lattice_basis(inst.kernel)
     assert len(lb.vectors) == 4
-    rows = [list(r) for r in system.matrix]
+    rows = [list(r) for r in inst.system.matrix]
     for v in lb.vectors:
         assert all(x == 0 for x in rational_linalg.mat_vec(rows, list(v)))
 
 
 def test_lattice_basis_spans_all_integer_points(spiral3):
-    bnds = polygon_boundaries(spiral3)
-    labels = assign_labels(spiral3, bnds)
-    kb = kernel_basis(build_constraints(spiral3, bnds, labels))
-    lb = lattice_basis(kb)
+    lb = lattice_basis(Instance(spiral3).kernel)
     for p in enumerate_lattice_points(lb, 2):
         coords = rational_linalg.solve(rational_linalg.transpose([list(v) for v in lb.vectors]), list(p.vector))
         assert coords is not None
@@ -191,21 +181,14 @@ def test_enumerate_matches_box_scan():
 
 def test_positive_point_iff_positive_enumerated(spiral3, hexpair):
     # the ray-sum positivity flag agrees with exhaustive bounded enumeration
-    for g in (spiral3, hexpair):
-        bnds = polygon_boundaries(g)
-        labels = assign_labels(g, bnds)
-        kb = kernel_basis(build_constraints(g, bnds, labels))
-        cd = extreme_rays(restrict_to_kernel(kb))
-        pts = enumerate_lattice_points(lattice_basis(kb), 3)
-        assert cd.has_positive_point == any(p.strictly_positive for p in pts)
+    for inst in (Instance(spiral3), Instance(hexpair)):
+        pts = inst.lattice_points(3)
+        assert inst.cone.has_positive_point == any(p.strictly_positive for p in pts)
 
 
 def test_extreme_rays_are_lattice_points(spiral3):
-    bnds = polygon_boundaries(spiral3)
-    labels = assign_labels(spiral3, bnds)
-    kb = kernel_basis(build_constraints(spiral3, bnds, labels))
-    lb = lattice_basis(kb)
-    cd = extreme_rays(restrict_to_kernel(kb))
+    inst = Instance(spiral3)
+    kb, lb, cd = inst.kernel, inst.lattice, inst.cone
     basis_cols = rational_linalg.transpose([list(b) for b in kb.basis])
     for ray in cd.extreme_rays:
         edge_vec = rational_linalg.mat_vec(basis_cols, list(ray))

@@ -5,9 +5,7 @@ from octacolor.cli import main
 from octacolor.emg import render_emg, validate_plausible
 from octacolor.families import (ConstructionError, bundled_names, gen_spiral,
                                 isomorphic, load_bundled, _spiral_cell)
-from octacolor.labeling import assign_labels, polygon_boundaries
-from octacolor.pipeline import run_survey
-from octacolor.shapesys import build_constraints, kernel_basis
+from octacolor.pipeline import Instance, run_survey
 from spiral_search import complete_cell
 
 
@@ -53,11 +51,9 @@ def test_spiral_rejects_small_k():
 
 def test_spiral_small_range_fully_nice():
     for k in (3, 4, 5):
-        g = gen_spiral(k)
-        assert validate_plausible(g).plausible
-        bnds = polygon_boundaries(g)
-        labels = assign_labels(g, bnds)
-        kb = kernel_basis(build_constraints(g, bnds, labels))
+        inst = Instance(gen_spiral(k))
+        assert inst.validation.plausible and inst.derivable
+        kb = inst.kernel
         assert kb.dimension == 4
         assert kb.rank == len(kb.col_edges) - 4
 
@@ -89,13 +85,16 @@ def test_spiral_matches_search_oracle(k):
 
 
 def test_spiral_gate_failure_raises(monkeypatch, capsys):
-    monkeypatch.setattr(families, "_is_nice", lambda g: False)
+    # only k = 6 (12 polygons) fails: survey 5..6 has built row 5 when it stops
+    monkeypatch.setattr(families, "_is_nice", lambda inst: len(inst.g.vertices) != 12)
     gen_spiral.cache_clear()
     try:
         with pytest.raises(ConstructionError):
             gen_spiral(6)
-        assert main(["gen", "--family", "spiral", "--k", "6"]) == 2
-        assert "validation gate" in capsys.readouterr().err
+        for argv in (["gen", "--k", "6"], ["check", "--k", "6"], ["survey", "--k-range", "5..6"]):
+            assert main([argv[0], "--family", "spiral", *argv[1:]]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "validation gate" in err
     finally:
         gen_spiral.cache_clear()
 

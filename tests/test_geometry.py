@@ -8,15 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mesh_oracle
-from octacolor.cone import enumerate_lattice_points, lattice_basis
 from octacolor.families import gen_spiral, load_bundled
 from octacolor.geometry import (AngleError, ClosureError, ColorError, GluingError, MeshError,
                                 _closed_mesh_edges, build_triangulation, cone_point_coordinates,
                                 develop_net, develop_surface, four_color,
                                 realize_polygons, triarea, unit_triangulate)
 from octacolor.grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
-from octacolor.labeling import ACUTE, assign_labels, polygon_boundaries
-from octacolor.shapesys import build_constraints, kernel_basis
+from octacolor.labeling import ACUTE
+from octacolor.pipeline import Instance
 
 
 def replace(record, **changes):
@@ -24,22 +23,18 @@ def replace(record, **changes):
     return record._replace(**changes)
 
 
-def _context(g):
-    bnds = polygon_boundaries(g)
-    labels = assign_labels(g, bnds)
-    kb = kernel_basis(build_constraints(g, bnds, labels))
-    return bnds, labels, kb
+def _positive(inst, bound=3):
+    """The vectors of the strictly positive lattice points with lengths <= bound."""
+    return [p.vector for p in inst.lattice_points(bound) if p.strictly_positive]
 
 
-def _positive_points(g, bound=3):
-    bnds, labels, kb = _context(g)
-    lb = lattice_basis(kb)
-    pts = [p for p in enumerate_lattice_points(lb, bound) if p.strictly_positive]
-    return bnds, labels, kb, pts
+def _charts(inst, vector):
+    return realize_polygons(inst.g, inst.boundaries, inst.labels, dict(zip(inst.kernel.col_edges, vector)))
 
 
-def _lengths(kb, vector):
-    return dict(zip(kb.col_edges, vector))
+def _first_positive_surface(g, bound=3):
+    inst = Instance(g)
+    return inst.develop(_positive(inst, bound)[0])
 
 
 def _random_tree(g, gluings, seed):
@@ -68,8 +63,7 @@ def _random_tree(g, gluings, seed):
 # --- realization -----------------------------------------------------------
 
 def test_realize_unit_hexagons(hexpair):
-    bnds, labels, kb = _context(hexpair)
-    charts = realize_polygons(hexpair, bnds, labels, {e: 1 for e in range(6)})
+    charts = _charts(Instance(hexpair), [1] * 6)
     for chart in charts.values():
         assert chart.sides[0].start == ORIGIN
         assert triarea(chart.chain) == 6
@@ -77,25 +71,19 @@ def test_realize_unit_hexagons(hexpair):
 
 
 def test_realize_rejects_broken_closure(hexpair):
-    bnds, labels, kb = _context(hexpair)
-    lengths = {e: 1 for e in range(6)}
-    lengths[0] = 2
     with pytest.raises(ClosureError):
-        realize_polygons(hexpair, bnds, labels, lengths)
+        _charts(Instance(hexpair), [2, 1, 1, 1, 1, 1])
 
 
 def test_realize_rejects_nonpositive(hexpair):
-    bnds, labels, kb = _context(hexpair)
-    lengths = {e: 1 for e in range(6)}
-    lengths[3] = 0
     with pytest.raises(ClosureError):
-        realize_polygons(hexpair, bnds, labels, lengths)
+        _charts(Instance(hexpair), [1, 1, 1, 0, 1, 1])
 
 
 def test_trapezoid_chain_closes(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
-    trap = next(b for b in bnds if b.slots == (0, 2, 3, 4))
+    inst = Instance(spiral3)
+    charts = _charts(inst, _positive(inst)[0])
+    trap = next(b for b in inst.boundaries if b.slots == (0, 2, 3, 4))
     chart = charts[trap.vertex_id]
     turns = [(chart.sides[(i + 1) % 4].direction - chart.sides[i].direction) % 6
              for i in range(4)]
@@ -139,10 +127,9 @@ def test_clockwise_chain_triangulates():
 
 
 def test_triangle_count_always_matches_area(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3, bound=3)
-    for p in pts[:4]:
-        charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, p.vector))
-        for chart in charts.values():
+    inst = Instance(spiral3)
+    for vector in _positive(inst)[:4]:
+        for chart in _charts(inst, vector).values():
             assert len(unit_triangulate(chart)) == triarea(chart.chain)
 
 
@@ -291,60 +278,51 @@ def test_unit_triangles_tile_the_closed_polygon(chain):
 # --- development and folding -----------------------------------------------
 
 def test_develop_surface_cone_count(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
-    surf = develop_surface(spiral3, bnds, charts)
+    inst = Instance(spiral3)
+    surf = develop_surface(spiral3, inst.boundaries, _charts(inst, _positive(inst)[0]))
     assert len(surf.frame.cone_vertices) == 6
     assert surf.folded_vertex_image[surf.frame.flag[0]] == ORIGIN
 
 
 def test_folded_images_independent_of_tree(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
-    base = develop_surface(spiral3, bnds, charts)
+    inst = Instance(spiral3)
+    charts = _charts(inst, _positive(inst)[0])
+    base = develop_surface(spiral3, inst.boundaries, charts)
     for seed in range(5):
         tree = _random_tree(spiral3, base.frame.gluings, seed)
-        surf = develop_surface(spiral3, bnds, charts, tree=tree)
+        surf = develop_surface(spiral3, inst.boundaries, charts, tree=tree)
         assert surf.folded_vertex_image == base.folded_vertex_image
 
 
 def test_folded_images_scale_linearly(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    v = pts[0].vector
-    charts1 = realize_polygons(spiral3, bnds, labels, _lengths(kb, v))
-    charts2 = realize_polygons(spiral3, bnds, labels, _lengths(kb, tuple(2 * x for x in v)))
-    s1 = develop_surface(spiral3, bnds, charts1)
-    s2 = develop_surface(spiral3, bnds, charts2)
+    inst = Instance(spiral3)
+    v = _positive(inst)[0]
+    s1, s2 = inst.develop(v), inst.develop([2 * x for x in v])
     for fid, p in s1.folded_vertex_image.items():
         assert s2.folded_vertex_image[fid] == p.scale(2)
 
 
 def test_cone_point_coordinates_linearity(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    v1, v2 = pts[0].vector, pts[1].vector
+    inst = Instance(spiral3)
+    v1, v2 = _positive(inst)[:2]
     vs = tuple(a + b for a, b in zip(v1, v2))
-
-    def coords(vec):
-        charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, vec))
-        return cone_point_coordinates(develop_surface(spiral3, bnds, charts))
-
-    c1, c2, cs = coords(v1), coords(v2), coords(vs)
+    c1, c2, cs = (cone_point_coordinates(inst.develop(v)) for v in (v1, v2, vs))
     assert all(cs[i] == c1[i] + c2[i] for i in range(6))
 
 
 def test_base_flag_override_white_and_black(spiral3):
     # any (cone vertex, polygon) flag normalizes with the vertex at the
     # origin and the flag polygon inside the closed upper half plane
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
-    base = develop_surface(spiral3, bnds, charts)
+    inst = Instance(spiral3)
+    charts = _charts(inst, _positive(inst)[0])
+    base = develop_surface(spiral3, inst.boundaries, charts)
     corners_at = {}
-    for b in bnds:
+    for b in inst.boundaries:
         for idx, fid in enumerate(b.corner_faces):
             corners_at.setdefault(fid, []).append(b.vertex_id)
     for cv in base.frame.cone_vertices:
         for pid in corners_at[cv]:
-            surf = develop_surface(spiral3, bnds, charts, base_flag=(cv, pid))
+            surf = develop_surface(spiral3, inst.boundaries, charts, base_flag=(cv, pid))
             assert surf.folded_vertex_image[cv] == ORIGIN
             chain = surf.placed[pid].chain
             assert all(p.Y >= 0 for p in chain)
@@ -355,32 +333,30 @@ def test_base_flag_override_white_and_black(spiral3):
 
 
 def test_base_flag_rejects_regular_vertex(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
-    base = develop_surface(spiral3, bnds, charts)
-    quad_vertex = base.frame.regular_vertices[0]
+    inst = Instance(spiral3)
+    quad_vertex = inst.frame.regular_vertices[0]
     with pytest.raises(ValueError):
-        develop_surface(spiral3, bnds, charts, base_flag=(quad_vertex, 0))
+        develop_surface(spiral3, inst.boundaries, _charts(inst, _positive(inst)[0]),
+                        base_flag=(quad_vertex, 0))
 
 
 def test_develop_surface_rejects_holonomy_mismatch(hexpair):
     # the two unit hexagons at different scales: the spanning tree fits
     # polygon 1 to polygon 0 along one edge, and the other five disagree
-    bnds, labels, kb = _context(hexpair)
-    ones = realize_polygons(hexpair, bnds, labels, {e: 1 for e in range(6)})
-    twos = realize_polygons(hexpair, bnds, labels, {e: 2 for e in range(6)})
-    develop_surface(hexpair, bnds, ones)
+    inst = Instance(hexpair)
+    ones, twos = _charts(inst, [1] * 6), _charts(inst, [2] * 6)
+    develop_surface(hexpair, inst.boundaries, ones)
     with pytest.raises(GluingError, match="folded placements disagree"):
-        develop_surface(hexpair, bnds, {0: ones[0], 1: twos[1]})
+        develop_surface(hexpair, inst.boundaries, {0: ones[0], 1: twos[1]})
 
 
 def test_develop_surface_rejects_open_angles(hexpair):
     # one corner relabelled acute leaves its cone vertex a white angle of
     # one unit; the charts still glue, so only the angle closure fails
-    bnds, labels, kb = _context(hexpair)
-    charts = realize_polygons(hexpair, bnds, labels, {e: 1 for e in range(6)})
-    b = next(b for b in bnds if b.color == "white")
-    tampered = [replace(b, corners=(ACUTE,) + b.corners[1:]) if x is b else x for x in bnds]
+    inst = Instance(hexpair)
+    charts = _charts(inst, [1] * 6)
+    b = next(b for b in inst.boundaries if b.color == "white")
+    tampered = [replace(b, corners=(ACUTE,) + b.corners[1:]) if x is b else x for x in inst.boundaries]
     with pytest.raises(AngleError, match=f"cone vertex {b.corner_faces[0]} has angle units"):
         develop_surface(hexpair, tampered, charts)
 
@@ -388,20 +364,14 @@ def test_develop_surface_rejects_open_angles(hexpair):
 # --- glued triangulation and coloring ---------------------------------------
 
 def test_build_triangulation_hexpair(hexpair):
-    bnds, labels, kb = _context(hexpair)
-    charts = realize_polygons(hexpair, bnds, labels, {e: 1 for e in range(6)})
-    surf = develop_surface(hexpair, bnds, charts)
-    tri = build_triangulation(surf)
+    tri = build_triangulation(Instance(hexpair).develop([1] * 6))
     assert tri.euler_characteristic() == 2
     assert tri.degree_histogram() == {4: 6, 6: 2}
     assert len(tri.triangles) == 12
 
 
 def test_four_color_proper_and_balanced(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
-    surf = develop_surface(spiral3, bnds, charts)
-    tri = four_color(build_triangulation(surf))
+    tri = four_color(build_triangulation(_first_positive_surface(spiral3)))
     colors = tri.vertex_colors
     assert colors == tuple(p.color_class() for p in tri.positions)
     assert set(colors) <= {0, 1, 2, 3}
@@ -410,18 +380,13 @@ def test_four_color_proper_and_balanced(spiral3):
 
 
 def test_four_color_survives_doubling(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    doubled = tuple(2 * x for x in pts[0].vector)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, doubled))
-    surf = develop_surface(spiral3, bnds, charts)
-    tri = four_color(build_triangulation(surf))
+    inst = Instance(spiral3)
+    tri = four_color(build_triangulation(inst.develop([2 * x for x in _positive(inst)[0]])))
     assert tri.vertex_colors is not None
 
 
 def test_triangle_count_equals_area_sum(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
-    surf = develop_surface(spiral3, bnds, charts)
+    surf = _first_positive_surface(spiral3)
     tri = build_triangulation(surf)
     assert len(tri.triangles) == sum(triarea(ch.chain) for ch in surf.placed.values())
 
@@ -429,10 +394,7 @@ def test_triangle_count_equals_area_sum(spiral3):
 # --- net development ---------------------------------------------------------
 
 def test_net_hexpair_is_mirror_pair(hexpair):
-    bnds, labels, kb = _context(hexpair)
-    charts = realize_polygons(hexpair, bnds, labels, {e: 1 for e in range(6)})
-    surf = develop_surface(hexpair, bnds, charts)
-    net = develop_net(surf)
+    net = develop_net(Instance(hexpair).develop([1] * 6))
     assert net.overlaps == ()
     assert len(net.tree_edges) == 1
     # the two placed hexagons share exactly the glued edge
@@ -441,9 +403,7 @@ def test_net_hexpair_is_mirror_pair(hexpair):
 
 
 def test_net_deterministic(spiral3):
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
-    surf = develop_surface(spiral3, bnds, charts)
+    surf = _first_positive_surface(spiral3)
     n1 = develop_net(surf)
     n2 = develop_net(surf)
     assert n1.points == n2.points
@@ -453,9 +413,7 @@ def test_net_deterministic(spiral3):
 def test_net_tree_edges_coincide(spiral3):
     # develop_net raises GluingError internally if a tree edge mismatches,
     # so a successful call certifies exact coincidence; check one manually
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
-    surf = develop_surface(spiral3, bnds, charts)
+    surf = _first_positive_surface(spiral3)
     net = develop_net(surf)
     eid = net.tree_edges[0]
     gl = surf.frame.gluings[eid]
@@ -469,12 +427,11 @@ def test_net_tree_edges_coincide(spiral3):
 
 def test_net_follows_a_random_tree(spiral3):
     # the net is laid out along the frame's tree, whichever tree it holds
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    charts = realize_polygons(spiral3, bnds, labels, _lengths(kb, pts[0].vector))
-    base = develop_surface(spiral3, bnds, charts)
+    inst = Instance(spiral3)
+    charts = _charts(inst, _positive(inst)[0])
     for seed in range(5):
-        tree = _random_tree(spiral3, base.frame.gluings, seed)
-        surf = develop_surface(spiral3, bnds, charts, tree=tree)
+        tree = _random_tree(spiral3, inst.frame.gluings, seed)
+        surf = develop_surface(spiral3, inst.boundaries, charts, tree=tree)
         net = develop_net(surf)
         assert net.tree_edges == surf.frame.tree_edges == tuple(sorted(tree))
         assert set(net.points) == set(surf.placed)
@@ -489,17 +446,8 @@ def _mesh_digest(tri):
     return hashlib.sha256(repr(key).encode()).hexdigest()
 
 
-def _first_positive_surface(g, bound):
-    bnds, labels, kb, pts = _positive_points(g, bound=bound)
-    charts = realize_polygons(g, bnds, labels, _lengths(kb, pts[0].vector))
-    return develop_surface(g, bnds, charts)
-
-
 def test_golden_mesh_hexagon_pair():
-    g = load_bundled("hexagon-pair")
-    bnds, labels, kb = _context(g)
-    surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, {e: 1 for e in kb.col_edges}))
-    tri = four_color(build_triangulation(surf))
+    tri = four_color(build_triangulation(Instance(load_bundled("hexagon-pair")).develop([1] * 6)))
     assert len(tri.triangles) == 12
     assert _mesh_digest(tri) == "856bbdac931dd5a610e2027dcc65f1603d03452d862d2721f6cbb7f0c730bfc0"
 
@@ -513,12 +461,11 @@ def test_golden_mesh_spiral6():
 def test_build_triangulation_rejects_half_lengths(spiral3):
     # a halved solution still closes, but its sides are not integers: the
     # realization refuses it, and so does the triangulation of one chain
-    bnds, labels, kb, pts = _positive_points(spiral3)
-    vector = pts[0].vector
+    inst = Instance(spiral3)
+    vector = _positive(inst)[0]
     assert any(x % 2 for x in vector)
-    halved = {e: Fraction(x, 2) for e, x in zip(kb.col_edges, vector)}
     with pytest.raises(ClosureError, match="positive integer"):
-        realize_polygons(spiral3, bnds, labels, halved)
+        _charts(inst, [Fraction(x, 2) for x in vector])
     with pytest.raises(MeshError, match="positive integers"):
         unit_triangulate(ORIGIN, [(Fraction(1, 2), 0), (Fraction(1, 2), 2), (Fraction(1, 2), 4)])
 
@@ -554,9 +501,9 @@ BUNDLED = ("hexagon-pair", "spiral-6", "spiral-8", "spiral-10")
 @pytest.mark.parametrize("g", [load_bundled(name) for name in BUNDLED] + [gen_spiral(k) for k in (3, 4, 5)],
                          ids=[*BUNDLED, "gen-spiral-3", "gen-spiral-4", "gen-spiral-5"])
 def test_build_triangulation_matches_oracle(g):
-    bnds, labels, kb, pts = _positive_points(g, bound=4)
-    for p in pts:
-        surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, _lengths(kb, p.vector)))
+    inst = Instance(g)
+    for vector in _positive(inst, bound=4):
+        surf = inst.develop(vector)
         got, want = build_triangulation(surf), mesh_oracle.build_triangulation(surf)
         assert sorted(zip(got.triangles, got.triangle_colors)) == \
             sorted(zip(want.triangles, want.triangle_colors))
@@ -603,9 +550,7 @@ def _doubled_hexagon_pair(length):
     """Two copies of the hexagon pair's sphere over the same folded image,
     glued only within each copy: the copies share no vertex.  Returns the
     surface and the copies' edge id and face id offsets."""
-    g = load_bundled("hexagon-pair")
-    bnds, labels, kb = _context(g)
-    surf = develop_surface(g, bnds, realize_polygons(g, bnds, labels, {e: length for e in kb.col_edges}))
+    surf = Instance(load_bundled("hexagon-pair")).develop([length] * 6)
     frame = surf.frame
     n, m, f = 1 + max(surf.placed), 1 + max(frame.gluings), 1 + max(frame.face_owner)
     placed = {**surf.placed, **{pid + n: ch for pid, ch in surf.placed.items()}}

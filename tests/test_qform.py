@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 
 from form_oracle import dense_restriction, form_terms
 from rational_linalg import mat_mul, transpose
-from octacolor.cone import enumerate_lattice_points, extreme_rays, lattice_basis, restrict_to_kernel
 from octacolor.families import bundled_names, gen_spiral, load_bundled
-from octacolor.geometry import (build_triangulation, develop_surface,
-                                four_color, realize_polygons, triarea)
-from octacolor.labeling import assign_labels, polygon_boundaries
+from octacolor.geometry import build_triangulation, four_color, realize_polygons, triarea
+from octacolor.labeling import polygon_boundaries
 from octacolor.pipeline import Instance
 from octacolor.qform import (SLOT_MATRIX, QuadraticForm, _form_value, assemble_form,
                              restrict_form, signature, slot_value, verify_triangle_identity)
-from octacolor.shapesys import KernelBasis, build_constraints, kernel_basis
+from octacolor.shapesys import KernelBasis
 
 
 def test_slot_matrix_structure():
@@ -80,12 +78,10 @@ def test_global_matrix_is_symmetric_integer(spiral3):
 
 def test_per_polygon_value_is_three_triareas(spiral3):
     # slot-form value = 3 * area in unit triangles, per polygon, exactly
-    bnds = polygon_boundaries(spiral3)
-    labels = assign_labels(spiral3, bnds)
-    kb = kernel_basis(build_constraints(spiral3, bnds, labels))
-    cd = extreme_rays(restrict_to_kernel(kb))
+    inst = Instance(spiral3)
+    bnds, kb = inst.boundaries, inst.kernel
     rng = random.Random(5)
-    rays = [list(r) for r in cd.extreme_rays]
+    rays = [list(r) for r in inst.cone.extreme_rays]
     basis = [list(b) for b in kb.basis]
     for _ in range(10):
         coeffs = [rng.randrange(1, 5) for _ in rays]
@@ -94,7 +90,7 @@ def test_per_polygon_value_is_three_triareas(spiral3):
         if any(x <= 0 for x in edge_vec):
             continue
         lengths = dict(zip(kb.col_edges, edge_vec))
-        charts = realize_polygons(spiral3, bnds, labels, lengths)
+        charts = realize_polygons(spiral3, bnds, inst.labels, lengths)
         for b in bnds:
             pf = assemble_form(spiral3, [b])
             assert pf.value(lengths) == 3 * triarea(charts[b.vertex_id].chain)
@@ -142,21 +138,17 @@ def test_signature_hyperbolic_plane():
 
 
 def test_signature_spiral_restriction(spiral3):
-    bnds = polygon_boundaries(spiral3)
-    labels = assign_labels(spiral3, bnds)
-    kb = kernel_basis(build_constraints(spiral3, bnds, labels))
-    qf = restrict_form(assemble_form(spiral3, bnds), kb)
+    inst = Instance(spiral3)
+    qf = restrict_form(assemble_form(spiral3, inst.boundaries), inst.kernel)
     assert qf.signature == (1, 3, 0)
 
 
 def test_signature_invariant_under_kernel_basis_change(spiral3):
-    bnds = polygon_boundaries(spiral3)
-    labels = assign_labels(spiral3, bnds)
-    kb = kernel_basis(build_constraints(spiral3, bnds, labels))
-    qf = assemble_form(spiral3, bnds)
+    inst = Instance(spiral3)
+    kb, lb = inst.kernel, inst.lattice
+    qf = assemble_form(spiral3, inst.boundaries)
     sig1 = restrict_form(qf, kb).signature
     # a second canonical basis: the saturated lattice basis of the kernel
-    lb = lattice_basis(kb)
     kb2 = KernelBasis(lb.vectors, kb.rank, kb.dimension, kb.col_edges)
     sig2 = restrict_form(qf, kb2).signature
     assert sig1 == sig2 == (1, 3, 0)
@@ -186,18 +178,13 @@ def test_signature_invariant_under_congruence(seed):
 
 
 def test_homogeneity_of_identity(spiral3):
-    bnds = polygon_boundaries(spiral3)
-    labels = assign_labels(spiral3, bnds)
-    kb = kernel_basis(build_constraints(spiral3, bnds, labels))
-    lb = lattice_basis(kb)
-    pts = [p for p in enumerate_lattice_points(lb, 2) if p.strictly_positive]
-    qf = restrict_form(assemble_form(spiral3, bnds), kb)
-    v = pts[0].vector
-    lengths = dict(zip(kb.col_edges, v))
-    doubled = dict(zip(kb.col_edges, (2 * x for x in v)))
+    inst = Instance(spiral3)
+    qf, cols = inst.form, inst.kernel.col_edges
+    v = next(p.vector for p in inst.lattice_points(2) if p.strictly_positive)
+    lengths = dict(zip(cols, v))
+    doubled = dict(zip(cols, (2 * x for x in v)))
     assert qf.value(doubled) == 4 * qf.value(lengths)
-    charts = realize_polygons(spiral3, bnds, labels, doubled)
-    surf = develop_surface(spiral3, bnds, charts)
+    surf = inst.develop([2 * x for x in v])
     tri = four_color(build_triangulation(surf))
     areas = sum(triarea(ch.chain) for ch in surf.placed.values())
     rep = verify_triangle_identity(qf, doubled, tri, areas)
