@@ -17,8 +17,8 @@ labels = assign_labels(graph, boundaries)
 
 system = build_constraints(graph, boundaries, labels)
 print(f"closure system: {system.n_rows} rows x {system.n_cols} columns")
-print("first polygon's rows:")
-for row, (pid, part) in zip(system.matrix, system.row_origin):
+print("first polygon's rows, as column -> nonzero coefficient:")
+for row, (pid, part) in zip(system.rows, system.row_origin):
     if pid == system.row_origin[0][0]:
         print(f"  {part}: {row}")
 

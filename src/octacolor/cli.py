@@ -31,7 +31,7 @@ from .labeling import BoundaryError, HolonomyError
 from .pipeline import (Instance, cone_json, form_json, labeling_json,
                        lattice_points_json, lemmas_json, matrix_json,
                        realization_json, run_check, run_survey,
-                       validation_json)
+                       system_json, validation_json)
 
 
 class InputError(Exception):
@@ -116,9 +116,7 @@ def _cmd_labels(args) -> int:
 
 def _cmd_solve(args) -> int:
     name, inst = _load_instance(args)
-    _emit_json(args, {"instance": name,
-                      "matrix": matrix_json(inst.system.matrix),
-                      "columns": list(inst.system.col_edges),
+    _emit_json(args, {"instance": name, **system_json(inst.system),
                       "kernel_basis": matrix_json(inst.kernel.basis),
                       **lemmas_json(inst.kernel, inst.lemmas)})
     return 0 if inst.lemmas.all_passed else 1

@@ -318,11 +318,12 @@ RULE_BIPARTITE = "bipartite"
 RULE_RED_COUNT = "red-count"
 
 
-def validate_plausible(g: EnhancedMultigraph) -> ValidationReport:
+def validate_plausible(g: EnhancedMultigraph, faces: FaceSet | None = None) -> ValidationReport:
     """Check the axioms for a plausible multigraph, plus derived identities.
 
-    Failures are reported as findings, never raised; the report is complete
-    rather than first-failure.
+    ``faces`` is ``trace_faces(g)``, traced here when not given.  Failures
+    are reported as findings, never raised; the report is complete rather
+    than first-failure.
     """
     findings: list[Finding] = []
     emap = g.edge_map()
@@ -342,7 +343,7 @@ def validate_plausible(g: EnhancedMultigraph) -> ValidationReport:
             findings.append(Finding(RULE_DEGREE, "error", f"vertex {vid} has degree {deg}, expected 6"))
 
     # (b) blue faces: exactly 6 bigons, all other faces quadrilaterals
-    blue_faces = trace_faces(g)
+    blue_faces = faces if faces is not None else trace_faces(g)
     bigons = blue_faces.by_kind("bigon")
     quads = blue_faces.by_kind("quadrilateral")
     others = blue_faces.by_kind("other")

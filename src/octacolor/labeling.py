@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .emg import BLUE, WHITE, EnhancedMultigraph, trace_faces
+from .emg import BLUE, WHITE, EnhancedMultigraph, FaceSet, trace_faces
 
 ACUTE = "acute"
 OBTUSE = "obtuse"
@@ -52,8 +52,9 @@ class PolygonBoundary(NamedTuple):
         return self.slots[self.sides.index(edge_id)]
 
 
-def polygon_boundaries(g: EnhancedMultigraph) -> list[PolygonBoundary]:
-    """Boundary structure of every polygon, sorted by vertex id.
+def polygon_boundaries(g: EnhancedMultigraph, faces: FaceSet | None = None) -> list[PolygonBoundary]:
+    """Boundary structure of every polygon, sorted by vertex id; ``faces``
+    is ``trace_faces(g)``, traced here when not given.
 
     The corner between consecutive blue darts is acute exactly when one red
     dart lies between them in the rotation; two or more is a structural
@@ -61,7 +62,7 @@ def polygon_boundaries(g: EnhancedMultigraph) -> list[PolygonBoundary]:
     acute corner, anchored for determinism at a side flanked by two acute
     corners when one exists, else at the smallest edge id.
     """
-    corner_of = trace_faces(g).face_of_corner()
+    corner_of = (faces if faces is not None else trace_faces(g)).face_of_corner()
     emap = g.edge_map()
     vmap = g.vertex_map()
     out = []

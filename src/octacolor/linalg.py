@@ -2,15 +2,17 @@
 
 A row is a dict from column to nonzero ``int`` coefficient, so a closure
 row costs its few nonzeros and not its full width; :func:`nonzeros` reads a
-dense row into one.  One elimination engine, a sparse integer row echelon
-form by unimodular row operations, serves :func:`nullspace`,
-:func:`saturate` and :func:`hermite_normal_form`.  Two eliminations stay
-apart from it so that ``verify_lemmas`` can certify the echelon rank
-independently: :func:`rank_mod_p`, the same sparse loop over the integers
-modulo a prime, and :func:`rank_fraction_free`, the dense Bareiss
-elimination the certificate falls back on when every prime it tries gives
-a short rank.  Every input and result is an integer: nothing in this
-module uses rationals or floating point.
+dense row into one.  Every elimination takes its rows in that form.  One
+engine, a sparse integer row echelon form by unimodular row operations,
+serves :func:`nullspace`, :func:`saturate` and :func:`hermite_normal_form`;
+the last two take and return the few dense vectors of a lattice basis and
+read them into sparse rows for it.  Two eliminations stay apart from it so
+that ``verify_lemmas`` can certify the echelon rank independently:
+:func:`rank_mod_p`, the same sparse loop over the integers modulo a prime,
+and :func:`rank_fraction_free`, the Bareiss elimination the certificate
+falls back on when every prime it tries gives a short rank, which makes
+its rows dense inside.  Every input and result is an integer: nothing in
+this module uses rationals or floating point.
 """
 
 from __future__ import annotations
@@ -57,16 +59,17 @@ def rank_mod_p(rows, p: int) -> int:
     return len(pivots)
 
 
-def rank_fraction_free(rows) -> int:
-    """Rank of a dense integer matrix by Bareiss fraction-free elimination.
+def rank_fraction_free(rows, width: int) -> int:
+    """Rank of sparse integer ``rows`` of ``width`` columns by Bareiss
+    fraction-free elimination, on a dense copy of them.
 
     Exact but cubic in the matrix size: ``verify_lemmas`` calls it only
     when :func:`rank_mod_p` falls short for every prime it tries.
     """
-    m = [list(row) for row in rows]
+    m = [[row.get(j, 0) for j in range(width)] for row in rows]
     if not m:
         return 0
-    nrows, width = len(m), len(m[0])
+    nrows = len(m)
     prev = 1
     r = 0
     for c in range(width):

@@ -1,15 +1,18 @@
 """The derivation chain of one instance, check runs and JSON reports.
 
 ``Instance`` is the one place the chain of a combinatorial type is built:
-validation, polygon boundaries, direction labels, closure system, kernel
-and lemma checks, cone and extreme rays, lattice basis, restricted form,
-and the surface frame.  Each stage is a cached property computed on first
-use; ``develop`` realizes one edge-length vector against the frame.
-``derivable`` is the stop rule, and ``walk`` visits the stages in report
-order under it, timing each: ``run_check`` and ``run_survey`` read that
-one walk.  One ``*_json`` function per stage builds its report fragment,
-for the CLI and ``run_check``; a survey row builds none.  Exact quantities
-serialize as integer or rational strings.
+blue faces, validation, polygon boundaries, direction labels, closure
+system, kernel and lemma checks, cone and extreme rays, lattice basis,
+restricted form, and the surface frame.  Each stage is a cached property
+computed on first use; ``develop`` realizes one edge-length vector against
+the frame.  ``derivable`` is the stop rule, and ``walk`` visits the stages
+in report order under it, timing each: ``run_check`` and ``run_survey``
+read that one walk.  One ``*_json`` function per stage builds its report
+fragment, for the CLI and ``run_check``; a survey row builds none.  Exact
+quantities serialize as integer or rational strings.  The closure system
+and the global form, 2V x E_b and E_b x E_b, serialize as their nonzeros
+(``sparse_json``); every other matrix has four rows or four columns and
+serializes dense.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from types import SimpleNamespace
 
 from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays,
                    lattice_basis, restrict_to_kernel)
-from .emg import EnhancedMultigraph, validate_plausible
+from .emg import EnhancedMultigraph, trace_faces, validate_plausible
 from .geometry import (build_triangulation, cone_point_coordinates, four_color,
                        place_surface, realize_polygons, surface_frame, triarea)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
@@ -39,12 +42,16 @@ class Instance:
         self.seed_flag = seed_flag
 
     @cached_property
+    def faces(self):
+        return trace_faces(self.g)
+
+    @cached_property
     def validation(self):
-        return validate_plausible(self.g)
+        return validate_plausible(self.g, self.faces)
 
     @cached_property
     def boundaries(self):
-        return polygon_boundaries(self.g)
+        return polygon_boundaries(self.g, self.faces)
 
     @cached_property
     def labels(self):
@@ -147,6 +154,12 @@ def matrix_json(rows) -> list[list[str]]:
     return [vector_json(row) for row in rows]
 
 
+def sparse_json(shape: tuple[int, int], entries) -> dict:
+    """An n x m matrix as its ``entries`` (i, j, x), sorted by (i, j),
+    with int indices and string values."""
+    return {"shape": list(shape), "entries": [[i, j, str(x)] for i, j, x in sorted(entries)]}
+
+
 # ---------------------------------------------------------------------------
 # one JSON fragment per stage
 
@@ -180,9 +193,20 @@ def lattice_points_json(points, max_len: int) -> dict:
                        for p in points]}
 
 
+def system_json(system) -> dict:
+    """The closure system: every nonzero of its rows."""
+    return {"matrix": sparse_json((system.n_rows, system.n_cols),
+                                  ((i, j, x) for i, row in enumerate(system.rows)
+                                   for j, x in row.items())),
+            "columns": list(system.col_edges)}
+
+
 def form_json(qf) -> dict:
-    sig = list(qf.signature)
-    return {"global_matrix": matrix_json(qf.global_matrix), "restricted": matrix_json(qf.restricted),
+    """The upper triangle of the symmetric doubled Gram matrix, from the
+    terms (c on the diagonal, c/2 off it), and the restricted form."""
+    n, sig = len(qf.col_edges), list(qf.signature)
+    upper = ((i, j, c if i == j else c // 2) for i, j, c in qf.terms)
+    return {"global_matrix": sparse_json((n, n), upper), "restricted": matrix_json(qf.restricted),
             "signature": sig, "expected_signature": [1, 3, 0],
             "signature_as_expected": sig == [1, 3, 0], "non_degenerate": sig[2] == 0}
 

@@ -5,21 +5,20 @@ Each polygon contributes a six-slot form whose value on slot lengths is
 that is 18, three times its six unit triangles, and the same three-to-one
 area identity holds for every closed slot vector.  ``SLOT_MATRIX`` is its
 doubled Gram matrix, keeping every entry an integer (adjacent slots 2,
-distance-two slots 1, diagonal and antipodal 0).
+distance-two slots 1, diagonal and antipodal 0).  ``slot_value`` reads it
+as a form on six slot variables, held as terms like any other.
 
 Summing the per-polygon forms pushed to edge variables gives the global
 form, held as its nonzero terms only: a term (i, j, c) with i <= j is the
 coefficient c of v_i*v_j in v^T M v, where M is the doubled Gram matrix on
 edge variables.  Form values halve that sum of terms, which is even on
-integer vectors because M is symmetric with an even diagonal.  The dense
-matrix is built only where JSON emits it.  Restricting to the kernel of the
-closure system reads the same terms, and diagonalizing by exact rational
-congruence yields its signature.
+integer vectors because M is symmetric with an even diagonal.  Restricting
+to the kernel of the closure system reads the same terms, and diagonalizing
+by exact rational congruence yields its signature.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -37,47 +36,30 @@ SLOT_MATRIX: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-def _form_value(matrix, vec):
-    """Half of vec^T matrix vec for a doubled Gram matrix, exactly: an int
-    when integral (always, on integer vectors), else a Fraction."""
-    v = [Fraction(x) for x in vec]
-    d = math.lcm(*(x.denominator for x in v))
-    w = [x.numerator * (d // x.denominator) for x in v]  # d * v, in integers
-    n = len(w)
-    half = Fraction(sum(matrix[i][j] * w[i] * w[j] for i in range(n) for j in range(n)), 2 * d * d)
-    return int(half) if half.denominator == 1 else half
-
-
-def slot_value(slot_lengths):
-    """Value of the six-slot form on a length-6 vector."""
-    return _form_value(SLOT_MATRIX, slot_lengths)
-
-
 class QuadraticForm(NamedTuple):
     terms: tuple[tuple[int, int, int], ...]  # nonzero (i, j, c) with i <= j
     col_edges: tuple[int, ...]
     restricted: tuple[tuple[int, ...], ...] | None = None
     signature: tuple[int, int, int] | None = None
 
-    @property
-    def global_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The symmetric doubled Gram matrix, E_b x E_b, built from the
-        terms: c on the diagonal, c/2 at (i, j) and (j, i) off it."""
-        n = len(self.col_edges)
-        m = [[0] * n for _ in range(n)]
-        for i, j, c in self.terms:
-            if i == j:
-                m[i][i] = c
-            else:
-                m[i][j] = m[j][i] = c // 2
-        return tuple(map(tuple, m))
-
     def value(self, lengths):
-        """Form value at an edge length vector (by edge id), exactly as
-        ``_form_value`` computes it, from the nonzero terms alone."""
+        """Form value at a length vector, indexed by edge id, from the
+        nonzero terms alone: an int when integral (always, on integer
+        lengths), else a Fraction."""
         v = [lengths[eid] for eid in self.col_edges]
         half = Fraction(sum(c * v[i] * v[j] for i, j, c in self.terms)) / 2
         return int(half) if half.denominator == 1 else half
+
+
+# the six-slot form on slot variables 0..5; its diagonal is zero
+_SLOT_FORM = QuadraticForm(tuple((i, j, 2 * SLOT_MATRIX[i][j])
+                                 for i, j in combinations(range(6), 2) if SLOT_MATRIX[i][j]),
+                           tuple(range(6)))
+
+
+def slot_value(slot_lengths):
+    """Value of the six-slot form on a length-6 vector, integer or rational."""
+    return _SLOT_FORM.value(slot_lengths)
 
 
 def assemble_form(g: EnhancedMultigraph, boundaries: list[PolygonBoundary]) -> QuadraticForm:

@@ -5,8 +5,7 @@ their unit directions vanishes.  Splitting that complex equation into two
 integer-valued real equations per polygon gives a 2V x E_b integer matrix
 whose kernel is the space of consistent length assignments.  A polygon
 touches only its own sides, so each row is held as its nonzeros, a dict
-from column to coefficient; the dense matrix is built only where JSON
-emits it.
+from column to coefficient.
 
 Row scaling: with Re and Im the real and imaginary parts of the unit
 direction at angle e*pi/3, the two rows use the integer combinations
@@ -42,12 +41,6 @@ class ShapeSystem(NamedTuple):
     rows: tuple[dict[int, int], ...]             # 2V rows: column -> nonzero coefficient
     row_origin: tuple[tuple[int, str], ...]      # row -> (polygon vertex id, "re"|"im")
     col_edges: tuple[int, ...]                   # column -> blue edge id, ascending
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The dense 2V x E_b matrix, built from the rows."""
-        n = len(self.col_edges)
-        return tuple(tuple(row.get(j, 0) for j in range(n)) for row in self.rows)
 
     def solves(self, vec) -> bool:
         """Whether the vector of E_b edge lengths closes every polygon."""
@@ -172,8 +165,8 @@ def _rank_certificate(system: ShapeSystem, kernel: KernelBasis) -> LemmaCheck:
         if (rank_a, rank_k) == (rank, dim):
             return verdict(True, f"mod-p certificate, p = {p}: A*K = 0, rank_p(K) = {rank_k}, "
                                  f"rank_p(A) = {rank_a} = echelon rank {rank}")
-    ff_a = linalg.rank_fraction_free(system.matrix)
-    ff_k = linalg.rank_fraction_free(kernel.basis)
+    ff_a = linalg.rank_fraction_free(system.rows, system.n_cols)
+    ff_k = linalg.rank_fraction_free(kernel_rows, system.n_cols)
     return verdict((ff_a, ff_k) == (rank, dim),
                    f"fraction-free fallback, the rank modulo every listed prime fell short: "
                    f"A*K = 0, rank(K) = {ff_k}, rank(A) = {ff_a}; echelon rank {rank}, dimension {dim}")

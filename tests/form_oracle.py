@@ -4,10 +4,16 @@
 ``qform.restrict_form`` computed before the form kept only its terms, and
 ``form_terms`` reads the terms (i, j, m_ij + m_ji) for i < j and
 (i, i, m_ii) off any square integer matrix, symmetric or not, so that tests
-can build a ``QuadraticForm`` from a dense matrix.
+can build a ``QuadraticForm`` from a dense matrix.  ``global_matrix`` goes
+the other way, from the terms to the dense symmetric E_b x E_b matrix,
+which the library no longer builds, and ``form_value`` is the dense
+evaluation that ``QuadraticForm.value`` must agree with.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from rational_linalg import mat_mul, transpose
 
@@ -25,3 +31,27 @@ def form_terms(matrix) -> tuple[tuple[int, int, int], ...]:
             if c:
                 terms.append((i, j, c))
     return tuple(terms)
+
+
+def global_matrix(qf) -> tuple[tuple[int, ...], ...]:
+    """The symmetric doubled Gram matrix, E_b x E_b, built from the terms
+    of ``qf``: c on the diagonal, c/2 at (i, j) and (j, i) off it."""
+    n = len(qf.col_edges)
+    m = [[0] * n for _ in range(n)]
+    for i, j, c in qf.terms:
+        if i == j:
+            m[i][i] = c
+        else:
+            m[i][j] = m[j][i] = c // 2
+    return tuple(map(tuple, m))
+
+
+def form_value(matrix, vec):
+    """Half of vec^T matrix vec for a doubled Gram matrix, exactly: an int
+    when integral (always, on integer vectors), else a Fraction."""
+    v = [Fraction(x) for x in vec]
+    d = math.lcm(*(x.denominator for x in v))
+    w = [x.numerator * (d // x.denominator) for x in v]  # d * v, in integers
+    n = len(w)
+    half = Fraction(sum(matrix[i][j] * w[i] * w[j] for i in range(n) for j in range(n)), 2 * d * d)
+    return int(half) if half.denominator == 1 else half

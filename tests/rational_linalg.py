@@ -7,7 +7,9 @@ its ``rank`` wherever a test needs one, and its ``solve`` to express points
 in a lattice basis.  It clears rationals itself and uses nothing from
 ``octacolor.linalg``, so the oracle stays independent.  The dense
 ``transpose`` and ``mat_mul`` serve the dense form restriction in
-``form_oracle``, and ``mat_vec`` checks that vectors solve a dense system.
+``form_oracle``, ``mat_vec`` checks that vectors solve a dense system, and
+``dense`` builds the dense matrix of sparse rows, such as the 2V x E_b
+closure system, which the library holds only as its nonzeros.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from math import gcd, lcm
 
 Row = list[Fraction]
 Matrix = list[Row]
+
+
+def dense(rows, width: int) -> list[list[int]]:
+    """The dense matrix of sparse rows (column -> entry) of ``width`` columns."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
 
 
 def transpose(m):

@@ -10,10 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from form_oracle import global_matrix
 from octacolor import pipeline
 from octacolor.cli import main
 from octacolor.emg import parse_emg, render_emg, validate_plausible
 from octacolor.families import bundled_names, gen_spiral, load_bundled
+from octacolor.pipeline import Instance
+from octacolor.qform import assemble_form
+from rational_linalg import dense
 
 
 def run(capsys, *argv):
@@ -102,7 +106,10 @@ def test_solve_json(capsys):
     data = json.loads(out)
     assert data["rank"] == 10
     assert data["dimension"] == 4
-    assert all(isinstance(x, str) for row in data["matrix"] for x in row)
+    assert data["matrix"]["shape"] == [12, 14]
+    assert all(type(i) is int and type(j) is int and type(x) is str
+               for i, j, x in data["matrix"]["entries"])
+    assert all(isinstance(x, str) for row in data["kernel_basis"] for x in row)
 
 
 def test_rays_json(capsys):
@@ -215,7 +222,11 @@ def test_unknown_family(capsys):
 # the rank certificate, the only field that changed; `render` was re-pinned
 # when charts came to be cut into unit triangles by a row scan, which
 # reorders the triangle outlines and leaves the multiset of SVG lines as it
-# was.
+# was.  `solve`, `qform` and `check` were re-pinned on both instances when
+# the closure system (`matrix`) and the global form (`global_matrix`) came
+# to be written as their sorted nonzeros under `shape` and `entries`: every
+# other field decoded equal, and the new fields rebuilt the old dense
+# matrices exactly (test_sparse_fields_rebuild_the_dense_oracles).
 GOLDEN_COMMANDS = {
     "validate": [], "labels": [], "solve": [], "rays": [],
     "lattice": ["--max-len", "3"], "realize": ["--point", "0"], "qform": [],
@@ -226,24 +237,24 @@ GOLDEN_SHA256 = {
     "hexagon-pair": {
         "validate": "a59c3aa5b5e5aee4fc5cbcf24da3d353e2f452a4d58b3ea0132c67e1ee469218",
         "labels": "094650888f1427da3678027ec5cea73f9b06ace28679dd7fb72db86b2b5bdb79",
-        "solve": "13e05178835ea8c37c712a388ac833985ca047e201fee2389b0b9c14e9b6aa79",
+        "solve": "31d896208a9889734ff36562c1bdc342cea496c65e7cdda96c49f7ce1ff51ae3",
         "rays": "2e32d5922836bf3ee24aded85dadaccd75b82248f4fd49ad0b65458874fd228b",
         "lattice": "47f93ac5f59ea3199ece27b70b581bf91c5695c3ae30362fb23120c951c0527b",
         "realize": "1cb535e54e7a0ca817e31108ba6f28ba23c16c571c1f5b67d07c4027bfa80c36",
-        "qform": "9f4074664b374db84917e3143ae3e10ccba3226dc62f7705075b3df43a49929a",
+        "qform": "20eee57e5d02291553ff9f020c41715a1b4fa0b5a6dafb263b6ed8e2015eeb1e",
         "render": "79d665e694a9096f0ee7c343a9bc3956bf8f5ee92da8f5a1ddacd3f570cdaefc",
-        "check": "a7f5f28a9c4d68592a62db4efd3e1ac3a2978c06e7ca9cd5894b396865d03073",
+        "check": "61d655bc8238231dc3d1370f3fd2173b3f392139fee82f798fa20b7980ea6eff",
     },
     "spiral-k3": {
         "validate": "c635bf0723a15dc47e05aa564171b3d86cda2892bec5dc469c8a947fdf2ccfe7",
         "labels": "a298aca95e37e9fb8d48cc7a471ba07643354226871619d9d9d91c3354123027",
-        "solve": "de12ee6fb4517236520fbc4485cfb16dd2a794601f113655047fa1dab873a046",
+        "solve": "6b1a1fb818db16d29b7ad09650d3167209baf7c6f4d9c33b7b12bb936272e821",
         "rays": "62457f632f5d0e3d65739fff840ddd10a03d0507791d735c4067c87d1dc03894",
         "lattice": "982efa712f7d744a4088e5e09a6dab50ee180102b22d36f9a1b16325b434f03d",
         "realize": "0a2d3865a0f4512cdbafd9bf99cb57ee497372e883fa22e7408f7f62fc624d70",
-        "qform": "2d1e975a539aabceeea5b638198d39e7ab4f67dd349062a6e18b7626154abf7d",
+        "qform": "c92ac20698a614e143bb814bcabd50a98c2e1eea85bc73e921f57cc898e0996b",
         "render": "dc22efa5766c7af43ceff77a209aeddf9dc17a8f66cda5c7c428ff74f490b593",
-        "check": "96607b13e701a6f8b2b645192558c5573268e2fbb3792a105edc8208c79d3ddd",
+        "check": "9fd99a9cdd1cb4d4bfdfc1798d4df8ab01658598781510bdefa33cf9dfbf11ac",
     },
 }
 GOLDEN_INSTANCES = {"hexagon-pair": ["--bundled", "hexagon-pair"],
@@ -260,6 +271,42 @@ def test_golden_stdout(capsys, instance, command):
         del data["timings"]
         out = json.dumps(data, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[instance][command]
+
+
+def _dense_from_json(field, symmetric=False):
+    """The dense int matrix of a sparse JSON field; ``symmetric`` mirrors
+    an upper triangle.  Entries must be sorted nonzeros, i <= j if
+    ``symmetric``."""
+    (n, m), entries = field["shape"], field["entries"]
+    keys = [(i, j) for i, j, _ in entries]
+    assert keys == sorted(set(keys))
+    assert all(type(i) is int and type(j) is int and type(x) is str for i, j, x in entries)
+    dense = [[0] * m for _ in range(n)]
+    for i, j, x in entries:
+        assert int(x) and (i <= j or not symmetric)
+        dense[i][j] = int(x)
+        if symmetric:
+            dense[j][i] = int(x)
+    return dense
+
+
+def _oracle_global_matrix(inst):
+    return [list(row) for row in global_matrix(assemble_form(inst.g, inst.boundaries))]
+
+
+def test_sparse_fields_rebuild_the_dense_oracles(capsys):
+    graphs = {"hexagon-pair": load_bundled("hexagon-pair"), "spiral-k3": gen_spiral(3)}
+    for name, argv in GOLDEN_INSTANCES.items():
+        inst = Instance(graphs[name])
+        solved = json.loads(run(capsys, "solve", *argv)[1])
+        assert _dense_from_json(solved["matrix"]) == dense(inst.system.rows, inst.system.n_cols)
+        form = json.loads(run(capsys, "qform", *argv)[1])
+        assert _dense_from_json(form["global_matrix"], symmetric=True) == _oracle_global_matrix(inst)
+    for k in range(3, 13):
+        inst = Instance(gen_spiral(k))
+        report = pipeline.run_check(inst, name=f"spiral-k{k}", max_len=0)
+        assert _dense_from_json(report.form["global_matrix"], symmetric=True) == \
+            _oracle_global_matrix(inst)
 
 
 def _overlay_render_digest(capsys, name, point):

@@ -118,7 +118,7 @@ def test_lattice_basis_spiral_members_satisfy_system(spiral3):
     inst = Instance(spiral3)
     lb = lattice_basis(inst.kernel)
     assert len(lb.vectors) == 4
-    rows = [list(r) for r in inst.system.matrix]
+    rows = rational_linalg.dense(inst.system.rows, inst.system.n_cols)
     for v in lb.vectors:
         assert all(x == 0 for x in rational_linalg.mat_vec(rows, list(v)))
 

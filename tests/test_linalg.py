@@ -23,7 +23,7 @@ def small_int_matrix(max_dim=5, lo=-4, hi=4):
 @given(small_int_matrix())
 @settings(max_examples=150, deadline=None)
 def test_rank_methods_agree(m):
-    assert rational_linalg.rank(m) == linalg.rank_fraction_free(m)
+    assert rational_linalg.rank(m) == linalg.rank_fraction_free(sparse(m), len(m[0]))
 
 
 @given(small_int_matrix())

@@ -1,11 +1,12 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from octacolor import pipeline
+from octacolor import emg, pipeline
 from octacolor.cli import main
 from octacolor.emg import EnhancedMultigraph
 from octacolor.families import bundled_names, gen_spiral, load_bundled
@@ -42,8 +43,10 @@ def test_check_report_stops_on_implausible(spiral3):
 
 def test_check_exact_values_are_strings(hexpair):
     report = run_check(hexpair, name="hexagon-pair", max_len=1)
-    for row in report.form["global_matrix"]:
-        assert all(isinstance(x, str) for x in row)
+    assert report.form["global_matrix"]["shape"] == [6, 6]
+    assert all(type(i) is int and type(j) is int and type(x) is str
+               for i, j, x in report.form["global_matrix"]["entries"])
+    assert all(isinstance(x, str) for row in report.form["restricted"] for x in row)
     for point in report.lattice["points"]:
         assert all(isinstance(x, str) for x in point["vector"])
     for entry in report.realizations:
@@ -83,7 +86,8 @@ def test_survey_rows_match_check_reports():
 
 
 def test_survey_builds_no_report_fragment(monkeypatch):
-    for name in ("lattice_points_json", "matrix_json", "vector_json", "cone_json", "form_json"):
+    for name in ("lattice_points_json", "matrix_json", "sparse_json", "vector_json", "cone_json",
+                 "system_json", "form_json"):
         monkeypatch.setattr(pipeline, name, _forbidden(name))
     (row,) = run_survey([("spiral-k3", gen_spiral(3))], max_len=2)["survey"]
     assert row["points"] > row["strictly_positive"] > 0
@@ -158,6 +162,21 @@ def test_instance_builds_its_frame_once(monkeypatch, spiral3):
     monkeypatch.setattr(pipeline, "surface_frame", lambda boundaries: calls.append(1) or real(boundaries))
     report = run_check(spiral3, max_len=2)
     assert report.ok and len(report.realizations) > 1
+    assert len(calls) == 1
+
+
+def test_instance_traces_its_faces_once(monkeypatch, spiral3):
+    # validation and the polygon boundaries share the instance's faces
+    calls = []
+    real = emg.trace_faces
+    patched = [name for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "octacolor" and getattr(module, "trace_faces", None) is real]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "trace_faces", lambda g: calls.append(1) or real(g))
+    assert {"octacolor.emg", "octacolor.labeling"} <= set(patched)
+    inst = Instance(spiral3)
+    report = run_check(inst, max_len=2)
+    assert report.ok and set(report.timings) >= {"validate", "labels", "form", "realize"}
     assert len(calls) == 1
 
 

@@ -4,14 +4,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import dense_restriction, form_terms
+from form_oracle import dense_restriction, form_terms, form_value, global_matrix
 from rational_linalg import mat_mul, transpose
 from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.geometry import build_triangulation, four_color, realize_polygons, triarea
 from octacolor.labeling import polygon_boundaries
 from octacolor.pipeline import Instance
-from octacolor.qform import (SLOT_MATRIX, QuadraticForm, _form_value, assemble_form,
-                             restrict_form, signature, slot_value, verify_triangle_identity)
+from octacolor.qform import (SLOT_MATRIX, QuadraticForm, assemble_form, restrict_form,
+                             signature, slot_value, verify_triangle_identity)
 from octacolor.shapesys import KernelBasis
 
 
@@ -68,7 +68,9 @@ def test_assemble_doubles_shared_hexagon(hexpair):
 def test_global_matrix_is_symmetric_integer(spiral3):
     bnds = polygon_boundaries(spiral3)
     qf = assemble_form(spiral3, bnds)
-    m = qf.global_matrix
+    # off the diagonal a term is twice its entry, so halving it is exact
+    assert all(i < j and c % 2 == 0 for i, j, c in qf.terms if i != j)
+    m = global_matrix(qf)
     assert len(m) == 14
     for i in range(14):
         for j in range(14):
@@ -205,7 +207,14 @@ def test_form_value_from_nonzero_terms_matches_dense(case):
     matrix, vec = case
     cols = tuple(range(10, 10 + len(vec)))
     got = QuadraticForm(form_terms(matrix), cols).value(dict(zip(cols, vec)))
-    want = _form_value(matrix, vec)
+    want = form_value(matrix, vec)
+    assert got == want and type(got) is type(want)
+
+
+@given(st.lists(st.integers(-20, 20) | _rationals, min_size=6, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_slot_value_matches_dense_oracle(vec):
+    got, want = slot_value(vec), form_value(SLOT_MATRIX, vec)
     assert got == want and type(got) is type(want)
 
 
@@ -215,12 +224,13 @@ def test_form_value_matches_dense_on_spiral_forms():
         g = gen_spiral(k)
         qf = assemble_form(g, polygon_boundaries(g))
         # the terms and the dense matrix built from them describe one form
-        assert sorted(qf.terms) == list(form_terms(qf.global_matrix))
+        matrix = global_matrix(qf)
+        assert sorted(qf.terms) == list(form_terms(matrix))
         for _ in range(20):
             vec = [rng.randrange(-9, 10) for _ in qf.col_edges]
             if rng.random() < 0.5:
                 vec = [Fraction(x, rng.randrange(1, 5)) for x in vec]
-            assert qf.value(dict(zip(qf.col_edges, vec))) == _form_value(qf.global_matrix, vec)
+            assert qf.value(dict(zip(qf.col_edges, vec))) == form_value(matrix, vec)
 
 
 def _assert_restriction_matches_dense(qf, matrix, kernel):
@@ -234,7 +244,7 @@ def test_restrict_form_matches_dense_oracle_on_bundled_and_spiral():
     for g in cases:
         inst = Instance(g)
         qf = assemble_form(g, inst.boundaries)
-        _assert_restriction_matches_dense(qf, qf.global_matrix, inst.kernel)
+        _assert_restriction_matches_dense(qf, global_matrix(qf), inst.kernel)
 
 
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(

@@ -23,9 +23,13 @@ def _system(g):
     return build_constraints(g, bnds, labels)
 
 
+def _dense(system):
+    return rational_linalg.dense(system.rows, system.n_cols)
+
+
 def test_hexagon_rows_are_the_closure_vectors(hexpair):
     system = _system(hexpair)
-    white_rows = [row for row, (pid, part) in zip(system.matrix, system.row_origin) if pid == 0]
+    white_rows = [row for row, (pid, part) in zip(_dense(system), system.row_origin) if pid == 0]
     assert system.rows[:2] == tuple({c: x for c, x in enumerate(v) if x} for v in (V1, V2))
     assert tuple(white_rows[0]) == V1
     assert tuple(white_rows[1]) == V2
@@ -37,7 +41,7 @@ def test_trapezoid_rows_reduce_to_zero_substitution(spiral3):
     bnds = polygon_boundaries(spiral3)
     trap = next(b for b in bnds if b.n_sides == 4 and b.slots == (0, 2, 3, 4))
     system = _system(spiral3)
-    rows = [list(row) for row, (pid, _) in zip(system.matrix, system.row_origin)
+    rows = [list(row) for row, (pid, _) in zip(_dense(system), system.row_origin)
             if pid == trap.vertex_id]
     col = {eid: i for i, eid in enumerate(system.col_edges)}
     e0, e2, e3, e4 = trap.sides
@@ -60,14 +64,14 @@ def test_trapezoid_rows_reduce_to_zero_substitution(spiral3):
 
 def test_row_sum_is_zero(spiral3, hexpair):
     for g in (spiral3, hexpair):
-        matrix = _system(g).matrix
+        matrix = _dense(_system(g))
         for c in range(len(matrix[0])):
             assert sum(row[c] for row in matrix) == 0
 
 
 def test_entries_are_small_integers(spiral3):
     system = _system(spiral3)
-    entries = {x for row in system.matrix for x in row}
+    entries = {x for row in _dense(system) for x in row}
     assert entries <= {-2, -1, 0, 1, 2}
     assert {x for row in system.rows for x in row.values()} <= {-2, -1, 1, 2}
 
@@ -128,7 +132,7 @@ def test_kernel_vectors_satisfy_system_exactly(spiral3):
     for _ in range(20):
         coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in kb.basis]
         v = [sum(c * b[i] for c, b in zip(coeffs, kb.basis)) for i in range(system.n_cols)]
-        assert not any(rational_linalg.mat_vec(system.matrix, v))
+        assert not any(rational_linalg.mat_vec(_dense(system), v))
         assert system.solves(v)
 
 
@@ -170,7 +174,7 @@ def test_rank_certificate_uses_neither_echelon_nor_bareiss(monkeypatch, spiral3)
     assert check.detail.startswith(f"mod-p certificate, p = {RANK_PRIMES[0]}:")
 
 
-def test_rank_certificate_falls_back_to_bareiss():
+def test_rank_certificate_falls_back_to_bareiss(monkeypatch, spiral3):
     # rank 1 over the rationals, rank 0 modulo every listed prime
     system = ShapeSystem(({0: math.prod(RANK_PRIMES)},), ((0, "re"),), (0,))
     kb = kernel_basis(system)
@@ -179,6 +183,12 @@ def test_rank_certificate_falls_back_to_bareiss():
     check = _rank_check(system, kb)
     assert check.passed
     assert check.detail.startswith("fraction-free fallback")
+    # every prime forced short on a closure system: Bareiss decides from its sparse rows
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, p: 0)
+    system = _system(spiral3)
+    check = _rank_check(system, kernel_basis(system))
+    assert check.passed
+    assert check.detail.startswith("fraction-free fallback") and "rank(K) = 4, rank(A) = 10" in check.detail
 
 
 def _tampered(kb, kind):
@@ -216,7 +226,7 @@ def test_rank_certificate_matches_bareiss_oracle(instance):
     system = _system(g)
     kb = kernel_basis(system)
     check = _rank_check(system, kb)
-    assert check.passed == (linalg.rank_fraction_free(system.matrix) == kb.rank)
+    assert check.passed == (linalg.rank_fraction_free(system.rows, system.n_cols) == kb.rank)
     assert check.passed and check.detail.startswith("mod-p certificate")
 
 
@@ -240,4 +250,4 @@ def test_kernel_basis_matches_rational_oracle(instance):
     g = load_bundled(instance) if isinstance(instance, str) else gen_spiral(instance)
     system = _system(g)
     kb = kernel_basis(system)
-    assert [list(v) for v in kb.basis] == rational_linalg.nullspace(system.matrix)
+    assert [list(v) for v in kb.basis] == rational_linalg.nullspace(_dense(system))
