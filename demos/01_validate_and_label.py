@@ -28,7 +28,7 @@ for name, graph in [("hexagon-pair", load_bundled("hexagon-pair")),
               f"{b.corners.count('acute')} acute corners, slots {b.slots}")
 
     labels = assign_labels(graph, boundaries)
-    print(f"direction exponents (edge -> k meaning angle k*pi/3): {dict(labels.exponents)}")
+    print(f"direction exponents (edge -> k meaning angle k*pi/3): {labels.exponents}")
     print()
 
 print("canonical serialization of the spiral instance:")

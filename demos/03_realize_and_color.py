@@ -22,7 +22,6 @@ graph = inst.g
 
 points = [p for p in inst.lattice_points(3) if p.strictly_positive]
 vector = points[0].vector
-lengths = dict(zip(inst.kernel.col_edges, vector))
 print(f"realizing edge lengths {vector}")
 
 # realize the polygons of these lengths and develop them into one plane
@@ -40,7 +39,7 @@ print(f"degree histogram: {tri.degree_histogram()}  (six 4s: the cone points)")
 print(f"vertex colors: {tri.vertex_colors}")
 
 areas = sum(triarea(ch.chain) for ch in surface.placed.values())
-identity = verify_triangle_identity(inst.form, lengths, tri, areas)
+identity = verify_triangle_identity(inst.form, vector, tri, areas)
 print(f"\nquadratic form value {identity.form_value} = 3 * {identity.triangle_count} triangles: "
       f"{identity.holds}")
 

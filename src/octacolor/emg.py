@@ -78,8 +78,10 @@ def opposite(dart: Dart) -> Dart:
 
 
 def check_well_formed(g: EnhancedMultigraph) -> None:
-    """Raise EmgError unless ids resolve and every dart sits in exactly one
-    rotation, at the vertex matching its endpoint."""
+    """Raise EmgError unless there is a vertex, ids resolve and every dart
+    sits in exactly one rotation, at the vertex matching its endpoint."""
+    if not g.vertices:
+        raise EmgError("instance has no vertices")
     vmap = g.vertex_map()
     emap = g.edge_map()
     if len(vmap) != len(g.vertices):
@@ -207,16 +209,14 @@ class Face(NamedTuple):
 
 
 class FaceSet(NamedTuple):
+    """The blue faces, indexed by trace order, and two maps read off the
+    trace: ``corner_owner`` sends a blue dart to the face owning the corner
+    counterclockwise after it, and ``contained_reds`` sends each face that
+    holds red edges, in face order, to their ids in ascending order."""
     faces: tuple[Face, ...]
-    corner_owner: tuple[tuple[Dart, int], ...]  # dart -> face owning the corner ccw-after it
+    corner_owner: dict[Dart, int]
     euler_characteristic: int
-    contained_reds: tuple[tuple[int, tuple[int, ...]], ...]  # face id -> red edge ids inside
-
-    def face_of_corner(self) -> dict[Dart, int]:
-        return dict(self.corner_owner)
-
-    def reds_in_face(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.contained_reds)
+    contained_reds: dict[int, tuple[int, ...]]
 
     def by_kind(self, kind: str) -> list[Face]:
         return [f for f in self.faces if f.kind == kind]
@@ -287,9 +287,9 @@ def trace_faces(g: EnhancedMultigraph) -> FaceSet:
             owners.append(owner[prev_blue])
         if len(owners) == 2 and owners[0] == owners[1]:
             per_face[owners[0]].append(e.id)
-    contained = tuple((fid, tuple(sorted(eids))) for fid, eids in sorted(per_face.items()) if eids)
+    contained = {fid: tuple(sorted(eids)) for fid, eids in per_face.items() if eids}
 
-    return FaceSet(tuple(faces), tuple(sorted(owner.items())), euler, contained)
+    return FaceSet(tuple(faces), owner, euler, contained)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def validate_plausible(g: EnhancedMultigraph, faces: FaceSet | None = None) -> V
 
     # (c) one red edge per quadrilateral, parallel to a boundary blue edge,
     #     with its darts tucked against that edge inside the quadrilateral
-    reds_in = blue_faces.reds_in_face()
+    reds_in = blue_faces.contained_reds
     placed_reds: set[int] = set()
     for f in quads:
         inside = reds_in.get(f.id, ())

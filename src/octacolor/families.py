@@ -135,7 +135,7 @@ def _apply_completion(cell: EnhancedMultigraph, faces, red_choice: dict[int, int
     quadrilateral.
     """
     emap = cell.edge_map()
-    corner_owner = faces.face_of_corner()
+    corner_owner = faces.corner_owner
     out_face: dict[Dart, int] = {}
     for f in faces.faces:
         for d in f.darts:

@@ -94,7 +94,7 @@ def realize_polygons(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     integer and when a chain fails to close, which means ``lengths`` is not
     a solution of the closure system.
     """
-    exp = labels.exponent_map()
+    exp = labels.exponents
     charts: dict[int, PolygonChart] = {}
     for b in boundaries:
         offset = 0 if b.color == WHITE else 3

@@ -16,6 +16,7 @@ traverses the same edge in the opposite direction (exponent + 3).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import NamedTuple
 
 from .emg import BLUE, WHITE, EnhancedMultigraph, FaceSet, trace_faces
@@ -39,7 +40,6 @@ class PolygonBoundary(NamedTuple):
     vertex_id: int
     color: str
     sides: tuple[int, ...]        # blue edge ids in boundary (rotation) order
-    side_darts: tuple[tuple[int, int], ...]
     corners: tuple[str, ...]      # corner after side i: "acute" | "obtuse"
     corner_faces: tuple[int, ...]  # blue face id owning the corner after side i
     slots: tuple[int, ...]        # hexagon-frame slot of side i
@@ -48,9 +48,6 @@ class PolygonBoundary(NamedTuple):
     def n_sides(self) -> int:
         return len(self.sides)
 
-    def slot_of(self, edge_id: int) -> int:
-        return self.slots[self.sides.index(edge_id)]
-
 
 def polygon_boundaries(g: EnhancedMultigraph, faces: FaceSet | None = None) -> list[PolygonBoundary]:
     """Boundary structure of every polygon, sorted by vertex id; ``faces``
@@ -58,11 +55,14 @@ def polygon_boundaries(g: EnhancedMultigraph, faces: FaceSet | None = None) -> l
 
     The corner between consecutive blue darts is acute exactly when one red
     dart lies between them in the rotation; two or more is a structural
-    error.  Slots walk the corner sequence, skipping one empty slot at each
-    acute corner, anchored for determinism at a side flanked by two acute
-    corners when one exists, else at the smallest edge id.
+    error.  The one counting rule is k + n_acute == 6 for k sides: it is
+    the interior angle sum of a convex k-gon in sixth turns (2k - n_acute
+    == 3(k - 2)), and it makes the slot walk fill the six slots.  Slots walk
+    the corner sequence, skipping one empty slot at each acute corner,
+    anchored for determinism at a side flanked by two acute corners when
+    one exists, else at the smallest edge id.
     """
-    corner_of = (faces if faces is not None else trace_faces(g)).face_of_corner()
+    corner_of = (faces if faces is not None else trace_faces(g)).corner_owner
     emap = g.edge_map()
     vmap = g.vertex_map()
     out = []
@@ -86,9 +86,6 @@ def polygon_boundaries(g: EnhancedMultigraph, faces: FaceSet | None = None) -> l
         n_acute = corners.count(ACUTE)
         if k + n_acute != 6:
             raise BoundaryError(f"vertex {vid}: {k} sides and {n_acute} acute corners do not fill 6 slots")
-        # interior angle sum of a convex k-gon, in units of pi/3
-        if n_acute * 1 + (k - n_acute) * 2 != 3 * (k - 2):
-            raise BoundaryError(f"vertex {vid}: interior angles inconsistent with a convex {k}-gon")
 
         darts = [rot[i] for i in blue_pos]
         side_edges = [d[0] for d in darts]
@@ -102,12 +99,10 @@ def polygon_boundaries(g: EnhancedMultigraph, faces: FaceSet | None = None) -> l
         for j in range(k):
             slots.append(slot)
             slot += 2 if corners[j] == ACUTE else 1
-        if slot != 6:
-            raise BoundaryError(f"vertex {vid}: slot walk advances {slot} slots, expected 6")
 
         faces = tuple(corner_of[d] for d in darts)
         out.append(PolygonBoundary(vid, vmap[vid].color, tuple(side_edges),
-                                   tuple(darts), tuple(corners), faces, tuple(slots)))
+                                   tuple(corners), faces, tuple(slots)))
     return out
 
 
@@ -119,11 +114,10 @@ def _anchor_index(side_edges: list[int], corners: list[str]) -> int:
 
 
 class LabelMap(NamedTuple):
-    exponents: tuple[tuple[int, int], ...]  # blue edge id -> direction exponent mod 6
-    seed: tuple[int, int]                    # (vertex id, edge id) used as the zero anchor
-
-    def exponent_map(self) -> dict[int, int]:
-        return dict(self.exponents)
+    """Direction exponents mod 6 by blue edge id, in ascending id order,
+    and the (vertex id, edge id) flag anchored at exponent 0."""
+    exponents: dict[int, int]
+    seed: tuple[int, int]
 
 
 def assign_labels(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
@@ -155,31 +149,27 @@ def assign_labels(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
 
     constants: dict[int, int] = {}
     exponents: dict[int, int] = {}
-
-    def polygon_exponent(vid: int, eid: int) -> int:
-        b = by_vertex[vid]
-        sign = 1 if b.color == WHITE else -1
-        return (constants[vid] + sign * b.slot_of(eid)) % 6
-
     b0 = by_vertex[seed_vid]
     sign0 = 1 if b0.color == WHITE else -1
-    constants[seed_vid] = (-sign0 * b0.slot_of(seed_eid)) % 6
-    queue = [seed_vid]
+    constants[seed_vid] = (-sign0 * b0.slots[b0.sides.index(seed_eid)]) % 6
+    queue = deque([seed_vid])
     while queue:
-        vid = queue.pop(0)
+        vid = queue.popleft()
         b = by_vertex[vid]
-        for eid in b.sides:
-            exp = polygon_exponent(vid, eid)
+        sign = 1 if b.color == WHITE else -1
+        # each side at its own slot, so an edge the polygon lists twice meets the edge check
+        for eid, slot in zip(b.sides, b.slots):
+            exp = (constants[vid] + sign * slot) % 6
             if eid in exponents:
                 if exponents[eid] != exp:
                     raise HolonomyError(
                         f"edge {eid} receives exponents {exponents[eid]} and {exp}")
             else:
                 exponents[eid] = exp
-            for (ovid, slot, sign) in incidences[eid]:
+            for (ovid, oslot, osign) in incidences[eid]:
                 if ovid == vid:
                     continue
-                c = (exp - sign * slot) % 6
+                c = (exp - osign * oslot) % 6
                 if ovid in constants:
                     if constants[ovid] != c:
                         raise HolonomyError(
@@ -191,4 +181,4 @@ def assign_labels(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     missing = [b.vertex_id for b in boundaries if b.vertex_id not in constants]
     if missing:
         raise HolonomyError(f"label propagation never reached polygons {missing}")
-    return LabelMap(tuple(sorted(exponents.items())), seed_flag)
+    return LabelMap(dict(sorted(exponents.items())), seed_flag)

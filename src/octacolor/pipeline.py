@@ -173,7 +173,7 @@ def labeling_json(inst: Instance) -> dict:
     if inst.conflict is not None:
         return {"consistent": False, "error": str(inst.conflict)}
     return {"consistent": True, "seed": list(inst.labels.seed),
-            "exponents": {str(eid): e for eid, e in inst.labels.exponents}}
+            "exponents": {str(eid): e for eid, e in inst.labels.exponents.items()}}
 
 
 def lemmas_json(kernel, lemmas) -> dict:
@@ -279,24 +279,21 @@ def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len:
 
 
 def _check_realization(inst: Instance, vector) -> dict:
-    """Realize one point and check the form identity on its mesh."""
+    """Realize one point and check the form identity on its mesh.
+    ``four_color`` raises on a properness or mod-3 failure, so an entry
+    without ``error`` certifies both and states neither."""
     entry: dict = {"vector": vector_json(vector)}
     try:
         surface = inst.develop(vector)
         tri = four_color(build_triangulation(surface))
         areas = sum(triarea(ch.chain) for ch in surface.placed.values())
-        lengths = dict(zip(inst.kernel.col_edges, vector))
-        identity = verify_triangle_identity(inst.form, lengths, tri, areas)
+        identity = verify_triangle_identity(inst.form, vector, tri, areas)
     except ValueError as exc:
         entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry
-    # four_color raises on a properness or mod-3 failure, so reaching this
-    # point certifies both
     return {**entry, "triangles": identity.triangle_count,
             "form_value": str(identity.form_value), "identity_holds": identity.holds,
             "degree_histogram": _histogram_json(tri),
-            "four_colored": tri.vertex_colors is not None,
-            "mod3_balanced": tri.vertex_colors is not None,
             "cone_points": [grid_point_json(c) for c in cone_point_coordinates(surface)]}
 
 

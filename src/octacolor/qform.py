@@ -42,12 +42,11 @@ class QuadraticForm(NamedTuple):
     restricted: tuple[tuple[int, ...], ...] | None = None
     signature: tuple[int, int, int] | None = None
 
-    def value(self, lengths):
-        """Form value at a length vector, indexed by edge id, from the
-        nonzero terms alone: an int when integral (always, on integer
-        lengths), else a Fraction."""
-        v = [lengths[eid] for eid in self.col_edges]
-        half = Fraction(sum(c * v[i] * v[j] for i, j, c in self.terms)) / 2
+    def value(self, vector):
+        """Form value at a length vector in the column order ``col_edges``,
+        from the nonzero terms alone: an int when integral (always, on
+        integer lengths), else a Fraction."""
+        half = Fraction(sum(c * vector[i] * vector[j] for i, j, c in self.terms)) / 2
         return int(half) if half.denominator == 1 else half
 
 
@@ -156,15 +155,16 @@ class IdentityReport(NamedTuple):
     holds: bool
 
 
-def verify_triangle_identity(q: QuadraticForm, lengths,
+def verify_triangle_identity(q: QuadraticForm, vector,
                              tri: ColoredTriangulation,
                              triarea_total: int) -> IdentityReport:
-    """Check form value = 3 * triangle count = 3 * summed triangle-area.
+    """Check form value = 3 * triangle count = 3 * summed triangle-area,
+    the form read at the length ``vector`` in its column order.
 
     The triangle count comes from the glued mesh and the area total from
     the shoelace oracle, so the two right-hand sides are independent.
     """
-    value = q.value(lengths)
+    value = q.value(vector)
     count = len(tri.triangles)
     holds = value == 3 * count == 3 * triarea_total
     return IdentityReport(value, count, triarea_total, holds)

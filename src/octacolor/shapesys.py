@@ -70,7 +70,7 @@ def build_constraints(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     the same polygon twice contributes twice.  A row stores no zero: a side
     whose direction has coefficient 0 in it is left out.
     """
-    exp = labels.exponent_map()
+    exp = labels.exponents
     col_edges = tuple(sorted(e.id for e in g.blue_edges()))
     col_of = {eid: i for i, eid in enumerate(col_edges)}
     rows: list[dict[int, int]] = []

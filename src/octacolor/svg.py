@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .emg import WHITE, EnhancedMultigraph
+from .emg import WHITE, EnhancedMultigraph, trace_faces
 from .geometry import NetLayout, RealizedSurface, Triangle, unit_triangulate
 from .grid import GridPoint
 
@@ -130,9 +130,9 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
                   net: NetLayout) -> None:
     """Blue arcs run from each polygon center across the middle of the side
     they cross; the two halves coincide exactly on tree-glued edges.  Red
-    arcs hug the blue edge they run parallel to, offset into the polygon.
-    The net map is affine, so side ends are placed first and midpoints
-    taken in the net."""
+    arcs hug the side of their own quadrilateral face that they run
+    parallel to, offset into the polygon.  The net map is affine, so side
+    ends are placed first and midpoints taken in the net."""
     placed, gluings = surface.placed, surface.frame.gluings
     centers = {pid: _centroid(net.points[pid]) for pid in net.points}
     side_of: dict[tuple[int, int], int] = {}
@@ -149,11 +149,15 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
     for e in sorted(g.blue_edges(), key=lambda e: e.id):
         for pid in (gluings[e.id].white_polygon, gluings[e.id].black_polygon):
             scene.polyline([centers[pid], net_mid(pid, e.id, Fraction(0))], BLUE_EDGE, 0.04)
-    for e in sorted(g.red_edges(), key=lambda e: e.id):
-        partners = [b for b in g.blue_edges() if {b.a, b.b} == {e.a, e.b}]
-        if not partners:
+    # a parallel double outside the red edge's face joins the same ends,
+    # so the partner is looked up among the face's own sides
+    emap, faces = g.edge_map(), trace_faces(g)
+    partner = {rid: next((eid for eid in faces.faces[fid].edge_ids()
+                          if {emap[eid].a, emap[eid].b} == {emap[rid].a, emap[rid].b}), None)
+               for fid, reds in faces.contained_reds.items() for rid in reds}
+    for rid, eid in sorted(partner.items()):
+        if eid is None:
             continue
-        eid = partners[0].id
         for pid in (gluings[eid].white_polygon, gluings[eid].black_polygon):
             scene.polyline([centers[pid], net_mid(pid, eid, Fraction(1, 5))], RED_EDGE, 0.03)
 

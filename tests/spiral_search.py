@@ -82,7 +82,7 @@ def complete_cell(cell: EnhancedMultigraph) -> EnhancedMultigraph | None:
     def sides_of(eid: int) -> list[int]:
         d0 = (eid, 0)
         f_out = next(f.id for f in face_list if d0 in f.darts)
-        f_in = faces.face_of_corner()[d0]
+        f_in = faces.corner_owner[d0]
         return sorted({f_out, f_in})
 
     def stage3(doubles: list[int]):

@@ -39,7 +39,7 @@ def test_trapezoid_slots(spiral3):
 def test_hexagon_labels_run_zero_to_five(hexpair):
     bnds = polygon_boundaries(hexpair)
     labels = assign_labels(hexpair, bnds, seed_flag=(0, 0))
-    exp = labels.exponent_map()
+    exp = labels.exponents
     white = bnds[0]
     assert [exp[eid] for eid in white.sides] == [0, 1, 2, 3, 4, 5]
 
@@ -47,7 +47,7 @@ def test_hexagon_labels_run_zero_to_five(hexpair):
 def test_spiral_labels_consistent(spiral3):
     bnds = polygon_boundaries(spiral3)
     labels = assign_labels(spiral3, bnds)
-    exp = labels.exponent_map()
+    exp = labels.exponents
     assert set(exp) == {e.id for e in spiral3.blue_edges()}
     # every polygon closes directionally: slot walk matches label increments
     for b in bnds:
@@ -59,13 +59,23 @@ def test_spiral_labels_consistent(spiral3):
 
 def test_reseeding_is_global_rotation(spiral3):
     bnds = polygon_boundaries(spiral3)
-    base = assign_labels(spiral3, bnds).exponent_map()
+    base = assign_labels(spiral3, bnds).exponents
     for b in bnds[:3]:
         for eid in b.sides[:2]:
-            other = assign_labels(spiral3, bnds, seed_flag=(b.vertex_id, eid)).exponent_map()
+            other = assign_labels(spiral3, bnds, seed_flag=(b.vertex_id, eid)).exponents
             diffs = {(other[e] - base[e]) % 6 for e in base}
             assert len(diffs) == 1
             assert other[eid] == 0
+
+
+def test_edge_listed_twice_in_one_boundary_is_a_conflict(hexpair):
+    # a loop edge bounds one polygon twice, at two slots, and no other
+    # polygon; each side reads its own slot, so the edge gets two exponents
+    white, black = polygon_boundaries(hexpair)
+    assert white.slots == (0, 1, 2, 3, 4, 5)
+    looped = white._replace(sides=white.sides[:4] + (99, 99))
+    with pytest.raises(HolonomyError, match="edge 99 receives exponents 4 and 5"):
+        assign_labels(hexpair, [looped, black], seed_flag=(white.vertex_id, white.sides[0]))
 
 
 def test_seed_flag_must_be_incident(spiral3):

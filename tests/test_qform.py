@@ -51,14 +51,14 @@ def test_polygon_form_accumulates_per_polygon(hexpair):
     bnds = polygon_boundaries(hexpair)
     white = assemble_form(hexpair, [bnds[0]])
     assert white.col_edges == tuple(range(6))
-    assert white.value({e: 1 for e in range(6)}) == 18
+    assert white.value([1] * 6) == 18
 
 
 def test_assemble_doubles_shared_hexagon(hexpair):
     # both polygons use every edge, so the global form is twice one hexagon
     bnds = polygon_boundaries(hexpair)
     qf = assemble_form(hexpair, bnds)
-    ones = {e: 1 for e in range(6)}
+    ones = [1] * 6
     assert qf.value(ones) == 36
     white = assemble_form(hexpair, [bnds[0]])
     black = assemble_form(hexpair, [bnds[1]])
@@ -95,7 +95,7 @@ def test_per_polygon_value_is_three_triareas(spiral3):
         charts = realize_polygons(spiral3, bnds, inst.labels, lengths)
         for b in bnds:
             pf = assemble_form(spiral3, [b])
-            assert pf.value(lengths) == 3 * triarea(charts[b.vertex_id].chain)
+            assert pf.value(edge_vec) == 3 * triarea(charts[b.vertex_id].chain)
 
 
 def test_slot_value_is_three_areas_for_rational_sides():
@@ -181,12 +181,11 @@ def test_signature_invariant_under_congruence(seed):
 
 def test_homogeneity_of_identity(spiral3):
     inst = Instance(spiral3)
-    qf, cols = inst.form, inst.kernel.col_edges
+    qf = inst.form
     v = next(p.vector for p in inst.lattice_points(2) if p.strictly_positive)
-    lengths = dict(zip(cols, v))
-    doubled = dict(zip(cols, (2 * x for x in v)))
-    assert qf.value(doubled) == 4 * qf.value(lengths)
-    surf = inst.develop([2 * x for x in v])
+    doubled = [2 * x for x in v]
+    assert qf.value(doubled) == 4 * qf.value(v)
+    surf = inst.develop(doubled)
     tri = four_color(build_triangulation(surf))
     areas = sum(triarea(ch.chain) for ch in surf.placed.values())
     rep = verify_triangle_identity(qf, doubled, tri, areas)
@@ -206,7 +205,7 @@ def test_form_value_from_nonzero_terms_matches_dense(case):
     # integer and rational vectors: the same exact value and type
     matrix, vec = case
     cols = tuple(range(10, 10 + len(vec)))
-    got = QuadraticForm(form_terms(matrix), cols).value(dict(zip(cols, vec)))
+    got = QuadraticForm(form_terms(matrix), cols).value(vec)
     want = form_value(matrix, vec)
     assert got == want and type(got) is type(want)
 
@@ -230,7 +229,7 @@ def test_form_value_matches_dense_on_spiral_forms():
             vec = [rng.randrange(-9, 10) for _ in qf.col_edges]
             if rng.random() < 0.5:
                 vec = [Fraction(x, rng.randrange(1, 5)) for x in vec]
-            assert qf.value(dict(zip(qf.col_edges, vec))) == form_value(matrix, vec)
+            assert qf.value(vec) == form_value(matrix, vec)
 
 
 def _assert_restriction_matches_dense(qf, matrix, kernel):

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 from octacolor import svg
+from octacolor.emg import trace_faces
+from octacolor.families import load_bundled
 from octacolor.geometry import develop_net, unit_triangulate
 from octacolor.pipeline import Instance
 from octacolor.svg import render_net
@@ -18,7 +22,7 @@ def test_triangle_grid_count_matches_form_value(spiral3):
     net = develop_net(surface)
     text = render_net(spiral3, surface, net, triangles=True)
     outlines = text.count('fill="none"')
-    assert outlines * 3 == inst.form.value(dict(zip(inst.kernel.col_edges, vector)))
+    assert outlines * 3 == inst.form.value(vector)
 
 
 def test_overlay_draws_two_arcs_per_blue_edge(spiral3):
@@ -28,6 +32,31 @@ def test_overlay_draws_two_arcs_per_blue_edge(spiral3):
     blue_arcs = text.count("#1565C0")
     assert blue_arcs == 2 * len(spiral3.blue_edges())
     assert text.count("#C62828") == 2 * len(spiral3.red_edges())
+
+
+def test_red_arc_hugs_the_parallel_side_of_its_own_face():
+    # spiral-8's red edge 122 joins the ends of blue 110 and of its parallel
+    # double 116; only 116 bounds the quadrilateral holding the red edge
+    g = load_bundled("spiral-8")
+    faces = trace_faces(g)
+    (face,) = [faces.faces[fid] for fid, reds in faces.contained_reds.items() if 122 in reds]
+    assert 116 in face.edge_ids() and 110 not in face.edge_ids()
+    *_, surface = _realized(g, bound=5)
+    net = develop_net(surface)
+    text = render_net(g, surface, net, overlay_dual=True)
+    red_ends = {line.split('"')[1].split()[1] for line in text.splitlines() if svg.RED_EDGE in line}
+
+    def arc_end(pid, eid):
+        side = next(s for s in surface.placed[pid].sides if s.edge_id == eid)
+        t = net.transforms[pid]
+        mid = svg._between(t.apply(side.start), t.apply(side.end), Fraction(1, 2))
+        x, y = svg._xy(svg._between(mid, svg._centroid(net.points[pid]), Fraction(1, 5)))
+        return f"{svg._fmt(x)},{svg._fmt(y)}"
+
+    for eid, drawn in ((116, True), (110, False)):
+        gluing = surface.frame.gluings[eid]
+        for pid in (gluing.white_polygon, gluing.black_polygon):
+            assert (arc_end(pid, eid) in red_ends) is drawn, (eid, pid)
 
 
 def test_polygon_fills_match_colors(spiral3):
