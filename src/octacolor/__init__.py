@@ -16,15 +16,15 @@ from .emg import (EnhancedMultigraph, Edge, EmgError, Face, FaceSet, Finding,
                   validate_plausible)
 from .families import (ConstructionError, bundled_names, gen_spiral,
                        isomorphic, load_bundled, spiral_instance)
-from .geometry import (AngleError, ClosureError, ColorError,
-                       ColoredTriangulation, EdgeGluing, GluingError,
-                       MeshError, NetLayout, PolygonChart, RealizedSurface,
-                       SideRecord, build_triangulation, cone_point_coordinates,
-                       develop_net, develop_surface, four_color,
-                       realize_polygons, triarea, unit_triangulate)
+from .geometry import (AngleError, ClosureError, EdgeGluing, GluingError,
+                       NetLayout, PolygonChart, RealizedSurface, SideRecord,
+                       cone_point_coordinates, develop_net, develop_surface,
+                       realize_polygons)
 from .grid import DIRECTIONS, ORIGIN, GridPoint, direction
 from .labeling import (BoundaryError, HolonomyError, LabelMap,
                        PolygonBoundary, assign_labels, polygon_boundaries)
+from .mesh import (ColorError, ColoredTriangulation, MeshError,
+                   build_triangulation, four_color, triarea, unit_triangulate)
 from .qform import (IdentityReport, QuadraticForm, assemble_form, restrict_form,
                     signature, slot_value, verify_triangle_identity)
 from .shapesys import (KernelBasis, LemmaReport, ShapeSystem,

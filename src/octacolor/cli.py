@@ -25,9 +25,9 @@ from .cone import ENUMERATION_BUDGET, EnumerationBudgetError
 from .emg import EmgError, parse_emg, render_emg
 from .families import (ConstructionError, bundled_names, load_bundled,
                        spiral_instance)
-from .geometry import (AngleError, ClosureError, ColorError, GluingError,
-                       MeshError, build_triangulation, develop_net, four_color)
+from .geometry import AngleError, ClosureError, GluingError, develop_net
 from .labeling import BoundaryError, HolonomyError
+from .mesh import ColorError, MeshError, build_triangulation, four_color
 from .pipeline import (Instance, cone_json, form_json, labeling_json,
                        lattice_points_json, lemmas_json, matrix_json,
                        realization_json, run_check, run_survey,

@@ -4,10 +4,9 @@ Given a labelled multigraph and a positive solution of the closure system,
 this module lays out every polygon on the rational grid, develops the whole
 surface into the plane through the folding map (orientation preserving on
 white polygons, reversing on black, so all gluing maps become translations),
-cuts each integer-sided polygon into unit triangles by one scan over its
-lattice rows, assembles the glued sphere triangulation with its proper
-4-coloring, and lays out an unfolded net with proper isometries for
-rendering.
+and lays out an unfolded net with proper isometries for rendering.  The
+glued sphere triangulation and its 4-coloring are ``mesh``'s; their names
+stay importable from here.
 
 What depends on the combinatorial type alone is paid once per type: a
 ``SurfaceFrame`` holds the gluing table, the spanning tree, the angle
@@ -15,28 +14,34 @@ closure verdict, the base flag, the polygon corners and, for each blue
 face, the polygon that owns its mesh vertex.  Per point, ``place_surface``
 computes the translations and checks holonomy, and the ``RealizedSurface``
 it returns holds the frame beside the placed charts.
-``build_triangulation`` numbers the mesh by the frame's combinatorial
+``mesh.build_triangulation`` numbers the mesh by the frame's combinatorial
 owners and corners, with no search over glued points, and ``develop_net``
 lays the net out along the frame's spanning tree.
 
 Every stage runs on one point type, the integer GridPoint in doubled
 coordinates (X, Y) = (2x, 2y): side lengths are integers and every corner
-is a lattice point, so realization, development, the mesh and the net are
-exact integer arithmetic.  The mesh's inner loops keep plain (X, Y) tuples,
-which compare and hash equal to GridPoints.  Nothing becomes a rational
-before JSON or a float before SVG emission, and angle checks are
+is a lattice point, so realization, development and the net are exact
+integer arithmetic.  Per point, ``realize_polygons`` and ``place_surface``
+compute on plain int pairs, turning by the ``grid.SIXTH_TURNS`` table, and
+build GridPoints only for the records they return.  Nothing becomes a
+rational before JSON or a float before SVG emission, and angle checks are
 combinatorial, in units of pi/3.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from itertools import chain, repeat
+from collections import deque
 from typing import NamedTuple
 
 from .emg import WHITE, EnhancedMultigraph
-from .grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
+from .grid import DIRECTIONS, ORIGIN, SIXTH_TURNS, GridPoint, direction
 from .labeling import ACUTE, CORNER_UNITS, LabelMap, PolygonBoundary
+# the mesh's public names, which callers also reach as geometry.*
+from .mesh import (ColorError, ColoredTriangulation, MeshError, Triangle,  # noqa: F401
+                   build_triangulation, four_color, triarea, unit_triangulate)
+
+
+_new = tuple.__new__  # builds a record without its named tuple constructor
 
 
 class ClosureError(ValueError):
@@ -51,14 +56,6 @@ class AngleError(ValueError):
     """Interior angles around a vertex fail to close up."""
 
 
-class MeshError(ValueError):
-    """Glued unit triangulations do not form a closed sphere."""
-
-
-class ColorError(ValueError):
-    """A folded vertex image is not a lattice point."""
-
-
 class SideRecord(NamedTuple):
     edge_id: int
     start: GridPoint
@@ -67,7 +64,8 @@ class SideRecord(NamedTuple):
 
     @property
     def end(self) -> GridPoint:
-        return GridPoint(*_step(self.start, self.direction, self.length))
+        dx, dy = DIRECTIONS[self.direction]
+        return GridPoint(self.start[0] + self.length * dx, self.start[1] + self.length * dy)
 
 
 class PolygonChart(NamedTuple):
@@ -99,23 +97,24 @@ def realize_polygons(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     for b in boundaries:
         offset = 0 if b.color == WHITE else 3
         turn_sign = 1 if b.color == WHITE else -1
-        point = ORIGIN
+        x = y = 0
         sides = []
         for eid in b.sides:
             ell = int(lengths[eid])
             if ell != lengths[eid] or ell <= 0:
                 raise ClosureError(f"edge {eid} has length {lengths[eid]}, expected a positive integer")
             d = (exp[eid] + offset) % 6
-            sides.append(SideRecord(eid, point, d, ell))
-            point = point + direction(d).scale(ell)
-        if point != ORIGIN:
-            raise ClosureError(f"polygon {b.vertex_id} does not close (gap {point})")
+            sides.append(_new(SideRecord, (eid, _new(GridPoint, (x, y)), d, ell)))
+            dx, dy = DIRECTIONS[d]
+            x, y = x + ell * dx, y + ell * dy
+        if x or y:
+            raise ClosureError(f"polygon {b.vertex_id} does not close (gap {GridPoint(x, y)})")
         for i, corner in enumerate(b.corners):
             got = (sides[(i + 1) % len(sides)].direction - sides[i].direction) % 6
             want = (turn_sign * (2 if corner == ACUTE else 1)) % 6
             if got != want:
                 raise ClosureError(f"polygon {b.vertex_id}: turn at corner {i} is {got}, expected {want}")
-        charts[b.vertex_id] = PolygonChart(b.vertex_id, b.color, tuple(sides))
+        charts[b.vertex_id] = _new(PolygonChart, (b.vertex_id, b.color, tuple(sides)))
     return charts
 
 
@@ -259,27 +258,38 @@ def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> Reali
     failure (AngleError), normalizes by the base flag and checks that every
     blue face gets one folded image (GluingError).
     """
-    translations: dict[int, GridPoint] = {frame.root: ORIGIN}
+    translations: dict[int, tuple[int, int]] = {frame.root: (0, 0)}
     for pid, gl, other in frame.tree_steps:
-        translations[other] = translations[pid] + _gluing_shift(charts, gl, from_polygon=pid)
+        sx, sy = _gluing_shift(charts, gl)
+        tx, ty = translations[pid]
+        translations[other] = (tx + sx, ty + sy) if pid == gl.white_polygon else (tx - sx, ty - sy)
     for gl in frame.non_tree:
-        want = translations[gl.white_polygon] + _gluing_shift(charts, gl, from_polygon=gl.white_polygon)
-        if want != translations[gl.black_polygon]:
+        sx, sy = _gluing_shift(charts, gl)
+        wx, wy = translations[gl.white_polygon]
+        bx, by = translations[gl.black_polygon]
+        if (wx + sx, wy + sy) != (bx, by):
             raise GluingError(
-                f"edge {gl.edge_id}: folded placements disagree by {translations[gl.black_polygon] - want}")
+                f"edge {gl.edge_id}: folded placements disagree by {GridPoint(bx - wx - sx, by - wy - sy)}")
     if frame.angle_error is not None:
         raise AngleError(frame.angle_error)
 
     _, flag_pid, corner_idx, flag_side, half_turn = frame.flag
     chart = charts[flag_pid]
     delta = (chart.sides[flag_side].direction + half_turn) % 6
-    origin = translations[flag_pid] + chart.corner_point(corner_idx)
+    a, b, c, d = SIXTH_TURNS[-delta % 6]
+    (fx, fy), (cx, cy) = translations[flag_pid], chart.corner_point(corner_idx)
     placed: dict[int, PolygonChart] = {}
     for pid, ch in charts.items():
-        shift = translations[pid] - origin
-        placed[pid] = PolygonChart(pid, ch.color, tuple(
-            SideRecord(s.edge_id, (s.start + shift).rot(-delta), (s.direction - delta) % 6, s.length)
-            for s in ch.sides))
+        tx, ty = translations[pid]
+        sx, sy = tx - fx - cx, ty - fy - cy
+        sides = []
+        for eid, (x, y), k, ell in ch.sides:
+            x, y = x + sx, y + sy
+            if (x - y) % 2:
+                raise ValueError(f"{GridPoint(x, y)} is not a lattice point")
+            start = _new(GridPoint, ((a * x + b * y) // 2, (c * x + d * y) // 2))
+            sides.append(_new(SideRecord, (eid, start, (k - delta) % 6, ell)))
+        placed[pid] = _new(PolygonChart, (pid, ch.color, tuple(sides)))
 
     folded: dict[int, GridPoint] = {}
     for pid, side, fid in frame.corners:
@@ -334,276 +344,17 @@ def _edge_gluings(boundaries) -> dict[int, EdgeGluing]:
     return gluings
 
 
-def _gluing_shift(charts, gl: EdgeGluing, from_polygon: int) -> GridPoint:
-    """Translation carrying the other polygon's chart onto ``from_polygon``'s.
+def _gluing_shift(charts, gl: EdgeGluing) -> tuple[int, int]:
+    """Translation carrying the black polygon's chart onto the white one's;
+    its negative carries the white chart onto the black one.
 
     The white side traverses the edge A -> B and the black side B -> A with
     opposite chart directions, so chart starts pair with chart ends.
     """
-    w = charts[gl.white_polygon].sides[gl.white_side]
-    b = charts[gl.black_polygon].sides[gl.black_side]
-    shift_black = w.start - b.end
-    if from_polygon == gl.white_polygon:
-        return shift_black
-    return -shift_black
-
-
-# ---------------------------------------------------------------------------
-# unit triangulation of integer-sided polygons
-#
-# The inner loops build plain (X, Y) tuples: they sort, hash and compare
-# exactly as GridPoints do, so vertices, triangles and edges are numbered
-# in GridPoint order.
-
-Triangle = tuple[GridPoint, GridPoint, GridPoint]
-
-
-def _step(p: GridPoint, d: int, n: int) -> tuple[int, int]:
+    wx, wy = charts[gl.white_polygon].sides[gl.white_side].start
+    _, (bx, by), d, ell = charts[gl.black_polygon].sides[gl.black_side]
     dx, dy = DIRECTIONS[d]
-    return p[0] + n * dx, p[1] + n * dy
-
-
-def triarea(points) -> int:
-    """Area of a closed chain in units of one unit equilateral triangle."""
-    return abs(signed_triarea(list(points)))
-
-
-def unit_triangulate(chart_or_start, sides=None) -> list[Triangle]:
-    """Cut an integer-sided convex chain into unit triangles.
-
-    Row scan: every side runs along a lattice row or climbs one row per
-    unit, so the chain's lattice points in each row Y form the span
-    between its lowest and highest boundary X.  Each strip between rows
-    Y and Y + 1 is a trapezoid filled by alternating up and down unit
-    triangles.  Returns exactly area / (sqrt(3)/4) triangles, each a
-    sorted triple of grid points at mutual distance one.
-    """
-    if sides is None:
-        start, int_sides = chart_or_start.sides[0].start, _chart_sides(chart_or_start)
-    else:
-        start, int_sides = chart_or_start, _integer_sides(sides)
-    return [tuple(GridPoint(*p) for p in t) for t in _unit_triangles(start, int_sides)[1]]
-
-
-def _integer_sides(sides) -> list[tuple[int, int]]:
-    out = []
-    for ell, d in sides:
-        n = int(ell)
-        if n != ell or n <= 0:
-            raise MeshError(f"side lengths must be positive integers, got {ell}")
-        out.append((n, d % 6))
-    return out
-
-
-def _chart_sides(chart: PolygonChart) -> list[tuple[int, int]]:
-    return [(s.length, s.direction) for s in chart.sides]
-
-
-def _unit_triangles(start: GridPoint, sides: list[tuple[int, int]]
-                    ) -> tuple[dict[int, list[int]], list[Triangle]]:
-    """Row extents and unit triangles of a convex sixth-turn chain.
-
-    Walks the chain one unit at a time and records each row's lowest and
-    highest boundary X, which serves clockwise (black) and counterclockwise
-    (white) charts alike; by convexity the chain's lattice points in row Y
-    are every second X from ``rows[Y][0]`` to ``rows[Y][1]``.  In the
-    strip between rows y and y + 1, with extents [l0, r0] below and
-    [l1, r1] above, an up triangle (x, y), (x + 1, y + 1), (x + 2, y) fits
-    for every x of the row's parity with l0 <= x, x + 2 <= r0 and
-    l1 <= x + 1 <= r1, and a down triangle (x - 1, y + 1), (x, y),
-    (x + 1, y + 1) for l0 <= x <= r0 and l1 <= x - 1, x + 1 <= r1; both
-    triples are sorted as written.  Raises ValueError on a chain that is
-    not convex with sixth-turn corners and MeshError when the count
-    differs from the chain's area.
-    """
-    k = len(sides)
-    turns = {(sides[(i + 1) % k][1] - sides[i][1]) % 6 for i in range(k)}
-    if not (turns <= {1, 2} or turns <= {4, 5}):
-        raise ValueError(f"chain is not convex with sixth-turn corners (turns {sorted(turns)})")
-    rows: dict[int, list[int]] = {}
-    x, y = start
-    for ell, d in sides:
-        dx, dy = DIRECTIONS[d]
-        for _ in range(ell):
-            x += dx
-            y += dy
-            ext = rows.get(y)
-            if ext is None:
-                rows[y] = [x, x]
-            elif x < ext[0]:
-                ext[0] = x
-            elif x > ext[1]:
-                ext[1] = x
-    tris: list[Triangle] = []
-    append = tris.append
-    bottom, top = min(rows), max(rows)
-    l0, r0 = rows[bottom]
-    for y in range(bottom, top):
-        y1 = y + 1
-        l1, r1 = rows[y1]
-        for x in range(max(l0, l1 - 1), min(r0, r1 + 1) - 1, 2):
-            append(((x, y), (x + 1, y1), (x + 2, y)))
-        for x in range(max(l1 + 1, l0), min(r1 - 1, r0) + 1, 2):
-            append(((x - 1, y1), (x, y), (x + 1, y1)))
-        l0, r0 = l1, r1
-    area = triarea(_chain_points(start, sides))
-    if len(tris) != area:
-        raise MeshError(f"triangulated {len(tris)} units, area holds {area}")
-    return rows, tris
-
-
-def _chain_points(start: GridPoint, sides) -> list[tuple[int, int]]:
-    pts = [start]
-    for ell, d in sides[:-1]:
-        pts.append(_step(pts[-1], d, ell))
-    return pts
-
-
-# ---------------------------------------------------------------------------
-# glued triangulation and 4-coloring
-
-class ColoredTriangulation(NamedTuple):
-    positions: tuple[GridPoint, ...]                  # folded image per vertex
-    triangles: tuple[tuple[int, int, int], ...]
-    triangle_colors: tuple[str, ...]                  # polygon colour per triangle
-    edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...]
-    surface_vertex: tuple[int, ...]                   # blue face id, or -1 for subdivision vertices
-    vertex_colors: tuple[int, ...] | None = None
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.positions)
-
-    def degree_histogram(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return out
-
-    def euler_characteristic(self) -> int:
-        return self.n_vertices - len(self.edges) + len(self.triangles)
-
-
-def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
-    """Glue per-polygon unit triangulations into one closed sphere.
-
-    Subdivision points along a shared edge coincide exactly in the folded
-    plane, so identification happens along each glued edge, and only there
-    (the folding map is far from injective globally).  A vertex is a chart
-    point keyed by (point, owner), and the boundaries alone fix the owner:
-    the chart itself for an interior point, the smaller of the two glued
-    polygons for a point inside a glued side, and the smallest polygon with
-    a corner at the face (``frame.face_owner``) for a corner.  Vertex ids
-    follow (point, owner) order.  Within one chart the points are distinct,
-    so ids follow point order there and every sorted point triple maps to a
-    sorted id triple.  Verifies that each glued white side runs from its
-    black side's end to its start, closedness, the Euler characteristic,
-    and the degree sequence of six 4s with all remaining degrees 6.
-    """
-    frame, placed = surface.frame, surface.placed
-    triangulations = {}
-    # each chart's points, mapped to the polygon that owns their vertex
-    owner: dict[int, dict[tuple[int, int], int]] = {}
-    for pid, ch in placed.items():
-        rows, triangulations[pid] = _unit_triangles(ch.sides[0].start, _chart_sides(ch))
-        owner[pid] = {(x, y): pid for y, (lo, hi) in rows.items() for x in range(lo, hi + 1, 2)}
-
-    for eid, gl in frame.gluings.items():
-        side = placed[gl.white_polygon].sides[gl.white_side]
-        other = placed[gl.black_polygon].sides[gl.black_side]
-        if side.start != other.end or side.end != other.start:
-            pt = side.start if side.start != other.end else side.end
-            raise MeshError(f"edge {eid}: subdivision point {pt} missing from a triangulation")
-        white, black = owner[gl.white_polygon], owner[gl.black_polygon]
-        o = min(gl.white_polygon, gl.black_polygon)
-        (x, y), (dx, dy) = side.start, DIRECTIONS[side.direction]
-        for t in range(1, side.length):
-            white[x + t * dx, y + t * dy] = black[x + t * dx, y + t * dy] = o
-    for pid, side, fid in frame.corners:
-        owner[pid][placed[pid].sides[side].start] = frame.face_owner[fid]
-
-    vertices = sorted(set(chain.from_iterable(pts.items() for pts in owner.values())))
-    vid = {v: i for i, v in enumerate(vertices)}
-    positions = [GridPoint(*pt) for pt, _ in vertices]
-    index = {pid: {pt: vid[pt, o] for pt, o in pts.items()} for pid, pts in owner.items()}
-
-    surface_vertex = [-1] * len(positions)
-    for pid, side, fid in frame.corners:
-        surface_vertex[index[pid][placed[pid].sides[side].start]] = fid
-
-    triangles = []
-    colors = []
-    for pid in sorted(triangulations):
-        m = index[pid]
-        tris = triangulations[pid]
-        triangles.extend([(m[p], m[q], m[r]) for p, q, r in tris])
-        colors.extend([placed[pid].color] * len(tris))
-
-    edges = _closed_mesh_edges(triangles, len(positions))
-
-    degrees = [0] * len(positions)
-    for a, b in edges:
-        degrees[a] += 1
-        degrees[b] += 1
-
-    tri = ColoredTriangulation(tuple(positions), tuple(triangles), tuple(colors),
-                               edges, tuple(degrees), tuple(surface_vertex))
-    if tri.euler_characteristic() != 2:
-        raise MeshError(f"Euler characteristic {tri.euler_characteristic()}, expected 2")
-    hist = tri.degree_histogram()
-    if hist.get(4, 0) != 6 or set(hist) - {4, 6}:
-        raise MeshError(f"degree histogram {hist}, expected six 4s and the rest 6s")
-    return tri
-
-
-def _closed_mesh_edges(triangles, n: int) -> tuple[tuple[int, int], ...]:
-    """The sorted edges of a closed mesh on vertex ids 0..n-1, each of whose
-    triangles is a sorted id triple; MeshError unless every edge lies in
-    exactly two triangles.
-
-    Edge (a, b) is the integer key a * n + b, so one sort of the 3T keys
-    lines up the copies of each edge: every edge has exactly two copies
-    when the even and odd positions agree and the even ones hold no
-    repeat."""
-    keys = sorted(chain.from_iterable((a * n + b, a * n + c, b * n + c) for a, b, c in triangles))
-    first = keys[0::2]
-    if first != keys[1::2] or len(set(first)) != len(first):
-        bad = [key for key, count in Counter(keys).items() if count != 2]
-        raise MeshError(f"{len(bad)} edges not shared by exactly two triangles, "
-                        f"e.g. {divmod(bad[0], n)}")
-    return tuple(map(divmod, first, repeat(n)))
-
-
-def four_color(tri: ColoredTriangulation) -> ColoredTriangulation:
-    """Proper 4-coloring by lattice residues of folded vertex images.
-
-    Adjacent vertices differ by a unit direction, which is never in twice
-    the lattice, so residue classes color properly; this is re-verified by
-    a brute-force scan over all edges, as is the mod-3 balance of black and
-    white triangles around every vertex.
-    """
-    colors = []
-    for pt in tri.positions:
-        # lattice coordinates (a, b) = ((X - Y)/2, Y); the class is
-        # 2*(a & 1) + (b & 1), as GridPoint.color_class computes it
-        diff = pt[0] - pt[1]
-        if diff & 1:
-            raise ColorError(f"folded vertex image {pt} is not a lattice point")
-        colors.append((diff & 2) | (pt[1] & 1))
-    for a, b in tri.edges:
-        if colors[a] == colors[b]:
-            raise ColorError(f"adjacent vertices {a}, {b} share color {colors[a]}")
-    white = [0] * len(colors)
-    black = [0] * len(colors)
-    for t, col in zip(tri.triangles, tri.triangle_colors):
-        counts = white if col == WHITE else black
-        for v in t:
-            counts[v] += 1
-    for v, (w, b) in enumerate(zip(white, black)):
-        if (w - b) % 3 != 0:
-            raise ColorError(f"vertex {v}: {w} white vs {b} black triangles")
-    return tri._replace(vertex_colors=tuple(colors))
+    return wx - bx - ell * dx, wy - by - ell * dy
 
 
 def cone_point_coordinates(surface: RealizedSurface) -> tuple[GridPoint, ...]:

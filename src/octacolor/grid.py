@@ -35,14 +35,13 @@ class GridPoint(NamedTuple):
 
     def rot(self, k: int) -> "GridPoint":
         """Rotate a lattice point by k sixth turns (multiplication by the
-        k-th unit direction).  One turn maps (X, Y) to ((X - 3Y)/2, (X + Y)/2),
-        exact on the lattice; any other point raises ValueError."""
+        k-th unit direction), as ``SIXTH_TURNS[k % 6]`` maps it; any point
+        off the lattice raises ValueError."""
         X, Y = self
         if (X - Y) % 2:
             raise ValueError(f"{self} is not a lattice point")
-        for _ in range(k % 6):
-            X, Y = (X - 3 * Y) // 2, (X + Y) // 2
-        return GridPoint(X, Y)
+        a, b, c, d = SIXTH_TURNS[k % 6]
+        return GridPoint((a * X + b * Y) // 2, (c * X + d * Y) // 2)
 
     def conj(self) -> "GridPoint":
         """Reflect across the real axis."""
@@ -74,6 +73,14 @@ ORIGIN = GridPoint(0, 0)
 DIRECTIONS: tuple[GridPoint, ...] = (
     GridPoint(2, 0), GridPoint(1, 1), GridPoint(-1, 1),
     GridPoint(-2, 0), GridPoint(-1, -1), GridPoint(1, -1),
+)
+
+
+# k sixth turns map a lattice point (X, Y) to ((aX + bY)/2, (cX + dY)/2), with
+# (a, b, c, d) = SIXTH_TURNS[k]: one turn is ((X - 3Y)/2, (X + Y)/2).
+SIXTH_TURNS: tuple[tuple[int, int, int, int], ...] = (
+    (2, 0, 0, 2), (1, -3, 1, 1), (-1, -3, 1, -1),
+    (-2, 0, 0, -2), (-1, 3, -1, -1), (1, 3, -1, 1),
 )
 
 

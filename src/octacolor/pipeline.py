@@ -25,9 +25,9 @@ from types import SimpleNamespace
 from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays,
                    lattice_basis, restrict_to_kernel)
 from .emg import EnhancedMultigraph, trace_faces, validate_plausible
-from .geometry import (build_triangulation, cone_point_coordinates, four_color,
-                       place_surface, realize_polygons, surface_frame, triarea)
+from .geometry import cone_point_coordinates, place_surface, realize_polygons, surface_frame
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
+from .mesh import build_triangulation, four_color, triarea
 from .qform import assemble_form, restrict_form, verify_triangle_identity
 from .shapesys import build_constraints, kernel_basis, verify_lemmas
 

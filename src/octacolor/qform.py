@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 from . import linalg
 from .emg import EnhancedMultigraph
-from .geometry import ColoredTriangulation
 from .labeling import PolygonBoundary
+from .mesh import ColoredTriangulation
 from .shapesys import KernelBasis
 
 # doubled Gram matrix of the six-slot form

@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .emg import WHITE, EnhancedMultigraph, trace_faces
-from .geometry import NetLayout, RealizedSurface, Triangle, unit_triangulate
+from .geometry import NetLayout, RealizedSurface
 from .grid import GridPoint
+from .mesh import Triangle, unit_triangulate
 
 SQRT3 = 3 ** 0.5
 

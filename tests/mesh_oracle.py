@@ -1,14 +1,19 @@
-"""Reference implementation of the glued sphere mesh.
+"""Reference implementations of the realization and the glued sphere mesh.
 
-These are ``geometry.build_triangulation`` and ``geometry._unit_triangles``
-as they were before the mesh was glued by index with combinatorial vertex
-owners and charts were cut by a row scan: a union-find over every
-(polygon, point) key, interior points included, one ``sorted`` per
-triangle to number it, and each chart cut by inductive chopping, black
-charts as their mirror image conjugated back triangle by triangle.  The
-chopper numbers triangles in another order than the library, so tests
-compare triangles as multisets (sorted ``(triangle, colour)`` pairs) and
-every other field exactly.
+``realize_polygons`` and ``place_surface`` are ``geometry``'s as they were
+before development ran on plain integer pairs: every step is a GridPoint
+method (``__add__``, ``scale``, ``rot``, ``SideRecord.end``) and every
+record is built through its constructor.  They must return equal charts and
+surfaces and raise the same errors with the same messages.
+
+``build_triangulation`` and ``_unit_triangles`` are the mesh's as they were
+before it was glued by index with combinatorial vertex owners and charts
+were cut by a row scan: a union-find over every (polygon, point) key,
+interior points included, one ``sorted`` per triangle to number it, and
+each chart cut by inductive chopping, black charts as their mirror image
+conjugated back triangle by triangle.  The chopper numbers triangles in
+another order than the library, so tests compare triangles as multisets
+(sorted ``(triangle, colour)`` pairs) and every other field exactly.
 
 Inductive chopping: a triangle subdivides directly; at an acute corner an
 integer equilateral triangle comes off (side = the shorter adjacent
@@ -18,9 +23,81 @@ four-sided piece at its shortest side, leaving a pentagon.
 
 from __future__ import annotations
 
-from octacolor.geometry import (ColoredTriangulation, MeshError, RealizedSurface, Triangle,
-                                _chain_points, _chart_sides, _step, triarea)
-from octacolor.grid import DIRECTIONS, GridPoint
+from octacolor.emg import WHITE
+from octacolor.geometry import (AngleError, ClosureError, EdgeGluing, GluingError, PolygonChart,
+                                RealizedSurface, SideRecord, SurfaceFrame)
+from octacolor.grid import DIRECTIONS, ORIGIN, GridPoint, direction
+from octacolor.labeling import ACUTE
+from octacolor.mesh import (ColoredTriangulation, MeshError, Triangle, _chain_points, _chart_sides,
+                            _step, triarea)
+
+
+def realize_polygons(g, boundaries, labels, lengths) -> dict[int, PolygonChart]:
+    exp = labels.exponents
+    charts: dict[int, PolygonChart] = {}
+    for b in boundaries:
+        offset = 0 if b.color == WHITE else 3
+        turn_sign = 1 if b.color == WHITE else -1
+        point = ORIGIN
+        sides = []
+        for eid in b.sides:
+            ell = int(lengths[eid])
+            if ell != lengths[eid] or ell <= 0:
+                raise ClosureError(f"edge {eid} has length {lengths[eid]}, expected a positive integer")
+            d = (exp[eid] + offset) % 6
+            sides.append(SideRecord(eid, point, d, ell))
+            point = point + direction(d).scale(ell)
+        if point != ORIGIN:
+            raise ClosureError(f"polygon {b.vertex_id} does not close (gap {point})")
+        for i, corner in enumerate(b.corners):
+            got = (sides[(i + 1) % len(sides)].direction - sides[i].direction) % 6
+            want = (turn_sign * (2 if corner == ACUTE else 1)) % 6
+            if got != want:
+                raise ClosureError(f"polygon {b.vertex_id}: turn at corner {i} is {got}, expected {want}")
+        charts[b.vertex_id] = PolygonChart(b.vertex_id, b.color, tuple(sides))
+    return charts
+
+
+def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> RealizedSurface:
+    translations: dict[int, GridPoint] = {frame.root: ORIGIN}
+    for pid, gl, other in frame.tree_steps:
+        translations[other] = translations[pid] + _gluing_shift(charts, gl, from_polygon=pid)
+    for gl in frame.non_tree:
+        want = translations[gl.white_polygon] + _gluing_shift(charts, gl, from_polygon=gl.white_polygon)
+        if want != translations[gl.black_polygon]:
+            raise GluingError(
+                f"edge {gl.edge_id}: folded placements disagree by {translations[gl.black_polygon] - want}")
+    if frame.angle_error is not None:
+        raise AngleError(frame.angle_error)
+
+    _, flag_pid, corner_idx, flag_side, half_turn = frame.flag
+    chart = charts[flag_pid]
+    delta = (chart.sides[flag_side].direction + half_turn) % 6
+    origin = translations[flag_pid] + chart.corner_point(corner_idx)
+    placed: dict[int, PolygonChart] = {}
+    for pid, ch in charts.items():
+        shift = translations[pid] - origin
+        placed[pid] = PolygonChart(pid, ch.color, tuple(
+            SideRecord(s.edge_id, (s.start + shift).rot(-delta), (s.direction - delta) % 6, s.length)
+            for s in ch.sides))
+
+    folded: dict[int, GridPoint] = {}
+    for pid, side, fid in frame.corners:
+        pt = placed[pid].sides[side].start
+        seen = folded.setdefault(fid, pt)
+        if seen != pt:
+            raise GluingError(f"vertex {fid} has two folded images {seen} and {pt}")
+
+    return RealizedSurface(frame, placed, folded)
+
+
+def _gluing_shift(charts, gl: EdgeGluing, from_polygon: int) -> GridPoint:
+    w = charts[gl.white_polygon].sides[gl.white_side]
+    b = charts[gl.black_polygon].sides[gl.black_side]
+    shift_black = w.start - b.end
+    if from_polygon == gl.white_polygon:
+        return shift_black
+    return -shift_black
 
 
 def _unit_triangles(start: GridPoint, sides: list[tuple[int, int]]) -> list[Triangle]:

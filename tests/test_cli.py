@@ -330,7 +330,7 @@ def test_golden_render_spiral6_overlay(capsys):
 @pytest.mark.parametrize("name,digest", [
     ("spiral-8", "f3767775408b2cc8138e9ce56d8a545d83deabc7b965afd50b8dda66a6cc6b48"),
     ("spiral-10", "2ecfc6b4b15c00729ff5ccbe98435a0ccdecff6c4507aa971ddd7973455dc49f"),
-])
+], ids=["spiral-8", "spiral-10"])
 def test_golden_render_overlay_larger_spirals(capsys, name, digest):
     # recorded before the realized surface came to hold its frame; re-pinned
     # when each red arc came to hug the parallel side of its own face: one

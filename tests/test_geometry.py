@@ -8,13 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mesh_oracle
+from octacolor import geometry
 from octacolor.families import gen_spiral, load_bundled
 from octacolor.geometry import (AngleError, ClosureError, ColorError, GluingError, MeshError,
-                                _closed_mesh_edges, build_triangulation, cone_point_coordinates,
-                                develop_net, develop_surface, four_color,
+                                build_triangulation, cone_point_coordinates,
+                                develop_net, develop_surface, four_color, place_surface,
                                 realize_polygons, triarea, unit_triangulate)
 from octacolor.grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
 from octacolor.labeling import ACUTE
+from octacolor.mesh import _closed_mesh_edges
 from octacolor.pipeline import Instance
 
 
@@ -511,6 +513,69 @@ def test_build_triangulation_matches_oracle(g):
         assert replace(got, **blank) == replace(want, **blank)
 
 
+def _ray_sum(inst):
+    """The edge vector of the sum of the extreme rays: a strictly positive
+    lattice point of every instance with a positive point."""
+    coords = [sum(column) for column in zip(*inst.cone.extreme_rays)]
+    return [sum(c * b[j] for c, b in zip(coords, inst.kernel.basis)) for j in range(len(inst.kernel.col_edges))]
+
+
+@pytest.mark.parametrize("g", [load_bundled(name) for name in BUNDLED] + [gen_spiral(k) for k in (3, 4, 5)],
+                         ids=[*BUNDLED, "gen-spiral-3", "gen-spiral-4", "gen-spiral-5"])
+def test_develop_matches_oracle(g):
+    # spiral-8 and spiral k = 4 have no strictly positive point at bound 4,
+    # so the sum of the extreme rays keeps every case from passing vacuously
+    inst = Instance(g)
+    vectors = _positive(inst, bound=4) + [_ray_sum(inst)]
+    assert min(vectors[-1]) > 0
+    for vector in vectors:
+        lengths = dict(zip(inst.kernel.col_edges, vector))
+        charts = realize_polygons(g, inst.boundaries, inst.labels, lengths)
+        assert charts == mesh_oracle.realize_polygons(g, inst.boundaries, inst.labels, lengths)
+        assert place_surface(inst.frame, charts) == mesh_oracle.place_surface(inst.frame, charts)
+
+
+def _develop_error_cases():
+    """(error, function name, arguments) per case, for the library and the oracle alike."""
+    hexpair, spiral6 = Instance(load_bundled("hexagon-pair")), Instance(load_bundled("spiral-6"))
+
+    def realize(inst, vector):
+        return "realize_polygons", (inst.g, inst.boundaries, inst.labels, dict(zip(inst.kernel.col_edges, vector)))
+
+    def place(shift, holonomy=True):
+        # polygon 1's second side moved off the side it is glued to
+        charts = _charts(hexpair, [1] * 6)
+        sides = list(charts[1].sides)
+        sides[1] = replace(sides[1], start=sides[1].start + shift)
+        frame = hexpair.frame if holonomy else replace(hexpair.frame, non_tree=())
+        return "place_surface", (frame, {**charts, 1: replace(charts[1], sides=tuple(sides))})
+
+    return {
+        "non-closing-vector": (ClosureError, *realize(hexpair, [2, 1, 1, 1, 1, 1])),
+        "half-integer-vector": (ClosureError, *realize(spiral6, [Fraction(x, 2) for x in _positive(spiral6, 5)[0]])),
+        "chart-off-its-gluing": (GluingError, *place(DIRECTIONS[0])),
+        # with the holonomy checks dropped, a side moved half a unit off the
+        # lattice reaches the normalizing rotation, and one moved a whole
+        # unit reaches the folded images
+        "off-lattice-side": (ValueError, *place(GridPoint(1, 0), holonomy=False)),
+        "two-folded-images": (GluingError, *place(GridPoint(2, 0), holonomy=False)),
+    }
+
+
+DEVELOP_ERROR_CASES = _develop_error_cases()
+
+
+@pytest.mark.parametrize("error, name, args", DEVELOP_ERROR_CASES.values(), ids=DEVELOP_ERROR_CASES)
+def test_develop_errors_match_oracle(error, name, args):
+    raised = []
+    for module in (geometry, mesh_oracle):
+        with pytest.raises(ValueError) as info:
+            getattr(module, name)(*args)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is error
+
+
 def test_build_triangulation_rejects_translated_chart(spiral3):
     surf = _first_positive_surface(spiral3, bound=3)
     chart = surf.placed[0]
@@ -530,20 +595,25 @@ def test_build_triangulation_rejects_dropped_gluing(spiral3):
 TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
 
+def _edge_keys(triangles, n):
+    """The key a * n + b of every edge (a, b) of every sorted id triple."""
+    return [key for a, b, c in triangles for key in (a * n + b, a * n + c, b * n + c)]
+
+
 def test_closed_mesh_edges_of_a_tetrahedron():
-    assert _closed_mesh_edges(TETRAHEDRON, 4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert _closed_mesh_edges(_edge_keys(TETRAHEDRON, 4), 4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_closed_mesh_edges_rejects_a_doubly_covered_tetrahedron():
     # every edge lies in four triangles: the sorted keys pair up evenly, so
     # only the repeats among the pairs reveal it
     with pytest.raises(MeshError, match=r"^6 edges not shared by exactly two triangles, e\.g\. \(0, 1\)$"):
-        _closed_mesh_edges(TETRAHEDRON + TETRAHEDRON, 4)
+        _closed_mesh_edges(_edge_keys(TETRAHEDRON + TETRAHEDRON, 4), 4)
 
 
 def test_closed_mesh_edges_rejects_an_open_tetrahedron():
     with pytest.raises(MeshError, match=r"^3 edges not shared by exactly two triangles, e\.g\. \(1, 2\)$"):
-        _closed_mesh_edges(TETRAHEDRON[:3], 4)
+        _closed_mesh_edges(_edge_keys(TETRAHEDRON[:3], 4), 4)
 
 
 def _doubled_hexagon_pair(length):
