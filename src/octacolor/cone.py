@@ -9,11 +9,13 @@ integer basis of the lattice of integer kernel points (saturated, so it
 spans every integer solution; ``linalg.saturate`` finds it from one
 echelon of the n × 4 transposed kernel basis) turns the points with every
 length in [0, bound] into the integer points of a box, found by
-Fourier-Motzkin elimination.  The enumeration carries the partial vector of
-the fixed coefficients down the levels, and reads the last coefficient's
-range and the sub-range of strictly positive points straight from it and
-the box rows of the edges the last basis vector moves; each point then
-costs a step on those edges and one tuple copy.
+Fourier-Motzkin elimination.  Edges whose rows in the basis are equal
+have equal lengths at every point, so the box rows, and every bound read
+from them, come from one edge per distinct row.  The enumeration carries
+the partial vector of the fixed coefficients down the levels, and reads
+the last coefficient's range and the sub-range of strictly positive points
+straight from it and the distinct rows the last basis vector moves; each
+point then costs a step on the moving edges and one tuple copy.
 Everything runs in exact integer arithmetic: every constraint is kept as an
 integer row, and rescaled only by positive factors.
 """
@@ -179,19 +181,21 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
     C_tau is the kernel intersected with the nonnegative orthant, and ``lb``
     spans every integer kernel point, so these are the points
     c_0 v_0 + ... + c_{d-1} v_{d-1} of the lattice inside the box
-    0 <= L c <= bound, one per coefficient vector c.  Fourier-Motzkin
-    elimination projects the box rows, and the integer ranges of c_0 ..
-    c_{d-2} are read level by level from the projected systems, carrying
-    the partial vector w = c_0 v_0 + ... down the levels.  Each prefix
-    leaves one run of points w + c v_{d-1}, read in one pass over the
-    moving edges j, those with v_j != 0 (the box rows of the still edges,
-    v_j = 0, hold by the level above): 0 <= w_j + c v_j <= bound gives the
-    run's range of c, and w_j + c v_j >= 1 the interval of c on which the
-    point is strictly positive (every edge length >= 1), empty unless
-    w_j >= 1 on every still edge.  The run's points are copies of one
-    working vector stepped by v_{d-1} on the moving edges only, so a point
-    costs work in the nonzeros of v_{d-1}, and nothing is filtered
-    afterwards.  More than ``budget`` candidates raise
+    0 <= L c <= bound, one per coefficient vector c.  Edges with equal
+    rows of L have equal lengths at every c, so one edge stands for each
+    distinct row, in first-occurrence order.  Fourier-Motzkin elimination
+    projects the box rows of the distinct rows, and the integer ranges of
+    c_0 .. c_{d-2} are read level by level from the projected systems,
+    carrying the partial vector w = c_0 v_0 + ... down the levels.  Each
+    prefix leaves one run of points w + c v_{d-1}, read in one pass over
+    one edge j per distinct moving row, v_j != 0 (the box rows of the still
+    edges, v_j = 0, hold by the level above): 0 <= w_j + c v_j <= bound
+    gives the run's range of c, and w_j + c v_j >= 1 the interval of c on
+    which the point is strictly positive (every edge length >= 1), empty
+    unless w_j >= 1 on one edge per distinct still row.  The run's points
+    are copies of one working vector stepped by v_{d-1} on every moving
+    edge, so a point costs work in the nonzeros of v_{d-1}, and nothing is
+    filtered afterwards.  More than ``budget`` candidates raise
     EnumerationBudgetError.
     """
     if bound < 0:
@@ -201,18 +205,22 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
     if d == 0:
         return [LatticePoint(tuple([0] * n), (), False)]
 
+    # the first edge of each distinct row of L, in first-occurrence order
+    first: dict[tuple[int, ...], int] = {}
+    for j, row in enumerate(zip(*lb.vectors)):
+        first.setdefault(row, j)
     # constraints as (coeff vector, constant): coeff . c + const >= 0
     constraints = []
-    for i in range(n):
-        li = [vec[i] for vec in lb.vectors]
-        constraints.append((li, 0))
-        constraints.append(([-x for x in li], bound))
+    for row in first:
+        constraints.append((list(row), 0))
+        constraints.append(([-x for x in row], bound))
     systems = _fourier_motzkin_levels(constraints, d)
-    last = lb.vectors[-1]
-    moving = [(j, a) for j, a in enumerate(last) if a]
-    if not moving:
+    # a run's bounds read one edge per distinct row, its points every edge
+    bounding = [(j, row[-1]) for row, j in first.items() if row[-1]]
+    if not bounding:
         raise ValueError("enumeration region is unbounded; lattice basis must be full rank")
-    still = [j for j, a in enumerate(last) if not a]
+    still = [j for row, j in first.items() if not row[-1]]
+    moving = [(j, a) for j, a in enumerate(lb.vectors[-1]) if a]
 
     points: list[LatticePoint] = []
     append = points.append
@@ -226,18 +234,30 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
         # integers; plo (phi) stays infinite without a rising (falling) edge
         lo = plo = -math.inf
         hi = phi = math.inf
-        for j, a in moving:
+        for j, a in bounding:
             x = w[j]
             if a > 0:
                 # 0 <= x + c a <= bound, and x + c a >= 1
-                lo = max(lo, -(x // a))
-                hi = min(hi, (bound - x) // a)
-                plo = max(plo, -((x - 1) // a))
+                t = -(x // a)
+                if t > lo:
+                    lo = t
+                t = (bound - x) // a
+                if t < hi:
+                    hi = t
+                t = -((x - 1) // a)
+                if t > plo:
+                    plo = t
             else:
                 # 0 <= x - c |a| <= bound, and x - c |a| >= 1
-                lo = max(lo, -((bound - x) // -a))
-                hi = min(hi, x // -a)
-                phi = min(phi, (x - 1) // -a)
+                t = -((bound - x) // -a)
+                if t > lo:
+                    lo = t
+                t = x // -a
+                if t < hi:
+                    hi = t
+                t = (x - 1) // -a
+                if t < phi:
+                    phi = t
         if lo > hi:
             return
         visited += hi - lo + 1

@@ -14,7 +14,7 @@ coefficient c of v_i*v_j in v^T M v, where M is the doubled Gram matrix on
 edge variables.  Form values halve that sum of terms, which is even on
 integer vectors because M is symmetric with an even diagonal.  Restricting
 to the kernel of the closure system reads the same terms, and diagonalizing
-by exact rational congruence yields its signature.
+by exact congruence, with no division, yields its signature.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class QuadraticForm(NamedTuple):
         """Form value at a length vector in the column order ``col_edges``,
         from the nonzero terms alone: an int when integral (always, on
         integer lengths), else a Fraction."""
-        half = Fraction(sum(c * vector[i] * vector[j] for i, j, c in self.terms)) / 2
-        return int(half) if half.denominator == 1 else half
+        total = sum(c * vector[i] * vector[j] for i, j, c in self.terms)
+        return total // 2 if total % 2 == 0 else Fraction(total) / 2
 
 
 # the six-slot form on slot variables 0..5; its diagonal is zero
@@ -102,13 +102,17 @@ def restrict_form(q: QuadraticForm, kernel: KernelBasis) -> QuadraticForm:
 def signature(matrix) -> tuple[int, int, int]:
     """Inertia (positives, negatives, zeros) of a symmetric rational matrix.
 
-    Simultaneous row and column elimination with symmetric pivoting; when
-    every remaining diagonal entry vanishes but some off-diagonal entry
-    does not, a symmetric row/column addition creates a pivot (the rank-two
-    hyperbolic step).  Sylvester's law makes the count independent of the
-    pivot choices.  No eigenvalue numerics anywhere.
+    Simultaneous row and column elimination with symmetric pivoting, in
+    the entries' own arithmetic and without division: with d the pivot
+    and f = a_ip, row i becomes d*row_i - f*row_p and then column i
+    becomes d*col_i - f*col_p, a congruence by a matrix of determinant
+    d != 0.  When every remaining diagonal entry vanishes but some
+    off-diagonal entry does not, a symmetric row/column addition creates
+    a pivot (the rank-two hyperbolic step).  Sylvester's law makes the
+    count independent of the pivot choices and of the congruences.  No
+    eigenvalue numerics anywhere.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = [list(row) for row in matrix]
     n = len(a)
     for i in range(n):
         if len(a[i]) != n:
@@ -138,13 +142,13 @@ def signature(matrix) -> tuple[int, int, int]:
         else:
             neg += 1
         active.remove(pivot)
+        row_p = a[pivot]
         for i in active:
-            if a[i][pivot] != 0:
-                f = a[i][pivot] / d
-                for k in range(n):
-                    a[i][k] -= f * a[pivot][k]
-                for k in range(n):
-                    a[k][i] -= f * a[k][pivot]
+            f = a[i][pivot]
+            if f != 0:
+                a[i] = [d * x - f * y for x, y in zip(a[i], row_p)]
+                for row in a:
+                    row[i] = d * row[i] - f * row[pivot]
     return pos, neg, zero
 
 

@@ -7,7 +7,9 @@
 can build a ``QuadraticForm`` from a dense matrix.  ``global_matrix`` goes
 the other way, from the terms to the dense symmetric E_b x E_b matrix,
 which the library no longer builds, and ``form_value`` is the dense
-evaluation that ``QuadraticForm.value`` must agree with.
+evaluation that ``QuadraticForm.value`` must agree with.  ``signature`` is
+the rational elimination that ``qform.signature`` ran before it eliminated
+without division: each step subtracts f/d times the pivot row and column.
 """
 
 from __future__ import annotations
@@ -55,3 +57,39 @@ def form_value(matrix, vec):
     n = len(w)
     half = Fraction(sum(matrix[i][j] * w[i] * w[j] for i in range(n) for j in range(n)), 2 * d * d)
     return int(half) if half.denominator == 1 else half
+
+
+def signature(matrix) -> tuple[int, int, int]:
+    """Inertia (positives, negatives, zeros) of a symmetric rational matrix
+    by rational congruence, with the hyperbolic step for a zero diagonal."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    active = list(range(n))
+    pos = neg = zero = 0
+    while active:
+        pivot = next((i for i in active if a[i][i] != 0), None)
+        if pivot is None:
+            pair = next(((i, j) for i in active for j in active if i != j and a[i][j] != 0), None)
+            if pair is None:
+                zero += len(active)
+                break
+            i, j = pair
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            pivot = i
+        d = a[pivot][pivot]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(pivot)
+        for i in active:
+            if a[i][pivot] != 0:
+                f = a[i][pivot] / d
+                for k in range(n):
+                    a[i][k] -= f * a[pivot][k]
+                for k in range(n):
+                    a[k][i] -= f * a[k][pivot]
+    return pos, neg, zero

@@ -303,6 +303,39 @@ def test_enumerate_matches_oracle_on_random_lattices(lb, bound):
     _assert_same_budget(lb, bound, _assert_matches_oracle(lb, bound))
 
 
+@st.composite
+def bases_with_repeated_rows(draw):
+    """Random full-rank bases with edge columns repeated and zero columns
+    added, in a drawn order, so several edges share one row of the basis."""
+    lb = draw(full_rank_bases())
+    columns = list(zip(*lb.vectors))
+    zero = tuple([0] * lb.dimension)
+    columns += draw(st.lists(st.sampled_from(columns + [zero]), min_size=1, max_size=6))
+    columns = draw(st.permutations(columns))
+    return LatticeBasis(tuple(zip(*columns)), tuple(range(len(columns))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases_with_repeated_rows(), st.integers(0, 4))
+def test_enumerate_matches_oracle_with_repeated_rows(lb, bound):
+    _assert_same_budget(lb, bound, _assert_matches_oracle(lb, bound))
+
+
+@settings(max_examples=100, deadline=None)
+@given(full_rank_bases(), st.integers(0, 4))
+def test_duplicating_every_column_duplicates_every_length(lb, bound):
+    doubled = LatticeBasis(tuple(tuple(x for x in v for _ in range(2)) for v in lb.vectors),
+                           tuple(range(2 * len(lb.col_edges))))
+    want = enumerate_lattice_points(lb, bound)
+    got = enumerate_lattice_points(doubled, bound)
+    assert [p.vector for p in got] == [tuple(x for x in p.vector for _ in range(2)) for p in want]
+    assert [(p.coeffs, p.strictly_positive) for p in got] == [(p.coeffs, p.strictly_positive)
+                                                            for p in want]
+    assert enumerate_lattice_points(doubled, bound, budget=len(want)) == got
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_lattice_points(doubled, bound, budget=len(want) - 1)
+
+
 def test_lattice_basis_matches_oracle():
     spirals = [gen_spiral(k) for k in [*range(3, 41), 80]]
     kernels = [Instance(g).kernel for g in _bundled() + spirals]

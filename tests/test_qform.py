@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import form_oracle
 from form_oracle import dense_restriction, form_terms, form_value, global_matrix
 from rational_linalg import mat_mul, transpose
 from octacolor.families import bundled_names, gen_spiral, load_bundled
@@ -177,6 +178,38 @@ def test_signature_invariant_under_congruence(seed):
     tm = mat_mul([list(map(Fraction, r)) for r in t], [list(map(Fraction, r)) for r in m])
     tmt = mat_mul(tm, transpose([list(map(Fraction, r)) for r in t]))
     assert signature(tmt) == base
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Small symmetric matrices with integer or rational entries, often
+    singular (a repeated row and column) or with an all-zero diagonal."""
+    n = draw(st.integers(1, 6))
+    entry = (st.integers(-5, 5) if draw(st.booleans())
+             else st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entry)
+    if n > 1 and draw(st.booleans()):
+        # repeat row and column i as row and column j: rank drops
+        i, j = draw(st.permutations(range(n)))[:2]
+        for k in range(n):
+            m[j][k] = m[i][k]
+        for k in range(n):
+            m[k][j] = m[k][i]
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    return m
+
+
+@given(symmetric_matrices())
+@settings(max_examples=300, deadline=None)
+def test_signature_matches_rational_elimination(m):
+    got = signature(m)
+    assert got == form_oracle.signature(m)
+    assert sum(got) == len(m)
 
 
 def test_homogeneity_of_identity(spiral3):
