@@ -1,29 +1,30 @@
 """Exact geometric realization of a consistent length assignment.
 
 Given a labelled multigraph and a positive solution of the closure system,
-this module lays out every polygon on the rational grid, develops the whole
-surface into the plane through the folding map (orientation preserving on
-white polygons, reversing on black, so all gluing maps become translations),
-and lays out an unfolded net with proper isometries for rendering.  The
-glued sphere triangulation and its 4-coloring are ``mesh``'s; their names
-stay importable from here.
+this module lays out every polygon on the rational grid and develops the
+whole surface into the plane through the folding map (orientation
+preserving on white polygons, reversing on black, so all gluing maps
+become translations).  The glued sphere triangulation and its 4-coloring
+are ``mesh``'s, and the unfolded net for rendering is ``net``'s; their
+names stay importable from here.
 
-What depends on the combinatorial type alone is paid once per type: a
+What depends on the combinatorial type alone is paid once per type.  A
+``development_plan`` holds, per polygon, each side's edge, the index of its
+length in the vector and its direction, and the corner-turn verdict.  A
 ``SurfaceFrame`` holds the gluing table, the spanning tree, the angle
 closure verdict, the base flag, the polygon corners and, for each blue
-face, the polygon that owns its mesh vertex.  Per point, ``place_surface``
-computes the translations and checks holonomy, and the ``RealizedSurface``
-it returns holds the frame beside the placed charts.
-``mesh.build_triangulation`` numbers the mesh by the frame's combinatorial
-owners and corners, with no search over glued points, and ``develop_net``
-lays the net out along the frame's spanning tree.
+face, the polygon that owns its mesh vertex.  Per point, one development
+core runs: ``walk_polygons`` walks the sides on plain ints against the
+plan, and ``place_surface`` translates the walked charts along the tree,
+checks holonomy, normalizes by the flag and builds the placed records.
+``realize_polygons`` is that walk made records, and ``develop_surface``
+places such records; ``pipeline.Instance.develop`` places the walk
+directly, so no origin-anchored record is built per point.
 
 Every stage runs on one point type, the integer GridPoint in doubled
 coordinates (X, Y) = (2x, 2y): side lengths are integers and every corner
-is a lattice point, so realization, development and the net are exact
-integer arithmetic.  Per point, ``realize_polygons`` and ``place_surface``
-compute on plain int pairs, turning by the ``grid.SIXTH_TURNS`` table, and
-build GridPoints only for the records they return.  Nothing becomes a
+is a lattice point, so realization and development are exact integer
+arithmetic, turning by the ``grid.SIXTH_TURNS`` table.  Nothing becomes a
 rational before JSON or a float before SVG emission, and angle checks are
 combinatorial, in units of pi/3.
 """
@@ -34,7 +35,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .emg import WHITE, EnhancedMultigraph
-from .grid import DIRECTIONS, ORIGIN, SIXTH_TURNS, GridPoint, direction
+from .grid import DIRECTIONS, SIXTH_TURNS, GridPoint
 from .labeling import ACUTE, CORNER_UNITS, LabelMap, PolygonBoundary
 # the mesh's public names, which callers also reach as geometry.*
 from .mesh import (ColorError, ColoredTriangulation, MeshError, Triangle,  # noqa: F401
@@ -77,10 +78,6 @@ class PolygonChart(NamedTuple):
     def chain(self) -> tuple[GridPoint, ...]:
         return tuple(s.start for s in self.sides)
 
-    def corner_point(self, corner_index: int) -> GridPoint:
-        """Position of the corner after side ``corner_index``."""
-        return self.sides[(corner_index + 1) % len(self.sides)].start
-
 
 def realize_polygons(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
                      labels: LabelMap, lengths) -> dict[int, PolygonChart]:
@@ -90,31 +87,65 @@ def realize_polygons(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     (plus a half turn on black polygons, whose charts are the mirrored,
     folded image).  Raises ClosureError on a length that is not a positive
     integer and when a chain fails to close, which means ``lengths`` is not
-    a solution of the closure system.
+    a solution of the closure system.  This is ``walk_polygons`` on the
+    ``development_plan`` of ``boundaries``, with the walked sides made
+    records.
+    """
+    return {pid: _new(PolygonChart, (pid, color, tuple(_new(SideRecord, (eid, _new(GridPoint, start), d, ell))
+                                                     for eid, start, d, ell in sides)))
+            for pid, (_, color, sides) in walk_polygons(development_plan(boundaries, labels), lengths).items()}
+
+
+def development_plan(boundaries: list[PolygonBoundary], labels: LabelMap, columns=None):
+    """What realizing a length vector of this type needs of its labels.
+
+    Per polygon: (id, colour, sides, turn error), each side as (edge id,
+    index of its length, direction), the index being the edge's position
+    in ``columns`` or, without them, the edge id.  The corner turns follow
+    from the directions alone, so the turn error (why a corner turns
+    against its kind, or None) is decided here and raised per point.
     """
     exp = labels.exponents
-    charts: dict[int, PolygonChart] = {}
+    index = {eid: j for j, eid in enumerate(columns)} if columns is not None else None
+    plan = []
     for b in boundaries:
-        offset = 0 if b.color == WHITE else 3
-        turn_sign = 1 if b.color == WHITE else -1
+        offset, turn_sign = (0, 1) if b.color == WHITE else (3, -1)
+        dirs = [(exp[eid] + offset) % 6 for eid in b.sides]
+        error = None
+        for i, corner in enumerate(b.corners):
+            got = (dirs[(i + 1) % len(dirs)] - dirs[i]) % 6
+            want = (turn_sign * (2 if corner == ACUTE else 1)) % 6
+            if got != want:
+                error = f"polygon {b.vertex_id}: turn at corner {i} is {got}, expected {want}"
+                break
+        plan.append((b.vertex_id, b.color, tuple((eid, eid if index is None else index[eid], d)
+                                                 for eid, d in zip(b.sides, dirs)), error))
+    return tuple(plan)
+
+
+def walk_polygons(plan, lengths) -> dict[int, tuple]:
+    """Realize ``lengths`` against a ``development_plan``: per polygon id,
+    its chart (id, colour, sides) on plain ints, each side (edge id, start
+    (x, y), direction, length) and the first starting at the origin, as
+    ``PolygonChart`` and ``SideRecord`` hold them.  Raises ClosureError
+    polygon by polygon, on a length, the closure and the corner turns."""
+    charts = {}
+    for pid, color, plan_sides, turn_error in plan:
         x = y = 0
         sides = []
-        for eid in b.sides:
-            ell = int(lengths[eid])
-            if ell != lengths[eid] or ell <= 0:
-                raise ClosureError(f"edge {eid} has length {lengths[eid]}, expected a positive integer")
-            d = (exp[eid] + offset) % 6
-            sides.append(_new(SideRecord, (eid, _new(GridPoint, (x, y)), d, ell)))
+        for eid, j, d in plan_sides:
+            length = lengths[j]
+            ell = int(length)
+            if ell != length or ell <= 0:
+                raise ClosureError(f"edge {eid} has length {length}, expected a positive integer")
+            sides.append((eid, (x, y), d, ell))
             dx, dy = DIRECTIONS[d]
             x, y = x + ell * dx, y + ell * dy
         if x or y:
-            raise ClosureError(f"polygon {b.vertex_id} does not close (gap {GridPoint(x, y)})")
-        for i, corner in enumerate(b.corners):
-            got = (sides[(i + 1) % len(sides)].direction - sides[i].direction) % 6
-            want = (turn_sign * (2 if corner == ACUTE else 1)) % 6
-            if got != want:
-                raise ClosureError(f"polygon {b.vertex_id}: turn at corner {i} is {got}, expected {want}")
-        charts[b.vertex_id] = _new(PolygonChart, (b.vertex_id, b.color, tuple(sides)))
+            raise ClosureError(f"polygon {pid} does not close (gap {GridPoint(x, y)})")
+        if turn_error is not None:
+            raise ClosureError(turn_error)
+        charts[pid] = (pid, color, sides)
     return charts
 
 
@@ -253,10 +284,12 @@ def _angle_closure_error(boundaries, bigons, quads) -> str | None:
 def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> RealizedSurface:
     """Develop the charts of one length realization against ``frame``.
 
-    Translates each chart along the frame's spanning tree, checks holonomy
-    on every non-tree edge (GluingError), raises the frame's angle closure
-    failure (AngleError), normalizes by the base flag and checks that every
-    blue face gets one folded image (GluingError).
+    ``charts`` are ``PolygonChart`` records or the plain tuples of the same
+    shape that ``walk_polygons`` returns.  Translates each chart along the
+    frame's spanning tree, checks holonomy on every non-tree edge
+    (GluingError), raises the frame's angle closure failure (AngleError),
+    normalizes by the base flag and checks that every blue face gets one
+    folded image (GluingError).
     """
     translations: dict[int, tuple[int, int]] = {frame.root: (0, 0)}
     for pid, gl, other in frame.tree_steps:
@@ -274,22 +307,22 @@ def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> Reali
         raise AngleError(frame.angle_error)
 
     _, flag_pid, corner_idx, flag_side, half_turn = frame.flag
-    chart = charts[flag_pid]
-    delta = (chart.sides[flag_side].direction + half_turn) % 6
+    _, _, flag_sides = charts[flag_pid]
+    delta = (flag_sides[flag_side][2] + half_turn) % 6
     a, b, c, d = SIXTH_TURNS[-delta % 6]
-    (fx, fy), (cx, cy) = translations[flag_pid], chart.corner_point(corner_idx)
+    (fx, fy), (cx, cy) = translations[flag_pid], flag_sides[(corner_idx + 1) % len(flag_sides)][1]
     placed: dict[int, PolygonChart] = {}
-    for pid, ch in charts.items():
+    for pid, (_, color, chart_sides) in charts.items():
         tx, ty = translations[pid]
         sx, sy = tx - fx - cx, ty - fy - cy
         sides = []
-        for eid, (x, y), k, ell in ch.sides:
+        for eid, (x, y), k, ell in chart_sides:
             x, y = x + sx, y + sy
             if (x - y) % 2:
                 raise ValueError(f"{GridPoint(x, y)} is not a lattice point")
             start = _new(GridPoint, ((a * x + b * y) // 2, (c * x + d * y) // 2))
             sides.append(_new(SideRecord, (eid, start, (k - delta) % 6, ell)))
-        placed[pid] = _new(PolygonChart, (pid, ch.color, tuple(sides)))
+        placed[pid] = _new(PolygonChart, (pid, color, tuple(sides)))
 
     folded: dict[int, GridPoint] = {}
     for pid, side, fid in frame.corners:
@@ -351,8 +384,10 @@ def _gluing_shift(charts, gl: EdgeGluing) -> tuple[int, int]:
     The white side traverses the edge A -> B and the black side B -> A with
     opposite chart directions, so chart starts pair with chart ends.
     """
-    wx, wy = charts[gl.white_polygon].sides[gl.white_side].start
-    _, (bx, by), d, ell = charts[gl.black_polygon].sides[gl.black_side]
+    _, white, white_side, black, black_side = gl
+    # a chart is (id, colour, sides), a side (edge id, start, direction, length)
+    _, (wx, wy), _, _ = charts[white][2][white_side]
+    _, (bx, by), d, ell = charts[black][2][black_side]
     dx, dy = DIRECTIONS[d]
     return wx - bx - ell * dx, wy - by - ell * dy
 
@@ -367,100 +402,5 @@ def cone_point_coordinates(surface: RealizedSurface) -> tuple[GridPoint, ...]:
     return tuple(surface.folded_vertex_image[f] for f in surface.frame.cone_vertices)
 
 
-# ---------------------------------------------------------------------------
-# net development (proper isometries, for rendering)
-
-class NetTransform(NamedTuple):
-    rotation: int          # sixth turns
-    shift: GridPoint
-    mirrored: bool         # black charts are conjugated before placing
-
-    def apply(self, pt: GridPoint) -> GridPoint:
-        if self.mirrored:
-            pt = pt.conj()
-        return pt.rot(self.rotation) + self.shift
-
-
-class NetLayout(NamedTuple):
-    transforms: dict[int, NetTransform]
-    points: dict[int, tuple[GridPoint, ...]]      # placed boundary chains
-    tree_edges: tuple[int, ...]
-    overlaps: tuple[tuple[int, int], ...]         # non-adjacent polygons with overlapping interiors
-
-
-def develop_net(surface: RealizedSurface) -> NetLayout:
-    """Lay the polygons out edge-to-edge with orientation-preserving maps.
-
-    Black charts are mirrored once, restoring their unfolded shape, and
-    every gluing along the frame's spanning tree becomes a rotation by
-    sixth turns plus a translation; shared tree edges coincide exactly.
-    Overlaps between polygons not glued in the tree are detected and
-    reported, not repaired.
-    """
-    frame, placed = surface.frame, surface.placed
-
-    def proper_side(pid: int, side_idx: int) -> SideRecord:
-        s = placed[pid].sides[side_idx]
-        if placed[pid].color == WHITE:
-            return s
-        return SideRecord(s.edge_id, s.start.conj(), (-s.direction) % 6, s.length)
-
-    root = frame.root
-    transforms: dict[int, NetTransform] = {root: NetTransform(0, ORIGIN, placed[root].color != WHITE)}
-    for pid, gl, other in frame.tree_steps:
-        here = gl.white_side if pid == gl.white_polygon else gl.black_side
-        there = gl.black_side if pid == gl.white_polygon else gl.white_side
-        s_here = proper_side(pid, here)
-        s_there = proper_side(other, there)
-        t_here = transforms[pid]
-        # the two polygons traverse the shared edge in opposite directions
-        rot = (t_here.rotation + s_here.direction + 3 - s_there.direction) % 6
-        mirrored = placed[other].color != WHITE
-        target = s_here.start.rot(t_here.rotation) + t_here.shift + \
-            direction((s_here.direction + t_here.rotation) % 6).scale(s_here.length)
-        shift = target - s_there.start.rot(rot)
-        transforms[other] = NetTransform(rot, shift, mirrored)
-
-    points: dict[int, tuple[GridPoint, ...]] = {}
-    for pid, ch in placed.items():
-        chain = ch.chain if ch.color == WHITE else tuple(p.conj() for p in ch.chain)
-        t = transforms[pid]
-        points[pid] = tuple(p.rot(t.rotation) + t.shift for p in chain)
-
-    for _, gl, _ in frame.tree_steps:
-        sw = proper_side(gl.white_polygon, gl.white_side)
-        sb = proper_side(gl.black_polygon, gl.black_side)
-        tw, tb = transforms[gl.white_polygon], transforms[gl.black_polygon]
-        a1 = sw.start.rot(tw.rotation) + tw.shift
-        b1 = a1 + direction((sw.direction + tw.rotation) % 6).scale(sw.length)
-        b2 = sb.start.rot(tb.rotation) + tb.shift
-        a2 = b2 + direction((sb.direction + tb.rotation) % 6).scale(sb.length)
-        if (a1, b1) != (a2, b2):
-            raise GluingError(f"net tree edge {gl.edge_id} fails to coincide")
-
-    glued_pairs = {frozenset((gl.white_polygon, gl.black_polygon)) for _, gl, _ in frame.tree_steps}
-    overlaps = []
-    pids = sorted(points)
-    for i, p in enumerate(pids):
-        for q in pids[i + 1:]:
-            if frozenset((p, q)) in glued_pairs:
-                continue
-            if _interiors_overlap(points[p], points[q]):
-                overlaps.append((p, q))
-    return NetLayout(transforms, points, frame.tree_edges, tuple(overlaps))
-
-
-def _interiors_overlap(pts_a, pts_b) -> bool:
-    """Exact separating-axis test for convex polygons; touching is allowed."""
-    def axes(pts):
-        n = len(pts)
-        for i in range(n):
-            yield pts[(i + 1) % n] - pts[i]
-
-    for dx, dy in list(axes(pts_a)) + list(axes(pts_b)):
-        # projection onto the normal of direction (dx, dy*sqrt3), scaled
-        proj_a = [dx * y - dy * x for x, y in pts_a]
-        proj_b = [dx * y - dy * x for x, y in pts_b]
-        if max(proj_a) <= min(proj_b) or max(proj_b) <= min(proj_a):
-            return False
-    return True
+# the net layout is ``net``'s; its names stay importable from here
+from .net import NetLayout, NetTransform, develop_net  # noqa: E402,F401

@@ -18,11 +18,11 @@ this module uses rationals or floating point.
 from __future__ import annotations
 
 from math import gcd
-from operator import index
+from operator import index, mul
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def nonzeros(row) -> dict[int, int]:
@@ -156,7 +156,7 @@ def nullspace(rows, width: int) -> list[list[int]]:
             if p > f:
                 continue  # x is zero right of f, so x[p] stays 0
             row = pivots[p]
-            s = sum(a * x[j] for j, a in row.items())  # x[p] is still 0
+            s = sum(map(mul, row.values(), map(x.__getitem__, row)))  # x[p] is still 0
             d = row[p]
             if s % d:
                 scale = d // gcd(s, d)

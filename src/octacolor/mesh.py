@@ -14,6 +14,12 @@ keys sort as (point, owner) pairs do.  One sort of ints gives the vertex
 ids, and one pass over each chart's strips emits its triangles as id
 triples with the integer keys of their edges.  GridPoints are built only
 for the positions the mesh returns.
+
+What the gluing needs of the combinatorial type alone, ``mesh_tables``
+reads from a surface frame: each gluing with the owner of the points
+inside its side, each corner with the owner of its face, the bound p and
+the charts in id order with their colours.  A caller meshing many points
+of one type reads them once and passes them in.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .emg import WHITE
+from .emg import BLACK, WHITE
 from .grid import DIRECTIONS, GridPoint, signed_triarea
 
 if TYPE_CHECKING:
-    from .geometry import PolygonChart, RealizedSurface
+    from .geometry import PolygonChart, RealizedSurface, SurfaceFrame
 
 
 class MeshError(ValueError):
@@ -84,10 +90,10 @@ def _integer_sides(sides) -> list[tuple[int, int]]:
 
 
 def _chart_sides(chart: PolygonChart) -> list[tuple[int, int]]:
-    return [(s.length, s.direction) for s in chart.sides]
+    return [(ell, d) for _, _, d, ell in chart.sides]
 
 
-def _row_scan(start: GridPoint, sides: list[tuple[int, int]]):
+def _row_scan(start: GridPoint, sides: list[tuple[int, int]], area: int | None = None):
     """Row extents and strips of a convex sixth-turn chain.
 
     Walks the chain one unit at a time and records each row's lowest and
@@ -104,7 +110,8 @@ def _row_scan(start: GridPoint, sides: list[tuple[int, int]]):
     y + 1 has index i + s when x has index i in row y, and ``up`` and
     ``down`` are the ranges of i.  Raises ValueError on a chain that is
     not convex with sixth-turn corners and MeshError when the count
-    differs from the chain's area.
+    differs from ``area``, the chain's shoelace area, computed here when
+    not given.
     """
     k = len(sides)
     turns = {(sides[(i + 1) % k][1] - sides[i][1]) % 6 for i in range(k)}
@@ -131,12 +138,15 @@ def _row_scan(start: GridPoint, sides: list[tuple[int, int]]):
     for y in range(bottom, top):
         l1, r1 = rows[y + 1]
         s = (l0 + 1 - l1) // 2
-        up = range(max(0, -s), (min(r0, r1 + 1) - l0) // 2)
-        down = range(max(0, 1 - s), (min(r1 - 1, r0) - l0) // 2 + 1)
+        # conditionals, not min and max calls: this runs for every row of
+        # every chart
+        up = range(-s if s < 0 else 0, ((r0 if r0 <= r1 else r1 + 1) - l0) // 2)
+        down = range(1 - s if s < 1 else 0, ((r0 if r0 < r1 else r1 - 1) - l0) // 2 + 1)
         strips.append((y, up, down, s))
         count += len(up) + len(down)
         l0, r0 = l1, r1
-    area = triarea(_chain_points(start, sides))
+    if area is None:
+        area = triarea(_chain_points(start, sides))
     if count != area:
         raise MeshError(f"triangulated {count} units, area holds {area}")
     return rows, strips
@@ -196,52 +206,77 @@ class ColoredTriangulation(NamedTuple):
         return self.n_vertices - len(self.edges) + len(self.triangles)
 
 
-def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
+class MeshTables(NamedTuple):
+    """What gluing the mesh of a surface needs of its type alone."""
+    gluings: tuple[tuple[int, int, int, int, int, int], ...]  # (edge, white, side, black, side, owner)
+    corners: tuple[tuple[int, int, int, int], ...]            # (polygon, side leaving the corner, face, owner)
+    p: int                                                    # above every owner
+    charts: tuple[tuple[int, str], ...]                       # (polygon, colour), by polygon id
+
+
+def mesh_tables(frame: SurfaceFrame) -> MeshTables:
+    """The mesh tables of ``frame``: the charts are the polygons its
+    gluings join, a point inside a glued side belongs to the smaller of the
+    two polygons, and a corner to the smallest polygon with a corner at its
+    face (``frame.face_owner``)."""
+    owner = frame.face_owner
+    colour = {}
+    for _, white, _, black, _ in frame.gluings.values():
+        colour[white], colour[black] = WHITE, BLACK
+    return MeshTables(tuple((*gl, min(gl.white_polygon, gl.black_polygon)) for gl in frame.gluings.values()),
+                      tuple((pid, side, fid, owner[fid]) for pid, side, fid in frame.corners),
+                      1 + max(chain(colour, owner.values())), tuple(sorted(colour.items())))
+
+
+def build_triangulation(surface: RealizedSurface, tables: MeshTables | None = None,
+                        areas: dict[int, int] | None = None) -> ColoredTriangulation:
     """Glue per-polygon unit triangulations into one closed sphere.
 
     Subdivision points along a shared edge coincide exactly in the folded
     plane, so identification happens along each glued edge, and only there
     (the folding map is far from injective globally).  A vertex is a chart
     point keyed by (point, owner), and the boundaries alone fix the owner:
-    the chart itself for an interior point, the smaller of the two glued
-    polygons for a point inside a glued side, and the smallest polygon with
-    a corner at the face (``frame.face_owner``) for a corner.
+    the chart itself for an interior point, and for a point inside a glued
+    side or at a corner the owner in ``tables``, the type's
+    ``mesh_tables``, read from the surface's frame when not given.
 
     The vertices are numbered before any triangle is cut, by one sort of
     their packed keys (see the module docstring).  Within one chart the
     points are distinct, so ids follow point order there, and each chart's
     strips give sorted id triples directly.  Verifies each chart's count
-    against its shoelace area, that each glued white side runs from its
-    black side's end to its start, that every edge lies in two triangles,
-    the Euler characteristic, and the degree sequence of six 4s with all
-    remaining degrees 6.
+    against its shoelace area (``areas``, by polygon id, computed here when
+    not given), that each glued white side runs from its black side's end
+    to its start, that every edge lies in two triangles, the Euler
+    characteristic, and the degree sequence of six 4s with all remaining
+    degrees 6.
     """
-    frame, placed = surface.frame, surface.placed
-    scans = {pid: _row_scan(ch.sides[0].start, _chart_sides(ch)) for pid, ch in placed.items()}
+    placed = surface.placed
+    gluings, corners, p, charts = tables or mesh_tables(surface.frame)
+    scans = {pid: _row_scan(placed[pid].sides[0].start, _chart_sides(placed[pid]),
+                            None if areas is None else areas[pid]) for pid, _ in charts}
     rows = {pid: r for pid, (r, _) in scans.items()}
     y0 = min(min(r) for r in rows.values())
     w = max(max(r) for r in rows.values()) - y0 + 1
-    p = 1 + max(chain(placed, frame.face_owner.values()))
     keys = {pid: _row_keys(r, y0, w, p, pid) for pid, r in rows.items()}
 
-    for eid, gl in frame.gluings.items():
-        white, black = gl.white_polygon, gl.black_polygon
-        side = placed[white].sides[gl.white_side]
-        other = placed[black].sides[gl.black_side]
-        (x, y), (dx, dy), length = side.start, DIRECTIONS[side.direction], side.length
+    for eid, white, white_side, black, black_side, o in gluings:
+        side, other = placed[white].sides[white_side], placed[black].sides[black_side]
+        _, (x, y), d, length = side
+        dx, dy = DIRECTIONS[d]
         if _step(other.start, other.direction, other.length) != (x, y) or \
                 other.start != (x + length * dx, y + length * dy):
             pt = side.start if side.start != other.end else side.end
             raise MeshError(f"edge {eid}: subdivision point {pt} missing from a triangulation")
-        o = min(white, black)
         white_rows, black_rows, white_keys, black_keys = rows[white], rows[black], keys[white], keys[black]
         for t in range(1, length):
             px, py = x + t * dx, y + t * dy
             white_keys[py][(px - white_rows[py][0]) // 2] = black_keys[py][(px - black_rows[py][0]) // 2] = \
                 (px * w + py - y0) * p + o
-    corners = [(pid, *placed[pid].sides[side].start, fid) for pid, side, fid in frame.corners]
-    for pid, x, y, fid in corners:
-        keys[pid][y][(x - rows[pid][y][0]) // 2] = (x * w + y - y0) * p + frame.face_owner[fid]
+    at = []
+    for pid, side, fid, o in corners:
+        x, y = placed[pid].sides[side].start
+        keys[pid][y][(x - rows[pid][y][0]) // 2] = (x * w + y - y0) * p + o
+        at.append((pid, x, y, fid))
 
     vertex_keys = sorted(set(chain.from_iterable(chain.from_iterable(r.values() for r in keys.values()))))
     vid = dict(zip(vertex_keys, range(len(vertex_keys)))).__getitem__
@@ -250,16 +285,16 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     positions = tuple([tuple.__new__(GridPoint, (k // pw, k // p % w + y0)) for k in vertex_keys])
 
     surface_vertex = [-1] * n
-    for pid, x, y, fid in corners:
+    for pid, x, y, fid in at:
         surface_vertex[ids[pid][y][(x - rows[pid][y][0]) // 2]] = fid
 
     triangles: list[tuple[int, int, int]] = []
     colors: list[str] = []
     edge_keys: list[int] = []
-    for pid in sorted(placed):
+    for pid, color in charts:
         before = len(triangles)
         _emit_triangles(scans[pid][1], ids[pid], n, triangles, edge_keys)
-        colors.extend(repeat(placed[pid].color, len(triangles) - before))
+        colors.extend(repeat(color, len(triangles) - before))
 
     edges = _closed_mesh_edges(edge_keys, n)
 
@@ -301,26 +336,27 @@ def four_color(tri: ColoredTriangulation) -> ColoredTriangulation:
     Adjacent vertices differ by a unit direction, which is never in twice
     the lattice, so residue classes color properly; this is re-verified by
     a brute-force scan over all edges, as is the mod-3 balance of black and
-    white triangles around every vertex.
+    white triangles around every vertex, by one signed count per vertex
+    (+1 per white triangle, -1 per black one).
     """
-    colors = []
-    for pt in tri.positions:
-        # lattice coordinates (a, b) = ((X - Y)/2, Y); the class is
-        # 2*(a & 1) + (b & 1), as GridPoint.color_class computes it
-        diff = pt[0] - pt[1]
-        if diff & 1:
-            raise ColorError(f"folded vertex image {pt} is not a lattice point")
-        colors.append((diff & 2) | (pt[1] & 1))
+    off = next((pt for pt in tri.positions if (pt[0] - pt[1]) & 1), None)
+    if off is not None:
+        raise ColorError(f"folded vertex image {off} is not a lattice point")
+    # lattice coordinates (a, b) = ((X - Y)/2, Y); the class is
+    # 2*(a & 1) + (b & 1), as GridPoint.color_class computes it
+    colors = [(x - y) & 2 | y & 1 for x, y in tri.positions]
     for a, b in tri.edges:
         if colors[a] == colors[b]:
             raise ColorError(f"adjacent vertices {a}, {b} share color {colors[a]}")
-    white = [0] * len(colors)
-    black = [0] * len(colors)
-    for t, col in zip(tri.triangles, tri.triangle_colors):
-        counts = white if col == WHITE else black
-        for v in t:
-            counts[v] += 1
-    for v, (w, b) in enumerate(zip(white, black)):
-        if (w - b) % 3 != 0:
-            raise ColorError(f"vertex {v}: {w} white vs {b} black triangles")
+    signed = [0] * len(colors)
+    for (a, b, c), col in zip(tri.triangles, tri.triangle_colors):
+        s = 1 if col == WHITE else -1
+        signed[a] += s
+        signed[b] += s
+        signed[c] += s
+    if any(s % 3 for s in signed):
+        v = next(v for v, s in enumerate(signed) if s % 3)
+        around = [col for t, col in zip(tri.triangles, tri.triangle_colors) if v in t]
+        raise ColorError(f"vertex {v}: {around.count(WHITE)} white vs "
+                         f"{len(around) - around.count(WHITE)} black triangles")
     return tri._replace(vertex_colors=tuple(colors))

@@ -3,16 +3,17 @@
 ``Instance`` is the one place the chain of a combinatorial type is built:
 blue faces, validation, polygon boundaries, direction labels, closure
 system, kernel and lemma checks, cone and extreme rays, lattice basis,
-restricted form, and the surface frame.  Each stage is a cached property
-computed on first use; ``develop`` realizes one edge-length vector against
-the frame.  ``derivable`` is the stop rule, and ``walk`` visits the stages
-in report order under it, timing each: ``run_check`` and ``run_survey``
-read that one walk.  One ``*_json`` function per stage builds its report
-fragment, for the CLI and ``run_check``; a survey row builds none.  Exact
-quantities serialize as integer or rational strings.  The closure system
-and the global form, 2V x E_b and E_b x E_b, serialize as their nonzeros
-(``sparse_json``); every other matrix has four rows or four columns and
-serializes dense.
+restricted form, and what realizing a point needs of the type: the surface
+frame, the development plan and the mesh tables.  Each stage is a cached
+property computed on first use; ``develop`` realizes one edge-length
+vector against the plan and the frame.  ``derivable`` is the stop rule,
+and ``walk`` visits the stages in report order under it, timing each:
+``run_check`` and ``run_survey`` read that one walk.  One ``*_json``
+function per stage builds its report fragment, for the CLI and
+``run_check``; a survey row builds none.  Exact quantities serialize as
+integer or rational strings.  The closure system and the global form,
+2V x E_b and E_b x E_b, serialize as their nonzeros (``sparse_json``);
+every other matrix has four rows or four columns and serializes dense.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from types import SimpleNamespace
 from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays,
                    lattice_basis, restrict_to_kernel)
 from .emg import EnhancedMultigraph, trace_faces, validate_plausible
-from .geometry import cone_point_coordinates, place_surface, realize_polygons, surface_frame
+from .geometry import (cone_point_coordinates, development_plan, place_surface, surface_frame,
+                       walk_polygons)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
-from .mesh import build_triangulation, four_color, triarea
+from .mesh import build_triangulation, four_color, mesh_tables, triarea
 from .qform import assemble_form, restrict_form, verify_triangle_identity
 from .shapesys import build_constraints, kernel_basis, verify_lemmas
 
@@ -100,6 +102,16 @@ class Instance:
     def frame(self):
         return surface_frame(self.boundaries)
 
+    @cached_property
+    def plan(self):
+        """The ``development_plan`` of the labels, reading lengths in
+        kernel column order."""
+        return development_plan(self.boundaries, self.labels, self.kernel.col_edges)
+
+    @cached_property
+    def mesh_tables(self):
+        return mesh_tables(self.frame)
+
     def lattice_points(self, max_len: int, budget: int = ENUMERATION_BUDGET):
         return enumerate_lattice_points(self.lattice, max_len, budget=budget)
 
@@ -129,10 +141,11 @@ class Instance:
 
     def develop(self, vector):
         """Realize the edge-length vector (in kernel column order) and
-        develop it against the type's frame, as ``develop_surface`` would."""
-        lengths = dict(zip(self.kernel.col_edges, vector))
-        charts = realize_polygons(self.g, self.boundaries, self.labels, lengths)
-        return place_surface(self.frame, charts)
+        develop it against the type's frame, as ``develop_surface`` would,
+        with the same records and errors: one walk of the vector on plain
+        ints against the plan, placed straight away, so no origin-anchored
+        chart record is built."""
+        return place_surface(self.frame, walk_polygons(self.plan, vector))
 
 
 def _half(n: int) -> str:
@@ -285,9 +298,9 @@ def _check_realization(inst: Instance, vector) -> dict:
     entry: dict = {"vector": vector_json(vector)}
     try:
         surface = inst.develop(vector)
-        tri = four_color(build_triangulation(surface))
-        areas = sum(triarea(ch.chain) for ch in surface.placed.values())
-        identity = verify_triangle_identity(inst.form, vector, tri, areas)
+        areas = {pid: triarea(ch.chain) for pid, ch in surface.placed.items()}
+        tri = four_color(build_triangulation(surface, inst.mesh_tables, areas))
+        identity = verify_triangle_identity(inst.form, vector, tri, sum(areas.values()))
     except ValueError as exc:
         entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry

@@ -18,6 +18,7 @@ the same row space and leaves the kernel unchanged.
 from __future__ import annotations
 
 from collections import Counter
+from operator import mul
 from typing import NamedTuple
 
 from . import linalg
@@ -44,7 +45,7 @@ class ShapeSystem(NamedTuple):
 
     def solves(self, vec) -> bool:
         """Whether the vector of E_b edge lengths closes every polygon."""
-        return not any(sum(x * vec[j] for j, x in row.items()) for row in self.rows)
+        return not any(sum(map(mul, row.values(), map(vec.__getitem__, row))) for row in self.rows)
 
     @property
     def n_rows(self) -> int:

@@ -73,7 +73,7 @@ def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> Reali
     _, flag_pid, corner_idx, flag_side, half_turn = frame.flag
     chart = charts[flag_pid]
     delta = (chart.sides[flag_side].direction + half_turn) % 6
-    origin = translations[flag_pid] + chart.corner_point(corner_idx)
+    origin = translations[flag_pid] + _corner_point(chart, corner_idx)
     placed: dict[int, PolygonChart] = {}
     for pid, ch in charts.items():
         shift = translations[pid] - origin
@@ -89,6 +89,11 @@ def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> Reali
             raise GluingError(f"vertex {fid} has two folded images {seen} and {pt}")
 
     return RealizedSurface(frame, placed, folded)
+
+
+def _corner_point(chart: PolygonChart, corner_index: int) -> GridPoint:
+    """Position of the corner after side ``corner_index``."""
+    return chart.sides[(corner_index + 1) % len(chart.sides)].start
 
 
 def _gluing_shift(charts, gl: EdgeGluing, from_polygon: int) -> GridPoint:
@@ -171,7 +176,7 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     for b in surface.frame.boundaries:
         chart = placed[b.vertex_id]
         for idx, fid in enumerate(b.corner_faces):
-            surface_vertex[vid_of[(b.vertex_id, chart.corner_point(idx))]] = fid
+            surface_vertex[vid_of[(b.vertex_id, _corner_point(chart, idx))]] = fid
 
     triangles = []
     colors = []

@@ -387,6 +387,19 @@ def test_four_color_survives_doubling(spiral3):
     assert tri.vertex_colors is not None
 
 
+def test_four_color_reports_a_mod3_imbalance(spiral3):
+    # one triangle's colour flipped moves its vertices' signed counts by 2;
+    # the first of them is reported with its white and black counts
+    tri = build_triangulation(_first_positive_surface(spiral3))
+    t = 5
+    colors = list(tri.triangle_colors)
+    colors[t] = "black" if colors[t] == "white" else "white"
+    v = tri.triangles[t][0]
+    around = Counter(col for tr, col in zip(tri.triangles, colors) if v in tr)
+    with pytest.raises(ColorError, match=f"^vertex {v}: {around['white']} white vs {around['black']} black triangles$"):
+        four_color(replace(tri, triangle_colors=tuple(colors)))
+
+
 def test_triangle_count_equals_area_sum(spiral3):
     surf = _first_positive_surface(spiral3)
     tri = build_triangulation(surf)
@@ -511,6 +524,9 @@ def test_build_triangulation_matches_oracle(g):
             sorted(zip(want.triangles, want.triangle_colors))
         blank = dict(triangles=(), triangle_colors=())
         assert replace(got, **blank) == replace(want, **blank)
+        # the type's tables and the chart areas, as a check run passes them
+        areas = {pid: triarea(ch.chain) for pid, ch in surf.placed.items()}
+        assert build_triangulation(surf, inst.mesh_tables, areas) == got
 
 
 def _ray_sum(inst):
@@ -532,15 +548,19 @@ def test_develop_matches_oracle(g):
         lengths = dict(zip(inst.kernel.col_edges, vector))
         charts = realize_polygons(g, inst.boundaries, inst.labels, lengths)
         assert charts == mesh_oracle.realize_polygons(g, inst.boundaries, inst.labels, lengths)
-        assert place_surface(inst.frame, charts) == mesh_oracle.place_surface(inst.frame, charts)
+        surface = place_surface(inst.frame, charts)
+        assert surface == mesh_oracle.place_surface(inst.frame, charts)
+        # the same core, from the vector on plain ints with no chart record
+        assert inst.develop(vector) == surface
 
 
 def _develop_error_cases():
     """(error, function name, arguments) per case, for the library and the oracle alike."""
     hexpair, spiral6 = Instance(load_bundled("hexagon-pair")), Instance(load_bundled("spiral-6"))
 
-    def realize(inst, vector):
-        return "realize_polygons", (inst.g, inst.boundaries, inst.labels, dict(zip(inst.kernel.col_edges, vector)))
+    def realize(inst, vector, boundaries=None):
+        return "realize_polygons", (inst.g, boundaries or inst.boundaries, inst.labels,
+                                    dict(zip(inst.kernel.col_edges, vector)))
 
     def place(shift, holonomy=True):
         # polygon 1's second side moved off the side it is glued to
@@ -553,6 +573,7 @@ def _develop_error_cases():
     return {
         "non-closing-vector": (ClosureError, *realize(hexpair, [2, 1, 1, 1, 1, 1])),
         "half-integer-vector": (ClosureError, *realize(spiral6, [Fraction(x, 2) for x in _positive(spiral6, 5)[0]])),
+        "corner-turn-mismatch": (ClosureError, *realize(hexpair, [1] * 6, _acute_first_corner(hexpair))),
         "chart-off-its-gluing": (GluingError, *place(DIRECTIONS[0])),
         # with the holonomy checks dropped, a side moved half a unit off the
         # lattice reaches the normalizing rotation, and one moved a whole
@@ -560,6 +581,13 @@ def _develop_error_cases():
         "off-lattice-side": (ValueError, *place(GridPoint(1, 0), holonomy=False)),
         "two-folded-images": (GluingError, *place(GridPoint(2, 0), holonomy=False)),
     }
+
+
+def _acute_first_corner(inst):
+    """The boundaries with the white polygon's first corner relabelled
+    acute: its unit hexagon turns one sixth there, not the two it asks."""
+    b = next(b for b in inst.boundaries if b.color == "white")
+    return [replace(b, corners=(ACUTE,) + b.corners[1:]) if x is b else x for x in inst.boundaries]
 
 
 DEVELOP_ERROR_CASES = _develop_error_cases()
@@ -574,6 +602,46 @@ def test_develop_errors_match_oracle(error, name, args):
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
     assert raised[0][0] is error
+
+
+INSTANCE_DEVELOP_ERROR_CASES = {
+    "non-closing-vector": ("hexagon-pair", [2, 1, 1, 1, 1, 1], False),
+    "nonpositive-vector": ("hexagon-pair", [1, 1, 1, 0, 1, 1], False),
+    "half-integer-vector": ("spiral-6", None, False),
+    "corner-turn-mismatch": ("hexagon-pair", [1] * 6, True),
+}
+
+
+@pytest.mark.parametrize("name, vector, tamper", INSTANCE_DEVELOP_ERROR_CASES.values(),
+                         ids=INSTANCE_DEVELOP_ERROR_CASES)
+def test_instance_develop_errors_match_oracle(name, vector, tamper):
+    # Instance.develop raises what the oracle's realization raises, type and
+    # message, at the same place in the walk
+    inst = Instance(load_bundled(name))
+    if vector is None:
+        vector = [Fraction(x, 2) for x in _positive(inst, 5)[0]]
+    if tamper:
+        inst.boundaries = _acute_first_corner(inst)
+    lengths = dict(zip(inst.kernel.col_edges, vector))
+    raised = []
+    for develop in (inst.develop,
+                    lambda v: mesh_oracle.place_surface(
+                        inst.frame, mesh_oracle.realize_polygons(inst.g, inst.boundaries, inst.labels, lengths))):
+        with pytest.raises(ValueError) as info:
+            develop(vector)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is ClosureError
+
+
+def test_build_triangulation_checks_counts_against_given_areas(spiral3):
+    # a chart's strip count is checked against the area the caller passes
+    surf = _first_positive_surface(spiral3, bound=3)
+    areas = {pid: triarea(ch.chain) for pid, ch in surf.placed.items()}
+    build_triangulation(surf, areas=areas)
+    pid = min(areas)
+    with pytest.raises(MeshError, match=f"^triangulated {areas[pid]} units, area holds {areas[pid] + 1}$"):
+        build_triangulation(surf, areas={**areas, pid: areas[pid] + 1})
 
 
 def test_build_triangulation_rejects_translated_chart(spiral3):

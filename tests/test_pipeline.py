@@ -165,6 +165,16 @@ def test_instance_builds_its_frame_once(monkeypatch, spiral3):
     assert len(calls) == 1
 
 
+def test_instance_builds_its_plan_and_mesh_tables_once(monkeypatch, spiral3):
+    calls = []
+    for name in ("development_plan", "mesh_tables"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    report = run_check(spiral3, max_len=2)
+    assert report.ok and len(report.realizations) > 1
+    assert sorted(calls) == ["development_plan", "mesh_tables"]
+
+
 def test_instance_traces_its_faces_once(monkeypatch, spiral3):
     # validation and the polygon boundaries share the instance's faces
     calls = []
@@ -183,13 +193,12 @@ def test_instance_traces_its_faces_once(monkeypatch, spiral3):
 def test_check_records_a_holonomy_failure_per_point(monkeypatch, hexpair):
     # polygon 1 realized at twice the lengths of polygon 0: the tree edge
     # fits by construction, every other edge disagrees
-    real = pipeline.realize_polygons
+    real = pipeline.walk_polygons
 
-    def mismatched(g, boundaries, labels, lengths):
-        doubled = real(g, boundaries, labels, {e: 2 * x for e, x in lengths.items()})
-        return {**real(g, boundaries, labels, lengths), 1: doubled[1]}
+    def mismatched(plan, lengths):
+        return {**real(plan, lengths), 1: real(plan, [2 * x for x in lengths])[1]}
 
-    monkeypatch.setattr(pipeline, "realize_polygons", mismatched)
+    monkeypatch.setattr(pipeline, "walk_polygons", mismatched)
     report = run_check(hexpair, max_len=2)
     assert report.realizations and not report.ok
     for entry in report.realizations:
