@@ -11,7 +11,7 @@ folded vertex images give a proper 4-coloring.  Writes net.svg alongside.
 import pathlib
 
 from octacolor import (build_triangulation, cone_point_coordinates, develop_net,
-                       four_color, spiral_instance, triarea, verify_triangle_identity)
+                       four_color, spiral_instance, verify_triangle_identity)
 from octacolor.pipeline import grid_point_json
 from octacolor.svg import render_net
 
@@ -38,8 +38,7 @@ print(f"\nglued triangulation: {tri.n_vertices} vertices, {len(tri.edges)} edges
 print(f"degree histogram: {tri.degree_histogram()}  (six 4s: the cone points)")
 print(f"vertex colors: {tri.vertex_colors}")
 
-areas = sum(triarea(ch.chain) for ch in surface.placed.values())
-identity = verify_triangle_identity(inst.form, vector, tri, areas)
+identity = verify_triangle_identity(inst.form, vector, tri)
 print(f"\nquadratic form value {identity.form_value} = 3 * {identity.triangle_count} triangles: "
       f"{identity.holds}")
 

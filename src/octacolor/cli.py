@@ -82,15 +82,29 @@ def _seed_flag(text: str | None) -> tuple[int, int] | None:
 
 
 def _emit(args, payload: str) -> None:
-    if getattr(args, "out", None):
-        import tempfile  # only --out needs it; a cold start skips the import
-        directory = os.path.dirname(os.path.abspath(args.out)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".octacolor-")
+    """Write ``payload`` to stdout, or replace ``--out`` with it whole: a
+    temporary file in the target's directory, given the mode a plain
+    ``open(path, "w")`` would give, renamed over the target.  A failure
+    removes the temporary file, and an OSError is an input error."""
+    if not getattr(args, "out", None):
+        sys.stdout.write(payload)
+        return
+    import tempfile  # only --out needs it; a cold start skips the import
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.out)), prefix=".octacolor-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, args.out)
-    else:
-        sys.stdout.write(payload)
+        tmp = None
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            os.unlink(tmp)
 
 
 def _emit_json(args, data: dict) -> None:

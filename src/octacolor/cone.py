@@ -170,7 +170,6 @@ def lattice_basis(kernel: KernelBasis) -> LatticeBasis:
 
 class LatticePoint(NamedTuple):
     vector: tuple[int, ...]       # edge coordinates
-    coeffs: tuple[int, ...]       # coordinates in the lattice basis
     strictly_positive: bool
 
 
@@ -203,7 +202,7 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
     d = lb.dimension
     n = len(lb.col_edges)
     if d == 0:
-        return [LatticePoint(tuple([0] * n), (), False)]
+        return [LatticePoint(tuple([0] * n), False)]
 
     # the first edge of each distinct row of L, in first-occurrence order
     first: dict[tuple[int, ...], int] = {}
@@ -228,7 +227,7 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
     new = tuple.__new__
     visited = 0
 
-    def run(prefix: tuple[int, ...], w: list[int]):
+    def run(w: list[int]):
         nonlocal visited
         # every moving edge bounds c on both sides, so lo and hi end as
         # integers; plo (phi) stays infinite without a rising (falling) edge
@@ -269,23 +268,24 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
         for j, a in moving:
             vec[j] += lo * a
         for c in range(lo, hi + 1):
-            append(new(LatticePoint, (tuple(vec), prefix + (c,), plo <= c <= phi)))
+            append(new(LatticePoint, (tuple(vec), plo <= c <= phi)))
             for j, a in moving:
                 vec[j] += a
 
     def recurse(prefix: tuple[int, ...], w: list[int]):
         level = len(prefix)
+        if level == d - 1:
+            return run(w)
         lo, hi = _integer_range(systems[level], prefix)
         if lo is None:
             return
         v = lb.vectors[level]
-        descend = run if level + 2 == d else recurse
         w = [x + lo * y for x, y in zip(w, v)]
         for val in range(lo, hi + 1):
-            descend(prefix + (val,), w)
+            recurse(prefix + (val,), w)
             w = list(map(add, w, v))
 
-    (run if d == 1 else recurse)((), [0] * n)
+    recurse((), [0] * n)
     # distinct coefficients give distinct vectors: this orders by vector
     points.sort()
     return points

@@ -93,7 +93,7 @@ def _chart_sides(chart: PolygonChart) -> list[tuple[int, int]]:
     return [(ell, d) for _, _, d, ell in chart.sides]
 
 
-def _row_scan(start: GridPoint, sides: list[tuple[int, int]], area: int | None = None):
+def _row_scan(start: GridPoint, sides: list[tuple[int, int]]):
     """Row extents and strips of a convex sixth-turn chain.
 
     Walks the chain one unit at a time and records each row's lowest and
@@ -110,8 +110,7 @@ def _row_scan(start: GridPoint, sides: list[tuple[int, int]], area: int | None =
     y + 1 has index i + s when x has index i in row y, and ``up`` and
     ``down`` are the ranges of i.  Raises ValueError on a chain that is
     not convex with sixth-turn corners and MeshError when the count
-    differs from ``area``, the chain's shoelace area, computed here when
-    not given.
+    differs from the chain's shoelace area.
     """
     k = len(sides)
     turns = {(sides[(i + 1) % k][1] - sides[i][1]) % 6 for i in range(k)}
@@ -145,8 +144,7 @@ def _row_scan(start: GridPoint, sides: list[tuple[int, int]], area: int | None =
         strips.append((y, up, down, s))
         count += len(up) + len(down)
         l0, r0 = l1, r1
-    if area is None:
-        area = triarea(_chain_points(start, sides))
+    area = triarea(_chain_points(start, sides))
     if count != area:
         raise MeshError(f"triangulated {count} units, area holds {area}")
     return rows, strips
@@ -192,7 +190,6 @@ class ColoredTriangulation(NamedTuple):
     triangle_colors: tuple[str, ...]                  # polygon colour per triangle
     edges: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...]
-    surface_vertex: tuple[int, ...]                   # blue face id, or -1 for subdivision vertices
     vertex_colors: tuple[int, ...] | None = None
 
     @property
@@ -228,8 +225,7 @@ def mesh_tables(frame: SurfaceFrame) -> MeshTables:
                       1 + max(chain(colour, owner.values())), tuple(sorted(colour.items())))
 
 
-def build_triangulation(surface: RealizedSurface, tables: MeshTables | None = None,
-                        areas: dict[int, int] | None = None) -> ColoredTriangulation:
+def build_triangulation(surface: RealizedSurface, tables: MeshTables | None = None) -> ColoredTriangulation:
     """Glue per-polygon unit triangulations into one closed sphere.
 
     Subdivision points along a shared edge coincide exactly in the folded
@@ -244,16 +240,14 @@ def build_triangulation(surface: RealizedSurface, tables: MeshTables | None = No
     their packed keys (see the module docstring).  Within one chart the
     points are distinct, so ids follow point order there, and each chart's
     strips give sorted id triples directly.  Verifies each chart's count
-    against its shoelace area (``areas``, by polygon id, computed here when
-    not given), that each glued white side runs from its black side's end
-    to its start, that every edge lies in two triangles, the Euler
-    characteristic, and the degree sequence of six 4s with all remaining
-    degrees 6.
+    against its shoelace area, that each glued white side runs from its
+    black side's end to its start, that every edge lies in two triangles,
+    the Euler characteristic, and the degree sequence of six 4s with all
+    remaining degrees 6.
     """
     placed = surface.placed
     gluings, corners, p, charts = tables or mesh_tables(surface.frame)
-    scans = {pid: _row_scan(placed[pid].sides[0].start, _chart_sides(placed[pid]),
-                            None if areas is None else areas[pid]) for pid, _ in charts}
+    scans = {pid: _row_scan(placed[pid].sides[0].start, _chart_sides(placed[pid])) for pid, _ in charts}
     rows = {pid: r for pid, (r, _) in scans.items()}
     y0 = min(min(r) for r in rows.values())
     w = max(max(r) for r in rows.values()) - y0 + 1
@@ -272,21 +266,15 @@ def build_triangulation(surface: RealizedSurface, tables: MeshTables | None = No
             px, py = x + t * dx, y + t * dy
             white_keys[py][(px - white_rows[py][0]) // 2] = black_keys[py][(px - black_rows[py][0]) // 2] = \
                 (px * w + py - y0) * p + o
-    at = []
-    for pid, side, fid, o in corners:
+    for pid, side, _, o in corners:
         x, y = placed[pid].sides[side].start
         keys[pid][y][(x - rows[pid][y][0]) // 2] = (x * w + y - y0) * p + o
-        at.append((pid, x, y, fid))
 
     vertex_keys = sorted(set(chain.from_iterable(chain.from_iterable(r.values() for r in keys.values()))))
     vid = dict(zip(vertex_keys, range(len(vertex_keys)))).__getitem__
     ids = {pid: {y: list(map(vid, ks)) for y, ks in r.items()} for pid, r in keys.items()}
     n, pw = len(vertex_keys), p * w
     positions = tuple([tuple.__new__(GridPoint, (k // pw, k // p % w + y0)) for k in vertex_keys])
-
-    surface_vertex = [-1] * n
-    for pid, x, y, fid in at:
-        surface_vertex[ids[pid][y][(x - rows[pid][y][0]) // 2]] = fid
 
     triangles: list[tuple[int, int, int]] = []
     colors: list[str] = []
@@ -303,13 +291,12 @@ def build_triangulation(surface: RealizedSurface, tables: MeshTables | None = No
         degrees[a] += 1
         degrees[b] += 1
 
-    tri = ColoredTriangulation(positions, tuple(triangles), tuple(colors),
-                               edges, tuple(degrees), tuple(surface_vertex))
+    tri = ColoredTriangulation(positions, tuple(triangles), tuple(colors), edges, tuple(degrees))
     if tri.euler_characteristic() != 2:
         raise MeshError(f"Euler characteristic {tri.euler_characteristic()}, expected 2")
-    hist = tri.degree_histogram()
-    if hist.get(4, 0) != 6 or set(hist) - {4, 6}:
-        raise MeshError(f"degree histogram {hist}, expected six 4s and the rest 6s")
+    fours = degrees.count(4)
+    if fours != 6 or fours + degrees.count(6) != n:
+        raise MeshError(f"degree histogram {tri.degree_histogram()}, expected six 4s and the rest 6s")
     return tri
 
 

@@ -29,7 +29,7 @@ from .emg import EnhancedMultigraph, trace_faces, validate_plausible
 from .geometry import (cone_point_coordinates, development_plan, place_surface, surface_frame,
                        walk_polygons)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
-from .mesh import build_triangulation, four_color, mesh_tables, triarea
+from .mesh import build_triangulation, four_color, mesh_tables
 from .qform import assemble_form, restrict_form, verify_triangle_identity
 from .shapesys import build_constraints, kernel_basis, verify_lemmas
 
@@ -298,9 +298,8 @@ def _check_realization(inst: Instance, vector) -> dict:
     entry: dict = {"vector": vector_json(vector)}
     try:
         surface = inst.develop(vector)
-        areas = {pid: triarea(ch.chain) for pid, ch in surface.placed.items()}
-        tri = four_color(build_triangulation(surface, inst.mesh_tables, areas))
-        identity = verify_triangle_identity(inst.form, vector, tri, sum(areas.values()))
+        tri = four_color(build_triangulation(surface, inst.mesh_tables))
+        identity = verify_triangle_identity(inst.form, vector, tri)
     except ValueError as exc:
         entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry

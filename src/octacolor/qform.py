@@ -155,20 +155,16 @@ def signature(matrix) -> tuple[int, int, int]:
 class IdentityReport(NamedTuple):
     form_value: int
     triangle_count: int
-    triarea_total: int
     holds: bool
 
 
-def verify_triangle_identity(q: QuadraticForm, vector,
-                             tri: ColoredTriangulation,
-                             triarea_total: int) -> IdentityReport:
-    """Check form value = 3 * triangle count = 3 * summed triangle-area,
-    the form read at the length ``vector`` in its column order.
+def verify_triangle_identity(q: QuadraticForm, vector, tri: ColoredTriangulation) -> IdentityReport:
+    """Check form value = 3 * triangle count, the form read at the length
+    ``vector`` in its column order.
 
-    The triangle count comes from the glued mesh and the area total from
-    the shoelace oracle, so the two right-hand sides are independent.
+    The count comes from the glued mesh, whose charts
+    ``build_triangulation`` checks against their shoelace areas.
     """
     value = q.value(vector)
     count = len(tri.triangles)
-    holds = value == 3 * count == 3 * triarea_total
-    return IdentityReport(value, count, triarea_total, holds)
+    return IdentityReport(value, count, value == 3 * count)

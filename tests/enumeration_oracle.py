@@ -4,14 +4,23 @@ This is ``cone.enumerate_lattice_points`` as it was before the partial
 vector was carried down the levels: the integer range of every level,
 the last included, is read from its Fourier-Motzkin system for each
 prefix, and every point is rebuilt from its coefficients by ``point``
-(once ``LatticeBasis.point``).  Tests use it as the oracle the library
-must match point for point, in order, and budget for budget.
+(once ``LatticeBasis.point``).  Each point keeps its coefficients, which
+the library's points do not hold, so tests can group the points into runs
+by prefix.  Tests use it as the oracle the library must match point for
+point, in order, and budget for budget.
 """
 
 from __future__ import annotations
 
-from octacolor.cone import (EnumerationBudgetError, LatticeBasis, LatticePoint,
-                            _fourier_motzkin_levels, _integer_range)
+from typing import NamedTuple
+
+from octacolor.cone import EnumerationBudgetError, LatticeBasis, _fourier_motzkin_levels, _integer_range
+
+
+class OraclePoint(NamedTuple):
+    vector: tuple[int, ...]       # edge coordinates
+    coeffs: tuple[int, ...]       # coordinates in the lattice basis
+    strictly_positive: bool
 
 
 def point(lb: LatticeBasis, coeffs) -> tuple[int, ...]:
@@ -24,13 +33,13 @@ def point(lb: LatticeBasis, coeffs) -> tuple[int, ...]:
 
 
 def enumerate_lattice_points(lb: LatticeBasis, bound: int,
-                             budget: int = 10 ** 6) -> list[LatticePoint]:
+                             budget: int = 10 ** 6) -> list[OraclePoint]:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     d = lb.dimension
     n = len(lb.col_edges)
     if d == 0:
-        return [LatticePoint(tuple([0] * n), (), False)]
+        return [OraclePoint(tuple([0] * n), (), False)]
 
     # constraints as (coeff vector, constant): coeff . c + const >= 0
     constraints = []
@@ -40,7 +49,7 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
         constraints.append(([-x for x in li], bound))
     systems = _fourier_motzkin_levels(constraints, d)
 
-    points: list[LatticePoint] = []
+    points: list[OraclePoint] = []
     visited = 0
 
     def recurse(level: int, prefix: list[int]):
@@ -58,7 +67,7 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
         for val in range(lo, hi + 1):
             values = prefix + [val]
             vec = point(lb, values)
-            points.append(LatticePoint(vec, tuple(values), all(x >= 1 for x in vec)))
+            points.append(OraclePoint(vec, tuple(values), all(x >= 1 for x in vec)))
 
     recurse(0, [])
     points.sort(key=lambda p: p.vector)

@@ -13,7 +13,9 @@ interior points included, one ``sorted`` per triangle to number it, and
 each chart cut by inductive chopping, black charts as their mirror image
 conjugated back triangle by triangle.  The chopper numbers triangles in
 another order than the library, so tests compare triangles as multisets
-(sorted ``(triangle, colour)`` pairs) and every other field exactly.
+(sorted ``(triangle, colour)`` pairs) and every other field exactly.  The
+oracle walks its chains and takes their shoelace areas itself, so its
+per-chart area check shares no code with the mesh's.
 
 Inductive chopping: a triangle subdivides directly; at an acute corner an
 integer equilateral triangle comes off (side = the shorter adjacent
@@ -28,8 +30,7 @@ from octacolor.geometry import (AngleError, ClosureError, EdgeGluing, GluingErro
                                 RealizedSurface, SideRecord, SurfaceFrame)
 from octacolor.grid import DIRECTIONS, ORIGIN, GridPoint, direction
 from octacolor.labeling import ACUTE
-from octacolor.mesh import (ColoredTriangulation, MeshError, Triangle, _chain_points, _chart_sides,
-                            _step, triarea)
+from octacolor.mesh import ColoredTriangulation, MeshError, Triangle
 
 
 def realize_polygons(g, boundaries, labels, lengths) -> dict[int, PolygonChart]:
@@ -115,7 +116,7 @@ def _unit_triangles(start: GridPoint, sides: list[tuple[int, int]]) -> list[Tria
         tris = [tuple(sorted((x, -y) for x, y in t)) for t in mirrored]
     else:
         raise ValueError(f"chain is not convex with sixth-turn corners (turns {sorted(turns)})")
-    area = triarea(_chain_points(start, sides))
+    area = _area(_chain_points(start, sides))
     if len(tris) != area:
         raise MeshError(f"triangulated {len(tris)} units, area holds {area}")
     return tris
@@ -123,7 +124,7 @@ def _unit_triangles(start: GridPoint, sides: list[tuple[int, int]]) -> list[Tria
 
 def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     placed = surface.placed
-    triangulations = {pid: _unit_triangles(ch.sides[0].start, _chart_sides(ch))
+    triangulations = {pid: _unit_triangles(ch.sides[0].start, [(s.length, s.direction) for s in ch.sides])
                       for pid, ch in placed.items()}
 
     parent: dict[tuple[int, GridPoint], tuple[int, GridPoint]] = {}
@@ -172,12 +173,6 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
             vid_of[m] = vid
         positions.append(GridPoint(*root[1]))
 
-    surface_vertex = [-1] * len(positions)
-    for b in surface.frame.boundaries:
-        chart = placed[b.vertex_id]
-        for idx, fid in enumerate(b.corner_faces):
-            surface_vertex[vid_of[(b.vertex_id, _corner_point(chart, idx))]] = fid
-
     triangles = []
     colors = []
     for pid in sorted(triangulations):
@@ -200,14 +195,33 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
         degrees[a] += 1
         degrees[b] += 1
 
-    tri = ColoredTriangulation(tuple(positions), tuple(triangles), tuple(colors),
-                               edges, tuple(degrees), tuple(surface_vertex))
+    tri = ColoredTriangulation(tuple(positions), tuple(triangles), tuple(colors), edges, tuple(degrees))
     if tri.euler_characteristic() != 2:
         raise MeshError(f"Euler characteristic {tri.euler_characteristic()}, expected 2")
     hist = tri.degree_histogram()
     if hist.get(4, 0) != 6 or set(hist) - {4, 6}:
         raise MeshError(f"degree histogram {hist}, expected six 4s and the rest 6s")
     return tri
+
+
+def _step(p, d: int, n: int) -> GridPoint:
+    return GridPoint(*p) + direction(d).scale(n)
+
+
+def _chain_points(start, sides) -> list[GridPoint]:
+    """The chain's corners, walked side by side from ``start``."""
+    points = [GridPoint(*start)]
+    for ell, d in sides[:-1]:
+        points.append(_step(points[-1], d, ell))
+    return points
+
+
+def _area(points: list[GridPoint]) -> int:
+    """Shoelace area in unit triangles: a cross term X_i Y_j of doubled
+    coordinates is x_i y_j / (sqrt(3)/4), so the cross sum is twice the
+    area counted in unit triangles of area sqrt(3)/4."""
+    cross = sum(p.X * q.Y - q.X * p.Y for p, q in zip(points, points[1:] + points[:1]))
+    return abs(cross) // 2
 
 
 def _triangulate_ccw(start: GridPoint, sides: list[tuple[int, int]]) -> list[Triangle]:

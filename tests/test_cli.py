@@ -178,6 +178,25 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert validate_plausible(g).plausible
 
 
+def test_out_that_cannot_be_written_is_an_input_error(tmp_path, capsys):
+    # into a missing directory, and onto an existing one: exit 2, no
+    # report, and no temporary file left next to the target
+    (tmp_path / "dir").mkdir()
+    for target in (tmp_path / "missing" / "x.json", tmp_path / "dir"):
+        code, out, err = run(capsys, "validate", "--bundled", "spiral-8", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+
+def test_out_file_has_the_mode_of_a_plain_open(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["validate", "--bundled", "spiral-8", "--out", str(out)]) == 0
+    with open(tmp_path / "plain.json", "w"):
+        pass
+    assert out.stat().st_mode == (tmp_path / "plain.json").stat().st_mode
+
+
 def test_survey_range(capsys):
     code, out, _ = run(capsys, "survey", "--family", "spiral", "--k-range", "3..4")
     assert code == 0

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mesh_oracle
-from octacolor import geometry
+from octacolor import geometry, mesh
 from octacolor.families import gen_spiral, load_bundled
 from octacolor.geometry import (AngleError, ClosureError, ColorError, GluingError, MeshError,
                                 build_triangulation, cone_point_coordinates,
@@ -457,20 +457,20 @@ def test_net_follows_a_random_tree(spiral3):
 def _mesh_digest(tri):
     # positions hash as plain doubled (X, Y) = (2x, 2y) pairs
     key = (tuple(map(tuple, tri.positions)), tri.triangles, tri.triangle_colors, tri.edges,
-           tri.degrees, tri.surface_vertex, tri.vertex_colors)
+           tri.degrees, tri.vertex_colors)
     return hashlib.sha256(repr(key).encode()).hexdigest()
 
 
 def test_golden_mesh_hexagon_pair():
     tri = four_color(build_triangulation(Instance(load_bundled("hexagon-pair")).develop([1] * 6)))
     assert len(tri.triangles) == 12
-    assert _mesh_digest(tri) == "856bbdac931dd5a610e2027dcc65f1603d03452d862d2721f6cbb7f0c730bfc0"
+    assert _mesh_digest(tri) == "b54b904f5a88998dbd3e39f3975de10f51e73b51f083ac11beb9123b7b304531"
 
 
 def test_golden_mesh_spiral6():
     tri = four_color(build_triangulation(_first_positive_surface(load_bundled("spiral-6"), bound=5)))
     assert len(tri.triangles) == 54
-    assert _mesh_digest(tri) == "c93a976e592818e3b0dcf6962d7ca5fbdfe1bbcea37b737b0f1c457bef1f6875"
+    assert _mesh_digest(tri) == "2abc150dd827f4b5426923fff954407b987d9064ec4620d774b4c8574609466a"
 
 
 def test_build_triangulation_rejects_half_lengths(spiral3):
@@ -524,9 +524,8 @@ def test_build_triangulation_matches_oracle(g):
             sorted(zip(want.triangles, want.triangle_colors))
         blank = dict(triangles=(), triangle_colors=())
         assert replace(got, **blank) == replace(want, **blank)
-        # the type's tables and the chart areas, as a check run passes them
-        areas = {pid: triarea(ch.chain) for pid, ch in surf.placed.items()}
-        assert build_triangulation(surf, inst.mesh_tables, areas) == got
+        # the type's tables, as a check run passes them
+        assert build_triangulation(surf, inst.mesh_tables) == got
 
 
 def _ray_sum(inst):
@@ -634,14 +633,19 @@ def test_instance_develop_errors_match_oracle(name, vector, tamper):
     assert raised[0][0] is ClosureError
 
 
-def test_build_triangulation_checks_counts_against_given_areas(spiral3):
-    # a chart's strip count is checked against the area the caller passes
+def test_build_triangulation_checks_counts_against_chart_areas(spiral3, monkeypatch):
+    # the mesh's own shoelace area of its first chart, made one too large
     surf = _first_positive_surface(spiral3, bound=3)
-    areas = {pid: triarea(ch.chain) for pid, ch in surf.placed.items()}
-    build_triangulation(surf, areas=areas)
-    pid = min(areas)
-    with pytest.raises(MeshError, match=f"^triangulated {areas[pid]} units, area holds {areas[pid] + 1}$"):
-        build_triangulation(surf, areas={**areas, pid: areas[pid] + 1})
+    area = triarea(surf.placed[min(surf.placed)].chain)
+    calls = []
+
+    def one_too_large_first(points):
+        calls.append(points)
+        return triarea(points) + (len(calls) == 1)
+
+    monkeypatch.setattr(mesh, "triarea", one_too_large_first)
+    with pytest.raises(MeshError, match=f"^triangulated {area} units, area holds {area + 1}$"):
+        build_triangulation(surf)
 
 
 def test_build_triangulation_rejects_translated_chart(spiral3):
@@ -721,5 +725,5 @@ def test_build_triangulation_rejects_swapped_gluing():
     side = frame.boundaries[0].sides.index(0)
     ends = (faces[side - 1], faces[side])
     face_owner = {**frame.face_owner, **{fid + f: frame.face_owner[fid] for fid in ends}}
-    with pytest.raises(MeshError, match="degree histogram"):
+    with pytest.raises(MeshError, match=r"^degree histogram \{4: 8, 6: 40, 8: 2\}, expected six 4s and the rest 6s$"):
         build_triangulation(replace(surf, frame=replace(frame, gluings=gluings, face_owner=face_owner)))
