@@ -144,31 +144,19 @@ def _apply_completion(cell: EnhancedMultigraph, faces, red_choice: dict[int, int
     after: dict[Dart, list[Dart]] = {}
     before: dict[Dart, list[Dart]] = {}
     new_edges: list[Edge] = []
-    next_id = max(emap) + 1
-
-    def attach(eid: int, fid: int, new_dart_maker):
+    additions = [(eid, fid, BLUE) for eid, fid in sorted(doubles)] + \
+                [(red_choice[fid], fid, RED) for fid in sorted(red_choice)]
+    for new_id, (eid, fid, color) in enumerate(additions, max(emap) + 1):
         e = emap[eid]
-        for end, vid in ((0, e.a), (1, e.b)):
+        new_edges.append(Edge(new_id, e.a, e.b, color))
+        for end in (0, 1):
             d = (eid, end)
-            new_dart = new_dart_maker(end)
             if corner_owner[d] == fid:
-                after.setdefault(d, []).append(new_dart)
+                after.setdefault(d, []).append((new_id, end))
             elif out_face[d] == fid:
-                before.setdefault(d, []).insert(0, new_dart)
+                before.setdefault(d, []).insert(0, (new_id, end))
             else:
                 raise ConstructionError(f"face {fid} is not a side of edge {eid}")
-
-    for eid, fid in sorted(doubles):
-        copy = Edge(next_id, emap[eid].a, emap[eid].b, BLUE)
-        next_id += 1
-        new_edges.append(copy)
-        attach(eid, fid, lambda end, cid=copy.id: (cid, end))
-    for fid in sorted(red_choice):
-        eid = red_choice[fid]
-        red = Edge(next_id, emap[eid].a, emap[eid].b, RED)
-        next_id += 1
-        new_edges.append(red)
-        attach(eid, fid, lambda end, rid=red.id: (rid, end))
 
     rotations = []
     for vid, rot in cell.rotations:

@@ -12,11 +12,12 @@ What depends on the combinatorial type alone is paid once per type.  A
 ``development_plan`` holds, per polygon, each side's edge, the index of its
 length in the vector and its direction, and the corner-turn verdict.  A
 ``SurfaceFrame`` holds the gluing table, the spanning tree, the angle
-closure verdict, the base flag, the polygon corners and, for each blue
-face, the polygon that owns its mesh vertex.  Per point, one development
-core runs: ``walk_polygons`` walks the sides on plain ints against the
-plan, and ``place_surface`` translates the walked charts along the tree,
-checks holonomy, normalizes by the flag and builds the placed records.
+closure verdict, the base flag and the polygon corners, each with the
+polygon that owns its mesh vertex: all that developing a point and gluing
+its mesh read of the type.  Per point, one development core runs:
+``walk_polygons`` walks the sides on plain ints against the plan, and
+``place_surface`` translates the walked charts along the tree, checks
+holonomy, normalizes by the flag and builds the placed records.
 ``realize_polygons`` is that walk made records, and ``develop_surface``
 places such records; ``pipeline.Instance.develop`` places the walk
 directly, so no origin-anchored record is built per point.
@@ -158,15 +159,17 @@ class EdgeGluing(NamedTuple):
 
 
 class SurfaceFrame(NamedTuple):
-    """What developing a surface needs of its combinatorial type alone.
+    """What developing a surface and gluing its mesh need of its
+    combinatorial type alone.
 
     Built once from the boundaries (and an optional base flag and spanning
     tree); ``place_surface`` then develops any length realization of the
-    type against it.  The angle closure is combinatorial, so its verdict is
-    decided here, but a failure is raised by ``place_surface``, after the
-    holonomy check, as a per-point ``AngleError``.
+    type against it, and ``mesh.build_triangulation`` glues its mesh.  The
+    angle closure is combinatorial, so its verdict is decided here, but a
+    failure is raised by ``place_surface``, after the holonomy check, as a
+    per-point ``AngleError``.  A corner's owner is the smallest polygon
+    with a corner at its face: the polygon that owns the face's mesh vertex.
     """
-    boundaries: tuple[PolygonBoundary, ...]
     gluings: dict[int, EdgeGluing]
     root: int                                          # polygon placed first
     tree_steps: tuple[tuple[int, EdgeGluing, int], ...]  # (placed polygon, gluing, reached polygon)
@@ -176,8 +179,7 @@ class SurfaceFrame(NamedTuple):
     regular_vertices: tuple[int, ...]
     angle_error: str | None                            # why the angles fail to close, or None
     flag: tuple[int, int, int, int, int] | None        # (cone vertex, polygon, corner, side, half turn)
-    corners: tuple[tuple[int, int, int], ...]          # (polygon, side leaving the corner, face)
-    face_owner: dict[int, int]                         # blue face id -> smallest polygon with a corner there
+    corners: tuple[tuple[int, int, int, int], ...]     # (polygon, side leaving the corner, face, owner)
 
 
 class RealizedSurface(NamedTuple):
@@ -254,13 +256,11 @@ def surface_frame(boundaries: list[PolygonBoundary], base_flag: tuple[int, int] 
         else:
             flag = (cv, flag_pid, corner_idx, corner_idx, 3)
 
-    corners = tuple((b.vertex_id, (idx + 1) % len(b.sides), fid)
+    corners = tuple((b.vertex_id, (idx + 1) % len(b.sides), fid, min(pid for pid, _ in corners_at[fid]))
                     for b in boundaries for idx, fid in enumerate(b.corner_faces))
-    face_owner = {fid: min(pid for pid, _ in at) for fid, at in corners_at.items()}
-    return SurfaceFrame(tuple(boundaries), gluings, root,
-                        tuple((pid, gluings[eid], other) for pid, eid, other in steps), non_tree,
-                        tuple(sorted(tree_set)), tuple(bigons), tuple(quads), angle_error, flag,
-                        corners, face_owner)
+    return SurfaceFrame(gluings, root, tuple((pid, gluings[eid], other) for pid, eid, other in steps),
+                        non_tree, tuple(sorted(tree_set)), tuple(bigons), tuple(quads), angle_error, flag,
+                        corners)
 
 
 def _angle_closure_error(boundaries, bigons, quads) -> str | None:
@@ -325,7 +325,7 @@ def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> Reali
         placed[pid] = _new(PolygonChart, (pid, color, tuple(sides)))
 
     folded: dict[int, GridPoint] = {}
-    for pid, side, fid in frame.corners:
+    for pid, side, fid, _ in frame.corners:
         pt = placed[pid].sides[side].start
         seen = folded.setdefault(fid, pt)
         if seen != pt:

@@ -9,17 +9,16 @@ it, and ``four_color`` colors its vertices by lattice residues.
 The mesh numbers its vertices before it cuts a triangle.  A point (X, Y) in
 doubled coordinates is the integer key X * w + (Y - y0), with y0 the lowest
 row and w above the mesh's height, so point keys sort as points do, and a
-vertex is the key point * p + owner, with p above every owner, so vertex
-keys sort as (point, owner) pairs do.  One sort of ints gives the vertex
-ids, and one pass over each chart's strips emits its triangles as id
-triples with the integer keys of their edges.  GridPoints are built only
-for the positions the mesh returns.
+vertex is the key point * p + owner, with p one above the largest polygon
+id, so vertex keys sort as (point, owner) pairs do.  One sort of ints
+gives the vertex ids, and one pass over each chart's strips emits its
+triangles as id triples with the integer keys of their edges.  GridPoints
+are built only for the positions the mesh returns.
 
-What the gluing needs of the combinatorial type alone, ``mesh_tables``
-reads from a surface frame: each gluing with the owner of the points
-inside its side, each corner with the owner of its face, the bound p and
-the charts in id order with their colours.  A caller meshing many points
-of one type reads them once and passes them in.
+What the gluing needs of the combinatorial type alone, the mesh reads from
+the surface's ``geometry.SurfaceFrame``, built once per type: the gluings,
+a point inside a glued side belonging to the smaller of its two polygons,
+and the corners, each with the owner of its face.
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .emg import BLACK, WHITE
+from .emg import WHITE
 from .grid import DIRECTIONS, GridPoint, signed_triarea
 
 if TYPE_CHECKING:
-    from .geometry import PolygonChart, RealizedSurface, SurfaceFrame
+    from .geometry import PolygonChart, RealizedSurface
 
 
 class MeshError(ValueError):
@@ -203,38 +202,16 @@ class ColoredTriangulation(NamedTuple):
         return self.n_vertices - len(self.edges) + len(self.triangles)
 
 
-class MeshTables(NamedTuple):
-    """What gluing the mesh of a surface needs of its type alone."""
-    gluings: tuple[tuple[int, int, int, int, int, int], ...]  # (edge, white, side, black, side, owner)
-    corners: tuple[tuple[int, int, int, int], ...]            # (polygon, side leaving the corner, face, owner)
-    p: int                                                    # above every owner
-    charts: tuple[tuple[int, str], ...]                       # (polygon, colour), by polygon id
-
-
-def mesh_tables(frame: SurfaceFrame) -> MeshTables:
-    """The mesh tables of ``frame``: the charts are the polygons its
-    gluings join, a point inside a glued side belongs to the smaller of the
-    two polygons, and a corner to the smallest polygon with a corner at its
-    face (``frame.face_owner``)."""
-    owner = frame.face_owner
-    colour = {}
-    for _, white, _, black, _ in frame.gluings.values():
-        colour[white], colour[black] = WHITE, BLACK
-    return MeshTables(tuple((*gl, min(gl.white_polygon, gl.black_polygon)) for gl in frame.gluings.values()),
-                      tuple((pid, side, fid, owner[fid]) for pid, side, fid in frame.corners),
-                      1 + max(chain(colour, owner.values())), tuple(sorted(colour.items())))
-
-
-def build_triangulation(surface: RealizedSurface, tables: MeshTables | None = None) -> ColoredTriangulation:
+def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     """Glue per-polygon unit triangulations into one closed sphere.
 
     Subdivision points along a shared edge coincide exactly in the folded
     plane, so identification happens along each glued edge, and only there
     (the folding map is far from injective globally).  A vertex is a chart
-    point keyed by (point, owner), and the boundaries alone fix the owner:
-    the chart itself for an interior point, and for a point inside a glued
-    side or at a corner the owner in ``tables``, the type's
-    ``mesh_tables``, read from the surface's frame when not given.
+    point keyed by (point, owner), and the type alone fixes the owner: the
+    chart itself for an interior point, the smaller of the two polygons for
+    a point inside a glued side, and the corner's owner in the surface's
+    frame for a corner.
 
     The vertices are numbered before any triangle is cut, by one sort of
     their packed keys (see the module docstring).  Within one chart the
@@ -245,15 +222,16 @@ def build_triangulation(surface: RealizedSurface, tables: MeshTables | None = No
     the Euler characteristic, and the degree sequence of six 4s with all
     remaining degrees 6.
     """
-    placed = surface.placed
-    gluings, corners, p, charts = tables or mesh_tables(surface.frame)
-    scans = {pid: _row_scan(placed[pid].sides[0].start, _chart_sides(placed[pid])) for pid, _ in charts}
+    placed, frame = surface.placed, surface.frame
+    p = 1 + max(placed)
+    scans = {pid: _row_scan(placed[pid].sides[0].start, _chart_sides(placed[pid])) for pid in sorted(placed)}
     rows = {pid: r for pid, (r, _) in scans.items()}
     y0 = min(min(r) for r in rows.values())
     w = max(max(r) for r in rows.values()) - y0 + 1
     keys = {pid: _row_keys(r, y0, w, p, pid) for pid, r in rows.items()}
 
-    for eid, white, white_side, black, black_side, o in gluings:
+    for eid, white, white_side, black, black_side in frame.gluings.values():
+        o = min(white, black)
         side, other = placed[white].sides[white_side], placed[black].sides[black_side]
         _, (x, y), d, length = side
         dx, dy = DIRECTIONS[d]
@@ -266,7 +244,7 @@ def build_triangulation(surface: RealizedSurface, tables: MeshTables | None = No
             px, py = x + t * dx, y + t * dy
             white_keys[py][(px - white_rows[py][0]) // 2] = black_keys[py][(px - black_rows[py][0]) // 2] = \
                 (px * w + py - y0) * p + o
-    for pid, side, _, o in corners:
+    for pid, side, _, o in frame.corners:
         x, y = placed[pid].sides[side].start
         keys[pid][y][(x - rows[pid][y][0]) // 2] = (x * w + y - y0) * p + o
 
@@ -279,10 +257,10 @@ def build_triangulation(surface: RealizedSurface, tables: MeshTables | None = No
     triangles: list[tuple[int, int, int]] = []
     colors: list[str] = []
     edge_keys: list[int] = []
-    for pid, color in charts:
+    for pid, (_, strips) in scans.items():
         before = len(triangles)
-        _emit_triangles(scans[pid][1], ids[pid], n, triangles, edge_keys)
-        colors.extend(repeat(color, len(triangles) - before))
+        _emit_triangles(strips, ids[pid], n, triangles, edge_keys)
+        colors.extend(repeat(placed[pid].color, len(triangles) - before))
 
     edges = _closed_mesh_edges(edge_keys, n)
 

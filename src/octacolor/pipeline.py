@@ -3,17 +3,18 @@
 ``Instance`` is the one place the chain of a combinatorial type is built:
 blue faces, validation, polygon boundaries, direction labels, closure
 system, kernel and lemma checks, cone and extreme rays, lattice basis,
-restricted form, and what realizing a point needs of the type: the surface
-frame, the development plan and the mesh tables.  Each stage is a cached
-property computed on first use; ``develop`` realizes one edge-length
-vector against the plan and the frame.  ``derivable`` is the stop rule,
-and ``walk`` visits the stages in report order under it, timing each:
-``run_check`` and ``run_survey`` read that one walk.  One ``*_json``
-function per stage builds its report fragment, for the CLI and
-``run_check``; a survey row builds none.  Exact quantities serialize as
-integer or rational strings.  The closure system and the global form,
-2V x E_b and E_b x E_b, serialize as their nonzeros (``sparse_json``);
-every other matrix has four rows or four columns and serializes dense.
+restricted form, and what realizing a point needs of the type: the
+development plan and the surface frame, which developing a point and
+gluing its mesh both read.  Each stage is a cached property computed on
+first use; ``develop`` realizes one edge-length vector against the plan
+and the frame.  ``derivable`` is the stop rule, and ``walk`` visits the
+stages in report order under it, timing each: ``run_check`` and
+``run_survey`` read that one walk.  One ``*_json`` function per stage
+builds its report fragment, for the CLI and ``run_check``; a survey row
+builds none.  Exact quantities serialize as integer or rational strings.
+The closure system and the global form, 2V x E_b and E_b x E_b,
+serialize as their nonzeros (``sparse_json``); every other matrix has
+four rows or four columns and serializes dense.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .emg import EnhancedMultigraph, trace_faces, validate_plausible
 from .geometry import (cone_point_coordinates, development_plan, place_surface, surface_frame,
                        walk_polygons)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
-from .mesh import build_triangulation, four_color, mesh_tables
+from .mesh import build_triangulation, four_color
 from .qform import assemble_form, restrict_form, verify_triangle_identity
 from .shapesys import build_constraints, kernel_basis, verify_lemmas
 
@@ -107,10 +108,6 @@ class Instance:
         """The ``development_plan`` of the labels, reading lengths in
         kernel column order."""
         return development_plan(self.boundaries, self.labels, self.kernel.col_edges)
-
-    @cached_property
-    def mesh_tables(self):
-        return mesh_tables(self.frame)
 
     def lattice_points(self, max_len: int, budget: int = ENUMERATION_BUDGET):
         return enumerate_lattice_points(self.lattice, max_len, budget=budget)
@@ -298,7 +295,7 @@ def _check_realization(inst: Instance, vector) -> dict:
     entry: dict = {"vector": vector_json(vector)}
     try:
         surface = inst.develop(vector)
-        tri = four_color(build_triangulation(surface, inst.mesh_tables))
+        tri = four_color(build_triangulation(surface))
         identity = verify_triangle_identity(inst.form, vector, tri)
     except ValueError as exc:
         entry["error"] = f"{type(exc).__name__}: {exc}"

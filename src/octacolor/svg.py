@@ -52,24 +52,24 @@ class SvgScene:
         self.min_y = y if self.min_y is None else min(self.min_y, y)
         self.max_y = y if self.max_y is None else max(self.max_y, y)
 
-    def polygon(self, points, fill: str, stroke: str = EDGE_STROKE, width: float = 0.03) -> None:
+    def _coords(self, points) -> str:
+        """The points as space-separated ``x,y`` pairs, each grown into the
+        bounding box."""
         coords = []
         for p in points:
             x, y = _xy(p)
             self._grow(x, y)
             coords.append(f"{_fmt(x)},{_fmt(y)}")
+        return " ".join(coords)
+
+    def polygon(self, points, fill: str, stroke: str = EDGE_STROKE, width: float = 0.03) -> None:
         self.elements.append(
-            f'<polygon points="{" ".join(coords)}" fill="{fill}" '
+            f'<polygon points="{self._coords(points)}" fill="{fill}" '
             f'stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
 
     def polyline(self, points, stroke: str, width: float = 0.05) -> None:
-        coords = []
-        for p in points:
-            x, y = _xy(p)
-            self._grow(x, y)
-            coords.append(f"{_fmt(x)},{_fmt(y)}")
         self.elements.append(
-            f'<polyline points="{" ".join(coords)}" fill="none" '
+            f'<polyline points="{self._coords(points)}" fill="none" '
             f'stroke="{stroke}" stroke-width="{_fmt(width)}" stroke-linecap="round"/>')
 
     def circle(self, center, radius: float, fill: str) -> None:

@@ -83,7 +83,7 @@ def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> Reali
             for s in ch.sides))
 
     folded: dict[int, GridPoint] = {}
-    for pid, side, fid in frame.corners:
+    for pid, side, fid, _ in frame.corners:
         pt = placed[pid].sides[side].start
         seen = folded.setdefault(fid, pt)
         if seen != pt:

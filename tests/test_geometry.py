@@ -524,8 +524,6 @@ def test_build_triangulation_matches_oracle(g):
             sorted(zip(want.triangles, want.triangle_colors))
         blank = dict(triangles=(), triangle_colors=())
         assert replace(got, **blank) == replace(want, **blank)
-        # the type's tables, as a check run passes them
-        assert build_triangulation(surf, inst.mesh_tables) == got
 
 
 def _ray_sum(inst):
@@ -694,14 +692,13 @@ def _doubled_hexagon_pair(length):
     surface and the copies' edge id and face id offsets."""
     surf = Instance(load_bundled("hexagon-pair")).develop([length] * 6)
     frame = surf.frame
-    n, m, f = 1 + max(surf.placed), 1 + max(frame.gluings), 1 + max(frame.face_owner)
+    n, m, f = 1 + max(surf.placed), 1 + max(frame.gluings), 1 + max(fid for _, _, fid, _ in frame.corners)
     placed = {**surf.placed, **{pid + n: ch for pid, ch in surf.placed.items()}}
     copies = {eid + m: replace(gl, edge_id=eid + m, white_polygon=gl.white_polygon + n,
                                black_polygon=gl.black_polygon + n)
               for eid, gl in frame.gluings.items()}
-    corners = frame.corners + tuple((pid + n, side, fid + f) for pid, side, fid in frame.corners)
-    face_owner = {**frame.face_owner, **{fid + f: pid + n for fid, pid in frame.face_owner.items()}}
-    frame = replace(frame, gluings={**frame.gluings, **copies}, corners=corners, face_owner=face_owner)
+    corners = frame.corners + tuple((pid + n, side, fid + f, o + n) for pid, side, fid, o in frame.corners)
+    frame = replace(frame, gluings={**frame.gluings, **copies}, corners=corners)
     return replace(surf, frame=frame, placed=placed), m, f
 
 
@@ -721,9 +718,26 @@ def test_build_triangulation_rejects_swapped_gluing():
     gluings = {**frame.gluings, 0: replace(a, black_polygon=b.black_polygon),
                m: replace(b, black_polygon=a.black_polygon)}
     # each slit end's corners now form one vertex, owned as the original's
-    faces = frame.boundaries[0].corner_faces
-    side = frame.boundaries[0].sides.index(0)
-    ends = (faces[side - 1], faces[side])
-    face_owner = {**frame.face_owner, **{fid + f: frame.face_owner[fid] for fid in ends}}
+    first = Instance(load_bundled("hexagon-pair")).boundaries[0]
+    side = first.sides.index(0)
+    ends = (first.corner_faces[side - 1], first.corner_faces[side])
+    owner = {fid: o for _, _, fid, o in frame.corners}
+    corners = tuple((pid, s, fid, owner[fid - f] if fid - f in ends else o) for pid, s, fid, o in frame.corners)
     with pytest.raises(MeshError, match=r"^degree histogram \{4: 8, 6: 40, 8: 2\}, expected six 4s and the rest 6s$"):
-        build_triangulation(replace(surf, frame=replace(frame, gluings=gluings, face_owner=face_owner)))
+        build_triangulation(replace(surf, frame=replace(frame, gluings=gluings, corners=corners)))
+
+
+@pytest.mark.parametrize("name", ["hexagon-pair", "spiral-6"])
+def test_build_triangulation_rejects_a_split_corner_owner(name):
+    # one corner owned by another polygon at its face splits the face's
+    # vertex in two, so the edges around it are each in one triangle
+    inst = Instance(load_bundled(name))
+    surf = inst.develop(_positive(inst)[0])
+    corners = surf.frame.corners
+    i, other = next((i, q) for i, (_, _, fid, o) in enumerate(corners)
+                    for q, _, g, _ in corners if g == fid and q != o)
+    pid, side, fid, _ = corners[i]
+    split = corners[:i] + ((pid, side, fid, other),) + corners[i + 1:]
+    build_triangulation(surf)
+    with pytest.raises(MeshError, match=r"^4 edges not shared by exactly two triangles"):
+        build_triangulation(replace(surf, frame=replace(surf.frame, corners=split)))

@@ -165,14 +165,13 @@ def test_instance_builds_its_frame_once(monkeypatch, spiral3):
     assert len(calls) == 1
 
 
-def test_instance_builds_its_plan_and_mesh_tables_once(monkeypatch, spiral3):
+def test_instance_builds_its_plan_once(monkeypatch, spiral3):
     calls = []
-    for name in ("development_plan", "mesh_tables"):
-        real = getattr(pipeline, name)
-        monkeypatch.setattr(pipeline, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    real = pipeline.development_plan
+    monkeypatch.setattr(pipeline, "development_plan", lambda *args: calls.append(1) or real(*args))
     report = run_check(spiral3, max_len=2)
     assert report.ok and len(report.realizations) > 1
-    assert sorted(calls) == ["development_plan", "mesh_tables"]
+    assert len(calls) == 1
 
 
 def test_instance_traces_its_faces_once(monkeypatch, spiral3):

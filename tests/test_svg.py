@@ -63,9 +63,9 @@ def test_polygon_fills_match_colors(spiral3):
     *_, surface = _realized(spiral3)
     net = develop_net(surface)
     text = render_net(spiral3, surface, net)
-    whites = sum(1 for b in surface.frame.boundaries if b.color == "white")
+    whites = sum(1 for v in spiral3.vertices if v.color == "white")
     assert text.count('fill="#FFFFFF"') == whites
-    assert text.count('fill="#202020"') == len(surface.frame.boundaries) - whites
+    assert text.count('fill="#202020"') == len(spiral3.vertices) - whites
 
 
 def test_svg_viewbox_padding_is_deterministic(hexpair):
