@@ -40,6 +40,11 @@ class InputError(Exception):
 
 def _load_instance(args) -> tuple[str, Instance]:
     """The named instance; a spiral member is its gate's, rebuilt for --seed-flag."""
+    given = [f"--{opt}" for opt in ("input", "family", "bundled") if getattr(args, opt, None)]
+    if len(given) > 1:
+        raise InputError(f"give one instance source, got {' and '.join(given)}")
+    if getattr(args, "k", None) is not None and not getattr(args, "family", None):
+        raise InputError("--k requires --family spiral")
     seed_flag = _seed_flag(getattr(args, "seed_flag", None))
     if getattr(args, "family", None):
         if args.k is None:

@@ -33,8 +33,6 @@ class NetTransform(NamedTuple):
 class NetLayout(NamedTuple):
     transforms: dict[int, NetTransform]
     points: dict[int, tuple[GridPoint, ...]]      # placed boundary chains
-    tree_edges: tuple[int, ...]
-    overlaps: tuple[tuple[int, int], ...]         # non-adjacent polygons with overlapping interiors
 
 
 def develop_net(surface: RealizedSurface) -> NetLayout:
@@ -43,8 +41,6 @@ def develop_net(surface: RealizedSurface) -> NetLayout:
     Black charts are mirrored once, restoring their unfolded shape, and
     every gluing along the frame's spanning tree becomes a rotation by
     sixth turns plus a translation; shared tree edges coincide exactly.
-    Overlaps between polygons not glued in the tree are detected and
-    reported, not repaired.
     """
     frame, placed = surface.frame, surface.placed
 
@@ -70,12 +66,6 @@ def develop_net(surface: RealizedSurface) -> NetLayout:
         shift = target - s_there.start.rot(rot)
         transforms[other] = NetTransform(rot, shift, mirrored)
 
-    points: dict[int, tuple[GridPoint, ...]] = {}
-    for pid, ch in placed.items():
-        chain = ch.chain if ch.color == WHITE else tuple(p.conj() for p in ch.chain)
-        t = transforms[pid]
-        points[pid] = tuple(p.rot(t.rotation) + t.shift for p in chain)
-
     for _, gl, _ in frame.tree_steps:
         sw = proper_side(gl.white_polygon, gl.white_side)
         sb = proper_side(gl.black_polygon, gl.black_side)
@@ -87,29 +77,5 @@ def develop_net(surface: RealizedSurface) -> NetLayout:
         if (a1, b1) != (a2, b2):
             raise GluingError(f"net tree edge {gl.edge_id} fails to coincide")
 
-    glued_pairs = {frozenset((gl.white_polygon, gl.black_polygon)) for _, gl, _ in frame.tree_steps}
-    overlaps = []
-    pids = sorted(points)
-    for i, p in enumerate(pids):
-        for q in pids[i + 1:]:
-            if frozenset((p, q)) in glued_pairs:
-                continue
-            if _interiors_overlap(points[p], points[q]):
-                overlaps.append((p, q))
-    return NetLayout(transforms, points, frame.tree_edges, tuple(overlaps))
-
-
-def _interiors_overlap(pts_a, pts_b) -> bool:
-    """Exact separating-axis test for convex polygons; touching is allowed."""
-    def axes(pts):
-        n = len(pts)
-        for i in range(n):
-            yield pts[(i + 1) % n] - pts[i]
-
-    for dx, dy in list(axes(pts_a)) + list(axes(pts_b)):
-        # projection onto the normal of direction (dx, dy*sqrt3), scaled
-        proj_a = [dx * y - dy * x for x, y in pts_a]
-        proj_b = [dx * y - dy * x for x, y in pts_b]
-        if max(proj_a) <= min(proj_b) or max(proj_b) <= min(proj_a):
-            return False
-    return True
+    points = {pid: tuple(map(transforms[pid].apply, ch.chain)) for pid, ch in placed.items()}
+    return NetLayout(transforms, points)

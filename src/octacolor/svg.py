@@ -136,20 +136,18 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
     ends are placed first and midpoints taken in the net."""
     placed, gluings = surface.placed, surface.frame.gluings
     centers = {pid: _centroid(net.points[pid]) for pid in net.points}
-    side_of: dict[tuple[int, int], int] = {}
-    for pid, ch in placed.items():
-        for idx, s in enumerate(ch.sides):
-            side_of[(pid, s.edge_id)] = idx
 
-    def net_mid(pid: int, eid: int, pull: Fraction):
-        s = placed[pid].sides[side_of[(pid, eid)]]
-        t = net.transforms[pid]
-        mid = _between(t.apply(s.start), t.apply(s.end), Fraction(1, 2))
-        return _between(mid, centers[pid], pull)
+    def arcs(eid: int, pull: Fraction):
+        # per polygon glued along eid: its center, and its side's middle moved toward it by pull
+        gl = gluings[eid]
+        for pid, idx in ((gl.white_polygon, gl.white_side), (gl.black_polygon, gl.black_side)):
+            s, t = placed[pid].sides[idx], net.transforms[pid]
+            mid = _between(t.apply(s.start), t.apply(s.end), Fraction(1, 2))
+            yield [centers[pid], _between(mid, centers[pid], pull)]
 
     for e in sorted(g.blue_edges(), key=lambda e: e.id):
-        for pid in (gluings[e.id].white_polygon, gluings[e.id].black_polygon):
-            scene.polyline([centers[pid], net_mid(pid, e.id, Fraction(0))], BLUE_EDGE, 0.04)
+        for arc in arcs(e.id, Fraction(0)):
+            scene.polyline(arc, BLUE_EDGE, 0.04)
     # a parallel double outside the red edge's face joins the same ends,
     # so the partner is looked up among the face's own sides
     emap, faces = g.edge_map(), trace_faces(g)
@@ -159,8 +157,8 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
     for rid, eid in sorted(partner.items()):
         if eid is None:
             continue
-        for pid in (gluings[eid].white_polygon, gluings[eid].black_polygon):
-            scene.polyline([centers[pid], net_mid(pid, eid, Fraction(1, 5))], RED_EDGE, 0.03)
+        for arc in arcs(eid, Fraction(1, 5)):
+            scene.polyline(arc, RED_EDGE, 0.03)
 
 
 def _vertex_dots(scene: SvgScene, triangulations: dict[int, list[Triangle]], net: NetLayout) -> None:

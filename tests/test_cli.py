@@ -358,6 +358,16 @@ def test_golden_render_overlay_larger_spirals(capsys, name, digest):
     assert _overlay_render_digest(capsys, name, "0") == digest
 
 
+def test_golden_render_large_spiral(capsys):
+    # a net of k = 200, laid out in linear time; recorded while develop_net
+    # still ran a pairwise overlap scan, whose result no output read
+    code, out, err = run(capsys, "render", "--family", "spiral", "--k", "200", "--max-len", "8",
+                         "--point", "0")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c27afe671f262ee24b52c27ae33ef68a5acef0fb26aac71321bbb64ab9517680"
+
+
 @pytest.mark.parametrize("argv", [
     ["realize", "--bundled", "hexagon-pair", "--point", "1,x"],
     ["realize", "--bundled", "hexagon-pair", "--point", "abc"],
@@ -370,11 +380,16 @@ def test_golden_render_overlay_larger_spirals(capsys, name, digest):
     ["check", "--bundled", "hexagon-pair", "--budget", "-1"],
     ["survey", "--family", "spiral", "--k-range", "3..3", "--max-len", "2", "--budget", "-1"],
     ["survey", "--family", "spiral", "--k-range", "5..3"],
+    # conflicting instance sources: none may silently win
+    ["validate", "--bundled", "spiral-8", "--input", "missing.emg"],
+    ["validate", "--family", "spiral", "--k", "3", "--bundled", "spiral-8"],
+    ["validate", "--bundled", "spiral-8", "--k", "3"],
     # an empty EMG file, given to every stage subcommand
     *([command, "--input", os.devnull] for command in GOLDEN_COMMANDS),
 ], ids=["point-vector-garbage", "point-index-garbage", "negative-max-len", "seed-flag-not-incident",
         "point-negative", "point-zero", "point-not-in-kernel", "negative-budget-lattice",
         "negative-budget-check", "negative-budget-survey", "empty-k-range",
+        "input-and-bundled", "family-and-bundled", "k-without-family",
         *(f"empty-file-{command}" for command in GOLDEN_COMMANDS)])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -409,9 +409,9 @@ def test_triangle_count_equals_area_sum(spiral3):
 # --- net development ---------------------------------------------------------
 
 def test_net_hexpair_is_mirror_pair(hexpair):
-    net = develop_net(Instance(hexpair).develop([1] * 6))
-    assert net.overlaps == ()
-    assert len(net.tree_edges) == 1
+    surf = Instance(hexpair).develop([1] * 6)
+    net = develop_net(surf)
+    assert len(surf.frame.tree_edges) == 1
     # the two placed hexagons share exactly the glued edge
     shared = set(net.points[0]) & set(net.points[1])
     assert len(shared) == 2
@@ -421,8 +421,7 @@ def test_net_deterministic(spiral3):
     surf = _first_positive_surface(spiral3)
     n1 = develop_net(surf)
     n2 = develop_net(surf)
-    assert n1.points == n2.points
-    assert n1.tree_edges == n2.tree_edges
+    assert n1 == n2
 
 
 def test_net_tree_edges_coincide(spiral3):
@@ -430,7 +429,7 @@ def test_net_tree_edges_coincide(spiral3):
     # so a successful call certifies exact coincidence; check one manually
     surf = _first_positive_surface(spiral3)
     net = develop_net(surf)
-    eid = net.tree_edges[0]
+    eid = surf.frame.tree_edges[0]
     gl = surf.frame.gluings[eid]
     w = surf.placed[gl.white_polygon].sides[gl.white_side]
     tw = net.transforms[gl.white_polygon]
@@ -438,6 +437,20 @@ def test_net_tree_edges_coincide(spiral3):
     b = tw.apply(w.end)
     chain_b = net.points[gl.black_polygon]
     assert a in chain_b or b in chain_b
+
+
+def test_net_tree_edge_that_fails_to_coincide_raises(hexpair):
+    # one glued tree side made longer than its partner: the net places the
+    # partner at the longer side's end, so the edge cannot close
+    surf = Instance(hexpair).develop([1] * 6)
+    (eid,) = surf.frame.tree_edges
+    gl = surf.frame.gluings[eid]
+    chart = surf.placed[gl.white_polygon]
+    sides = list(chart.sides)
+    sides[gl.white_side] = replace(sides[gl.white_side], length=2)
+    placed = {**surf.placed, gl.white_polygon: replace(chart, sides=tuple(sides))}
+    with pytest.raises(GluingError, match=f"net tree edge {eid} fails to coincide"):
+        develop_net(replace(surf, placed=placed))
 
 
 def test_net_follows_a_random_tree(spiral3):
@@ -448,7 +461,7 @@ def test_net_follows_a_random_tree(spiral3):
         tree = _random_tree(spiral3, inst.frame.gluings, seed)
         surf = develop_surface(spiral3, inst.boundaries, charts, tree=tree)
         net = develop_net(surf)
-        assert net.tree_edges == surf.frame.tree_edges == tuple(sorted(tree))
+        assert surf.frame.tree_edges == tuple(sorted(tree))
         assert set(net.points) == set(surf.placed)
 
 
