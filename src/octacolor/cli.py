@@ -4,7 +4,9 @@ Each command loads one ``pipeline.Instance`` per instance (a spiral
 member is the one its validation gate derived), so it derives each stage
 once.  A stage subcommand emits ``{"instance": name, **fragment}`` from
 its stage's ``pipeline.*_json`` function; ``check`` and ``survey`` emit
-``run_check``'s report and ``run_survey``'s rows.
+``run_check``'s report and ``run_survey``'s rows.  ``realize`` and
+``render`` import the mesh, net and SVG layers where they call them, so
+no other command loads those modules.
 
 Exit status: 0 on success; 1 on an invariant failure, on a ``check`` that
 realized no point and on an exceeded budget (``lattice`` still writes its
@@ -20,14 +22,12 @@ import json
 import os
 import sys
 
-from . import svg
 from .cone import ENUMERATION_BUDGET, EnumerationBudgetError
 from .emg import EmgError, parse_emg, render_emg
 from .families import (ConstructionError, bundled_names, load_bundled,
                        spiral_instance)
-from .geometry import AngleError, ClosureError, GluingError, develop_net
+from .geometry import AngleError, ClosureError, GluingError
 from .labeling import BoundaryError, HolonomyError
-from .mesh import ColorError, MeshError, build_triangulation, four_color
 from .pipeline import (Instance, cone_json, form_json, labeling_json,
                        lattice_points_json, lemmas_json, matrix_json,
                        realization_json, run_check, run_survey,
@@ -187,6 +187,7 @@ def _select_point(args, inst: Instance) -> tuple[int, ...]:
 
 
 def _cmd_realize(args) -> int:
+    from .mesh import build_triangulation, four_color
     name, inst = _load_instance(args)
     vec = _select_point(args, inst)
     surface = inst.develop(vec)
@@ -239,6 +240,8 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import svg
+    from .net import develop_net
     name, inst = _load_instance(args)
     surface = inst.develop(_select_point(args, inst))
     _emit(args, svg.render_net(inst.g, surface, develop_net(surface),
@@ -310,6 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _mesh_errors() -> tuple[type[ValueError], ...]:
+    """The mesh's invariant failures.  An except clause evaluates this only
+    when an exception reaches it, so no command loads ``mesh`` for it."""
+    from .mesh import ColorError, MeshError
+    return MeshError, ColorError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -326,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (HolonomyError, BoundaryError, ClosureError, GluingError,
-            AngleError, MeshError, ColorError) as exc:
+            AngleError, *_mesh_errors()) as exc:
         print(f"invariant failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

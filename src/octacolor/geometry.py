@@ -6,7 +6,7 @@ whole surface into the plane through the folding map (orientation
 preserving on white polygons, reversing on black, so all gluing maps
 become translations).  The glued sphere triangulation and its 4-coloring
 are ``mesh``'s, and the unfolded net for rendering is ``net``'s; their
-names stay importable from here.
+names stay reachable from here, each module imported on first use.
 
 What depends on the combinatorial type alone is paid once per type.  A
 ``development_plan`` holds, per polygon, each side's edge, the index of its
@@ -38,9 +38,6 @@ from typing import NamedTuple
 from .emg import WHITE, EnhancedMultigraph
 from .grid import DIRECTIONS, SIXTH_TURNS, GridPoint
 from .labeling import ACUTE, CORNER_UNITS, LabelMap, PolygonBoundary
-# the mesh's public names, which callers also reach as geometry.*
-from .mesh import (ColorError, ColoredTriangulation, MeshError, Triangle,  # noqa: F401
-                   build_triangulation, four_color, triarea, unit_triangulate)
 
 
 _new = tuple.__new__  # builds a record without its named tuple constructor
@@ -402,5 +399,18 @@ def cone_point_coordinates(surface: RealizedSurface) -> tuple[GridPoint, ...]:
     return tuple(surface.folded_vertex_image[f] for f in surface.frame.cone_vertices)
 
 
-# the net layout is ``net``'s; its names stay importable from here
-from .net import NetLayout, NetTransform, develop_net  # noqa: E402,F401
+# the mesh's and the net's public names, still reachable as geometry.*
+_LAZY_OWNER = {**dict.fromkeys(("ColorError", "ColoredTriangulation", "MeshError", "Triangle",
+                                "build_triangulation", "four_color", "triarea", "unit_triangulate"),
+                               "mesh"),
+               **dict.fromkeys(("NetLayout", "NetTransform", "develop_net"), "net")}
+
+
+def __getattr__(name: str):
+    """A mesh or net name, read from its module on every access, so that
+    ``geometry.X is mesh.X`` holds even after ``mesh.X`` is rebound; the
+    module is imported on first use."""
+    owner = _LAZY_OWNER.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__package__}.{owner}", fromlist=[name]), name)

@@ -30,7 +30,6 @@ from .emg import EnhancedMultigraph, trace_faces, validate_plausible
 from .geometry import (cone_point_coordinates, development_plan, place_surface, surface_frame,
                        walk_polygons)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
-from .mesh import build_triangulation, four_color
 from .qform import assemble_form, restrict_form, verify_triangle_identity
 from .shapesys import build_constraints, kernel_basis, verify_lemmas
 
@@ -291,7 +290,9 @@ def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len:
 def _check_realization(inst: Instance, vector) -> dict:
     """Realize one point and check the form identity on its mesh.
     ``four_color`` raises on a properness or mod-3 failure, so an entry
-    without ``error`` certifies both and states neither."""
+    without ``error`` certifies both and states neither.  ``mesh`` is
+    imported here, so a run that realizes no point never loads it."""
+    from .mesh import build_triangulation, four_color
     entry: dict = {"vector": vector_json(vector)}
     try:
         surface = inst.develop(vector)

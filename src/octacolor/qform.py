@@ -19,15 +19,16 @@ by exact congruence, with no division, yields its signature.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
-from .emg import EnhancedMultigraph
-from .labeling import PolygonBoundary
-from .mesh import ColoredTriangulation
-from .shapesys import KernelBasis
+
+if TYPE_CHECKING:
+    from .emg import EnhancedMultigraph
+    from .labeling import PolygonBoundary
+    from .mesh import ColoredTriangulation
+    from .shapesys import KernelBasis
 
 # doubled Gram matrix of the six-slot form
 SLOT_MATRIX: tuple[tuple[int, ...], ...] = tuple(
@@ -47,7 +48,10 @@ class QuadraticForm(NamedTuple):
         from the nonzero terms alone: an int when integral (always, on
         integer lengths), else a Fraction."""
         total = sum(c * vector[i] * vector[j] for i, j, c in self.terms)
-        return total // 2 if total % 2 == 0 else Fraction(total) / 2
+        if total % 2 == 0:
+            return total // 2
+        from fractions import Fraction
+        return Fraction(total) / 2
 
 
 # the six-slot form on slot variables 0..5; its diagonal is zero

@@ -10,12 +10,18 @@ viewport computed from the exact bounding box with five percent padding.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .emg import WHITE, EnhancedMultigraph, trace_faces
-from .geometry import NetLayout, RealizedSurface
-from .grid import GridPoint
-from .mesh import Triangle, unit_triangulate
+from .emg import WHITE, trace_faces
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .emg import EnhancedMultigraph
+    from .geometry import RealizedSurface
+    from .grid import GridPoint
+    from .mesh import Triangle
+    from .net import NetLayout
 
 SQRT3 = 3 ** 0.5
 
@@ -94,6 +100,7 @@ class SvgScene:
 
 
 def _centroid(points) -> tuple[Fraction, Fraction]:
+    from fractions import Fraction
     n = len(points)
     return Fraction(sum(p[0] for p in points), n), Fraction(sum(p[1] for p in points), n)
 
@@ -113,8 +120,10 @@ def render_net(g: EnhancedMultigraph, surface: RealizedSurface, net: NetLayout,
         fill = FILL_WHITE if placed[pid].color == WHITE else FILL_BLACK
         scene.polygon(net.points[pid], fill)
     # one triangulation per chart serves both the grid and the dots
-    triangulations = ({pid: unit_triangulate(placed[pid]) for pid in net.points}
-                      if triangles or vertex_colors else {})
+    triangulations = {}
+    if triangles or vertex_colors:
+        from .mesh import unit_triangulate
+        triangulations = {pid: unit_triangulate(placed[pid]) for pid in net.points}
     if triangles:
         for pid in sorted(net.points):
             t = net.transforms[pid]
@@ -134,6 +143,7 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
     arcs hug the side of their own quadrilateral face that they run
     parallel to, offset into the polygon.  The net map is affine, so side
     ends are placed first and midpoints taken in the net."""
+    from fractions import Fraction
     placed, gluings = surface.placed, surface.frame.gluings
     centers = {pid: _centroid(net.points[pid]) for pid in net.points}
 

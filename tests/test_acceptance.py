@@ -12,10 +12,9 @@ import pytest
 
 from octacolor.cone import ConeDescription, enumerate_lattice_points, extreme_rays, lattice_basis
 from octacolor.families import bundled_names, load_bundled, spiral_instance
-from octacolor.geometry import (build_triangulation, cone_point_coordinates,
-                                develop_surface, four_color, realize_polygons,
-                                triarea)
+from octacolor.geometry import cone_point_coordinates, develop_surface, realize_polygons
 from octacolor.labeling import polygon_boundaries
+from octacolor.mesh import build_triangulation, four_color, triarea
 from octacolor.pipeline import Instance
 from octacolor.qform import assemble_form, restrict_form, slot_value
 from octacolor.shapesys import KernelBasis

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from form_oracle import global_matrix
-from octacolor import pipeline
+from octacolor import mesh, pipeline
 from octacolor.cli import main
 from octacolor.emg import parse_emg, render_emg, validate_plausible
 from octacolor.families import bundled_names, gen_spiral, load_bundled
@@ -466,3 +466,52 @@ def test_cold_import_skips_slow_modules():
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.split() == []
+
+
+# the realization layers and the rational arithmetic only `realize` and
+# `render` use; no other command may load them
+LAZY_MODULES = ("octacolor.mesh", "octacolor.net", "octacolor.svg", "fractions")
+
+
+def _cold_main(*argv):
+    """Exit code, stdout sha256 and the loaded ``LAZY_MODULES`` of one
+    ``main(argv)`` in a fresh interpreter with no bytecode cache."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    probe = ("import contextlib, hashlib, io, sys\n"
+             "from octacolor.cli import main\n"
+             "out = io.StringIO()\n"
+             "with contextlib.redirect_stdout(out):\n"
+             "    code = main(sys.argv[1:])\n"
+             "print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(),\n"
+             f"      *[m for m in {LAZY_MODULES!r} if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                          check=True)
+    code, digest, *loaded = done.stdout.split()
+    return int(code), digest, loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "spiral", "--k", "3"],
+    ["survey", "--family", "spiral", "--k-range", "3..4", "--max-len", "2"],
+], ids=["gen", "survey"])
+def test_commands_without_realization_load_no_realization_layer(argv):
+    code, _, loaded = _cold_main(*argv)
+    assert (code, loaded) == (0, [])
+
+
+def test_cold_render_loads_its_layers_and_matches_its_golden():
+    code, digest, loaded = _cold_main("render", *GOLDEN_INSTANCES["hexagon-pair"],
+                                      *GOLDEN_COMMANDS["render"])
+    assert (code, digest) == (0, GOLDEN_SHA256["hexagon-pair"]["render"])
+    assert loaded == list(LAZY_MODULES)
+
+
+@pytest.mark.parametrize("name, error", [("build_triangulation", "MeshError"),
+                                         ("four_color", "ColorError")])
+def test_realize_mesh_failure_is_an_invariant_failure(monkeypatch, capsys, name, error):
+    def fail(*args):
+        raise getattr(mesh, error)("planted")
+    monkeypatch.setattr(mesh, name, fail)
+    code, out, err = run(capsys, "realize", "--bundled", "hexagon-pair", "--point", "0")
+    assert (code, out, err) == (1, "", f"invariant failure: {error}: planted\n")

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 import mesh_oracle
 from octacolor import geometry, mesh
 from octacolor.families import gen_spiral, load_bundled
-from octacolor.geometry import (AngleError, ClosureError, ColorError, GluingError, MeshError,
-                                build_triangulation, cone_point_coordinates,
-                                develop_net, develop_surface, four_color, place_surface,
-                                realize_polygons, triarea, unit_triangulate)
+from octacolor.geometry import (AngleError, ClosureError, GluingError, cone_point_coordinates,
+                                develop_surface, place_surface, realize_polygons)
 from octacolor.grid import DIRECTIONS, ORIGIN, GridPoint, direction, signed_triarea
 from octacolor.labeling import ACUTE
-from octacolor.mesh import _closed_mesh_edges
+from octacolor.mesh import (ColorError, MeshError, _closed_mesh_edges, build_triangulation,
+                            four_color, triarea, unit_triangulate)
+from octacolor.net import develop_net
 from octacolor.pipeline import Instance
 
 

@@ -8,8 +8,9 @@ import form_oracle
 from form_oracle import dense_restriction, form_terms, form_value, global_matrix
 from rational_linalg import mat_mul, transpose
 from octacolor.families import bundled_names, gen_spiral, load_bundled
-from octacolor.geometry import build_triangulation, four_color, realize_polygons, triarea
+from octacolor.geometry import realize_polygons
 from octacolor.labeling import polygon_boundaries
+from octacolor.mesh import build_triangulation, four_color, triarea
 from octacolor.pipeline import Instance
 from octacolor.qform import (SLOT_MATRIX, QuadraticForm, assemble_form, restrict_form,
                              signature, slot_value, verify_triangle_identity)
@@ -104,7 +105,6 @@ def test_slot_value_is_three_areas_for_rational_sides():
     # sides are quadratic, so scale the chain by the common denominator L
     from math import lcm
 
-    from octacolor.geometry import triarea
     from octacolor.grid import ORIGIN, direction
     for a, b, c in [(Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)),
                     (Fraction(5, 4), Fraction(1, 4), Fraction(7, 3))]:

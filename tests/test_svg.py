@@ -1,9 +1,10 @@
 from fractions import Fraction
 
-from octacolor import svg
+from octacolor import mesh, svg
 from octacolor.emg import trace_faces
 from octacolor.families import load_bundled
-from octacolor.geometry import develop_net, unit_triangulate
+from octacolor.mesh import unit_triangulate
+from octacolor.net import develop_net
 from octacolor.pipeline import Instance
 from octacolor.svg import render_net
 
@@ -88,6 +89,7 @@ def test_render_net_triangulates_each_chart_once(spiral3, monkeypatch):
         calls.append(chart)
         return unit_triangulate(chart)
 
-    monkeypatch.setattr(svg, "unit_triangulate", counting)
+    # render_net looks the function up in mesh when it is called
+    monkeypatch.setattr(mesh, "unit_triangulate", counting)
     assert render_net(spiral3, surface, net, triangles=True, vertex_colors=True) == want
     assert len(calls) == len(net.points)
