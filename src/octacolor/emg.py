@@ -315,7 +315,6 @@ RULE_BLUE_FACES = "blue-faces"
 RULE_RED_PLACEMENT = "red-placement"
 RULE_EULER = "euler"
 RULE_BIPARTITE = "bipartite"
-RULE_RED_COUNT = "red-count"
 
 
 def validate_plausible(g: EnhancedMultigraph, faces: FaceSet | None = None) -> ValidationReport:
@@ -336,11 +335,13 @@ def validate_plausible(g: EnhancedMultigraph, faces: FaceSet | None = None) -> V
     n_blue = len(blue)
     n_red = len(red)
 
-    # (a) total degree six at every vertex
+    # (a) total degree six at every vertex: blue degree k leaves 6 - k red ends
     for vid in sorted(rot_of):
         deg = len(rot_of[vid])
         if deg != 6:
-            findings.append(Finding(RULE_DEGREE, "error", f"vertex {vid} has degree {deg}, expected 6"))
+            k = sum(1 for d in rot_of[vid] if emap[d[0]].color == BLUE)
+            findings.append(Finding(RULE_DEGREE, "error",
+                                    f"vertex {vid} has degree {deg} ({k} blue, {deg - k} red), expected 6"))
 
     # (b) blue faces: exactly 6 bigons, all other faces quadrilaterals
     blue_faces = faces if faces is not None else trace_faces(g)
@@ -396,14 +397,6 @@ def validate_plausible(g: EnhancedMultigraph, faces: FaceSet | None = None) -> V
         if vmap[e.a].color == vmap[e.b].color:
             findings.append(Finding(RULE_BIPARTITE, "error",
                                     f"blue edge {e.id} joins two {vmap[e.a].color} vertices"))
-
-    # (f) blue degree k forces exactly 6 - k red edge ends
-    for vid in sorted(rot_of):
-        k = sum(1 for d in rot_of[vid] if emap[d[0]].color == BLUE)
-        r = len(rot_of[vid]) - k
-        if r != 6 - k:
-            findings.append(Finding(RULE_RED_COUNT, "error",
-                                    f"vertex {vid} has blue degree {k} but {r} red ends, expected {6 - k}"))
 
     counts = {
         "V": n_v,

@@ -195,9 +195,16 @@ def cone_json(cd) -> dict:
             "lineality": matrix_json(cd.lineality), "has_positive_point": cd.has_positive_point}
 
 
-def lattice_points_json(points, max_len: int) -> dict:
+def lattice_counts_json(points, max_len: int) -> dict:
+    """The enumerated box by its counts, as ``check`` reports it: its
+    strictly positive points are listed, in order, under ``realizations``."""
     return {"max_len": max_len, "count": len(points),
-            "strictly_positive": sum(1 for p in points if p.strictly_positive),
+            "strictly_positive": sum(1 for p in points if p.strictly_positive)}
+
+
+def lattice_points_json(points, max_len: int) -> dict:
+    """The counts and every point of the box, as ``lattice`` reports it."""
+    return {**lattice_counts_json(points, max_len),
             "points": [{"vector": vector_json(p.vector), "strictly_positive": p.strictly_positive}
                        for p in points]}
 
@@ -276,7 +283,7 @@ def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len:
             report.cone = {**cone_json(inst.cone), "lattice_basis": matrix_json(inst.lattice.vectors)}
         elif stage == "lattice":
             points = inst.lattice_points(max_len, budget)
-            report.lattice = lattice_points_json(points, max_len)
+            report.lattice = lattice_counts_json(points, max_len)
         elif stage == "form":
             report.form = form_json(inst.form)
         elif stage == "realize":

@@ -147,6 +147,29 @@ def test_validate_detects_missing_red(spiral3):
     assert "red-placement" in rules
 
 
+def test_degree_seven_vertex_yields_one_finding():
+    # a second red edge beside an existing one: each endpoint has degree 7,
+    # which the degree rule reports once, with its blue/red split
+    g = load_bundled("spiral-6")
+    red = g.red_edges()[0]
+    extra = Edge(max(e.id for e in g.edges) + 1, red.a, red.b, red.color)
+
+    def twinned(rot):
+        for d in rot:
+            yield d
+            if d[0] == red.id:
+                yield extra.id, d[1]
+
+    g = EnhancedMultigraph(g.vertices, g.edges + (extra,),
+                           tuple((vid, tuple(twinned(rot))) for vid, rot in g.rotations))
+    check_well_formed(g)
+    rep = validate_plausible(g)
+    assert not rep.plausible and {red.a, red.b} == {3, 4}
+    for vid, split in ((3, "4 blue, 3 red"), (4, "3 blue, 4 red")):
+        at = [f for f in rep.findings if f.message.startswith(f"vertex {vid} ")]
+        assert at == [("degree-six", "error", f"vertex {vid} has degree 7 ({split}), expected 6")]
+
+
 def test_validate_detects_monochrome_blue_edge(spiral3):
     # recolor one endpoint so some blue edge joins two same-colored polygons
     v0 = spiral3.vertices[0]

@@ -42,16 +42,38 @@ def test_check_report_stops_on_implausible(spiral3):
 
 
 def test_check_exact_values_are_strings(hexpair):
-    report = run_check(hexpair, name="hexagon-pair", max_len=1)
+    inst = Instance(hexpair)
+    report = run_check(inst, name="hexagon-pair", max_len=1)
     assert report.form["global_matrix"]["shape"] == [6, 6]
     assert all(type(i) is int and type(j) is int and type(x) is str
                for i, j, x in report.form["global_matrix"]["entries"])
     assert all(isinstance(x, str) for row in report.form["restricted"] for x in row)
-    for point in report.lattice["points"]:
-        assert all(isinstance(x, str) for x in point["vector"])
+    assert report.realizations
     for entry in report.realizations:
+        assert all(isinstance(x, str) for x in entry["vector"])
         for c in entry["cone_points"]:
             assert set(c) == {"x", "ys3"}
+    listed = pipeline.lattice_points_json(inst.lattice_points(1), 1)["points"]
+    assert listed and all(isinstance(x, str) for point in listed for x in point["vector"])
+
+
+@pytest.mark.parametrize("argv", [["--bundled", "hexagon-pair"],
+                                  ["--family", "spiral", "--k", "3"]], ids=["hexagon-pair", "spiral-k3"])
+def test_check_reports_the_box_by_its_counts(capsys, argv):
+    # check lists no lattice point; its realizations are the strictly
+    # positive points lattice prints, in order, so realizations[i] is
+    # realize --point i
+    def cli(*args):
+        assert main([*args, *argv, "--max-len", "3"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    report, box = cli("check"), cli("lattice")
+    assert set(report["lattice"]) == {"max_len", "count", "strictly_positive"}
+    assert report["lattice"] == {key: box[key] for key in report["lattice"]}
+    vectors = [r["vector"] for r in report["realizations"]]
+    assert vectors == [p["vector"] for p in box["points"] if p["strictly_positive"]] and vectors
+    last = len(vectors) - 1
+    assert cli("realize", "--point", str(last))["point"] == vectors[last]
 
 
 def test_survey_rows():
@@ -86,8 +108,8 @@ def test_survey_rows_match_check_reports():
 
 
 def test_survey_builds_no_report_fragment(monkeypatch):
-    for name in ("lattice_points_json", "matrix_json", "sparse_json", "vector_json", "cone_json",
-                 "system_json", "form_json"):
+    for name in ("lattice_counts_json", "lattice_points_json", "matrix_json", "sparse_json",
+                 "vector_json", "cone_json", "system_json", "form_json"):
         monkeypatch.setattr(pipeline, name, _forbidden(name))
     (row,) = run_survey([("spiral-k3", gen_spiral(3))], max_len=2)["survey"]
     assert row["points"] > row["strictly_positive"] > 0
