@@ -229,10 +229,13 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
 
     def run(w: list[int]):
         nonlocal visited
-        # every moving edge bounds c on both sides, so lo and hi end as
-        # integers; plo (phi) stays infinite without a rising (falling) edge
-        lo = plo = -math.inf
-        hi = phi = math.inf
+        # every moving edge bounds c on both sides, and the strictly
+        # positive interval [plo, phi] lies in the run's range [lo, hi]:
+        # all four start from the first edge's range, which holds both
+        j, a = bounding[0]
+        x = w[j]
+        lo = plo = -(x // a) if a > 0 else -((bound - x) // -a)
+        hi = phi = (bound - x) // a if a > 0 else x // -a
         for j, a in bounding:
             x = w[j]
             if a > 0:

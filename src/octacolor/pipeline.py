@@ -5,9 +5,10 @@ blue faces, validation, polygon boundaries, direction labels, closure
 system, kernel and lemma checks, cone and extreme rays, lattice basis,
 restricted form, and what realizing a point needs of the type: the
 development plan and the surface frame, which developing a point and
-gluing its mesh both read.  Each stage is a cached property computed on
-first use; ``develop`` realizes one edge-length vector against the plan
-and the frame.  ``derivable`` is the stop rule, and ``walk`` visits the
+gluing its mesh both read, and the map from a point's lattice
+coefficients to its cone points, which checks every realized point.
+Each stage is a cached property computed on first use; ``develop``
+realizes one edge-length vector against the plan and the frame.  ``derivable`` is the stop rule, and ``walk`` visits the
 stages in report order under it, timing each: ``run_check`` and
 ``run_survey`` read that one walk.  One ``*_json`` function per stage
 builds its report fragment, for the CLI and ``run_check``; a survey row
@@ -22,6 +23,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable
 from functools import cached_property
+from operator import mul
 from types import SimpleNamespace
 
 from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays,
@@ -32,6 +34,11 @@ from .geometry import (cone_point_coordinates, development_plan, place_surface, 
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
 from .qform import assemble_form, restrict_form, verify_triangle_identity
 from .shapesys import build_constraints, kernel_basis, verify_lemmas
+
+
+class ConePointError(ValueError):
+    """A realized point's cone points differ from its type's map, or the
+    type has no map."""
 
 
 class Instance:
@@ -108,6 +115,32 @@ class Instance:
         kernel column order."""
         return development_plan(self.boundaries, self.labels, self.kernel.col_edges)
 
+    @cached_property
+    def cone_points_map(self) -> tuple[tuple[int, ...], ...] | None:
+        """M_tau, the 12 x d integer matrix that takes a point's coefficients
+        in the lattice basis b_0 .. b_{d-1} to the doubled coordinates
+        X_0, Y_0, .., X_5, Y_5 of its cone points, in ``frame.cone_vertices``
+        order.  Column i is cp(N s + b_i) - cp(N s), where cp develops a
+        point and reads its cone points, s is the sum of the extreme rays in
+        edge coordinates and N = 1 + max |entry of a b_i|, so every point
+        developed is strictly positive; no mesh is built.  M c(N s) = cp(N s)
+        shows the map has no offset.  None if the cone has no strictly
+        positive point, a point fails to develop, or the map has an offset."""
+        if not self.cone.has_positive_point:
+            return None
+        vectors = self.lattice.vectors
+        total = [sum(col) for col in zip(*self.cone.extreme_rays)]
+        n = 1 + max(abs(x) for v in vectors for x in v)
+        base = [n * sum(map(mul, total, col)) for col in zip(*self.kernel.basis)]
+        try:
+            at = [_cone_points(self.develop(v))
+                  for v in (base, *([x + y for x, y in zip(base, b)] for b in vectors))]
+            coeffs = lattice_coefficients(vectors, base)
+        except ValueError:
+            return None
+        matrix = tuple(zip(*([x - y for x, y in zip(p, at[0])] for p in at[1:])))
+        return matrix if _apply(matrix, coeffs) == at[0] else None
+
     def lattice_points(self, max_len: int, budget: int = ENUMERATION_BUDGET):
         return enumerate_lattice_points(self.lattice, max_len, budget=budget)
 
@@ -142,6 +175,31 @@ class Instance:
         ints against the plan, placed straight away, so no origin-anchored
         chart record is built."""
         return place_surface(self.frame, walk_polygons(self.plan, vector))
+
+
+def lattice_coefficients(vectors, point) -> list[int]:
+    """The c with point = sum c_i vectors[i], for ``vectors`` in row Hermite
+    normal form, by substitution along the pivots: row i is the last with a
+    nonzero at its pivot, so c_i follows from the c of the rows above it.
+    With every pivot 1 (and so every entry above one 0), c is the point's
+    entries at the pivots.  A division that is not exact raises ValueError."""
+    coeffs: list[int] = []
+    for row in vectors:
+        p = next(j for j, x in enumerate(row) if x)
+        c, r = divmod(point[p] - sum(a * v[p] for a, v in zip(coeffs, vectors)), row[p])
+        if r:
+            raise ValueError(f"{list(point)} is not a point of the lattice")
+        coeffs.append(c)
+    return coeffs
+
+
+def _cone_points(surface) -> tuple[int, ...]:
+    """The doubled coordinates X_0, Y_0, .., X_5, Y_5 of the cone points."""
+    return tuple(x for p in cone_point_coordinates(surface) for x in p)
+
+
+def _apply(matrix, vector) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, vector)) for row in matrix)
 
 
 def _half(n: int) -> str:
@@ -235,12 +293,9 @@ def realization_json(vector, surface, tri) -> dict:
             "cone_points": [grid_point_json(c) for c in cone_point_coordinates(surface)],
             "triangulation": {"vertices": len(tri.positions), "edges": len(tri.edges),
                               "triangles": len(tri.triangles),
-                              "degree_histogram": _histogram_json(tri),
+                              "degree_histogram": {str(d): c for d, c in
+                                                   sorted(tri.degree_histogram().items())},
                               "vertex_colors": list(tri.vertex_colors)}}
-
-
-def _histogram_json(tri) -> dict:
-    return {str(d): c for d, c in sorted(tri.degree_histogram().items())}
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +335,9 @@ def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len:
             report.system = {"rows": inst.system.n_rows, "cols": inst.system.n_cols,
                              **lemmas_json(inst.kernel, inst.lemmas)}
         elif stage == "cone":
-            report.cone = {**cone_json(inst.cone), "lattice_basis": matrix_json(inst.lattice.vectors)}
+            cpm = inst.cone_points_map
+            report.cone = {**cone_json(inst.cone), "lattice_basis": matrix_json(inst.lattice.vectors),
+                           "cone_points_map": None if cpm is None else matrix_json(cpm)}
         elif stage == "lattice":
             points = inst.lattice_points(max_len, budget)
             report.lattice = lattice_counts_json(points, max_len)
@@ -295,23 +352,29 @@ def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len:
 
 
 def _check_realization(inst: Instance, vector) -> dict:
-    """Realize one point and check the form identity on its mesh.
-    ``four_color`` raises on a properness or mod-3 failure, so an entry
-    without ``error`` certifies both and states neither.  ``mesh`` is
-    imported here, so a run that realizes no point never loads it."""
+    """Realize one point, check its cone points against the type's map and
+    the form identity on its mesh.  ``four_color`` raises on a properness or
+    mod-3 failure, so an entry without ``error`` certifies all of them and
+    states none but the identity.  ``mesh`` is imported here, so a run that
+    realizes no point never loads it."""
     from .mesh import build_triangulation, four_color
     entry: dict = {"vector": vector_json(vector)}
     try:
         surface = inst.develop(vector)
+        cone_map = inst.cone_points_map
+        if cone_map is None:
+            raise ConePointError("the type has no cone point map")
+        got = _cone_points(surface)
+        want = _apply(cone_map, lattice_coefficients(inst.lattice.vectors, vector))
+        if got != want:
+            raise ConePointError(f"cone points {list(got)} differ from the map's {list(want)}")
         tri = four_color(build_triangulation(surface))
         identity = verify_triangle_identity(inst.form, vector, tri)
     except ValueError as exc:
         entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry
     return {**entry, "triangles": identity.triangle_count,
-            "form_value": str(identity.form_value), "identity_holds": identity.holds,
-            "degree_histogram": _histogram_json(tri),
-            "cone_points": [grid_point_json(c) for c in cone_point_coordinates(surface)]}
+            "form_value": str(identity.form_value), "identity_holds": identity.holds}
 
 
 def run_survey(instances: Iterable[tuple[str, EnhancedMultigraph | Instance]], max_len: int = 0,

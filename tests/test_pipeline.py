@@ -6,12 +6,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import lattice_oracle
+import rational_linalg
 from octacolor import emg, pipeline
 from octacolor.cli import main
 from octacolor.emg import EnhancedMultigraph
 from octacolor.families import bundled_names, gen_spiral, load_bundled
+from octacolor.geometry import cone_point_coordinates
 from octacolor.grid import GridPoint
-from octacolor.pipeline import Instance, grid_point_json, run_check, run_survey, vector_json
+from octacolor.pipeline import (Instance, grid_point_json, lattice_coefficients, run_check,
+                                run_survey, vector_json)
 
 
 def test_check_report_spiral3(spiral3):
@@ -51,8 +55,9 @@ def test_check_exact_values_are_strings(hexpair):
     assert report.realizations
     for entry in report.realizations:
         assert all(isinstance(x, str) for x in entry["vector"])
-        for c in entry["cone_points"]:
-            assert set(c) == {"x", "ys3"}
+    cone_map = report.cone["cone_points_map"]
+    assert len(cone_map) == 12 and all(len(row) == 4 for row in cone_map)
+    assert all(isinstance(x, str) for row in cone_map for x in row)
     listed = pipeline.lattice_points_json(inst.lattice_points(1), 1)["points"]
     assert listed and all(isinstance(x, str) for point in listed for x in point["vector"])
 
@@ -74,6 +79,82 @@ def test_check_reports_the_box_by_its_counts(capsys, argv):
     assert vectors == [p["vector"] for p in box["points"] if p["strictly_positive"]] and vectors
     last = len(vectors) - 1
     assert cli("realize", "--point", str(last))["point"] == vectors[last]
+
+
+CONE_MAP_INSTANCES = ([(name, ["--bundled", name], load_bundled(name)) for name in bundled_names()]
+                      + [(f"spiral-k{k}", ["--family", "spiral", "--k", str(k)], gen_spiral(k))
+                         for k in range(3, 9)])
+
+
+@pytest.mark.parametrize("argv,g", [case[1:] for case in CONE_MAP_INSTANCES],
+                         ids=[case[0] for case in CONE_MAP_INSTANCES])
+def test_cone_points_map_gives_each_points_cone_points(capsys, argv, g):
+    # at max-len 5 every instance here has a strictly positive point; the
+    # coefficients come from the rational solver, not the map's own solve
+    inst = Instance(g)
+    cone_map = inst.cone_points_map
+    vectors = [p.vector for p in inst.lattice_points(5) if p.strictly_positive]
+    assert cone_map is not None and len(cone_map) == 12 and vectors
+    basis_t = rational_linalg.transpose(inst.lattice.vectors)
+    mapped = []
+    for v in vectors:
+        coeffs = rational_linalg.solve(basis_t, v)
+        assert all(c.denominator == 1 for c in coeffs)
+        flat = rational_linalg.mat_vec(cone_map, coeffs)
+        assert flat == [x for p in cone_point_coordinates(inst.develop(v)) for x in p]
+        mapped.append([grid_point_json(GridPoint(X, Y)) for X, Y in zip(flat[::2], flat[1::2])])
+    for i in (0, len(vectors) - 1):
+        assert main(["realize", *argv, "--max-len", "5", "--point", str(i)]) == 0
+        assert json.loads(capsys.readouterr().out)["cone_points"] == mapped[i]
+
+
+@pytest.mark.parametrize("row,col", [(2, 0), (11, 3)])
+def test_a_perturbed_cone_points_map_fails_the_points_it_moves(hexpair, row, col):
+    inst = Instance(hexpair)
+    cone_map = [list(r) for r in inst.cone_points_map]
+    cone_map[row][col] += 2
+    inst.cone_points_map = tuple(map(tuple, cone_map))
+    report = run_check(inst, max_len=3)
+    assert report.cone["cone_points_map"][row][col] == str(cone_map[row][col])
+    moved = [lattice_coefficients(inst.lattice.vectors, [int(x) for x in r["vector"]])[col] != 0
+             for r in report.realizations]
+    assert any(moved) and not report.ok
+    for entry, failed in zip(report.realizations, moved):
+        assert ("error" in entry) == failed
+        assert not failed or entry["error"].startswith("ConePointError: cone points ")
+
+
+def test_a_cone_points_map_with_an_offset_is_no_map(monkeypatch, hexpair):
+    real = pipeline.cone_point_coordinates
+    monkeypatch.setattr(pipeline, "cone_point_coordinates",
+                        lambda surface: tuple(p + GridPoint(2, 0) for p in real(surface)))
+    report = run_check(hexpair, max_len=2)
+    assert report.cone["cone_points_map"] is None and report.cone["has_positive_point"]
+    assert report.realizations and not report.ok
+    assert all(entry == {"vector": entry["vector"],
+                         "error": "ConePointError: the type has no cone point map"}
+               for entry in report.realizations)
+
+
+def test_lattice_coefficients_with_a_pivot_of_two():
+    # row Hermite normal form: pivots 2 and 3, the entry above 3 reduced
+    vectors = ((2, 1, 0, 5), (0, 3, 1, -1))
+    for c in ((1, -2), (0, 0), (-3, 7)):
+        point = [c[0] * x + c[1] * y for x, y in zip(*vectors)]
+        assert lattice_coefficients(vectors, point) == list(c)
+    for point in ((1, 0, 0, 0), (2, 2, 0, 5)):
+        with pytest.raises(ValueError, match="is not a point of the lattice"):
+            lattice_coefficients(vectors, point)
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=1, max_size=4),
+       st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+@example([[1, -2, 0, 0, 0], [0, 0, 1, 1, 1]], [1, -1, 0, 0, 0])
+def test_lattice_coefficients_on_random_saturated_lattices(rows, coeffs):
+    vectors = lattice_oracle.integer_kernel(rows)
+    coeffs = coeffs[:len(vectors)]
+    point = [sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(5)]
+    assert lattice_coefficients(vectors, point) == coeffs
 
 
 def test_survey_rows():
