@@ -55,8 +55,9 @@ def triarea(points) -> int:
     return abs(signed_triarea(list(points)))
 
 
-def unit_triangulate(chart_or_start, sides=None) -> list[Triangle]:
-    """Cut an integer-sided convex chain into unit triangles.
+def unit_triangulate(start: GridPoint, sides) -> list[Triangle]:
+    """Cut the integer-sided convex chain that leaves ``start`` along
+    ``sides``, (length, direction) pairs, into unit triangles.
 
     Row scan: every side runs along a lattice row or climbs one row per
     unit, so the chain's lattice points in each row Y form the span
@@ -65,11 +66,7 @@ def unit_triangulate(chart_or_start, sides=None) -> list[Triangle]:
     triangles.  Returns exactly area / (sqrt(3)/4) triangles, each a
     sorted triple of grid points at mutual distance one.
     """
-    if sides is None:
-        start, int_sides = chart_or_start.sides[0].start, _chart_sides(chart_or_start)
-    else:
-        start, int_sides = chart_or_start, _integer_sides(sides)
-    rows, strips = _row_scan(start, int_sides)
+    rows, strips = _row_scan(start, _integer_sides(sides))
     y0 = min(rows)
     w = max(rows) - y0 + 1
     tris: list[tuple[int, int, int]] = []

@@ -8,14 +8,17 @@ development plan and the surface frame, which developing a point and
 gluing its mesh both read, and the map from a point's lattice
 coefficients to its cone points, which checks every realized point.
 Each stage is a cached property computed on first use; ``develop``
-realizes one edge-length vector against the plan and the frame.  ``derivable`` is the stop rule, and ``walk`` visits the
-stages in report order under it, timing each: ``run_check`` and
-``run_survey`` read that one walk.  One ``*_json`` function per stage
-builds its report fragment, for the CLI and ``run_check``; a survey row
-builds none.  Exact quantities serialize as integer or rational strings.
-The closure system and the global form, 2V x E_b and E_b x E_b,
-serialize as their nonzeros (``sparse_json``); every other matrix has
-four rows or four columns and serializes dense.
+realizes one edge-length vector against the plan and the frame.
+``derivable`` is the stop rule: ``run_check`` and ``run_survey`` read
+the stages in report order, validation always, the labels of a
+plausible instance, and every later stage only when it is derivable,
+lapping each on one integer clock (``_stopwatch``, in microseconds).
+One ``*_json`` function per stage builds its report fragment, for the
+CLI and ``run_check``; a survey row builds none.  Exact quantities
+serialize as integer or rational strings.  The closure system and the
+global form, 2V x E_b and E_b x E_b, serialize as their nonzeros
+(``sparse_json``); every other matrix has four rows or four columns and
+serializes dense.
 """
 
 from __future__ import annotations
@@ -144,30 +147,6 @@ class Instance:
     def lattice_points(self, max_len: int, budget: int = ENUMERATION_BUDGET):
         return enumerate_lattice_points(self.lattice, max_len, budget=budget)
 
-    def walk(self, timings: dict, tail: tuple[str, ...] = ()):
-        """Yield a report's stage names in order, then the caller's ``tail``,
-        under the stop rule: an implausible instance ends the walk after
-        ``validate``, a holonomy conflict after ``labels``, unlapped.  A lap
-        runs until the caller resumes the walk; ``timings`` gets each by its
-        stage name, and the whole walk as ``total``."""
-        start = last = time.perf_counter()
-
-        def lap(stage: str) -> None:
-            nonlocal last
-            t = time.perf_counter()
-            timings[stage], last = round(t - last, 6), t
-
-        yield "validate"
-        lap("validate")
-        if self.validation.plausible:
-            yield "labels"
-        if self.derivable:
-            lap("labels")
-            for stage in ("solve", "cone", "lattice", "form", *tail):
-                yield stage
-                lap(stage)
-        timings["total"] = round(time.perf_counter() - start, 6)
-
     def develop(self, vector):
         """Realize the edge-length vector (in kernel column order) and
         develop it against the type's frame, as ``develop_surface`` would,
@@ -191,6 +170,20 @@ def lattice_coefficients(vectors, point) -> list[int]:
             raise ValueError(f"{list(point)} is not a point of the lattice")
         coeffs.append(c)
     return coeffs
+
+
+def _stopwatch(timings: dict):
+    """A lap function on ``time.perf_counter_ns``: ``lap(stage)`` writes
+    the whole microseconds since the previous lap to ``timings[stage]``,
+    and ``lap("total")`` those since the stopwatch was made."""
+    start = last = time.perf_counter_ns()
+
+    def lap(stage: str) -> None:
+        nonlocal last
+        t = time.perf_counter_ns()
+        timings[stage], last = (t - (start if stage == "total" else last)) // 1000, t
+
+    return lap
 
 
 def _cone_points(surface) -> tuple[int, ...]:
@@ -323,31 +316,33 @@ def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len:
     """
     inst = g if isinstance(g, Instance) else Instance(g)
     report = PipelineReport()
-    for stage in inst.walk(report.timings, tail=("realize",)):
-        if stage == "validate":
-            counts = inst.validation.counts
-            report.instance = {"name": name, "V": counts["V"], "E_b": counts["E_b"],
-                               "E_red": counts["E_red"]}
-            report.validation = validation_json(inst.validation)
-        elif stage == "labels":
-            report.labeling = labeling_json(inst)
-        elif stage == "solve":
-            report.system = {"rows": inst.system.n_rows, "cols": inst.system.n_cols,
-                             **lemmas_json(inst.kernel, inst.lemmas)}
-        elif stage == "cone":
-            cpm = inst.cone_points_map
-            report.cone = {**cone_json(inst.cone), "lattice_basis": matrix_json(inst.lattice.vectors),
-                           "cone_points_map": None if cpm is None else matrix_json(cpm)}
-        elif stage == "lattice":
-            points = inst.lattice_points(max_len, budget)
-            report.lattice = lattice_counts_json(points, max_len)
-        elif stage == "form":
-            report.form = form_json(inst.form)
-        elif stage == "realize":
-            report.realizations = [_check_realization(inst, p.vector) for p in points if p.strictly_positive]
-            report.ok = (inst.lemmas.all_passed and bool(inst.cone.has_positive_point)
-                         and report.form["signature_as_expected"] and bool(report.realizations)
-                         and all(r.get("identity_holds") for r in report.realizations))
+    lap = _stopwatch(report.timings)
+    counts = inst.validation.counts
+    report.instance = {"name": name, "V": counts["V"], "E_b": counts["E_b"], "E_red": counts["E_red"]}
+    report.validation = validation_json(inst.validation)
+    lap("validate")
+    if inst.validation.plausible:
+        report.labeling = labeling_json(inst)
+    if inst.derivable:
+        lap("labels")
+        report.system = {"rows": inst.system.n_rows, "cols": inst.system.n_cols,
+                         **lemmas_json(inst.kernel, inst.lemmas)}
+        lap("solve")
+        cpm = inst.cone_points_map
+        report.cone = {**cone_json(inst.cone), "lattice_basis": matrix_json(inst.lattice.vectors),
+                       "cone_points_map": None if cpm is None else matrix_json(cpm)}
+        lap("cone")
+        points = inst.lattice_points(max_len, budget)
+        report.lattice = lattice_counts_json(points, max_len)
+        lap("lattice")
+        report.form = form_json(inst.form)
+        lap("form")
+        report.realizations = [_check_realization(inst, p.vector) for p in points if p.strictly_positive]
+        report.ok = (inst.lemmas.all_passed and bool(inst.cone.has_positive_point)
+                     and report.form["signature_as_expected"] and bool(report.realizations)
+                     and all(r.get("identity_holds") for r in report.realizations))
+        lap("realize")
+    lap("total")
     return report
 
 
@@ -383,11 +378,11 @@ def run_survey(instances: Iterable[tuple[str, EnhancedMultigraph | Instance]], m
     lemma verdict, cone, positivity, signature and the lattice point
     counts at ``max_len``.
 
-    Each row walks the stages ``run_check`` walks and serializes only what
-    it reports.  A stage the stop rule skips leaves its fields and every
-    later one ``None``, with ``n_rays`` 0.  Rows are built as
-    ``instances`` yields its entries, so a generator may derive each
-    instance only when its row is due.
+    Each row reads the stages ``run_check`` reads, bar realization, and
+    serializes only what it reports.  A stage the stop rule skips leaves
+    its fields and every later one ``None``, with ``n_rays`` 0.  Rows are
+    built as ``instances`` yields its entries, so a generator may derive
+    each instance only when its row is due.
     """
     return {"survey": [_survey_row(name, g, max_len, budget) for name, g in instances]}
 
@@ -398,19 +393,21 @@ def _survey_row(name: str, g: EnhancedMultigraph | Instance, max_len: int, budge
            "lemmas_ok": None, "has_positive_point": None, "n_rays": 0, "signature": None,
            "signature_as_expected": None, "points": None, "strictly_positive": None,
            "timings": {}}
-    for stage in inst.walk(row["timings"]):
-        if stage == "validate":
-            row["plausible"] = inst.validation.plausible
-        elif stage == "solve":
-            row.update(rank=inst.kernel.rank, dimension=inst.kernel.dimension,
-                       lemmas_ok=inst.lemmas.all_passed)
-        elif stage == "cone":
-            row.update(has_positive_point=inst.cone.has_positive_point,
-                       n_rays=len(inst.cone.extreme_rays))
-        elif stage == "lattice":
-            points = inst.lattice_points(max_len, budget)
-            row.update(points=len(points), strictly_positive=sum(p.strictly_positive for p in points))
-        elif stage == "form":
-            row["signature"] = list(inst.form.signature)
-            row["signature_as_expected"] = row["signature"] == [1, 3, 0]
+    lap = _stopwatch(row["timings"])
+    row["plausible"] = inst.validation.plausible
+    lap("validate")
+    if inst.derivable:
+        lap("labels")
+        row.update(rank=inst.kernel.rank, dimension=inst.kernel.dimension,
+                   lemmas_ok=inst.lemmas.all_passed)
+        lap("solve")
+        row.update(has_positive_point=inst.cone.has_positive_point, n_rays=len(inst.cone.extreme_rays))
+        lap("cone")
+        points = inst.lattice_points(max_len, budget)
+        row.update(points=len(points), strictly_positive=sum(p.strictly_positive for p in points))
+        lap("lattice")
+        sig = list(inst.form.signature)
+        row.update(signature=sig, signature_as_expected=sig == [1, 3, 0])
+        lap("form")
+    lap("total")
     return row

@@ -51,7 +51,7 @@ class QuadraticForm(NamedTuple):
         if total % 2 == 0:
             return total // 2
         from fractions import Fraction
-        return Fraction(total) / 2
+        return Fraction(total, 2)
 
 
 # the six-slot form on slot variables 0..5; its diagonal is zero
@@ -89,7 +89,10 @@ def assemble_form(g: EnhancedMultigraph, boundaries: list[PolygonBoundary]) -> Q
 def restrict_form(q: QuadraticForm, kernel: KernelBasis) -> QuadraticForm:
     """Exact congruence restriction K M K^T to the kernel basis K, in
     integers, from the terms: one pass over them per kernel vector k gives
-    the image 2 M k, and each restricted entry is half a dot product."""
+    the image 2 M k, and each restricted entry is half a dot product.
+    The form and the kernel must read the same columns, in one order."""
+    if q.col_edges != kernel.col_edges:
+        raise ValueError("the form and the kernel read different columns")
     if kernel.dimension < 1:
         raise ValueError("kernel dimension must be at least 1")
     images = []

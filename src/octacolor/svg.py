@@ -123,7 +123,9 @@ def render_net(g: EnhancedMultigraph, surface: RealizedSurface, net: NetLayout,
     triangulations = {}
     if triangles or vertex_colors:
         from .mesh import unit_triangulate
-        triangulations = {pid: unit_triangulate(placed[pid]) for pid in net.points}
+        triangulations = {pid: unit_triangulate(placed[pid].sides[0].start,
+                                                 [(s.length, s.direction) for s in placed[pid].sides])
+                          for pid in net.points}
     if triangles:
         for pid in sorted(net.points):
             t = net.transforms[pid]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from octacolor.cone import (ConeDescription, EnumerationBudgetError,
                             LatticeBasis, enumerate_lattice_points, extreme_rays,
                             lattice_basis, restrict_to_kernel)
 from octacolor.families import bundled_names, gen_spiral, load_bundled
-from octacolor.pipeline import Instance
+from octacolor.pipeline import Instance, lattice_coefficients
 from octacolor.shapesys import KernelBasis
 
 
@@ -129,6 +130,23 @@ def test_lattice_basis_spans_all_integer_points(spiral3):
         coords = rational_linalg.solve(rational_linalg.transpose([list(v) for v in lb.vectors]), list(p.vector))
         assert coords is not None
         assert all(c.denominator == 1 for c in coords)
+
+
+def _det(m):
+    n = len(m)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+               * math.prod(m[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+
+
+def test_kernel_basis_index_in_the_lattice():
+    # rays, inequalities, lineality and the restricted form read kernel-basis
+    # coordinates; the kernel basis spans the lattice L on three bundled
+    # instances and a sublattice of index 2 on spiral-8 (k = 4)
+    assert set(bundled_names()) == {"hexagon-pair", "spiral-6", "spiral-8", "spiral-10"}
+    for name in bundled_names():
+        inst = Instance(load_bundled(name))
+        coeffs = [lattice_coefficients(inst.lattice.vectors, k) for k in inst.kernel.basis]
+        assert abs(_det(coeffs)) == (2 if name == "spiral-8" else 1), name
 
 
 def test_enumerate_first_quadrant():

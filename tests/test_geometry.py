@@ -132,7 +132,8 @@ def test_triangle_count_always_matches_area(spiral3):
     inst = Instance(spiral3)
     for vector in _positive(inst)[:4]:
         for chart in _charts(inst, vector).values():
-            assert len(unit_triangulate(chart)) == triarea(chart.chain)
+            sides = [(s.length, s.direction) for s in chart.sides]
+            assert len(unit_triangulate(chart.sides[0].start, sides)) == triarea(chart.chain)
 
 
 def test_triarea_values():

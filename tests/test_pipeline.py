@@ -196,6 +196,36 @@ def test_survey_builds_no_report_fragment(monkeypatch):
     assert row["points"] > row["strictly_positive"] > 0
 
 
+SURVEY_STAGES = {"validate", "labels", "solve", "cone", "lattice", "form", "total"}
+
+
+def _no_float(text):
+    raise AssertionError(f"float {text} in the JSON")
+
+
+def _assert_microseconds(timings, keys):
+    assert set(timings) == keys
+    assert all(type(t) is int and t >= 0 for t in timings.values()), timings
+
+
+def test_timings_are_integer_microseconds(capsys):
+    # every stage lapped for a derivable instance, and validate alone for
+    # an implausible one; each lap a nonnegative int, in the library and
+    # on the CLI's stdout alike
+    spiral3, broken = gen_spiral(3), _implausible(gen_spiral(3))
+    _assert_microseconds(run_check(spiral3, max_len=2).timings, SURVEY_STAGES | {"realize"})
+    _assert_microseconds(run_check(broken, max_len=2).timings, {"validate", "total"})
+    rows = run_survey([("spiral-k3", spiral3), ("broken", broken)], max_len=2)["survey"]
+    _assert_microseconds(rows[0]["timings"], SURVEY_STAGES)
+    _assert_microseconds(rows[1]["timings"], {"validate", "total"})
+    assert main(["check", "--family", "spiral", "--k", "3", "--max-len", "2"]) == 0
+    data = json.loads(capsys.readouterr().out, parse_float=_no_float)
+    _assert_microseconds(data["timings"], SURVEY_STAGES | {"realize"})
+    assert main(["survey", "--family", "spiral", "--k-range", "3..4", "--max-len", "2"]) == 0
+    for row in json.loads(capsys.readouterr().out, parse_float=_no_float)["survey"]:
+        _assert_microseconds(row["timings"], SURVEY_STAGES)
+
+
 def test_vector_json():
     assert vector_json([Fraction(3, 6), 7]) == ["1/2", "7"]
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,6 +156,23 @@ def test_signature_invariant_under_kernel_basis_change(spiral3):
     kb2 = KernelBasis(lb.vectors, kb.rank, kb.dimension, kb.col_edges)
     sig2 = restrict_form(qf, kb2).signature
     assert sig1 == sig2 == (1, 3, 0)
+
+
+def test_restrict_form_rejects_permuted_columns(spiral3):
+    inst = Instance(spiral3)
+    qf, kb = assemble_form(spiral3, inst.boundaries), inst.kernel
+    n = len(kb.col_edges)
+    perm = [*range(1, n), 0]  # new column c reads old column perm[c]
+    cols = tuple(kb.col_edges[i] for i in perm)
+    moved = KernelBasis(tuple(tuple(v[i] for i in perm) for v in kb.basis),
+                        kb.rank, kb.dimension, cols)
+    with pytest.raises(ValueError, match="columns"):
+        restrict_form(qf, moved)
+    # permuting the form's columns the same way restricts to the same matrix
+    new = {old: c for c, old in enumerate(perm)}
+    terms = tuple((min(new[i], new[j]), max(new[i], new[j]), c) for i, j, c in qf.terms)
+    assert restrict_form(QuadraticForm(terms, cols), moved).restricted == \
+        restrict_form(qf, kb).restricted
 
 
 @given(st.integers(0, 10 ** 6))

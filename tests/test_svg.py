@@ -85,9 +85,9 @@ def test_render_net_triangulates_each_chart_once(spiral3, monkeypatch):
     want = render_net(spiral3, surface, net, triangles=True, vertex_colors=True)
     calls = []
 
-    def counting(chart):
-        calls.append(chart)
-        return unit_triangulate(chart)
+    def counting(start, sides):
+        calls.append(start)
+        return unit_triangulate(start, sides)
 
     # render_net looks the function up in mesh when it is called
     monkeypatch.setattr(mesh, "unit_triangulate", counting)
