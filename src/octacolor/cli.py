@@ -8,11 +8,12 @@ its stage's ``pipeline.*_json`` function; ``check`` and ``survey`` emit
 ``render`` import the mesh, net and SVG layers where they call them, so
 no other command loads those modules.
 
-Exit status: 0 on success; 1 on an invariant failure, on a ``check`` that
-realized no point and on an exceeded budget (``lattice`` still writes its
-report; ``check`` and ``survey`` print only the error); 2 on input errors,
-malformed option values included.  All JSON output encodes exact values
-as integer or rational strings.
+Exit status: 0 on success; 1 on an invariant failure (an
+``emg.InvariantError``), on a ``check`` that realized no point and on an
+exceeded budget (``lattice`` still writes its report; ``check`` and
+``survey`` print only the error); 2 on input errors, malformed option
+values included.  Any other exception is a bug and escapes ``main``.
+All JSON output encodes exact values as integer or rational strings.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ import os
 import sys
 
 from .cone import ENUMERATION_BUDGET, EnumerationBudgetError
-from .emg import EmgError, parse_emg, render_emg
+from .emg import EmgError, InvariantError, parse_emg, render_emg
 from .families import (ConstructionError, bundled_names, load_bundled,
                        spiral_instance)
-from .geometry import AngleError, ClosureError, GluingError
-from .labeling import BoundaryError, HolonomyError
 from .pipeline import (Instance, cone_json, form_json, labeling_json,
                        lattice_points_json, lemmas_json, matrix_json,
                        realization_json, run_check, run_survey,
@@ -58,7 +57,7 @@ def _load_instance(args) -> tuple[str, Instance]:
             raise InputError(str(exc)) from exc
     if getattr(args, "input", None):
         try:
-            with open(args.input, encoding="utf-8") as fh:
+            with open(args.input, encoding="utf-8-sig") as fh:
                 g = parse_emg(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
@@ -70,9 +69,11 @@ def _load_instance(args) -> tuple[str, Instance]:
 
 def _generate(k: int) -> Instance:
     """The gated spiral member for ``k``, the only family ``--family`` admits."""
+    if k < 3:  # checked here, so no ValueError from the gate reads as bad input
+        raise InputError("spiral parameter must be at least 3")
     try:
         return spiral_instance(k)
-    except (ConstructionError, ValueError) as exc:
+    except ConstructionError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -313,13 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mesh_errors() -> tuple[type[ValueError], ...]:
-    """The mesh's invariant failures.  An except clause evaluates this only
-    when an exception reaches it, so no command loads ``mesh`` for it."""
-    from .mesh import ColorError, MeshError
-    return MeshError, ColorError
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -335,8 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (HolonomyError, BoundaryError, ClosureError, GluingError,
-            AngleError, *_mesh_errors()) as exc:
+    except InvariantError as exc:
         print(f"invariant failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

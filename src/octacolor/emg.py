@@ -33,6 +33,11 @@ class EmgError(ValueError):
     """Structural or syntax error in an enhanced multigraph."""
 
 
+class InvariantError(ValueError):
+    """An invariant of a type or of one of its points fails.  Every verdict
+    comes from one of its subclasses; any other exception is a bug."""
+
+
 class Vertex(NamedTuple):
     id: int
     color: str  # "black" | "white"

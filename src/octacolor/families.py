@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from .emg import (BLACK, BLUE, RED, WHITE, Dart, Edge, EnhancedMultigraph,
+from .emg import (BLACK, BLUE, RED, WHITE, Dart, Edge, EnhancedMultigraph, InvariantError,
                   Vertex, check_well_formed, opposite, parse_emg, trace_faces)
 from .pipeline import Instance
 
@@ -91,7 +91,7 @@ def _is_nice(inst: Instance) -> bool:
     rank E_b - 4) and a strictly positive point of the cone."""
     try:
         derivable = inst.derivable
-    except ValueError:  # a BoundaryError
+    except InvariantError:  # a BoundaryError
         return False
     return derivable and inst.kernel.dimension == 4 and bool(inst.cone.has_positive_point)
 
@@ -230,7 +230,8 @@ def load_bundled(name: str) -> EnhancedMultigraph:
 # orientation-preserving isomorphism (for registry checks)
 
 def isomorphic(g1: EnhancedMultigraph, g2: EnhancedMultigraph) -> bool:
-    """Color- and orientation-preserving isomorphism of embedded multigraphs."""
+    """Color- and orientation-preserving isomorphism of embedded multigraphs:
+    types, and so type counts, are up to this, not up to mirror or color swap."""
     if len(g1.edges) != len(g2.edges) or len(g1.vertices) != len(g2.vertices):
         return False
     return _canonical_certificate(g1) == _canonical_certificate(g2)

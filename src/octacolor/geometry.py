@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .emg import WHITE, EnhancedMultigraph
+from .emg import WHITE, EnhancedMultigraph, InvariantError
 from .grid import DIRECTIONS, SIXTH_TURNS, GridPoint
 from .labeling import ACUTE, CORNER_UNITS, LabelMap, PolygonBoundary
 
@@ -43,15 +43,15 @@ from .labeling import ACUTE, CORNER_UNITS, LabelMap, PolygonBoundary
 _new = tuple.__new__  # builds a record without its named tuple constructor
 
 
-class ClosureError(ValueError):
+class ClosureError(InvariantError):
     """A length vector does not satisfy the closure system."""
 
 
-class GluingError(ValueError):
+class GluingError(InvariantError):
     """Folded polygon placements disagree across a shared edge or vertex."""
 
 
-class AngleError(ValueError):
+class AngleError(InvariantError):
     """Interior angles around a vertex fail to close up."""
 
 
@@ -315,7 +315,7 @@ def place_surface(frame: SurfaceFrame, charts: dict[int, PolygonChart]) -> Reali
         sides = []
         for eid, (x, y), k, ell in chart_sides:
             x, y = x + sx, y + sy
-            if (x - y) % 2:
+            if (x - y) % 2:  # a bug: walked charts start at 0 and step along the lattice
                 raise ValueError(f"{GridPoint(x, y)} is not a lattice point")
             start = _new(GridPoint, ((a * x + b * y) // 2, (c * x + d * y) // 2))
             sides.append(_new(SideRecord, (eid, start, (k - delta) % 6, ell)))

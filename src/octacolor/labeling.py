@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .emg import BLUE, WHITE, EnhancedMultigraph, FaceSet, trace_faces
+from .emg import BLUE, WHITE, EnhancedMultigraph, FaceSet, InvariantError, trace_faces
 
 ACUTE = "acute"
 OBTUSE = "obtuse"
@@ -28,11 +28,11 @@ OBTUSE = "obtuse"
 CORNER_UNITS = {ACUTE: 1, OBTUSE: 2}
 
 
-class BoundaryError(ValueError):
+class BoundaryError(InvariantError):
     """Polygon boundary structure inconsistent with a nice polygon."""
 
 
-class HolonomyError(ValueError):
+class HolonomyError(InvariantError):
     """Label propagation assigned two different exponents to one edge."""
 
 

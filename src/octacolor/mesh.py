@@ -27,18 +27,18 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .emg import WHITE
+from .emg import WHITE, InvariantError
 from .grid import DIRECTIONS, GridPoint, signed_triarea
 
 if TYPE_CHECKING:
     from .geometry import PolygonChart, RealizedSurface
 
 
-class MeshError(ValueError):
+class MeshError(InvariantError):
     """Glued unit triangulations do not form a closed sphere."""
 
 
-class ColorError(ValueError):
+class ColorError(InvariantError):
     """A folded vertex image is not a lattice point."""
 
 
@@ -104,9 +104,9 @@ def _row_scan(start: GridPoint, sides: list[tuple[int, int]]):
     l1 <= x - 1, x + 1 <= r1; both triples are sorted as written.  A strip
     is (y, up, down, s): with s = (l0 + 1 - l1) / 2, point x + 1 of row
     y + 1 has index i + s when x has index i in row y, and ``up`` and
-    ``down`` are the ranges of i.  Raises ValueError on a chain that is
-    not convex with sixth-turn corners and MeshError when the count
-    differs from the chain's shoelace area.
+    ``down`` are the ranges of i.  Raises MeshError when the count differs
+    from the chain's shoelace area, and ValueError (a bug: ``walk_polygons``
+    raises ClosureError first) on a chain not convex with sixth-turn corners.
     """
     k = len(sides)
     turns = {(sides[(i + 1) % k][1] - sides[i][1]) % 6 for i in range(k)}

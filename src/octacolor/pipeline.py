@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays,
                    lattice_basis, restrict_to_kernel)
-from .emg import EnhancedMultigraph, trace_faces, validate_plausible
+from .emg import EnhancedMultigraph, InvariantError, trace_faces, validate_plausible
 from .geometry import (cone_point_coordinates, development_plan, place_surface, surface_frame,
                        walk_polygons)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
@@ -39,7 +39,7 @@ from .qform import assemble_form, restrict_form, verify_triangle_identity
 from .shapesys import build_constraints, kernel_basis, verify_lemmas
 
 
-class ConePointError(ValueError):
+class ConePointError(InvariantError):
     """A realized point's cone points differ from its type's map, or the
     type has no map."""
 
@@ -135,11 +135,11 @@ class Instance:
         total = [sum(col) for col in zip(*self.cone.extreme_rays)]
         n = 1 + max(abs(x) for v in vectors for x in v)
         base = [n * sum(map(mul, total, col)) for col in zip(*self.kernel.basis)]
+        coeffs = lattice_coefficients(vectors, base)
         try:
             at = [_cone_points(self.develop(v))
                   for v in (base, *([x + y for x, y in zip(base, b)] for b in vectors))]
-            coeffs = lattice_coefficients(vectors, base)
-        except ValueError:
+        except InvariantError:
             return None
         matrix = tuple(zip(*([x - y for x, y in zip(p, at[0])] for p in at[1:])))
         return matrix if _apply(matrix, coeffs) == at[0] else None
@@ -166,7 +166,7 @@ def lattice_coefficients(vectors, point) -> list[int]:
     for row in vectors:
         p = next(j for j, x in enumerate(row) if x)
         c, r = divmod(point[p] - sum(a * v[p] for a, v in zip(coeffs, vectors)), row[p])
-        if r:
+        if r:  # never from the chain, whose points and N s lie in the lattice
             raise ValueError(f"{list(point)} is not a point of the lattice")
         coeffs.append(c)
     return coeffs
@@ -365,7 +365,7 @@ def _check_realization(inst: Instance, vector) -> dict:
             raise ConePointError(f"cone points {list(got)} differ from the map's {list(want)}")
         tri = four_color(build_triangulation(surface))
         identity = verify_triangle_identity(inst.form, vector, tri)
-    except ValueError as exc:
+    except InvariantError as exc:
         entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry
     return {**entry, "triangles": identity.triangle_count,

@@ -464,6 +464,91 @@ def test_check_on_mutated_bundled_reports_every_failure(emg_path, text):
         assert main(["check", "--input", str(emg_path), "--max-len", "2"]) in (0, 1, 2)
 
 
+# every stage subcommand but check, with --max-len where it takes one
+FUZZED_COMMANDS = {"validate": [], "labels": [], "solve": [], "rays": [],
+                   "lattice": ["--max-len", "2"], "realize": ["--max-len", "2"], "qform": [],
+                   "render": ["--max-len", "2"]}
+
+
+@pytest.mark.parametrize("command", list(FUZZED_COMMANDS))
+@settings(max_examples=25, deadline=None)
+@given(text=rotated_or_recolored_bundled_emg())
+def test_stage_commands_on_mutated_bundled_report_every_failure(emg_path, command, text):
+    # a traceback escapes main and fails the test
+    emg_path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, "--input", str(emg_path), *FUZZED_COMMANDS[command]]) in (0, 1, 2)
+
+
+def _json_without_timings(out: str) -> dict:
+    data = json.loads(out)
+    data.pop("timings", None)
+    return data
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_byte_order_mark_is_ignored(tmp_path, capsys, name):
+    # one basename in two directories, so both runs name the instance alike
+    text = render_emg(load_bundled(name))
+    paths = []
+    for folder, prefix in (("plain", ""), ("marked", "\ufeff")):
+        path = tmp_path / folder / f"{name}.emg"
+        path.parent.mkdir()
+        path.write_text(prefix + text, encoding="utf-8")
+        paths.append(str(path))
+    assert open(paths[1], "rb").read(3) == b"\xef\xbb\xbf"
+    for command in ("validate", "check"):
+        (code, out, err), (code_bom, out_bom, err_bom) = (run(capsys, command, "--input", path)
+                                                          for path in paths)
+        assert (code_bom, err_bom) == (code, err) and err == ""
+        assert _json_without_timings(out_bom) == _json_without_timings(out)
+
+
+@pytest.fixture(scope="module")
+def recolored_spiral6(tmp_path_factory):
+    """spiral-6 with vertex 0 recoloured from black to white: implausible,
+    and its labels meet a holonomy conflict."""
+    lines = render_emg(load_bundled("spiral-6")).splitlines(keepends=True)
+    lines[lines.index("vertex 0 B\n")] = "vertex 0 W\n"
+    path = tmp_path_factory.mktemp("recolored") / "spiral-6.emg"
+    path.write_text("".join(lines), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+def test_invariant_failure_end_to_end(capsys, recolored_spiral6, command):
+    code, out, err = run(capsys, command, "--input", recolored_spiral6, *GOLDEN_COMMANDS[command])
+    assert code == 1
+    if command not in ("validate", "labels", "check"):
+        assert (out, err) == ("", "invariant failure: HolonomyError: "
+                                  "polygon 3 receives frame constants 3 and 5\n")
+        return
+    data = json.loads(out)
+    assert err == ""
+    if command == "validate":
+        assert (data["instance"], data["plausible"]) == ("spiral-6.emg", False)
+    elif command == "labels":
+        assert data == {"instance": "spiral-6.emg", "consistent": False,
+                        "error": "polygon 3 receives frame constants 3 and 5"}
+    else:  # an implausible instance stops before its labels
+        assert data["instance"]["name"] == "spiral-6.emg"
+        assert (data["ok"], data["validation"]["plausible"], data["labeling"]) == (False, False, {})
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (pipeline, "polygon_boundaries", ["gen", "--family", "spiral", "--k", "5"]),
+    (mesh, "build_triangulation", ["check", "--bundled", "hexagon-pair", "--max-len", "2"]),
+    (mesh, "build_triangulation", ["realize", "--bundled", "hexagon-pair", "--point", "0"]),
+], ids=["gen", "check", "realize"])
+def test_a_plain_value_error_escapes_main(monkeypatch, module, name, argv):
+    # a bug, not a verdict on the input: no exit code may stand for it
+    def fail(*args):
+        raise ValueError("planted bug")
+    monkeypatch.setattr(module, name, fail)
+    with pytest.raises(ValueError, match="^planted bug$"):
+        main(argv)
+
+
 SLOW_IMPORTS = ("dataclasses", "inspect", "importlib.resources", "tempfile")
 
 

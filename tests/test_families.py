@@ -1,10 +1,11 @@
 import pytest
 
-from octacolor import families
+from octacolor import families, pipeline
 from octacolor.cli import main
 from octacolor.emg import render_emg, validate_plausible
 from octacolor.families import (ConstructionError, bundled_names, gen_spiral,
                                 isomorphic, load_bundled, _spiral_cell)
+from octacolor.labeling import BoundaryError
 from octacolor.pipeline import Instance, run_survey
 from spiral_search import complete_cell
 
@@ -97,6 +98,23 @@ def test_spiral_gate_failure_raises(monkeypatch, capsys):
             assert out == "" and "validation gate" in err
     finally:
         gen_spiral.cache_clear()
+
+
+def test_a_plain_value_error_escapes_the_gate(monkeypatch):
+    # a bug in a stage the gate reads is not a completion that fails it
+    def fail(*args):
+        raise ValueError("planted")
+    monkeypatch.setattr(pipeline, "polygon_boundaries", fail)
+    with pytest.raises(ValueError, match="^planted$"):
+        families.spiral_instance(5)
+
+
+def test_a_boundary_error_fails_the_gate(monkeypatch):
+    def fail(*args):
+        raise BoundaryError("planted")
+    monkeypatch.setattr(pipeline, "polygon_boundaries", fail)
+    with pytest.raises(ConstructionError, match="spiral k=5 completion fails the validation gate"):
+        families.spiral_instance(5)
 
 
 @pytest.mark.parametrize("k", (12, 16, 20))

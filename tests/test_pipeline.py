@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import lattice_oracle
 import rational_linalg
-from octacolor import emg, pipeline
+from octacolor import emg, geometry, labeling, mesh, pipeline
 from octacolor.cli import main
 from octacolor.emg import EnhancedMultigraph
 from octacolor.families import bundled_names, gen_spiral, load_bundled
@@ -345,3 +345,41 @@ def test_check_records_a_holonomy_failure_per_point(monkeypatch, hexpair):
 @example(2 ** 70 + 1, -(2 ** 70))
 def test_grid_point_json_halves_like_fraction(x, y):
     assert grid_point_json(GridPoint(x, y)) == {"x": str(Fraction(x, 2)), "ys3": str(Fraction(y, 2))}
+
+
+def test_every_invariant_failure_is_an_invariant_error():
+    classes = (labeling.BoundaryError, labeling.HolonomyError, geometry.ClosureError,
+               geometry.GluingError, geometry.AngleError, mesh.MeshError, mesh.ColorError,
+               pipeline.ConePointError)
+    assert all(issubclass(cls, emg.InvariantError) for cls in classes)
+    assert issubclass(emg.InvariantError, ValueError)
+
+
+def _planted(error):
+    def fail(*args):
+        raise error("planted")
+    return fail
+
+
+@pytest.mark.parametrize("error", [mesh.MeshError, ValueError], ids=["MeshError", "ValueError"])
+def test_only_an_invariant_failure_in_the_mesh_is_a_verdict(monkeypatch, hexpair, error):
+    monkeypatch.setattr(mesh, "build_triangulation", _planted(error))
+    if error is ValueError:  # a bug escapes check
+        with pytest.raises(ValueError, match="^planted$"):
+            run_check(hexpair, max_len=2)
+        return
+    report = run_check(hexpair, max_len=2)
+    assert report.realizations and not report.ok
+    assert all(entry["error"] == "MeshError: planted" for entry in report.realizations)
+
+
+@pytest.mark.parametrize("error", [geometry.GluingError, ValueError],
+                         ids=["GluingError", "ValueError"])
+def test_only_an_invariant_failure_leaves_no_cone_points_map(monkeypatch, error):
+    monkeypatch.setattr(Instance, "develop", _planted(error))
+    inst = Instance(load_bundled("spiral-6"))
+    if error is ValueError:  # a bug escapes the map
+        with pytest.raises(ValueError, match="^planted$"):
+            inst.cone_points_map
+        return
+    assert inst.cone_points_map is None
