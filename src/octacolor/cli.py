@@ -50,11 +50,8 @@ def _load_instance(args) -> tuple[str, Instance]:
             raise InputError("--family spiral requires --k")
         inst = _generate(args.k)
         return f"spiral-k{args.k}", inst if seed_flag is None else Instance(inst.g, seed_flag)
-    if getattr(args, "bundled", None):
-        try:
-            return args.bundled, Instance(load_bundled(args.bundled), seed_flag)
-        except KeyError as exc:
-            raise InputError(str(exc)) from exc
+    if getattr(args, "bundled", None):  # argparse admits only bundled names
+        return args.bundled, Instance(load_bundled(args.bundled), seed_flag)
     if getattr(args, "input", None):
         try:
             with open(args.input, encoding="utf-8-sig") as fh:
@@ -125,11 +122,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_labels(args) -> int:
     name, inst = _load_instance(args)
-    inst.boundaries  # a BoundaryError is an invariant failure, not bad input
-    try:
-        labeling = labeling_json(inst)
-    except ValueError as exc:  # a seed flag that is not an incident pair
-        raise InputError(str(exc)) from exc
+    sides = {b.vertex_id: b.sides for b in inst.boundaries}
+    flag = inst.seed_flag
+    if flag is not None and flag[1] not in sides.get(flag[0], ()):
+        raise InputError(f"seed flag {flag} is not an incident (vertex, edge) pair")
+    labeling = labeling_json(inst)
     _emit_json(args, {"instance": name, **labeling})
     return 0 if labeling["consistent"] else 1
 

@@ -214,14 +214,18 @@ class Face(NamedTuple):
 
 
 class FaceSet(NamedTuple):
-    """The blue faces, indexed by trace order, and two maps read off the
+    """The blue faces, indexed by trace order, and three maps read off the
     trace: ``corner_owner`` sends a blue dart to the face owning the corner
-    counterclockwise after it, and ``contained_reds`` sends each face that
-    holds red edges, in face order, to their ids in ascending order."""
+    counterclockwise after it, ``contained_reds`` sends each face that
+    holds red edges, in face order, to their ids in ascending order, and
+    ``red_corners`` sends each blue dart whose corner holds a red dart to
+    the rotation's darts from it to the next blue dart, both included (the
+    same dart at both ends when it is its vertex's only blue dart)."""
     faces: tuple[Face, ...]
     corner_owner: dict[Dart, int]
     euler_characteristic: int
     contained_reds: dict[int, tuple[int, ...]]
+    red_corners: dict[Dart, tuple[Dart, ...]]
 
     def by_kind(self, kind: str) -> list[Face]:
         return [f for f in self.faces if f.kind == kind]
@@ -233,16 +237,21 @@ def trace_faces(g: EnhancedMultigraph) -> FaceSet:
     The facial walk leaves a vertex by a dart, crosses to the dart's other
     end, and turns to the next blue dart counterclockwise.  Orbits of this
     rule partition the blue darts; each orbit is one face.  A red edge lies
-    in a face when the blue darts clockwise-before both its ends open
-    corners of that face.
+    in a face when the corners holding both its ends belong to that face.
     """
     emap = g.edge_map()
     keep = {eid for eid, e in emap.items() if e.color == BLUE}
     succ: dict[Dart, Dart] = {}
+    red_corners: dict[Dart, tuple[Dart, ...]] = {}
     for vid, rot in g.rotations:
-        filtered = [d for d in rot if d[0] in keep]
-        for i, d in enumerate(filtered):
-            succ[d] = filtered[(i + 1) % len(filtered)]
+        blue_at = [i for i, d in enumerate(rot) if d[0] in keep]
+        if not blue_at:
+            continue
+        twice = rot + rot
+        for i, j in zip(blue_at, blue_at[1:] + [blue_at[0] + len(rot)]):
+            succ[rot[i]] = twice[j]
+            if j > i + 1:
+                red_corners[rot[i]] = twice[i:j + 1]
 
     def next_dart(d: Dart) -> Dart:
         return succ[opposite(d)]
@@ -271,30 +280,15 @@ def trace_faces(g: EnhancedMultigraph) -> FaceSet:
     active_vertices = {emap[eid].endpoint(end) for eid, end in succ}
     euler = len(active_vertices) - len(keep) + len(faces)
 
-    rot_of = g.rotation_map()
+    red_owner = {red: owner[d] for d, corner in red_corners.items() for red in corner[1:-1]}
     per_face: dict[int, list[int]] = {f.id: [] for f in faces}
     for e in g.red_edges():
-        owners = []
-        for end in (0, 1):
-            dart = (e.id, end)
-            vid = emap[e.id].endpoint(end)
-            rot = rot_of[vid]
-            pos = rot.index(dart)
-            prev_blue = None
-            for step in range(1, len(rot) + 1):
-                cand = rot[(pos - step) % len(rot)]
-                if cand[0] in keep:
-                    prev_blue = cand
-                    break
-            if prev_blue is None:
-                owners = []
-                break
-            owners.append(owner[prev_blue])
-        if len(owners) == 2 and owners[0] == owners[1]:
-            per_face[owners[0]].append(e.id)
+        fid = red_owner.get((e.id, 0))
+        if fid is not None and fid == red_owner.get((e.id, 1)):
+            per_face[fid].append(e.id)
     contained = {fid: tuple(sorted(eids)) for fid, eids in per_face.items() if eids}
 
-    return FaceSet(tuple(faces), owner, euler, contained)
+    return FaceSet(tuple(faces), owner, euler, contained, red_corners)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +373,7 @@ def validate_plausible(g: EnhancedMultigraph, faces: FaceSet | None = None) -> V
             findings.append(Finding(RULE_RED_PLACEMENT, "error",
                                     f"red edge {red_edge.id} in face {f.id} is parallel to none of its blue edges"))
             continue
-        if not _red_adjacent_to_parallel(g, rot_of, red_edge, parallels):
+        if not _red_adjacent_to_parallel(blue_faces.red_corners, f, red_edge, parallels):
             findings.append(Finding(RULE_RED_PLACEMENT, "error",
                                     f"red edge {red_edge.id} is not adjacent to its parallel blue edge in the rotation"))
     for e in red:
@@ -414,19 +408,14 @@ def validate_plausible(g: EnhancedMultigraph, faces: FaceSet | None = None) -> V
     return ValidationReport(plausible, tuple(findings), counts)
 
 
-def _red_adjacent_to_parallel(g, rot_of, red_edge, parallels) -> bool:
+def _red_adjacent_to_parallel(red_corners, face, red_edge, parallels) -> bool:
     """The red edge's darts must sit immediately next to the darts of one
-    parallel blue edge in the rotations at both shared endpoints."""
-    for blue_edge in parallels:
-        ok = True
-        for vid in {red_edge.a, red_edge.b}:
-            rot = rot_of[vid]
-            red_positions = [i for i, d in enumerate(rot) if d[0] == red_edge.id]
-            blue_positions = [i for i, d in enumerate(rot) if d[0] == blue_edge.id]
-            n = len(rot)
-            if not any((rp - bp) % n in (1, n - 1) for rp in red_positions for bp in blue_positions):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    parallel blue edge in the rotations at both shared endpoints.  Both
+    darts lie in corners of ``face``, the quadrilateral holding the edge."""
+    beside = {red_edge.a: set(), red_edge.b: set()}  # edge ids next to its darts there
+    for out in face.darts:
+        corner = red_corners.get(opposite(out), ())
+        for before, d, after in zip(corner, corner[1:], corner[2:]):
+            if d[0] == red_edge.id:
+                beside[red_edge.endpoint(d[1])].update((before[0], after[0]))
+    return any(all(b.id in near for near in beside.values()) for b in parallels)

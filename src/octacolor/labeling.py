@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .emg import BLUE, WHITE, EnhancedMultigraph, FaceSet, InvariantError, trace_faces
+from .emg import WHITE, EnhancedMultigraph, FaceSet, InvariantError, trace_faces
 
 ACUTE = "acute"
 OBTUSE = "obtuse"
@@ -51,43 +51,42 @@ class PolygonBoundary(NamedTuple):
 
 def polygon_boundaries(g: EnhancedMultigraph, faces: FaceSet | None = None) -> list[PolygonBoundary]:
     """Boundary structure of every polygon, sorted by vertex id; ``faces``
-    is ``trace_faces(g)``, traced here when not given.
+    is ``trace_faces(g)``, traced here when not given.  The sides are the
+    blue darts, read as the keys of ``faces.corner_owner``.
 
     The corner between consecutive blue darts is acute exactly when one red
-    dart lies between them in the rotation; two or more is a structural
-    error.  The one counting rule is k + n_acute == 6 for k sides: it is
+    dart lies between them in the rotation, as ``faces.red_corners``
+    records it; two or more is a structural error.  The one counting rule is k + n_acute == 6 for k sides: it is
     the interior angle sum of a convex k-gon in sixth turns (2k - n_acute
     == 3(k - 2)), and it makes the slot walk fill the six slots.  Slots walk
     the corner sequence, skipping one empty slot at each acute corner,
     anchored for determinism at a side flanked by two acute corners when
     one exists, else at the smallest edge id.
     """
-    corner_of = (faces if faces is not None else trace_faces(g)).corner_owner
-    emap = g.edge_map()
+    if faces is None:
+        faces = trace_faces(g)
+    corner_of = faces.corner_owner
+    red_corners = faces.red_corners
     vmap = g.vertex_map()
     out = []
     for vid, rot in sorted(g.rotations):
-        blue_pos = [i for i, d in enumerate(rot) if emap[d[0]].color == BLUE]
-        if not blue_pos:
+        darts = [d for d in rot if d in corner_of]  # the blue darts
+        if not darts:
             raise BoundaryError(f"vertex {vid} has no blue sides")
-        n = len(rot)
-        k = len(blue_pos)
+        k = len(darts)
         corners = []
-        for j in range(k):
-            lo, hi = blue_pos[j], blue_pos[(j + 1) % k]
-            gap = (hi - lo) % n if k > 1 else n
-            n_red = gap - 1 if k > 1 else n - 1
+        for d in darts:
+            n_red = len(red_corners[d]) - 2 if d in red_corners else 0
             if n_red == 0:
                 corners.append(OBTUSE)
             elif n_red == 1:
                 corners.append(ACUTE)
             else:
-                raise BoundaryError(f"vertex {vid}: corner after side {rot[lo]} holds {n_red} red darts")
+                raise BoundaryError(f"vertex {vid}: corner after side {d} holds {n_red} red darts")
         n_acute = corners.count(ACUTE)
         if k + n_acute != 6:
             raise BoundaryError(f"vertex {vid}: {k} sides and {n_acute} acute corners do not fill 6 slots")
 
-        darts = [rot[i] for i in blue_pos]
         side_edges = [d[0] for d in darts]
         start = _anchor_index(side_edges, corners)
         darts = darts[start:] + darts[:start]
@@ -100,9 +99,9 @@ def polygon_boundaries(g: EnhancedMultigraph, faces: FaceSet | None = None) -> l
             slots.append(slot)
             slot += 2 if corners[j] == ACUTE else 1
 
-        faces = tuple(corner_of[d] for d in darts)
         out.append(PolygonBoundary(vid, vmap[vid].color, tuple(side_edges),
-                                   tuple(corners), faces, tuple(slots)))
+                                   tuple(corners), tuple(corner_of[d] for d in darts),
+                                   tuple(slots)))
     return out
 
 

@@ -405,6 +405,18 @@ def test_malformed_input_exits_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_seed_flag_not_incident_names_the_flag(capsys):
+    code, out, err = run(capsys, "labels", "--bundled", "hexagon-pair", "--seed-flag", "0:99")
+    assert (code, out, err) == (2, "", "error: seed flag (0, 99) is not an incident (vertex, edge) pair\n")
+
+
+def test_unknown_bundled_name_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--bundled", "nope"])
+    assert exc.value.code == 2
+    assert "argument --bundled: invalid choice: 'nope'" in capsys.readouterr().err
+
+
 def test_split_rotation_record_exits_2(tmp_path, capsys):
     path = tmp_path / "split.emg"
     path.write_text(render_emg(load_bundled("hexagon-pair")).replace("rot 0 0:0 1:0 2:0 3:0 4:0 5:0",
@@ -539,7 +551,8 @@ def test_invariant_failure_end_to_end(capsys, recolored_spiral6, command):
     (pipeline, "polygon_boundaries", ["gen", "--family", "spiral", "--k", "5"]),
     (mesh, "build_triangulation", ["check", "--bundled", "hexagon-pair", "--max-len", "2"]),
     (mesh, "build_triangulation", ["realize", "--bundled", "hexagon-pair", "--point", "0"]),
-], ids=["gen", "check", "realize"])
+    (pipeline, "assign_labels", ["labels", "--bundled", "hexagon-pair"]),
+], ids=["gen", "check", "realize", "labels"])
 def test_a_plain_value_error_escapes_main(monkeypatch, module, name, argv):
     # a bug, not a verdict on the input: no exit code may stand for it
     def fail(*args):

@@ -1,15 +1,17 @@
 import contextlib
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octacolor.cli import main
-from octacolor.emg import (BLUE, WHITE, BLACK, EmgError, EnhancedMultigraph,
+from octacolor.emg import (BLUE, RED, WHITE, BLACK, EmgError, EnhancedMultigraph,
                            Edge, Vertex, check_well_formed, parse_emg, render_emg,
                            trace_faces, validate_plausible)
 from octacolor.families import bundled_names, load_bundled
+from octacolor.labeling import BoundaryError, polygon_boundaries
 
 MINIMAL = """
 # smallest well-formed input
@@ -110,6 +112,85 @@ def test_face_multiset_invariant_under_rotation_shift(seed):
     orig = sorted(sorted(f.edge_ids()) for f in trace_faces(g).faces)
     new = sorted(sorted(f.edge_ids()) for f in trace_faces(shifted).faces)
     assert orig == new
+
+
+@st.composite
+def swapped_or_edge_recolored_bundled(draw):
+    """A bundled instance with a few rotation entries swapped within their
+    vertex or a few edges recoloured between blue and red."""
+    g = load_bundled(draw(st.sampled_from(bundled_names())))
+    edges = list(g.edges)
+    rots = [list(rot) for _, rot in g.rotations]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            rot = draw(st.sampled_from(rots))
+            i, j = draw(st.lists(st.integers(0, len(rot) - 1), min_size=2, max_size=2, unique=True))
+            rot[i], rot[j] = rot[j], rot[i]
+        else:
+            i = draw(st.integers(0, len(edges) - 1))
+            edges[i] = edges[i]._replace(color=RED if edges[i].color == BLUE else BLUE)
+    rotations = tuple((vid, tuple(rot)) for (vid, _), rot in zip(g.rotations, rots))
+    return g._replace(edges=tuple(edges), rotations=rotations)
+
+
+def _walked_red_corners(g):
+    """Each blue dart's corner found by stepping counterclockwise from it
+    to the next blue dart, kept when it holds a red dart."""
+    blue = {e.id for e in g.blue_edges()}
+    out = {}
+    for _, rot in g.rotations:
+        n = len(rot)
+        for i, dart in enumerate(rot):
+            if dart[0] not in blue:
+                continue
+            corner = [dart]
+            step = 1
+            while rot[(i + step) % n][0] not in blue:
+                corner.append(rot[(i + step) % n])
+                step += 1
+            corner.append(rot[(i + step) % n])
+            if len(corner) > 2:
+                out[dart] = tuple(corner)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(swapped_or_edge_recolored_bundled())
+def test_red_corners_match_a_walk_of_each_rotation(g):
+    red_corners = trace_faces(g).red_corners
+    assert red_corners == _walked_red_corners(g)
+    held = Counter(d for corner in red_corners.values() for d in corner[1:-1])
+    blue = {e.id for e in g.blue_edges()}
+    for _, rot in g.rotations:
+        if any(d[0] in blue for d in rot):
+            assert all(held[d] == 1 for d in rot if d[0] not in blue)
+
+
+def _spiral6_with_red(eids):
+    g = load_bundled("spiral-6")
+    return g._replace(edges=tuple(e._replace(color=RED) if e.id in eids else e for e in g.edges))
+
+
+def test_a_corner_with_two_red_darts():
+    g = _spiral6_with_red({102})
+    faces = trace_faces(g)
+    assert faces.red_corners[(104, 0)] == ((104, 0), (117, 1), (102, 1), (109, 0))
+    with pytest.raises(BoundaryError, match=r"^vertex 0: corner after side \(104, 0\) holds 2 red darts$"):
+        polygon_boundaries(g, faces)
+    assert [f.message for f in validate_plausible(g, faces).findings[:3]] == [
+        "blue face 0 has 6 sides, expected 2 or 4",
+        "red edge 102 lies in no quadrilateral face",
+        "red edge 114 lies in no quadrilateral face"]
+
+
+def test_a_vertex_with_no_blue_dart():
+    g = _spiral6_with_red({e.id for e in load_bundled("spiral-6").blue_edges() if 0 in e.endpoints})
+    faces = trace_faces(g)
+    assert not any(d in faces.red_corners for d in dict(g.rotations)[0])
+    assert faces.contained_reds == {0: (114, 115), 1: (116,)}
+    with pytest.raises(BoundaryError, match="^vertex 0 has no blue sides$"):
+        polygon_boundaries(g, faces)
+    assert len(validate_plausible(g, faces).findings) == 11
 
 
 def test_validate_spiral3(spiral3):
