@@ -16,7 +16,7 @@ package, or one command of ``octacolor.cli``, loads only what it uses.
 _EXPORTS = {
     "cone": ("ConeDescription", "EnumerationBudgetError", "LatticeBasis", "LatticePoint",
              "enumerate_lattice_points", "extreme_rays", "lattice_basis", "restrict_to_kernel"),
-    "emg": ("EnhancedMultigraph", "Edge", "EmgError", "Face", "FaceSet", "Finding",
+    "emg": ("EnhancedMultigraph", "Edge", "EmgError", "Face", "FaceSet", "Finding", "InputError",
             "ValidationReport", "Vertex", "parse_emg", "render_emg", "trace_faces",
             "validate_plausible"),
     "families": ("ConstructionError", "bundled_names", "gen_spiral", "isomorphic",

@@ -8,12 +8,13 @@ its stage's ``pipeline.*_json`` function; ``check`` and ``survey`` emit
 ``render`` import the mesh, net and SVG layers where they call them, so
 no other command loads those modules.
 
-Exit status: 0 on success; 1 on an invariant failure (an
-``emg.InvariantError``), on a ``check`` that realized no point and on an
+Exit status, by the library's three outcomes: 2 on an input error (an
+``emg.InputError``, the CLI's own parse errors included); 1 on a verdict
+(an ``emg.InvariantError``, or a ``check`` that realized no point) or an
 exceeded budget (``lattice`` still writes its report; ``check`` and
-``survey`` print only the error); 2 on input errors, malformed option
-values included.  Any other exception is a bug and escapes ``main``.
-All JSON output encodes exact values as integer or rational strings.
+``survey`` print only the error); any other exception, a plain
+``ValueError`` included, is a bug and escapes ``main``.  All JSON output
+encodes exact values as integer or rational strings.
 """
 
 from __future__ import annotations
@@ -24,17 +25,12 @@ import os
 import sys
 
 from .cone import ENUMERATION_BUDGET, EnumerationBudgetError
-from .emg import EmgError, InvariantError, parse_emg, render_emg
-from .families import (ConstructionError, bundled_names, load_bundled,
-                       spiral_instance)
+from .emg import EmgError, InputError, InvariantError, parse_emg, render_emg
+from .families import bundled_names, load_bundled, spiral_instance
 from .pipeline import (Instance, cone_json, form_json, labeling_json,
                        lattice_points_json, lemmas_json, matrix_json,
                        realization_json, run_check, run_survey,
                        system_json, validation_json)
-
-
-class InputError(Exception):
-    pass
 
 
 def _load_instance(args) -> tuple[str, Instance]:
@@ -48,7 +44,7 @@ def _load_instance(args) -> tuple[str, Instance]:
     if getattr(args, "family", None):
         if args.k is None:
             raise InputError("--family spiral requires --k")
-        inst = _generate(args.k)
+        inst = spiral_instance(args.k)
         return f"spiral-k{args.k}", inst if seed_flag is None else Instance(inst.g, seed_flag)
     if getattr(args, "bundled", None):  # argparse admits only bundled names
         return args.bundled, Instance(load_bundled(args.bundled), seed_flag)
@@ -62,16 +58,6 @@ def _load_instance(args) -> tuple[str, Instance]:
             raise InputError(f"{args.input}: {exc}") from exc
         return os.path.basename(args.input), Instance(g, seed_flag)
     raise InputError("no instance given; use --input, --family, or --bundled")
-
-
-def _generate(k: int) -> Instance:
-    """The gated spiral member for ``k``, the only family ``--family`` admits."""
-    if k < 3:  # checked here, so no ValueError from the gate reads as bad input
-        raise InputError("spiral parameter must be at least 3")
-    try:
-        return spiral_instance(k)
-    except ConstructionError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _seed_flag(text: str | None) -> tuple[int, int] | None:
@@ -122,10 +108,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_labels(args) -> int:
     name, inst = _load_instance(args)
-    sides = {b.vertex_id: b.sides for b in inst.boundaries}
-    flag = inst.seed_flag
-    if flag is not None and flag[1] not in sides.get(flag[0], ()):
-        raise InputError(f"seed flag {flag} is not an incident (vertex, edge) pair")
     labeling = labeling_json(inst)
     _emit_json(args, {"instance": name, **labeling})
     return 0 if labeling["consistent"] else 1
@@ -168,8 +150,6 @@ def _select_point(args, inst: Instance) -> tuple[int, ...]:
     except ValueError:
         raise InputError(f"--point must be an index or a comma vector, got {text!r}") from None
     if "," in text:
-        if len(vec) != len(inst.kernel.col_edges):
-            raise InputError(f"--point vector needs {len(inst.kernel.col_edges)} entries")
         if min(vec) < 1:
             raise InputError("--point vector must be strictly positive")
         if not inst.system.solves(vec):
@@ -208,7 +188,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _emit(args, render_emg(_generate(args.k).g))
+    _emit(args, render_emg(spiral_instance(args.k).g))
     return 0
 
 
@@ -227,13 +207,9 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _cmd_survey(args) -> int:
-    def instances():  # each k is gated only when its row is due
-        for k in _parse_k_range(args.k_range):
-            try:
-                yield f"spiral-k{k}", _generate(k)
-            except InputError as exc:
-                raise InputError(f"k={k}: {exc}") from exc
-    _emit_json(args, run_survey(instances(), max_len=args.max_len, budget=args.budget))
+    # each k is gated only when its row is due
+    instances = ((f"spiral-k{k}", spiral_instance(k)) for k in _parse_k_range(args.k_range))
+    _emit_json(args, run_survey(instances, max_len=args.max_len, budget=args.budget))
     return 0
 
 
@@ -320,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "budget", 0) < 0:
             raise InputError(f"--budget must be >= 0, got {args.budget}")
         return args.fn(args)
-    except (InputError, EmgError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationBudgetError as exc:

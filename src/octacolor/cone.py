@@ -27,6 +27,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from . import linalg
+from .emg import InputError
 from .shapesys import KernelBasis
 
 
@@ -195,10 +196,10 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
     are copies of one working vector stepped by v_{d-1} on every moving
     edge, so a point costs work in the nonzeros of v_{d-1}, and nothing is
     filtered afterwards.  More than ``budget`` candidates raise
-    EnumerationBudgetError.
+    EnumerationBudgetError, and a negative bound InputError.
     """
     if bound < 0:
-        raise ValueError("bound must be >= 0")
+        raise InputError(f"bound must be >= 0, got {bound}")
     d = lb.dimension
     n = len(lb.col_edges)
     if d == 0:

@@ -15,6 +15,11 @@ File format (UTF-8, line based, ``#`` comments)::
 The rotation line lists every dart at the vertex in counterclockwise order.
 The canonical serializer emits vertices, edges and rotations in ascending id
 order, one record per line.
+
+Library errors have three outcomes: ``InputError`` for a caller's input
+outside the library's domain (``EmgError`` and ``families.ConstructionError``
+are its subclasses), ``InvariantError`` or ``cone.EnumerationBudgetError``
+for a verdict on valid input, and any other exception for a bug.
 """
 
 from __future__ import annotations
@@ -29,7 +34,11 @@ BLUE = "blue"
 RED = "red"
 
 
-class EmgError(ValueError):
+class InputError(ValueError):
+    """A caller's input or argument outside the library's domain, named in the message."""
+
+
+class EmgError(InputError):
     """Structural or syntax error in an enhanced multigraph."""
 
 

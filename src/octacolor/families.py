@@ -26,12 +26,12 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from .emg import (BLACK, BLUE, RED, WHITE, Dart, Edge, EnhancedMultigraph, InvariantError,
-                  Vertex, check_well_formed, opposite, parse_emg, trace_faces)
+from .emg import (BLACK, BLUE, RED, WHITE, Dart, Edge, EnhancedMultigraph, InputError,
+                  InvariantError, Vertex, check_well_formed, opposite, parse_emg, trace_faces)
 from .pipeline import Instance
 
 
-class ConstructionError(RuntimeError):
+class ConstructionError(InputError):
     """No validated completion exists for the requested family member."""
 
 
@@ -178,11 +178,11 @@ def spiral_instance(k: int) -> Instance:
     Completes the spiral cell with the closed-form red edges and doubles
     of _spiral_completion and runs the full validation gate on it.  Returns
     the ``Instance`` the gate derived, so no stage it read is derived
-    again; raises ConstructionError when the completion fails the gate,
-    rather than inventing a variant.
+    again; raises InputError for k < 3 and ConstructionError when the
+    completion fails the gate, rather than inventing a variant.
     """
     if k < 3:
-        raise ValueError("spiral parameter must be at least 3")
+        raise InputError(f"spiral parameter must be at least 3, got k={k}")
     cell = _spiral_cell(k)
     faces = trace_faces(cell)  # face ids are trace order
     edge_at = {frozenset(e.endpoints): e.id for e in cell.edges}

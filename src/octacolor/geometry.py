@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .emg import WHITE, EnhancedMultigraph, InvariantError
+from .emg import WHITE, EnhancedMultigraph, InputError, InvariantError
 from .grid import DIRECTIONS, SIXTH_TURNS, GridPoint
 from .labeling import ACUTE, CORNER_UNITS, LabelMap, PolygonBoundary
 
@@ -214,7 +214,7 @@ def surface_frame(boundaries: list[PolygonBoundary], base_flag: tuple[int, int] 
     corner per side, so a face with two corners is a bigon (a cone vertex)
     and one with four a quadrilateral (a regular vertex).  Raises
     GluingError when an edge does not join one white and one black side or
-    the spanning tree misses a polygon, and ValueError on a base flag that
+    the spanning tree misses a polygon, and InputError on a base flag that
     is not a (cone vertex, polygon) pair.
     """
     by_vertex = {b.vertex_id: b for b in boundaries}
@@ -244,9 +244,9 @@ def surface_frame(boundaries: list[PolygonBoundary], base_flag: tuple[int, int] 
         else:
             cv, flag_pid = base_flag
             if cv not in bigons:
-                raise ValueError(f"base flag vertex {cv} is not a cone vertex")
+                raise InputError(f"base flag vertex {cv} is not a cone vertex")
             if flag_pid not in {pid for pid, _ in corners_at[cv]}:
-                raise ValueError(f"polygon {flag_pid} does not touch cone vertex {cv}")
+                raise InputError(f"polygon {flag_pid} does not touch cone vertex {cv}")
         corner_idx = next(idx for pid, idx in corners_at[cv] if pid == flag_pid)
         if by_vertex[flag_pid].color == WHITE:
             flag = (cv, flag_pid, corner_idx, (corner_idx + 1) % len(by_vertex[flag_pid].sides), 0)

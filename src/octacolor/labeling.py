@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .emg import WHITE, EnhancedMultigraph, FaceSet, InvariantError, trace_faces
+from .emg import WHITE, EnhancedMultigraph, FaceSet, InputError, InvariantError, trace_faces
 
 ACUTE = "acute"
 OBTUSE = "obtuse"
@@ -128,7 +128,8 @@ def assign_labels(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
     consecutive sides then differ by exactly the exterior turn at the corner
     between them, and the two polygons of an edge traverse it in opposite
     directions.  Breadth-first propagation from the seed flag; a conflict
-    raises HolonomyError.
+    raises HolonomyError, and a seed flag that is not an incident
+    (vertex, edge) pair InputError.
     """
     by_vertex = {b.vertex_id: b for b in boundaries}
     if seed_flag is None:
@@ -137,7 +138,7 @@ def assign_labels(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
         seed_flag = (anchor, min(by_vertex[anchor].sides))
     seed_vid, seed_eid = seed_flag
     if seed_vid not in by_vertex or seed_eid not in by_vertex[seed_vid].sides:
-        raise ValueError(f"seed flag {seed_flag} is not an incident (vertex, edge) pair")
+        raise InputError(f"seed flag {seed_flag} is not an incident (vertex, edge) pair")
 
     # map each edge to its two incident (vertex, slot, sign) records
     incidences: dict[int, list[tuple[int, int, int]]] = {}

@@ -36,7 +36,7 @@ from .geometry import (cone_point_coordinates, development_plan, place_surface, 
                        walk_polygons)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
 from .qform import assemble_form, restrict_form, verify_triangle_identity
-from .shapesys import build_constraints, kernel_basis, verify_lemmas
+from .shapesys import build_constraints, check_lengths, kernel_basis, verify_lemmas
 
 
 class ConePointError(InvariantError):
@@ -152,7 +152,9 @@ class Instance:
         develop it against the type's frame, as ``develop_surface`` would,
         with the same records and errors: one walk of the vector on plain
         ints against the plan, placed straight away, so no origin-anchored
-        chart record is built."""
+        chart record is built.  A vector of other than E_b entries raises
+        InputError."""
+        check_lengths(vector, len(self.kernel.col_edges))
         return place_surface(self.frame, walk_polygons(self.plan, vector))
 
 

@@ -23,12 +23,12 @@ from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
+from .shapesys import KernelBasis, check_lengths
 
 if TYPE_CHECKING:
     from .emg import EnhancedMultigraph
     from .labeling import PolygonBoundary
     from .mesh import ColoredTriangulation
-    from .shapesys import KernelBasis
 
 # doubled Gram matrix of the six-slot form
 SLOT_MATRIX: tuple[tuple[int, ...], ...] = tuple(
@@ -47,6 +47,7 @@ class QuadraticForm(NamedTuple):
         """Form value at a length vector in the column order ``col_edges``,
         from the nonzero terms alone: an int when integral (always, on
         integer lengths), else a Fraction."""
+        check_lengths(vector, len(self.col_edges))
         total = sum(c * vector[i] * vector[j] for i, j, c in self.terms)
         if total % 2 == 0:
             return total // 2

@@ -22,7 +22,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import linalg
-from .emg import WHITE, EnhancedMultigraph
+from .emg import WHITE, EnhancedMultigraph, InputError
 from .labeling import LabelMap, PolygonBoundary
 
 # row coefficient patterns per direction exponent 0..5
@@ -38,6 +38,12 @@ BLACK_SIGN = -1
 RANK_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1)
 
 
+def check_lengths(vector, n: int) -> None:
+    """Raise InputError unless ``vector`` holds ``n`` edge lengths, one per column."""
+    if len(vector) != n:
+        raise InputError(f"a length vector needs {n} entries, got {len(vector)}")
+
+
 class ShapeSystem(NamedTuple):
     rows: tuple[dict[int, int], ...]             # 2V rows: column -> nonzero coefficient
     row_origin: tuple[tuple[int, str], ...]      # row -> (polygon vertex id, "re"|"im")
@@ -45,6 +51,7 @@ class ShapeSystem(NamedTuple):
 
     def solves(self, vec) -> bool:
         """Whether the vector of E_b edge lengths closes every polygon."""
+        check_lengths(vec, len(self.col_edges))
         return not any(sum(map(mul, row.values(), map(vec.__getitem__, row))) for row in self.rows)
 
     @property

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from form_oracle import global_matrix
-from octacolor import mesh, pipeline
+from octacolor import cone, mesh, pipeline
 from octacolor.cli import main
 from octacolor.emg import parse_emg, render_emg, validate_plausible
 from octacolor.families import bundled_names, gen_spiral, load_bundled
@@ -388,6 +388,9 @@ def test_golden_render_large_spiral(capsys):
     ["check", "--bundled", "hexagon-pair", "--budget", "-1"],
     ["survey", "--family", "spiral", "--k-range", "3..3", "--max-len", "2", "--budget", "-1"],
     ["survey", "--family", "spiral", "--k-range", "5..3"],
+    ["check", "--family", "spiral", "--k", "2"],
+    ["survey", "--family", "spiral", "--k-range", "2..3"],
+    ["realize", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,1,1"],  # E_b = 6
     # conflicting instance sources: none may silently win
     ["validate", "--bundled", "spiral-8", "--input", "missing.emg"],
     ["validate", "--family", "spiral", "--k", "3", "--bundled", "spiral-8"],
@@ -397,12 +400,23 @@ def test_golden_render_large_spiral(capsys):
 ], ids=["point-vector-garbage", "point-index-garbage", "negative-max-len", "seed-flag-not-incident",
         "point-negative", "point-zero", "point-not-in-kernel", "negative-budget-lattice",
         "negative-budget-check", "negative-budget-survey", "empty-k-range",
+        "check-spiral-k2", "survey-spiral-k2", "point-vector-too-long",
         "input-and-bundled", "family-and-bundled", "k-without-family",
         *(f"empty-file-{command}" for command in GOLDEN_COMMANDS)])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "spiral", "--k", "2"],
+    ["check", "--family", "spiral", "--k", "2"],
+    ["survey", "--family", "spiral", "--k-range", "2..3"],
+], ids=["gen", "check", "survey"])
+def test_spiral_k_below_three_names_k(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: spiral parameter must be at least 3, got k=2\n")
 
 
 def test_seed_flag_not_incident_names_the_flag(capsys):
@@ -552,7 +566,10 @@ def test_invariant_failure_end_to_end(capsys, recolored_spiral6, command):
     (mesh, "build_triangulation", ["check", "--bundled", "hexagon-pair", "--max-len", "2"]),
     (mesh, "build_triangulation", ["realize", "--bundled", "hexagon-pair", "--point", "0"]),
     (pipeline, "assign_labels", ["labels", "--bundled", "hexagon-pair"]),
-], ids=["gen", "check", "realize", "labels"])
+    # inside cone.enumerate_lattice_points, a plain ValueError like its own
+    # unbounded-region check
+    (cone, "_fourier_motzkin_levels", ["lattice", "--bundled", "hexagon-pair", "--max-len", "2"]),
+], ids=["gen", "check", "realize", "labels", "lattice"])
 def test_a_plain_value_error_escapes_main(monkeypatch, module, name, argv):
     # a bug, not a verdict on the input: no exit code may stand for it
     def fail(*args):

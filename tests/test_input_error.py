@@ -1,0 +1,64 @@
+"""Each rule on a caller's input is decided once, in the library, and
+raises ``emg.InputError`` with a message naming the bad value."""
+
+import pytest
+
+from octacolor.cone import enumerate_lattice_points
+from octacolor.emg import EmgError, InputError, InvariantError
+from octacolor.families import ConstructionError, load_bundled, spiral_instance
+from octacolor.geometry import surface_frame
+from octacolor.labeling import assign_labels
+from octacolor.pipeline import Instance
+
+
+@pytest.fixture(scope="module")
+def hexagon_pair():
+    return Instance(load_bundled("hexagon-pair"))
+
+
+def test_input_error_types():
+    assert issubclass(InputError, ValueError)
+    assert issubclass(EmgError, InputError) and issubclass(ConstructionError, InputError)
+    assert not issubclass(InvariantError, InputError)
+
+
+def test_spiral_parameter_below_three():
+    with pytest.raises(InputError, match=r"^spiral parameter must be at least 3, got k=2$"):
+        spiral_instance(2)
+
+
+def test_seed_flag_not_incident(hexagon_pair):
+    with pytest.raises(InputError, match=r"^seed flag \(0, 99\) is not an incident \(vertex, edge\) pair$"):
+        assign_labels(hexagon_pair.g, hexagon_pair.boundaries, seed_flag=(0, 99))
+
+
+def test_negative_enumeration_bound(hexagon_pair):
+    with pytest.raises(InputError, match=r"^bound must be >= 0, got -1$"):
+        enumerate_lattice_points(hexagon_pair.lattice, -1)
+
+
+def test_base_flag_off_a_cone_vertex():
+    inst = spiral_instance(3)
+    quad = inst.frame.regular_vertices[0]
+    with pytest.raises(InputError, match=rf"^base flag vertex {quad} is not a cone vertex$"):
+        surface_frame(inst.boundaries, base_flag=(quad, 0))
+
+
+def test_base_flag_polygon_off_its_cone_vertex():
+    inst = spiral_instance(3)
+    cv = inst.frame.cone_vertices[0]
+    far = next(b.vertex_id for b in inst.boundaries if cv not in b.corner_faces)
+    with pytest.raises(InputError, match=rf"^polygon {far} does not touch cone vertex {cv}$"):
+        surface_frame(inst.boundaries, base_flag=(cv, far))
+
+
+@pytest.mark.parametrize("use", [
+    lambda inst, v: inst.system.solves(v),
+    lambda inst, v: inst.develop(v),
+    lambda inst, v: inst.form.value(v),
+], ids=["solves", "develop", "value"])
+@pytest.mark.parametrize("n", [5, 7], ids=["short", "long"])
+def test_length_vector_needs_e_b_entries(hexagon_pair, use, n):
+    # E_b = 6: a longer vector was once truncated, a shorter one an IndexError
+    with pytest.raises(InputError, match=rf"^a length vector needs 6 entries, got {n}$"):
+        use(hexagon_pair, [1] * n)
