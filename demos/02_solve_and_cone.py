@@ -9,7 +9,7 @@ cone are exactly the unit-triangulable shapes.
 
 from octacolor import (assign_labels, build_constraints, enumerate_lattice_points,
                        extreme_rays, gen_spiral, kernel_basis, lattice_basis,
-                       polygon_boundaries, restrict_to_kernel, verify_lemmas)
+                       polygon_boundaries, restrict_to_lattice, verify_lemmas)
 
 graph = gen_spiral(4)
 boundaries = polygon_boundaries(graph)
@@ -27,17 +27,17 @@ print(f"rank {kernel.rank} (columns - 4), kernel dimension {kernel.dimension}")
 for check in verify_lemmas(system, kernel).checks:
     print(f"  {check.name}: {'ok' if check.passed else 'FAILED'} ({check.detail})")
 
-cone = extreme_rays(restrict_to_kernel(kernel))
-print(f"\ncone of nonnegative solutions: {len(cone.extreme_rays)} extreme rays, "
-      f"lineality {len(cone.lineality)}, "
-      f"strictly positive solutions exist: {cone.has_positive_point}")
-for ray in cone.extreme_rays:
-    print(f"  ray {ray}")
-
 lattice = lattice_basis(kernel)
 print(f"\ninteger solution lattice basis (edge coordinates):")
 for vec in lattice.vectors:
     print(f"  {vec}")
+
+cone = extreme_rays(restrict_to_lattice(lattice))
+print(f"\ncone of nonnegative solutions: {len(cone.extreme_rays)} extreme rays, "
+      f"lineality {len(cone.lineality)}, "
+      f"strictly positive solutions exist: {cone.has_positive_point}")
+for ray in cone.extreme_rays:
+    print(f"  ray {ray} (lattice coordinates)")
 
 points = enumerate_lattice_points(lattice, bound=2)
 positive = [p for p in points if p.strictly_positive]

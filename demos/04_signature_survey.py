@@ -22,6 +22,6 @@ for k in range(3, 7):
     print(f"{k:>3} {len(kernel.col_edges):>5} {kernel.rank:>5} {kernel.dimension:>4} "
           f"{str(sig):>12} {verdict:>10} {elapsed:>7.2f}")
 
-print("\nrestricted form for k=3 (doubled Gram matrix on the kernel basis):")
+print("\nrestricted form for k=3 (doubled Gram matrix on the lattice basis):")
 for row in spiral_instance(3).form.restricted:
     print("  " + "  ".join(f"{str(x):>6}" for x in row))

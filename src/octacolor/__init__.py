@@ -15,7 +15,7 @@ package, or one command of ``octacolor.cli``, loads only what it uses.
 # owner module -> the public names it gives the package
 _EXPORTS = {
     "cone": ("ConeDescription", "EnumerationBudgetError", "LatticeBasis", "LatticePoint",
-             "enumerate_lattice_points", "extreme_rays", "lattice_basis", "restrict_to_kernel"),
+             "enumerate_lattice_points", "extreme_rays", "lattice_basis", "restrict_to_lattice"),
     "emg": ("EnhancedMultigraph", "Edge", "EmgError", "Face", "FaceSet", "Finding", "InputError",
             "ValidationReport", "Vertex", "parse_emg", "render_emg", "trace_faces",
             "validate_plausible"),

@@ -136,7 +136,7 @@ def _cmd_lattice(args) -> int:
         _emit_json(args, {"instance": name, "error": str(exc), "budget": exc.budget})
         return 1
     _emit_json(args, {"instance": name, **lattice_points_json(points, args.max_len),
-                      "columns": list(inst.kernel.col_edges),
+                      "columns": list(inst.lattice.col_edges),
                       "lattice_basis": matrix_json(inst.lattice.vectors)})
     return 0
 
@@ -149,11 +149,7 @@ def _select_point(args, inst: Instance) -> tuple[int, ...]:
         vec = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise InputError(f"--point must be an index or a comma vector, got {text!r}") from None
-    if "," in text:
-        if min(vec) < 1:
-            raise InputError("--point vector must be strictly positive")
-        if not inst.system.solves(vec):
-            raise InputError("--point vector does not solve the closure system")
+    if "," in text:  # Instance.develop decides whether it is a point
         return vec
     (idx,) = vec
     points = [p for p in inst.lattice_points(args.max_len, args.budget) if p.strictly_positive]

@@ -1,23 +1,23 @@
 """The cone C_tau of consistent nonnegative length assignments.
 
-C_tau is the closure kernel intersected with the nonnegative orthant.  In
-kernel coordinates the nonnegativity of every edge length becomes an integer
-inequality system B x >= 0 with one row per blue edge, and this module
-computes the extreme rays of that cone by the double description method.
-The integer points of C_tau are enumerated in edge coordinates instead: an
-integer basis of the lattice of integer kernel points (saturated, so it
-spans every integer solution; ``linalg.saturate`` finds it from one
-echelon of the n × 4 transposed kernel basis) turns the points with every
-length in [0, bound] into the integer points of a box, found by
-Fourier-Motzkin elimination.  Edges whose rows in the basis are equal
-have equal lengths at every point, so the box rows, and every bound read
-from them, come from one edge per distinct row.  The enumeration carries
-the partial vector of the fixed coefficients down the levels, and reads
-the last coefficient's range and the sub-range of strictly positive points
-straight from it and the distinct rows the last basis vector moves; each
-point then costs a step on the moving edges and one tuple copy.
-Everything runs in exact integer arithmetic: every constraint is kept as an
-integer row, and rescaled only by positive factors.
+C_tau is the closure kernel intersected with the nonnegative orthant, and
+every description of it here is in coefficients of one integer basis of
+the lattice of integer kernel points (saturated, so it spans every integer
+solution; ``linalg.saturate`` finds it from one echelon of the n × 4
+transposed kernel basis).  There the nonnegativity of every edge length is
+an integer inequality system B c >= 0 with one row per blue edge, whose
+extreme rays, primitive in the lattice, the double description method
+computes, and the points with every length in [0, bound] are the integer
+points of a box, found by Fourier-Motzkin elimination.  Edges whose rows
+in the basis are equal have equal lengths at every point, so the box rows,
+and every bound read from them, come from one edge per distinct row.  The
+enumeration carries the partial vector of the fixed coefficients down the
+levels, and reads the last coefficient's range and the sub-range of
+strictly positive points straight from it and the distinct rows the last
+basis vector moves; each point then costs a step on the moving edges and
+one tuple copy.  Everything runs in exact integer arithmetic: every
+constraint is kept as an integer row, and rescaled only by positive
+factors.
 """
 
 from __future__ import annotations
@@ -41,28 +41,42 @@ class EnumerationBudgetError(RuntimeError):
 
 
 class ConeDescription(NamedTuple):
-    inequalities: tuple[tuple[int, ...], ...]  # rows: edge coordinates in the kernel basis, primitive
-    dimension: int                             # ambient (kernel) dimension
+    inequalities: tuple[tuple[int, ...], ...]  # rows: edge coordinates in the lattice basis, primitive
+    dimension: int                             # ambient (lattice) dimension
     extreme_rays: tuple[tuple[int, ...], ...] | None = None
     lineality: tuple[tuple[int, ...], ...] = ()
     has_positive_point: bool | None = None
 
 
-def restrict_to_kernel(kernel: KernelBasis) -> ConeDescription:
-    """Inequality description of the cone in kernel coordinates.
+# ---------------------------------------------------------------------------
+# lattice of integer solutions
 
-    Row i lists the i-th edge coordinate of the kernel basis vectors, so
-    B x >= 0 says every edge length of the point with kernel coordinates x
-    is nonnegative.  Rows are cleared to primitive integer vectors, which
-    rescales each inequality by a positive factor only.
-    """
-    if kernel.dimension < 1:
-        raise ValueError("kernel dimension must be at least 1")
-    rows = []
-    for i in range(len(kernel.col_edges)):
-        row = [b[i] for b in kernel.basis]
-        rows.append(tuple(linalg.primitive_vector(row)) if any(row) else tuple([0] * kernel.dimension))
-    return ConeDescription(tuple(rows), kernel.dimension)
+class LatticeBasis(NamedTuple):
+    vectors: tuple[tuple[int, ...], ...]  # basis of the integer kernel points, in edge coordinates
+    col_edges: tuple[int, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.vectors)
+
+
+def lattice_basis(kernel: KernelBasis) -> LatticeBasis:
+    """Integer basis of all integer points of the kernel (saturated), in
+    Hermite normal form for reproducibility: that form is canonical for the
+    lattice.  A zero-dimensional kernel gives the empty basis, whose only
+    point is zero."""
+    return LatticeBasis(tuple(map(tuple, linalg.saturate(kernel.basis))), kernel.col_edges)
+
+
+def restrict_to_lattice(lattice: LatticeBasis) -> ConeDescription:
+    """Inequality description of the cone in lattice coordinates: row i
+    holds edge i's coordinates in the basis vectors, cleared to a primitive
+    integer vector (a positive rescaling), so B c >= 0 says every edge
+    length of the lattice point with coefficients c is nonnegative."""
+    if lattice.dimension < 1:
+        raise ValueError("lattice dimension must be at least 1")
+    return ConeDescription(tuple(tuple(linalg.primitive_vector(col)) if any(col) else col
+                                 for col in zip(*lattice.vectors)), lattice.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +158,6 @@ def _double_description(rows, dim):
 
     # every ray and lineality vector is primitive already
     return sorted({tuple(r) for r in rays if any(r)}), [tuple(l) for l in lineality]
-
-
-# ---------------------------------------------------------------------------
-# lattice of integer solutions
-
-class LatticeBasis(NamedTuple):
-    vectors: tuple[tuple[int, ...], ...]  # basis of the integer kernel points, in edge coordinates
-    col_edges: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
-
-
-def lattice_basis(kernel: KernelBasis) -> LatticeBasis:
-    """Integer basis of all integer points of the kernel (saturated), in
-    Hermite normal form for reproducibility: that form is canonical for the
-    lattice.  A zero-dimensional kernel gives the empty basis, whose only
-    point is zero."""
-    return LatticeBasis(tuple(map(tuple, linalg.saturate(kernel.basis))), kernel.col_edges)
 
 
 # ---------------------------------------------------------------------------

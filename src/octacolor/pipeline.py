@@ -2,11 +2,12 @@
 
 ``Instance`` is the one place the chain of a combinatorial type is built:
 blue faces, validation, polygon boundaries, direction labels, closure
-system, kernel and lemma checks, cone and extreme rays, lattice basis,
-restricted form, and what realizing a point needs of the type: the
-development plan and the surface frame, which developing a point and
-gluing its mesh both read, and the map from a point's lattice
-coefficients to its cone points, which checks every realized point.
+system, kernel and lemma checks, lattice basis, and in its coordinates
+the cone, its extreme rays and the restricted form Q_tau; then what
+realizing a point needs of the type: the development plan and the
+surface frame, which developing a point and gluing its mesh both read,
+and the map from a point's lattice coefficients to its cone points,
+which checks every realized point.
 Each stage is a cached property computed on first use; ``develop``
 realizes one edge-length vector against the plan and the frame.
 ``derivable`` is the stop rule: ``run_check`` and ``run_survey`` read
@@ -30,8 +31,8 @@ from operator import mul
 from types import SimpleNamespace
 
 from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays,
-                   lattice_basis, restrict_to_kernel)
-from .emg import EnhancedMultigraph, InvariantError, trace_faces, validate_plausible
+                   lattice_basis, restrict_to_lattice)
+from .emg import EnhancedMultigraph, InputError, InvariantError, trace_faces, validate_plausible
 from .geometry import (cone_point_coordinates, development_plan, place_surface, surface_frame,
                        walk_polygons)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
@@ -97,16 +98,16 @@ class Instance:
         return verify_lemmas(self.system, self.kernel)
 
     @cached_property
-    def cone(self):
-        return extreme_rays(restrict_to_kernel(self.kernel))
-
-    @cached_property
     def lattice(self):
         return lattice_basis(self.kernel)
 
     @cached_property
+    def cone(self):
+        return extreme_rays(restrict_to_lattice(self.lattice))
+
+    @cached_property
     def form(self):
-        return restrict_form(assemble_form(self.g, self.boundaries), self.kernel)
+        return restrict_form(assemble_form(self.g, self.boundaries), self.lattice)
 
     @cached_property
     def frame(self):
@@ -114,9 +115,9 @@ class Instance:
 
     @cached_property
     def plan(self):
-        """The ``development_plan`` of the labels, reading lengths in
-        kernel column order."""
-        return development_plan(self.boundaries, self.labels, self.kernel.col_edges)
+        """The ``development_plan`` of the labels, reading lengths in the
+        closure system's column order."""
+        return development_plan(self.boundaries, self.labels, self.system.col_edges)
 
     @cached_property
     def cone_points_map(self) -> tuple[tuple[int, ...], ...] | None:
@@ -124,18 +125,18 @@ class Instance:
         in the lattice basis b_0 .. b_{d-1} to the doubled coordinates
         X_0, Y_0, .., X_5, Y_5 of its cone points, in ``frame.cone_vertices``
         order.  Column i is cp(N s + b_i) - cp(N s), where cp develops a
-        point and reads its cone points, s is the sum of the extreme rays in
-        edge coordinates and N = 1 + max |entry of a b_i|, so every point
-        developed is strictly positive; no mesh is built.  M c(N s) = cp(N s)
-        shows the map has no offset.  None if the cone has no strictly
-        positive point, a point fails to develop, or the map has an offset."""
+        point and reads its cone points, s is the sum of the extreme rays and
+        N = 1 + max |entry of a b_i|, so every point developed is strictly
+        positive; no mesh is built.  M c(N s) = cp(N s), with c(N s) N times
+        the rays' sum, shows the map has no offset.  None if the cone has no
+        strictly positive point, a point fails to develop, or the map has an
+        offset."""
         if not self.cone.has_positive_point:
             return None
         vectors = self.lattice.vectors
-        total = [sum(col) for col in zip(*self.cone.extreme_rays)]
         n = 1 + max(abs(x) for v in vectors for x in v)
-        base = [n * sum(map(mul, total, col)) for col in zip(*self.kernel.basis)]
-        coeffs = lattice_coefficients(vectors, base)
+        coeffs = [n * sum(col) for col in zip(*self.cone.extreme_rays)]
+        base = [sum(map(mul, coeffs, col)) for col in zip(*vectors)]
         try:
             at = [_cone_points(self.develop(v))
                   for v in (base, *([x + y for x, y in zip(base, b)] for b in vectors))]
@@ -148,13 +149,20 @@ class Instance:
         return enumerate_lattice_points(self.lattice, max_len, budget=budget)
 
     def develop(self, vector):
-        """Realize the edge-length vector (in kernel column order) and
-        develop it against the type's frame, as ``develop_surface`` would,
-        with the same records and errors: one walk of the vector on plain
-        ints against the plan, placed straight away, so no origin-anchored
-        chart record is built.  A vector of other than E_b entries raises
-        InputError."""
-        check_lengths(vector, len(self.kernel.col_edges))
+        """Realize the edge-length vector (in the closure system's column
+        order) and develop it against the type's frame, as
+        ``develop_surface`` would, with the same records and errors: one
+        walk of the vector on plain ints against the plan, placed straight
+        away.  A vector off the domain (E_b integers, each >= 1, that solve
+        the closure system) raises InputError naming the first rule it
+        breaks; the rules read the system, never the lattice or the cone."""
+        check_lengths(vector, self.system.n_cols)
+        if odd := [x for x in vector if not isinstance(x, int)]:
+            raise InputError(f"a length vector needs integer entries, got {odd[0]!r}")
+        if min(vector) < 1:
+            raise InputError(f"a length vector needs every entry >= 1, got {min(vector)}")
+        if not self.system.solves(vector):
+            raise InputError("the length vector does not solve the closure system")
         return place_surface(self.frame, walk_polygons(self.plan, vector))
 
 
@@ -168,7 +176,7 @@ def lattice_coefficients(vectors, point) -> list[int]:
     for row in vectors:
         p = next(j for j, x in enumerate(row) if x)
         c, r = divmod(point[p] - sum(a * v[p] for a, v in zip(coeffs, vectors)), row[p])
-        if r:  # never from the chain, whose points and N s lie in the lattice
+        if r:  # never from the chain, whose points lie in the lattice
             raise ValueError(f"{list(point)} is not a point of the lattice")
         coeffs.append(c)
     return coeffs

@@ -13,8 +13,8 @@ form, held as its nonzero terms only: a term (i, j, c) with i <= j is the
 coefficient c of v_i*v_j in v^T M v, where M is the doubled Gram matrix on
 edge variables.  Form values halve that sum of terms, which is even on
 integer vectors because M is symmetric with an even diagonal.  Restricting
-to the kernel of the closure system reads the same terms, and diagonalizing
-by exact congruence, with no division, yields its signature.
+to the basis of the lattice of integer solutions reads the same terms, and
+diagonalizing Q_tau by exact congruence, with no division, gives its signature.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
-from .shapesys import KernelBasis, check_lengths
+from .shapesys import check_lengths
 
 if TYPE_CHECKING:
+    from .cone import LatticeBasis
     from .emg import EnhancedMultigraph
     from .labeling import PolygonBoundary
     from .mesh import ColoredTriangulation
@@ -87,23 +88,23 @@ def assemble_form(g: EnhancedMultigraph, boundaries: list[PolygonBoundary]) -> Q
     return QuadraticForm(tuple((i, j, c) for (i, j), c in total.items()), col_edges)
 
 
-def restrict_form(q: QuadraticForm, kernel: KernelBasis) -> QuadraticForm:
-    """Exact congruence restriction K M K^T to the kernel basis K, in
-    integers, from the terms: one pass over them per kernel vector k gives
-    the image 2 M k, and each restricted entry is half a dot product.
-    The form and the kernel must read the same columns, in one order."""
-    if q.col_edges != kernel.col_edges:
-        raise ValueError("the form and the kernel read different columns")
-    if kernel.dimension < 1:
-        raise ValueError("kernel dimension must be at least 1")
+def restrict_form(q: QuadraticForm, lattice: LatticeBasis) -> QuadraticForm:
+    """Q_tau, the exact congruence restriction L M L^T to the lattice basis
+    L, in integers, from the terms: one pass over them per basis vector v
+    gives the image 2 M v, and each restricted entry is half a dot product.
+    The form and the lattice must read the same columns, in one order."""
+    if q.col_edges != lattice.col_edges:
+        raise ValueError("the form and the lattice read different columns")
+    if lattice.dimension < 1:
+        raise ValueError("lattice dimension must be at least 1")
     images = []
-    for k in kernel.basis:
+    for v in lattice.vectors:
         image = [0] * len(q.col_edges)
         for i, j, c in q.terms:
-            image[i] += c * k[j]
-            image[j] += c * k[i]
+            image[i] += c * v[j]
+            image[j] += c * v[i]
         images.append(image)
-    restricted = tuple(tuple(linalg.dot(row, image) // 2 for image in images) for row in kernel.basis)
+    restricted = tuple(tuple(linalg.dot(row, image) // 2 for image in images) for row in lattice.vectors)
     return QuadraticForm(q.terms, q.col_edges, restricted, signature(restricted))
 
 

@@ -1,6 +1,6 @@
 """Reference for the quadratic form held as its nonzero terms.
 
-``dense_restriction`` is the dense product K M K^T that
+``dense_restriction`` is the dense product B M B^T that
 ``qform.restrict_form`` computed before the form kept only its terms, and
 ``form_terms`` reads the terms (i, j, m_ij + m_ji) for i < j and
 (i, i, m_ii) off any square integer matrix, symmetric or not, so that tests
@@ -21,7 +21,7 @@ from rational_linalg import mat_mul, transpose
 
 
 def dense_restriction(matrix, basis) -> tuple[tuple[int, ...], ...]:
-    """K M K^T for the kernel vectors K (as rows) and the dense matrix M."""
+    """B M B^T for the basis vectors B (as rows) and the dense matrix M."""
     return tuple(map(tuple, mat_mul(basis, mat_mul(matrix, transpose(basis)))))
 
 

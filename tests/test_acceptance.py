@@ -152,7 +152,7 @@ def test_criterion_8_signature_survey(spiral_instances):
     for k, (inst, _) in spiral_instances.items():
         qf = assemble_form(inst.g, inst.boundaries)
         t0 = time.perf_counter()
-        restricted = restrict_form(qf, inst.kernel)
+        restricted = restrict_form(qf, inst.lattice)
         elapsed = time.perf_counter() - t0
         sig = restricted.signature
         assert sum(sig) == inst.kernel.dimension

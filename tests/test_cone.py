@@ -12,9 +12,10 @@ import rational_linalg
 from octacolor import linalg
 from octacolor.cone import (ConeDescription, EnumerationBudgetError,
                             LatticeBasis, enumerate_lattice_points, extreme_rays,
-                            lattice_basis, restrict_to_kernel)
+                            lattice_basis, restrict_to_lattice)
 from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.pipeline import Instance, lattice_coefficients
+from octacolor.qform import assemble_form, restrict_form
 from octacolor.shapesys import KernelBasis
 
 
@@ -47,21 +48,19 @@ def brute_force_rays(rows, dim):
 
 
 def test_restrict_unit_kernel():
-    kb = _free_basis(3)
-    cd = restrict_to_kernel(kb)
+    cd = restrict_to_lattice(lattice_basis(_free_basis(3)))
     assert cd.inequalities == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_restrict_spiral_shape(spiral3):
-    cd = restrict_to_kernel(Instance(spiral3).kernel)
+    cd = restrict_to_lattice(Instance(spiral3).lattice)
     assert len(cd.inequalities) == 14
     assert cd.dimension == 4
 
 
 def test_restrict_positive_line():
-    kb = KernelBasis(((2, 3, 1),), 2, 1, (0, 1, 2))
-    cd = restrict_to_kernel(kb)
-    assert all(row[0] > 0 for row in cd.inequalities)
+    cd = restrict_to_lattice(LatticeBasis(((2, 3, 1),), (0, 1, 2)))
+    assert cd.inequalities == ((1,), (1,), (1,))
 
 
 def test_rays_first_quadrant():
@@ -139,9 +138,9 @@ def _det(m):
 
 
 def test_kernel_basis_index_in_the_lattice():
-    # rays, inequalities, lineality and the restricted form read kernel-basis
-    # coordinates; the kernel basis spans the lattice L on three bundled
-    # instances and a sublattice of index 2 on spiral-8 (k = 4)
+    # past the lattice basis, only the rank certificate of verify_lemmas
+    # (and solve's report) reads the kernel basis; it spans the lattice L on
+    # three bundled instances and a sublattice of index 2 on spiral-8 (k = 4)
     assert set(bundled_names()) == {"hexagon-pair", "spiral-6", "spiral-8", "spiral-10"}
     for name in bundled_names():
         inst = Instance(load_bundled(name))
@@ -203,17 +202,62 @@ def test_positive_point_iff_positive_enumerated(spiral3, hexpair):
         assert inst.cone.has_positive_point == any(p.strictly_positive for p in pts)
 
 
-def test_extreme_rays_are_lattice_points(spiral3):
-    inst = Instance(spiral3)
-    kb, lb, cd = inst.kernel, inst.lattice, inst.cone
-    basis_cols = rational_linalg.transpose([list(b) for b in kb.basis])
-    for ray in cd.extreme_rays:
-        edge_vec = rational_linalg.mat_vec(basis_cols, list(ray))
-        prim = linalg.primitive_vector(edge_vec)
-        coords = rational_linalg.solve(rational_linalg.transpose([list(v) for v in lb.vectors]), prim)
-        assert coords is not None
-        assert all(c.denominator == 1 for c in coords)
-        assert all(x >= 0 for x in prim)
+def _edge_vector(basis, coords):
+    return [sum(c * b[j] for c, b in zip(coords, basis)) for j in range(len(basis[0]))]
+
+
+def test_extreme_rays_are_lattice_points():
+    # each ray is the lattice coefficients of a nonnegative edge vector,
+    # primitive in L: the rational solve of that vector gives the ray back
+    assert set(bundled_names()) == {"hexagon-pair", "spiral-6", "spiral-8", "spiral-10"}
+    for name in bundled_names():
+        inst = Instance(load_bundled(name))
+        vectors = [list(v) for v in inst.lattice.vectors]
+        for ray in inst.cone.extreme_rays:
+            edge_vec = _edge_vector(vectors, ray)
+            assert min(edge_vec) >= 0 and any(edge_vec), (name, ray)
+            assert math.gcd(*ray) == 1, (name, ray)
+            assert rational_linalg.solve(rational_linalg.transpose(vectors), edge_vec) == list(ray)
+
+
+def test_restricted_form_is_the_form_on_the_lattice_basis():
+    # by polarization: entry (i, j) of the doubled Gram matrix Q_tau is
+    # value(b_i + b_j) - value(b_i) - value(b_j) on the lattice basis b
+    for name in bundled_names():
+        inst = Instance(load_bundled(name))
+        form, basis = inst.form, inst.lattice.vectors
+        assert form.restricted == tuple(
+            tuple(form.value([x + y for x, y in zip(a, b)]) - form.value(a) - form.value(b)
+                  for b in basis) for a in basis), name
+
+
+def _kernel_cone(kernel):
+    """The reference cone, in coordinates of the rational kernel basis:
+    one primitive row per edge, read from ``kernel.basis``."""
+    rows = tuple(tuple(linalg.primitive_vector(col)) if any(col) else col
+                 for col in zip(*kernel.basis))
+    return extreme_rays(ConeDescription(rows, kernel.dimension))
+
+
+def _directions(basis, rays):
+    return sorted(tuple(linalg.primitive_vector(_edge_vector(basis, r))) for r in rays)
+
+
+def test_lattice_rays_match_the_kernel_basis_reference():
+    # the same cone in either basis, on the bundled instances and spiral
+    # k = 3..12: the rays' edge vectors point the same ways, the positivity
+    # verdict agrees, and so does the form's signature
+    for g in _instances():
+        inst = Instance(g)
+        kernel, lattice = inst.kernel, inst.lattice
+        reference = _kernel_cone(kernel)
+        assert _directions(lattice.vectors, inst.cone.extreme_rays) == \
+            _directions(kernel.basis, reference.extreme_rays)
+        assert inst.cone.lineality == reference.lineality == ()
+        assert inst.cone.has_positive_point == reference.has_positive_point
+        on_kernel = restrict_form(assemble_form(g, inst.boundaries),
+                                  LatticeBasis(kernel.basis, kernel.col_edges))
+        assert inst.form.signature == on_kernel.signature == (1, 3, 0)
 
 
 def test_enumerate_budget_boundary_is_exact(spiral3):

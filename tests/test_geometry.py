@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mesh_oracle
 from octacolor import geometry, mesh
+from octacolor.emg import InputError
 from octacolor.families import gen_spiral, load_bundled
 from octacolor.geometry import (AngleError, ClosureError, GluingError, cone_point_coordinates,
                                 develop_surface, place_surface, realize_polygons)
@@ -544,7 +545,7 @@ def _ray_sum(inst):
     """The edge vector of the sum of the extreme rays: a strictly positive
     lattice point of every instance with a positive point."""
     coords = [sum(column) for column in zip(*inst.cone.extreme_rays)]
-    return [sum(c * b[j] for c, b in zip(coords, inst.kernel.basis)) for j in range(len(inst.kernel.col_edges))]
+    return [sum(c * b[j] for c, b in zip(coords, inst.lattice.vectors)) for j in range(len(inst.lattice.col_edges))]
 
 
 @pytest.mark.parametrize("g", [load_bundled(name) for name in BUNDLED] + [gen_spiral(k) for k in (3, 4, 5)],
@@ -615,10 +616,9 @@ def test_develop_errors_match_oracle(error, name, args):
     assert raised[0][0] is error
 
 
+# a point of the domain that the type cannot realize: the verdict is the
+# walk's, as the oracle's realization gives it
 INSTANCE_DEVELOP_ERROR_CASES = {
-    "non-closing-vector": ("hexagon-pair", [2, 1, 1, 1, 1, 1], False),
-    "nonpositive-vector": ("hexagon-pair", [1, 1, 1, 0, 1, 1], False),
-    "half-integer-vector": ("spiral-6", None, False),
     "corner-turn-mismatch": ("hexagon-pair", [1] * 6, True),
 }
 
@@ -629,8 +629,6 @@ def test_instance_develop_errors_match_oracle(name, vector, tamper):
     # Instance.develop raises what the oracle's realization raises, type and
     # message, at the same place in the walk
     inst = Instance(load_bundled(name))
-    if vector is None:
-        vector = [Fraction(x, 2) for x in _positive(inst, 5)[0]]
     if tamper:
         inst.boundaries = _acute_first_corner(inst)
     lengths = dict(zip(inst.kernel.col_edges, vector))
@@ -643,6 +641,22 @@ def test_instance_develop_errors_match_oracle(name, vector, tamper):
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
     assert raised[0][0] is ClosureError
+
+
+@pytest.mark.parametrize("name, vector, pattern", [
+    ("hexagon-pair", [2, 1, 1, 1, 1, 1], r"the length vector does not solve the closure system"),
+    ("hexagon-pair", [1, 1, 1, 0, 1, 1], r"a length vector needs every entry >= 1, got 0"),
+    ("spiral-6", None, r"a length vector needs integer entries, got Fraction\(\d+, \d+\)"),
+], ids=["non-closing-vector", "nonpositive-vector", "half-integer-vector"])
+def test_instance_develop_rejects_points_outside_the_domain(name, vector, pattern):
+    # a vector that is no point of the domain is the caller's error, not a
+    # verdict on the type; realize_polygons, which takes any lengths, still
+    # gives the walk's ClosureError on the first and third
+    inst = Instance(load_bundled(name))
+    if vector is None:
+        vector = [Fraction(x, 2) for x in _positive(inst, 5)[0]]
+    with pytest.raises(InputError, match=f"^{pattern}$"):
+        inst.develop(vector)
 
 
 def test_build_triangulation_checks_counts_against_chart_areas(spiral3, monkeypatch):

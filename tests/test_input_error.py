@@ -1,6 +1,8 @@
 """Each rule on a caller's input is decided once, in the library, and
 raises ``emg.InputError`` with a message naming the bad value."""
 
+from fractions import Fraction
+
 import pytest
 
 from octacolor.cone import enumerate_lattice_points
@@ -62,3 +64,18 @@ def test_length_vector_needs_e_b_entries(hexagon_pair, use, n):
     # E_b = 6: a longer vector was once truncated, a shorter one an IndexError
     with pytest.raises(InputError, match=rf"^a length vector needs 6 entries, got {n}$"):
         use(hexagon_pair, [1] * n)
+
+
+@pytest.mark.parametrize("vector, message", [
+    ([Fraction(1, 2)] * 5, "a length vector needs 6 entries, got 5"),
+    ([0, 1, 1, 1, 1, Fraction(1, 2)], r"a length vector needs integer entries, got Fraction\(1, 2\)"),
+    ([1, 1, 1, 1, 0, 2], "a length vector needs every entry >= 1, got 0"),
+    ([1, 1, 1, 1, 1, 2], "the length vector does not solve the closure system"),
+], ids=["length", "integers", "positive", "solves"])
+def test_develop_decides_the_point_domain_in_order(vector, message):
+    # each vector breaks its rule and every later one; the first decides,
+    # and none of the rules derives the kernel, the lattice or the cone
+    inst = Instance(load_bundled("hexagon-pair"))
+    with pytest.raises(InputError, match=f"^{message}$"):
+        inst.develop(vector)
+    assert not {"kernel", "lattice", "cone"} & vars(inst).keys()

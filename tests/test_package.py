@@ -13,7 +13,7 @@ from octacolor import geometry, mesh, net
 # public under its own name too
 PUBLIC_NAMES = {
     "cone": ["ConeDescription", "EnumerationBudgetError", "LatticeBasis", "LatticePoint",
-             "enumerate_lattice_points", "extreme_rays", "lattice_basis", "restrict_to_kernel"],
+             "enumerate_lattice_points", "extreme_rays", "lattice_basis", "restrict_to_lattice"],
     "emg": ["Edge", "EmgError", "EnhancedMultigraph", "Face", "FaceSet", "Finding", "InputError",
             "ValidationReport", "Vertex", "parse_emg", "render_emg", "trace_faces",
             "validate_plausible"],

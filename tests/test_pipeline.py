@@ -241,7 +241,7 @@ def test_check_without_realization_is_not_ok(name, max_len):
 def test_check_requires_the_expected_signature(monkeypatch, capsys):
     real = pipeline.restrict_form
     monkeypatch.setattr(pipeline, "restrict_form",
-                        lambda form, kernel: real(form, kernel)._replace(signature=(2, 2, 0)))
+                        lambda form, lattice: real(form, lattice)._replace(signature=(2, 2, 0)))
     assert main(["check", "--family", "spiral", "--k", "3", "--max-len", "2"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["form"]["signature"] == [2, 2, 0] and not data["ok"]
@@ -257,7 +257,8 @@ def _forbidden(name):
 
 
 def test_spiral_gate_computes_only_its_stages(monkeypatch):
-    for name in ("lattice_basis", "verify_lemmas", "assemble_form", "enumerate_lattice_points"):
+    # the gate's cone reads the lattice basis, and nothing past the cone
+    for name in ("verify_lemmas", "assemble_form", "enumerate_lattice_points"):
         monkeypatch.setattr(pipeline, name, _forbidden(name))
     gen_spiral.cache_clear()
     try:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import form_oracle
 from form_oracle import dense_restriction, form_terms, form_value, global_matrix
 from rational_linalg import mat_mul, transpose
+from octacolor.cone import LatticeBasis
 from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.geometry import realize_polygons
 from octacolor.labeling import polygon_boundaries
@@ -15,7 +16,6 @@ from octacolor.mesh import build_triangulation, four_color, triarea
 from octacolor.pipeline import Instance
 from octacolor.qform import (SLOT_MATRIX, QuadraticForm, assemble_form, restrict_form,
                              signature, slot_value, verify_triangle_identity)
-from octacolor.shapesys import KernelBasis
 
 
 def test_slot_matrix_structure():
@@ -84,17 +84,17 @@ def test_global_matrix_is_symmetric_integer(spiral3):
 def test_per_polygon_value_is_three_triareas(spiral3):
     # slot-form value = 3 * area in unit triangles, per polygon, exactly
     inst = Instance(spiral3)
-    bnds, kb = inst.boundaries, inst.kernel
+    bnds, lb = inst.boundaries, inst.lattice
     rng = random.Random(5)
     rays = [list(r) for r in inst.cone.extreme_rays]
-    basis = [list(b) for b in kb.basis]
+    basis = [list(b) for b in lb.vectors]
     for _ in range(10):
         coeffs = [rng.randrange(1, 5) for _ in rays]
-        kvec = [sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(kb.dimension)]
-        edge_vec = [sum(k * b[i] for k, b in zip(kvec, basis)) for i in range(14)]
+        lvec = [sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(lb.dimension)]
+        edge_vec = [sum(k * b[i] for k, b in zip(lvec, basis)) for i in range(14)]
         if any(x <= 0 for x in edge_vec):
             continue
-        lengths = dict(zip(kb.col_edges, edge_vec))
+        lengths = dict(zip(lb.col_edges, edge_vec))
         charts = realize_polygons(spiral3, bnds, inst.labels, lengths)
         for b in bnds:
             pf = assemble_form(spiral3, [b])
@@ -119,15 +119,15 @@ def test_slot_value_is_three_areas_for_rational_sides():
 
 def test_restrict_full_space_is_identity_transform():
     m = ((0, 2), (2, 0))
-    kb = KernelBasis(((1, 0), (0, 1)), 0, 2, (0, 1))
-    qf = restrict_form(QuadraticForm(form_terms(m), (0, 1)), kb)
+    lb = LatticeBasis(((1, 0), (0, 1)), (0, 1))
+    qf = restrict_form(QuadraticForm(form_terms(m), (0, 1)), lb)
     assert qf.restricted == ((Fraction(0), Fraction(2)), (Fraction(2), Fraction(0)))
 
 
 def test_restrict_one_dimensional():
     m = ((2, 0), (0, 4))
-    kb = KernelBasis(((1, 2),), 1, 1, (0, 1))
-    qf = restrict_form(QuadraticForm(form_terms(m), (0, 1)), kb)
+    lb = LatticeBasis(((1, 2),), (0, 1))
+    qf = restrict_form(QuadraticForm(form_terms(m), (0, 1)), lb)
     assert qf.restricted == ((Fraction(18),),)
     assert qf.signature == (1, 0, 0)
 
@@ -143,7 +143,7 @@ def test_signature_hyperbolic_plane():
 
 def test_signature_spiral_restriction(spiral3):
     inst = Instance(spiral3)
-    qf = restrict_form(assemble_form(spiral3, inst.boundaries), inst.kernel)
+    qf = restrict_form(assemble_form(spiral3, inst.boundaries), inst.lattice)
     assert qf.signature == (1, 3, 0)
 
 
@@ -151,28 +151,27 @@ def test_signature_invariant_under_kernel_basis_change(spiral3):
     inst = Instance(spiral3)
     kb, lb = inst.kernel, inst.lattice
     qf = assemble_form(spiral3, inst.boundaries)
-    sig1 = restrict_form(qf, kb).signature
-    # a second canonical basis: the saturated lattice basis of the kernel
-    kb2 = KernelBasis(lb.vectors, kb.rank, kb.dimension, kb.col_edges)
-    sig2 = restrict_form(qf, kb2).signature
+    sig1 = restrict_form(qf, lb).signature
+    # a second canonical basis: the rational kernel basis, in reduced row
+    # echelon form
+    sig2 = restrict_form(qf, LatticeBasis(kb.basis, kb.col_edges)).signature
     assert sig1 == sig2 == (1, 3, 0)
 
 
 def test_restrict_form_rejects_permuted_columns(spiral3):
     inst = Instance(spiral3)
-    qf, kb = assemble_form(spiral3, inst.boundaries), inst.kernel
-    n = len(kb.col_edges)
+    qf, lb = assemble_form(spiral3, inst.boundaries), inst.lattice
+    n = len(lb.col_edges)
     perm = [*range(1, n), 0]  # new column c reads old column perm[c]
-    cols = tuple(kb.col_edges[i] for i in perm)
-    moved = KernelBasis(tuple(tuple(v[i] for i in perm) for v in kb.basis),
-                        kb.rank, kb.dimension, cols)
+    cols = tuple(lb.col_edges[i] for i in perm)
+    moved = LatticeBasis(tuple(tuple(v[i] for i in perm) for v in lb.vectors), cols)
     with pytest.raises(ValueError, match="columns"):
         restrict_form(qf, moved)
     # permuting the form's columns the same way restricts to the same matrix
     new = {old: c for c, old in enumerate(perm)}
     terms = tuple((min(new[i], new[j]), max(new[i], new[j]), c) for i, j, c in qf.terms)
     assert restrict_form(QuadraticForm(terms, cols), moved).restricted == \
-        restrict_form(qf, kb).restricted
+        restrict_form(qf, lb).restricted
 
 
 @given(st.integers(0, 10 ** 6))
@@ -282,9 +281,9 @@ def test_form_value_matches_dense_on_spiral_forms():
             assert qf.value(vec) == form_value(matrix, vec)
 
 
-def _assert_restriction_matches_dense(qf, matrix, kernel):
-    got = restrict_form(qf, kernel)
-    assert got.restricted == dense_restriction(matrix, kernel.basis)
+def _assert_restriction_matches_dense(qf, matrix, lattice):
+    got = restrict_form(qf, lattice)
+    assert got.restricted == dense_restriction(matrix, lattice.vectors)
     assert all(type(x) is int for row in got.restricted for x in row)
 
 
@@ -293,7 +292,7 @@ def test_restrict_form_matches_dense_oracle_on_bundled_and_spiral():
     for g in cases:
         inst = Instance(g)
         qf = assemble_form(g, inst.boundaries)
-        _assert_restriction_matches_dense(qf, global_matrix(qf), inst.kernel)
+        _assert_restriction_matches_dense(qf, global_matrix(qf), inst.lattice)
 
 
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
@@ -307,5 +306,5 @@ def test_restrict_form_matches_dense_oracle_on_random_symmetric(case):
     n = len(square)
     m = [[square[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     cols = tuple(range(n))
-    kb = KernelBasis(tuple(map(tuple, basis)), max(n - len(basis), 0), len(basis), cols)
-    _assert_restriction_matches_dense(QuadraticForm(form_terms(m), cols), m, kb)
+    lb = LatticeBasis(tuple(map(tuple, basis)), cols)
+    _assert_restriction_matches_dense(QuadraticForm(form_terms(m), cols), m, lb)
