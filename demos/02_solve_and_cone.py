@@ -24,7 +24,7 @@ for row, (pid, part) in zip(system.rows, system.row_origin):
 
 kernel = kernel_basis(system)
 print(f"rank {kernel.rank} (columns - 4), kernel dimension {kernel.dimension}")
-for check in verify_lemmas(system, kernel).checks:
+for check in verify_lemmas(system, kernel):
     print(f"  {check.name}: {'ok' if check.passed else 'FAILED'} ({check.detail})")
 
 lattice = lattice_basis(kernel)

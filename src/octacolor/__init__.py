@@ -34,8 +34,7 @@ _EXPORTS = {
     "pipeline": (),
     "qform": ("IdentityReport", "QuadraticForm", "assemble_form", "restrict_form", "signature",
               "slot_value", "verify_triangle_identity"),
-    "shapesys": ("KernelBasis", "LemmaReport", "ShapeSystem", "build_constraints",
-                 "kernel_basis", "verify_lemmas"),
+    "shapesys": ("KernelBasis", "ShapeSystem", "build_constraints", "kernel_basis", "verify_lemmas"),
 }
 # each module listed is public too, under its own name
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}

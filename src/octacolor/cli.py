@@ -118,7 +118,7 @@ def _cmd_solve(args) -> int:
     _emit_json(args, {"instance": name, **system_json(inst.system),
                       "kernel_basis": matrix_json(inst.kernel.basis),
                       **lemmas_json(inst.kernel, inst.lemmas)})
-    return 0 if inst.lemmas.all_passed else 1
+    return 0 if all(c.passed for c in inst.lemmas) else 1
 
 
 def _cmd_rays(args) -> int:

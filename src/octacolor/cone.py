@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .emg import InputError
-from .shapesys import KernelBasis
+from .shapesys import KernelBasis, LemmaCheck
 
 
 ENUMERATION_BUDGET = 10 ** 6  # the default candidate budget of every enumeration
@@ -97,6 +97,13 @@ def extreme_rays(cd: ConeDescription) -> ConeDescription:
     total = [sum(r[i] for r in rays) for i in range(cd.dimension)] if rays else [0] * cd.dimension
     positive = bool(rays) and all(linalg.dot(row, total) > 0 for row in cd.inequalities)
     return ConeDescription(cd.inequalities, cd.dimension, tuple(rays), tuple(lin), positive)
+
+
+def positive_point_check(cd: ConeDescription) -> LemmaCheck:
+    """The certificate that the sum of the extreme rays is strictly positive."""
+    verdict = "is" if cd.has_positive_point else "is not"
+    return LemmaCheck("positive-point", bool(cd.has_positive_point),
+                      f"the sum of the {len(cd.extreme_rays)} extreme rays {verdict} strictly positive")
 
 
 def _double_description(rows, dim):

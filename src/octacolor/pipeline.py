@@ -2,12 +2,12 @@
 
 ``Instance`` is the one place the chain of a combinatorial type is built:
 blue faces, validation, polygon boundaries, direction labels, closure
-system, kernel and lemma checks, lattice basis, and in its coordinates
-the cone, its extreme rays and the restricted form Q_tau; then what
-realizing a point needs of the type: the development plan and the
-surface frame, which developing a point and gluing its mesh both read,
-and the map from a point's lattice coefficients to its cone points,
-which checks every realized point.
+system, kernel and lemma checks, lattice basis, in its coordinates the
+cone, its extreme rays and the restricted form Q_tau, and the certificates
+every verdict reads; then what realizing a point needs of the type: the
+development plan and the surface frame, which developing a point and
+gluing its mesh both read, and the map from a point's lattice
+coefficients to its cone points, which checks every realized point.
 Each stage is a cached property computed on first use; ``develop``
 realizes one edge-length vector against the plan and the frame.
 ``derivable`` is the stop rule: ``run_check`` and ``run_survey`` read
@@ -31,13 +31,13 @@ from operator import mul
 from types import SimpleNamespace
 
 from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays,
-                   lattice_basis, restrict_to_lattice)
+                   lattice_basis, positive_point_check, restrict_to_lattice)
 from .emg import EnhancedMultigraph, InputError, InvariantError, trace_faces, validate_plausible
 from .geometry import (cone_point_coordinates, development_plan, place_surface, surface_frame,
                        walk_polygons)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
-from .qform import assemble_form, restrict_form, verify_triangle_identity
-from .shapesys import build_constraints, check_lengths, kernel_basis, verify_lemmas
+from .qform import EXPECTED_SIGNATURE, assemble_form, restrict_form, signature_check, verify_triangle_identity
+from .shapesys import LemmaCheck, build_constraints, check_lengths, kernel_basis, verify_lemmas
 
 
 class ConePointError(InvariantError):
@@ -108,6 +108,12 @@ class Instance:
     @cached_property
     def form(self):
         return restrict_form(assemble_form(self.g, self.boundaries), self.lattice)
+
+    @cached_property
+    def certificates(self) -> tuple[LemmaCheck, ...]:
+        """The lemmas, a strictly positive cone and the signature, in report
+        order; ``ok`` and a survey row's ``lemmas_ok`` need every one."""
+        return (*self.lemmas, positive_point_check(self.cone), signature_check(self.form))
 
     @cached_property
     def frame(self):
@@ -247,8 +253,7 @@ def labeling_json(inst: Instance) -> dict:
 
 
 def lemmas_json(kernel, lemmas) -> dict:
-    checks = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in lemmas.checks]
-    return {"rank": kernel.rank, "dimension": kernel.dimension, "lemmas": checks}
+    return {"rank": kernel.rank, "dimension": kernel.dimension, "lemmas": [c._asdict() for c in lemmas]}
 
 
 def cone_json(cd) -> dict:
@@ -281,11 +286,11 @@ def system_json(system) -> dict:
 def form_json(qf) -> dict:
     """The upper triangle of the symmetric doubled Gram matrix, from the
     terms (c on the diagonal, c/2 off it), and the restricted form."""
-    n, sig = len(qf.col_edges), list(qf.signature)
+    n, sig = len(qf.col_edges), qf.signature
     upper = ((i, j, c if i == j else c // 2) for i, j, c in qf.terms)
     return {"global_matrix": sparse_json((n, n), upper), "restricted": matrix_json(qf.restricted),
-            "signature": sig, "expected_signature": [1, 3, 0],
-            "signature_as_expected": sig == [1, 3, 0], "non_degenerate": sig[2] == 0}
+            "signature": list(sig), "expected_signature": list(EXPECTED_SIGNATURE),
+            "signature_as_expected": sig == EXPECTED_SIGNATURE, "non_degenerate": sig[2] == 0}
 
 
 def realization_json(vector, surface, tri) -> dict:
@@ -307,7 +312,7 @@ def realization_json(vector, surface, tri) -> dict:
 class PipelineReport(SimpleNamespace):
     def __init__(self):
         super().__init__(instance={}, validation={}, labeling={}, system={}, cone={},
-                         lattice={}, realizations=[], form={}, timings={}, ok=False)
+                         lattice={}, realizations=[], form={}, certificates=[], timings={}, ok=False)
 
     def to_json_dict(self) -> dict:
         """The fields, shared, not copied: each already holds plain JSON data."""
@@ -319,10 +324,9 @@ def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len:
     """Full pipeline on one instance (a graph, or an ``Instance`` whose
     derived stages it reuses); every verdict is an upstream invariant.
 
-    ``ok`` needs every lemma, a strictly positive cone, the signature
-    (1, 3, 0), at least one realized point and the form identity on every
-    realized point: a length bound that admits no strictly positive
-    lattice point fails.
+    ``ok`` needs every certificate, at least one realized point and the
+    form identity on every realized point: a length bound that admits no
+    strictly positive lattice point fails.
     """
     inst = g if isinstance(g, Instance) else Instance(g)
     report = PipelineReport()
@@ -336,7 +340,8 @@ def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len:
     if inst.derivable:
         lap("labels")
         report.system = {"rows": inst.system.n_rows, "cols": inst.system.n_cols,
-                         **lemmas_json(inst.kernel, inst.lemmas)}
+                         "rank": inst.kernel.rank, "dimension": inst.kernel.dimension}
+        inst.lemmas  # timed with the system, as in a survey row
         lap("solve")
         cpm = inst.cone_points_map
         report.cone = {**cone_json(inst.cone), "lattice_basis": matrix_json(inst.lattice.vectors),
@@ -346,10 +351,10 @@ def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len:
         report.lattice = lattice_counts_json(points, max_len)
         lap("lattice")
         report.form = form_json(inst.form)
+        report.certificates = [c._asdict() for c in inst.certificates]
         lap("form")
         report.realizations = [_check_realization(inst, p.vector) for p in points if p.strictly_positive]
-        report.ok = (inst.lemmas.all_passed and bool(inst.cone.has_positive_point)
-                     and report.form["signature_as_expected"] and bool(report.realizations)
+        report.ok = (all(c.passed for c in inst.certificates) and bool(report.realizations)
                      and all(r.get("identity_holds") for r in report.realizations))
         lap("realize")
     lap("total")
@@ -385,7 +390,7 @@ def _check_realization(inst: Instance, vector) -> dict:
 def run_survey(instances: Iterable[tuple[str, EnhancedMultigraph | Instance]], max_len: int = 0,
                budget: int = ENUMERATION_BUDGET) -> dict:
     """Pipeline summary per instance (a graph or an ``Instance``): rank,
-    lemma verdict, cone, positivity, signature and the lattice point
+    certificate verdict, cone, positivity, signature and the lattice point
     counts at ``max_len``.
 
     Each row reads the stages ``run_check`` reads, bar realization, and
@@ -408,16 +413,16 @@ def _survey_row(name: str, g: EnhancedMultigraph | Instance, max_len: int, budge
     lap("validate")
     if inst.derivable:
         lap("labels")
-        row.update(rank=inst.kernel.rank, dimension=inst.kernel.dimension,
-                   lemmas_ok=inst.lemmas.all_passed)
+        row.update(rank=inst.kernel.rank, dimension=inst.kernel.dimension)
+        inst.lemmas  # timed with the system; lemmas_ok reads them after the form
         lap("solve")
         row.update(has_positive_point=inst.cone.has_positive_point, n_rays=len(inst.cone.extreme_rays))
         lap("cone")
         points = inst.lattice_points(max_len, budget)
         row.update(points=len(points), strictly_positive=sum(p.strictly_positive for p in points))
         lap("lattice")
-        sig = list(inst.form.signature)
-        row.update(signature=sig, signature_as_expected=sig == [1, 3, 0])
+        row.update(signature=list(inst.form.signature), lemmas_ok=all(c.passed for c in inst.certificates),
+                   signature_as_expected=inst.form.signature == EXPECTED_SIGNATURE)
         lap("form")
     lap("total")
     return row

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
-from .shapesys import check_lengths
+from .shapesys import LemmaCheck, check_lengths
 
 if TYPE_CHECKING:
     from .cone import LatticeBasis
@@ -36,6 +36,8 @@ SLOT_MATRIX: tuple[tuple[int, ...], ...] = tuple(
     tuple(2 if (i - j) % 6 in (1, 5) else 1 if (i - j) % 6 in (2, 4) else 0 for j in range(6))
     for i in range(6)
 )
+
+EXPECTED_SIGNATURE = (1, 3, 0)  # (positives, negatives, zeros) of Q_tau on every valid type
 
 
 class QuadraticForm(NamedTuple):
@@ -106,6 +108,12 @@ def restrict_form(q: QuadraticForm, lattice: LatticeBasis) -> QuadraticForm:
         images.append(image)
     restricted = tuple(tuple(linalg.dot(row, image) // 2 for image in images) for row in lattice.vectors)
     return QuadraticForm(q.terms, q.col_edges, restricted, signature(restricted))
+
+
+def signature_check(q: QuadraticForm) -> LemmaCheck:
+    """The certificate that Q_tau has ``EXPECTED_SIGNATURE``."""
+    return LemmaCheck("signature", q.signature == EXPECTED_SIGNATURE,
+                      f"signature {list(q.signature)}, expected {list(EXPECTED_SIGNATURE)}")
 
 
 def signature(matrix) -> tuple[int, int, int]:

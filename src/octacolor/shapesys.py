@@ -112,17 +112,9 @@ class LemmaCheck(NamedTuple):
     detail: str
 
 
-class LemmaReport(NamedTuple):
-    checks: tuple[LemmaCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def verify_lemmas(system: ShapeSystem, kernel: KernelBasis) -> LemmaReport:
-    """Diagnostics: zero row sum, rank E_b - 4, kernel dimension 4, and a
-    certificate that the echelon rank is the rank over the rationals.
+def verify_lemmas(system: ShapeSystem, kernel: KernelBasis) -> tuple[LemmaCheck, ...]:
+    """Diagnostics, in order: zero row sum, rank E_b - 4, kernel dimension 4,
+    and a certificate that the echelon rank is the rank over the rationals.
 
     The certificate, ``rank-methods-agree``, uses no echelon form.  With
     A the closure system and K the kernel basis, A*K = 0 and rank_p(K) =
@@ -132,8 +124,8 @@ def verify_lemmas(system: ShapeSystem, kernel: KernelBasis) -> LemmaReport:
     next of ``RANK_PRIMES`` is tried, and after the last one the Bareiss
     elimination decides.  The check's detail names the method that did.
 
-    Failures are reported, not raised; they flag inputs outside the family
-    these identities are proved for.
+    Failures are reported, not raised, as the first ``Instance.certificates``;
+    they flag inputs outside the family these identities are proved for.
     """
     checks = []
     col_sums = Counter()
@@ -149,7 +141,7 @@ def verify_lemmas(system: ShapeSystem, kernel: KernelBasis) -> LemmaReport:
     checks.append(LemmaCheck("dimension", kernel.dimension == 4,
                              f"kernel dimension {kernel.dimension}, expected 4"))
     checks.append(_rank_certificate(system, kernel))
-    return LemmaReport(tuple(checks))
+    return tuple(checks)
 
 
 def _rank_certificate(system: ShapeSystem, kernel: KernelBasis) -> LemmaCheck:

@@ -261,6 +261,10 @@ def test_unknown_family(capsys):
 # restricted form came to read the lattice basis instead of the kernel
 # basis: only `rays`, `inequalities` and `restricted` changed (hexagon-pair's
 # rays and form are the same in either basis, its inequalities reordered).
+# `check` was re-pinned on both instances when `system.lemmas` gave way to a
+# top-level `certificates`, the same four entries followed by
+# `positive-point` and `signature`; with `certificates` deleted and
+# `system.lemmas` deleted from the old stdout, the two decoded equal.
 GOLDEN_COMMANDS = {
     "validate": [], "labels": [], "solve": [], "rays": [],
     "lattice": ["--max-len", "3"], "realize": ["--point", "0"], "qform": [],
@@ -277,7 +281,7 @@ GOLDEN_SHA256 = {
         "realize": "1cb535e54e7a0ca817e31108ba6f28ba23c16c571c1f5b67d07c4027bfa80c36",
         "qform": "20eee57e5d02291553ff9f020c41715a1b4fa0b5a6dafb263b6ed8e2015eeb1e",
         "render": "79d665e694a9096f0ee7c343a9bc3956bf8f5ee92da8f5a1ddacd3f570cdaefc",
-        "check": "43be461b1c8711d86a1334779d918b0c4c439756e33452a1c036b4c12bb1dfa1",
+        "check": "bb817201036dc33e8b13279c0f5ed34625e90ad5acacbc6654a88fdb673d6070",
     },
     "spiral-k3": {
         "validate": "c635bf0723a15dc47e05aa564171b3d86cda2892bec5dc469c8a947fdf2ccfe7",
@@ -288,7 +292,7 @@ GOLDEN_SHA256 = {
         "realize": "0a2d3865a0f4512cdbafd9bf99cb57ee497372e883fa22e7408f7f62fc624d70",
         "qform": "a66e7a3d633eeebf3a5f6699335e5936718ec3bff9eaa8b0d9f945d9af1e8102",
         "render": "dc22efa5766c7af43ceff77a209aeddf9dc17a8f66cda5c7c428ff74f490b593",
-        "check": "6a48a958be4ce125051c2a4721ae964b508179b7b652823ec0cbad9faefd3b15",
+        "check": "2f705efb7f70ac4c2065c0fa63ba5130b28c092022bd66a358ffa757cf2d29c6",
     },
 }
 GOLDEN_INSTANCES = {"hexagon-pair": ["--bundled", "hexagon-pair"],

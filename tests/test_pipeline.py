@@ -14,8 +14,9 @@ from octacolor.emg import EnhancedMultigraph
 from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.geometry import cone_point_coordinates
 from octacolor.grid import GridPoint
-from octacolor.pipeline import (Instance, grid_point_json, lattice_coefficients, run_check,
-                                run_survey, vector_json)
+from octacolor.pipeline import (Instance, grid_point_json, lattice_coefficients, lemmas_json,
+                                run_check, run_survey, vector_json)
+from octacolor.shapesys import verify_lemmas
 
 
 def test_check_report_spiral3(spiral3):
@@ -173,11 +174,10 @@ def test_survey_rows_match_check_reports():
     assert len(rows) == len(instances)
     for (name, g), row in zip(instances, rows):
         rep = run_check(g, name=name, max_len=max_len)
-        lemmas = rep.system.get("lemmas")
         assert row == {
             "instance": name, "plausible": rep.validation["plausible"],
             "rank": rep.system.get("rank"), "dimension": rep.system.get("dimension"),
-            "lemmas_ok": None if lemmas is None else all(c["passed"] for c in lemmas),
+            "lemmas_ok": all(c["passed"] for c in rep.certificates) if rep.certificates else None,
             "has_positive_point": rep.cone.get("has_positive_point"),
             "n_rays": len(rep.cone.get("rays", [])), "signature": rep.form.get("signature"),
             "signature_as_expected": rep.form.get("signature_as_expected"),
@@ -246,8 +246,49 @@ def test_check_requires_the_expected_signature(monkeypatch, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["form"]["signature"] == [2, 2, 0] and not data["ok"]
     # every other verdict held, so the signature alone decided
-    assert all(c["passed"] for c in data["system"]["lemmas"]) and data["cone"]["has_positive_point"]
+    assert all(c["passed"] for c in data["certificates"] if c["name"] != "signature")
+    assert data["cone"]["has_positive_point"]
     assert data["realizations"] and all(r["identity_holds"] for r in data["realizations"])
+    (sig,) = [c for c in data["certificates"] if c["name"] == "signature"]
+    assert sig == {"name": "signature", "passed": False,
+                   "detail": "signature [2, 2, 0], expected [1, 3, 0]"}
+
+
+def test_a_wrong_signature_fails_the_survey_row(monkeypatch):
+    real = pipeline.restrict_form
+    monkeypatch.setattr(pipeline, "restrict_form",
+                        lambda form, lattice: real(form, lattice)._replace(signature=(2, 2, 0)))
+    (row,) = run_survey([("spiral-k3", gen_spiral(3))], max_len=2)["survey"]
+    assert row["signature"] == [2, 2, 0] and row["lemmas_ok"] is False
+
+
+def test_a_cone_without_a_positive_point_fails_check_and_survey(monkeypatch):
+    real = pipeline.extreme_rays
+    monkeypatch.setattr(pipeline, "extreme_rays", lambda cd: real(cd)._replace(has_positive_point=False))
+    report = run_check(gen_spiral(3), name="spiral-k3", max_len=2)
+    assert [c for c in report.certificates if not c["passed"]] == [
+        {"name": "positive-point", "passed": False,
+         "detail": "the sum of the 7 extreme rays is not strictly positive"}]
+    assert not report.ok
+    (row,) = run_survey([("spiral-k3", gen_spiral(3))], max_len=2)["survey"]
+    assert row["has_positive_point"] is False and row["lemmas_ok"] is False
+
+
+CERTIFICATE_NAMES = ["row-sum-zero", "rank", "dimension", "rank-methods-agree", "positive-point",
+                     "signature"]
+
+
+@pytest.mark.parametrize("name", [*bundled_names(), *(f"spiral-k{k}" for k in range(3, 9))])
+def test_certificates_open_with_the_lemmas(name):
+    g = gen_spiral(int(name[len("spiral-k"):])) if name.startswith("spiral-k") else load_bundled(name)
+    inst = Instance(g)
+    assert inst.certificates[:4] == verify_lemmas(inst.system, inst.kernel)
+    assert [c.name for c in inst.certificates] == CERTIFICATE_NAMES
+    assert all(c.passed for c in inst.certificates)
+    # check's list opens with what solve prints as its lemmas, entry for entry
+    report = run_check(g, name=name, max_len=1)
+    assert report.certificates[:4] == lemmas_json(inst.kernel, inst.lemmas)["lemmas"]
+    assert [c["name"] for c in report.certificates] == CERTIFICATE_NAMES
 
 
 def _forbidden(name):

@@ -140,8 +140,8 @@ def test_verify_lemmas_spiral(spiral3):
     system = _system(spiral3)
     kb = kernel_basis(system)
     rep = verify_lemmas(system, kb)
-    assert rep.all_passed
-    names = [c.name for c in rep.checks]
+    assert all(c.passed for c in rep)
+    names = [c.name for c in rep]
     assert names == ["row-sum-zero", "rank", "dimension", "rank-methods-agree"]
 
 
@@ -150,11 +150,11 @@ def test_verify_lemmas_flags_short_kernel():
     system = ShapeSystem(rows, tuple((i, "re") for i in range(4)), tuple(range(6)))
     kb = kernel_basis(system)
     rep = verify_lemmas(system, kb)
-    assert not rep.all_passed  # rank is not E_b - 4 and the row sum is not zero
+    assert not all(c.passed for c in rep)  # rank is not E_b - 4 and the row sum is not zero
 
 
 def _rank_check(system, kb):
-    (check,) = [c for c in verify_lemmas(system, kb).checks if c.name == "rank-methods-agree"]
+    (check,) = [c for c in verify_lemmas(system, kb) if c.name == "rank-methods-agree"]
     return check
 
 
