@@ -5,13 +5,15 @@ triangular grid.  Developing them through the folding map (orientation
 preserving on white, reversing on black) glues them into a flat cone
 sphere; cutting every polygon into unit triangles yields a sphere
 triangulation with six degree-4 vertices, and lattice residues of the
-folded vertex images give a proper 4-coloring.  Writes net.svg alongside.
+folded vertex images give a proper 4-coloring.  ``Instance.realize`` does
+all of it in one call, as ``octacolor check`` does for each point: it
+also checks the cone points against the type's linear map and reads the
+form identity Q(v) = 3 * triangles.  Writes net.svg alongside.
 """
 
 import pathlib
 
-from octacolor import (build_triangulation, cone_point_coordinates, develop_net,
-                       four_color, spiral_instance, verify_triangle_identity)
+from octacolor import cone_point_coordinates, develop_net, spiral_instance
 from octacolor.pipeline import grid_point_json
 from octacolor.svg import render_net
 
@@ -24,21 +26,20 @@ points = [p for p in inst.lattice_points(3) if p.strictly_positive]
 vector = points[0].vector
 print(f"realizing edge lengths {vector}")
 
-# realize the polygons of these lengths and develop them into one plane
-surface = inst.develop(vector)
+# realize the polygons of these lengths, develop them into one plane,
+# check the cone points, glue and color the mesh, and read the identity
+surface, tri, identity = inst.realize(vector)
 print(f"cone vertices (two polygons meet): {surface.frame.cone_vertices}")
 print(f"regular vertices (four polygons meet): {surface.frame.regular_vertices}")
 print("folded cone point coordinates (x, y*sqrt3):")
 for c in map(grid_point_json, cone_point_coordinates(surface)):
     print(f"  ({c['x']}, {c['ys3']})")
 
-tri = four_color(build_triangulation(surface))
 print(f"\nglued triangulation: {tri.n_vertices} vertices, {len(tri.edges)} edges, "
       f"{len(tri.triangles)} triangles")
 print(f"degree histogram: {tri.degree_histogram()}  (six 4s: the cone points)")
 print(f"vertex colors: {tri.vertex_colors}")
 
-identity = verify_triangle_identity(inst.form, vector, tri)
 print(f"\nquadratic form value {identity.form_value} = 3 * {identity.triangle_count} triangles: "
       f"{identity.holds}")
 

@@ -4,17 +4,18 @@ Each command loads one ``pipeline.Instance`` per instance (a spiral
 member is the one its validation gate derived), so it derives each stage
 once.  A stage subcommand emits ``{"instance": name, **fragment}`` from
 its stage's ``pipeline.*_json`` function; ``check`` and ``survey`` emit
-``run_check``'s report and ``run_survey``'s rows.  ``realize`` and
-``render`` import the mesh, net and SVG layers where they call them, so
-no other command loads those modules.
+``run_check``'s report and ``run_survey``'s rows.  ``Instance.realize``,
+which ``check`` and ``realize`` call, imports the mesh layer and
+``render`` the net and SVG layers, so no other command loads them.
 
 Exit status, by the library's three outcomes: 2 on an input error (an
 ``emg.InputError``, the CLI's own parse errors included); 1 on a verdict
-(an ``emg.InvariantError``, or a ``check`` that realized no point) or an
-exceeded budget (``lattice`` still writes its report; ``check`` and
-``survey`` print only the error); any other exception, a plain
-``ValueError`` included, is a bug and escapes ``main``.  All JSON output
-encodes exact values as integer or rational strings.
+(an ``emg.InvariantError``, a ``check`` that realized no point or a
+``realize`` whose form identity fails) or an exceeded budget (``lattice``
+still writes its report; ``check`` and ``survey`` print only the error);
+any other exception, a plain ``ValueError`` included, is a bug and
+escapes ``main``.  All JSON output encodes exact values as integer or
+rational strings.
 """
 
 from __future__ import annotations
@@ -161,13 +162,11 @@ def _select_point(args, inst: Instance) -> tuple[int, ...]:
 
 
 def _cmd_realize(args) -> int:
-    from .mesh import build_triangulation, four_color
     name, inst = _load_instance(args)
     vec = _select_point(args, inst)
-    surface = inst.develop(vec)
-    tri = four_color(build_triangulation(surface))
-    _emit_json(args, {"instance": name, **realization_json(vec, surface, tri)})
-    return 0
+    r = inst.realize(vec)
+    _emit_json(args, {"instance": name, **realization_json(vec, r.surface, r.mesh)})
+    return 0 if r.identity.holds else 1
 
 
 def _cmd_qform(args) -> int:

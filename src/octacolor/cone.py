@@ -197,10 +197,12 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
     are copies of one working vector stepped by v_{d-1} on every moving
     edge, so a point costs work in the nonzeros of v_{d-1}, and nothing is
     filtered afterwards.  More than ``budget`` candidates raise
-    EnumerationBudgetError, and a negative bound InputError.
+    EnumerationBudgetError, and a negative bound or budget InputError.
     """
     if bound < 0:
         raise InputError(f"bound must be >= 0, got {bound}")
+    if budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
     d = lb.dimension
     n = len(lb.col_edges)
     if d == 0:

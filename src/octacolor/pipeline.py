@@ -9,7 +9,7 @@ development plan and the surface frame, which developing a point and
 gluing its mesh both read, and the map from a point's lattice
 coefficients to its cone points, which checks every realized point.
 Each stage is a cached property computed on first use; ``develop``
-realizes one edge-length vector against the plan and the frame.
+places one length vector on the plan and frame, ``realize`` verifies it.
 ``derivable`` is the stop rule: ``run_check`` and ``run_survey`` read
 the stages in report order, validation always, the labels of a
 plausible instance, and every later stage only when it is derivable,
@@ -29,20 +29,32 @@ from collections.abc import Iterable
 from functools import cached_property
 from operator import mul
 from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays,
                    lattice_basis, positive_point_check, restrict_to_lattice)
 from .emg import EnhancedMultigraph, InputError, InvariantError, trace_faces, validate_plausible
-from .geometry import (cone_point_coordinates, development_plan, place_surface, surface_frame,
-                       walk_polygons)
+from .geometry import (RealizedSurface, cone_point_coordinates, development_plan, place_surface,
+                       surface_frame, walk_polygons)
 from .labeling import HolonomyError, assign_labels, polygon_boundaries
-from .qform import EXPECTED_SIGNATURE, assemble_form, restrict_form, signature_check, verify_triangle_identity
+from .qform import (EXPECTED_SIGNATURE, IdentityReport, assemble_form, restrict_form,
+                    signature_check, verify_triangle_identity)
 from .shapesys import LemmaCheck, build_constraints, check_lengths, kernel_basis, verify_lemmas
+
+if TYPE_CHECKING:
+    from .mesh import ColoredTriangulation
 
 
 class ConePointError(InvariantError):
     """A realized point's cone points differ from its type's map, or the
     type has no map."""
+
+
+class Realization(NamedTuple):
+    """A verified point: its surface, colored mesh and form identity."""
+    surface: RealizedSurface
+    mesh: ColoredTriangulation
+    identity: IdentityReport
 
 
 class Instance:
@@ -171,20 +183,36 @@ class Instance:
             raise InputError("the length vector does not solve the closure system")
         return place_surface(self.frame, walk_polygons(self.plan, vector))
 
+    def realize(self, vector) -> Realization:
+        """Develop the point, check its cone points against the type's map
+        (else ConePointError), build, color and check its mesh and read the
+        form identity on it; ``identity.holds`` is the verdict.  ``mesh`` is
+        imported here, so a run that realizes no point never loads it."""
+        from .mesh import build_triangulation, four_color
+        surface = self.develop(vector)
+        if self.cone_points_map is None:
+            raise ConePointError("the type has no cone point map")
+        want = _apply(self.cone_points_map, lattice_coefficients(self.lattice.vectors, vector))
+        if (got := _cone_points(surface)) != want:
+            raise ConePointError(f"cone points {list(got)} differ from the map's {list(want)}")
+        tri = four_color(build_triangulation(surface))
+        return Realization(surface, tri, verify_triangle_identity(self.form, vector, tri))
+
 
 def lattice_coefficients(vectors, point) -> list[int]:
     """The c with point = sum c_i vectors[i], for ``vectors`` in row Hermite
     normal form, by substitution along the pivots: row i is the last with a
     nonzero at its pivot, so c_i follows from the c of the rows above it.
     With every pivot 1 (and so every entry above one 0), c is the point's
-    entries at the pivots.  A division that is not exact raises ValueError."""
+    entries at the pivots.  A point that c does not recombine to is off the
+    lattice and raises ValueError."""
     coeffs: list[int] = []
     for row in vectors:
         p = next(j for j, x in enumerate(row) if x)
-        c, r = divmod(point[p] - sum(a * v[p] for a, v in zip(coeffs, vectors)), row[p])
-        if r:  # never from the chain, whose points lie in the lattice
-            raise ValueError(f"{list(point)} is not a point of the lattice")
-        coeffs.append(c)
+        coeffs.append((point[p] - sum(a * v[p] for a, v in zip(coeffs, vectors))) // row[p])
+    # each column ends in the point's entry; a vector ``develop`` accepts is always in L
+    if any(sum(map(mul, coeffs, col)) != col[-1] for col in zip(*vectors, point)):
+        raise ValueError(f"{list(point)} is not a point of the lattice")
     return coeffs
 
 
@@ -362,28 +390,12 @@ def run_check(g: EnhancedMultigraph | Instance, name: str = "instance", max_len:
 
 
 def _check_realization(inst: Instance, vector) -> dict:
-    """Realize one point, check its cone points against the type's map and
-    the form identity on its mesh.  ``four_color`` raises on a properness or
-    mod-3 failure, so an entry without ``error`` certifies all of them and
-    states none but the identity.  ``mesh`` is imported here, so a run that
-    realizes no point never loads it."""
-    from .mesh import build_triangulation, four_color
-    entry: dict = {"vector": vector_json(vector)}
+    """One ``realizations`` entry: the identity, or what stopped ``realize``."""
     try:
-        surface = inst.develop(vector)
-        cone_map = inst.cone_points_map
-        if cone_map is None:
-            raise ConePointError("the type has no cone point map")
-        got = _cone_points(surface)
-        want = _apply(cone_map, lattice_coefficients(inst.lattice.vectors, vector))
-        if got != want:
-            raise ConePointError(f"cone points {list(got)} differ from the map's {list(want)}")
-        tri = four_color(build_triangulation(surface))
-        identity = verify_triangle_identity(inst.form, vector, tri)
+        identity = inst.realize(vector).identity
     except InvariantError as exc:
-        entry["error"] = f"{type(exc).__name__}: {exc}"
-        return entry
-    return {**entry, "triangles": identity.triangle_count,
+        return {"vector": vector_json(vector), "error": f"{type(exc).__name__}: {exc}"}
+    return {"vector": vector_json(vector), "triangles": identity.triangle_count,
             "form_value": str(identity.form_value), "identity_holds": identity.holds}
 
 

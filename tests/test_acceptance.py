@@ -14,7 +14,7 @@ from octacolor.cone import ConeDescription, enumerate_lattice_points, extreme_ra
 from octacolor.families import bundled_names, load_bundled, spiral_instance
 from octacolor.geometry import cone_point_coordinates, develop_surface, realize_polygons
 from octacolor.labeling import polygon_boundaries
-from octacolor.mesh import build_triangulation, four_color, triarea
+from octacolor.mesh import triarea
 from octacolor.pipeline import Instance
 from octacolor.qform import assemble_form, restrict_form, slot_value
 from octacolor.shapesys import KernelBasis
@@ -44,9 +44,8 @@ def realized_sample():
     realized = []
     for p in inst.lattice_points(3):
         if p.strictly_positive:
-            surface = inst.develop(p.vector)
-            tri = four_color(build_triangulation(surface))
-            realized.append((p.vector, dict(zip(inst.kernel.col_edges, p.vector)), surface, tri))
+            r = inst.realize(p.vector)
+            realized.append((p.vector, dict(zip(inst.kernel.col_edges, p.vector)), r.surface, r.mesh))
     return inst, realized
 
 

@@ -646,3 +646,36 @@ def test_realize_mesh_failure_is_an_invariant_failure(monkeypatch, capsys, name,
     monkeypatch.setattr(mesh, name, fail)
     code, out, err = run(capsys, "realize", "--bundled", "hexagon-pair", "--point", "0")
     assert (code, out, err) == (1, "", f"invariant failure: {error}: planted\n")
+
+
+def test_a_broken_identity_is_a_verdict_of_realize_and_check(monkeypatch, capsys):
+    # a planted identity that fails on every point: realize still writes its
+    # golden bytes and exits 1, the verdict of check's entry for that point
+    real = pipeline.verify_triangle_identity
+    monkeypatch.setattr(pipeline, "verify_triangle_identity",
+                        lambda *args: real(*args)._replace(holds=False))
+    argv = GOLDEN_INSTANCES["hexagon-pair"]
+    code, out, err = run(capsys, "realize", *argv, *GOLDEN_COMMANDS["realize"])
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256["hexagon-pair"]["realize"]
+    code, out, err = run(capsys, "check", *argv, *GOLDEN_COMMANDS["check"])
+    data = json.loads(out)
+    assert (code, err, data["ok"]) == (1, "", False)
+    assert data["realizations"] and all(r["identity_holds"] is False for r in data["realizations"])
+
+
+def test_a_cone_point_mismatch_is_an_invariant_failure_of_realize(monkeypatch, capsys):
+    # one entry of the map moved: every strictly positive point of
+    # hexagon-pair has a nonzero first coefficient, so point 0 no longer
+    # matches its developed cone points
+    real = Instance.cone_points_map.func
+
+    def moved(self):
+        cone_map = [list(row) for row in real(self)]
+        cone_map[0][0] += 2
+        return tuple(map(tuple, cone_map))
+
+    monkeypatch.setattr(Instance, "cone_points_map", property(moved))
+    code, out, err = run(capsys, "realize", *GOLDEN_INSTANCES["hexagon-pair"], "--point", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("invariant failure: ConePointError: cone points [") and err.endswith("]\n")

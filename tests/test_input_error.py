@@ -39,6 +39,12 @@ def test_negative_enumeration_bound(hexagon_pair):
         enumerate_lattice_points(hexagon_pair.lattice, -1)
 
 
+def test_negative_enumeration_budget(hexagon_pair):
+    # an input error, not an exceeded budget: no candidate was counted
+    with pytest.raises(InputError, match=r"^budget must be >= 0, got -1$"):
+        enumerate_lattice_points(hexagon_pair.lattice, 2, budget=-1)
+
+
 def test_base_flag_off_a_cone_vertex():
     inst = spiral_instance(3)
     quad = inst.frame.regular_vertices[0]

@@ -137,15 +137,35 @@ def test_a_cone_points_map_with_an_offset_is_no_map(monkeypatch, hexpair):
                for entry in report.realizations)
 
 
+@pytest.mark.parametrize("name", bundled_names())
+def test_realize_agrees_with_checks_realizations(name):
+    # check on one instance, realize on another: realizations[i] is the
+    # verdict of realizing the i-th strictly positive point on its own
+    report = run_check(load_bundled(name), name=name, max_len=3)
+    inst = Instance(load_bundled(name))
+    points = [p.vector for p in inst.lattice_points(3) if p.strictly_positive]
+    assert [r["vector"] for r in report.realizations] == [vector_json(v) for v in points]
+    assert points or name in ("spiral-8", "spiral-10")  # no spiral k >= 4 has one at max-len 3
+    for entry, vector in zip(report.realizations, points):
+        identity = inst.realize(vector).identity
+        assert (entry["triangles"], entry["form_value"], entry["identity_holds"]) == (
+            identity.triangle_count, str(identity.form_value), identity.holds)
+
+
 def test_lattice_coefficients_with_a_pivot_of_two():
     # row Hermite normal form: pivots 2 and 3, the entry above 3 reduced
     vectors = ((2, 1, 0, 5), (0, 3, 1, -1))
     for c in ((1, -2), (0, 0), (-3, 7)):
         point = [c[0] * x + c[1] * y for x, y in zip(*vectors)]
         assert lattice_coefficients(vectors, point) == list(c)
-    for point in ((1, 0, 0, 0), (2, 2, 0, 5)):
+    # (2, 1, 0, 6) divides exactly at both pivots but is off the lattice
+    for point in ((1, 0, 0, 0), (2, 2, 0, 5), (2, 1, 0, 6)):
         with pytest.raises(ValueError, match="is not a point of the lattice"):
             lattice_coefficients(vectors, point)
+    # every pivot of hexagon-pair's basis is 1: the pivot entries alone
+    # would read [1, 0, 0, 0], which recombines to [1, 0, 0, 0, 1, -1]
+    with pytest.raises(ValueError, match=r"^\[1, 0, 0, 0, 0, 0\] is not a point of the lattice$"):
+        lattice_coefficients(Instance(load_bundled("hexagon-pair")).lattice.vectors, [1, 0, 0, 0, 0, 0])
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=1, max_size=4),
@@ -308,11 +328,16 @@ def test_spiral_gate_computes_only_its_stages(monkeypatch):
         gen_spiral.cache_clear()
 
 
-def test_point_vector_skips_cone_and_lattice(monkeypatch, capsys):
-    for name in ("extreme_rays", "lattice_basis", "enumerate_lattice_points"):
-        monkeypatch.setattr(pipeline, name, _forbidden(name))
+def test_point_vector_skips_the_enumeration(monkeypatch, capsys):
+    # render develops the vector alone; realize also checks its cone points,
+    # so it derives the cone and the lattice, but enumerates no point
+    monkeypatch.setattr(pipeline, "enumerate_lattice_points", _forbidden("enumerate_lattice_points"))
     assert main(["realize", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,1"]) == 0
     assert json.loads(capsys.readouterr().out)["point"] == ["1"] * 6
+    for name in ("extreme_rays", "lattice_basis"):
+        monkeypatch.setattr(pipeline, name, _forbidden(name))
+    assert main(["render", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,1"]) == 0
+    assert capsys.readouterr().out.startswith("<svg")
 
 
 def test_lattice_points_skip_the_double_description(monkeypatch, capsys):

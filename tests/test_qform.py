@@ -12,10 +12,10 @@ from octacolor.cone import LatticeBasis
 from octacolor.families import bundled_names, gen_spiral, load_bundled
 from octacolor.geometry import realize_polygons
 from octacolor.labeling import polygon_boundaries
-from octacolor.mesh import build_triangulation, four_color, triarea
+from octacolor.mesh import triarea
 from octacolor.pipeline import Instance
 from octacolor.qform import (SLOT_MATRIX, QuadraticForm, assemble_form, restrict_form,
-                             signature, slot_value, verify_triangle_identity)
+                             signature, slot_value)
 
 
 def test_slot_matrix_structure():
@@ -235,10 +235,7 @@ def test_homogeneity_of_identity(spiral3):
     v = next(p.vector for p in inst.lattice_points(2) if p.strictly_positive)
     doubled = [2 * x for x in v]
     assert qf.value(doubled) == 4 * qf.value(v)
-    surf = inst.develop(doubled)
-    tri = four_color(build_triangulation(surf))
-    rep = verify_triangle_identity(qf, doubled, tri)
-    assert rep.holds
+    assert inst.realize(doubled).identity.holds
 
 
 _entries = st.integers(-3, 3)
