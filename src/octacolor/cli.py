@@ -5,13 +5,14 @@ member is the one its validation gate derived), so it derives each stage
 once.  A stage subcommand emits ``{"instance": name, **fragment}`` from
 its stage's ``pipeline.*_json`` function; ``check`` and ``survey`` emit
 ``run_check``'s report and ``run_survey``'s rows.  ``Instance.realize``,
-which ``check`` and ``realize`` call, imports the mesh layer and
-``render`` the net and SVG layers, so no other command loads them.
+which ``check``, ``realize`` and ``render`` call, imports the mesh layer
+and ``render`` the net and SVG layers, so no other command loads them.
 
 Exit status, by the library's three outcomes: 2 on an input error (an
 ``emg.InputError``, the CLI's own parse errors included); 1 on a verdict
 (an ``emg.InvariantError``, a ``check`` that realized no point or a
-``realize`` whose form identity fails) or an exceeded budget (``lattice``
+``realize`` or ``render`` whose form identity fails; both still write
+their output) or an exceeded budget (``lattice``
 still writes its report; ``check`` and ``survey`` print only the error);
 any other exception, a plain ``ValueError`` included, is a bug and
 escapes ``main``.  All JSON output encodes exact values as integer or
@@ -212,12 +213,12 @@ def _cmd_render(args) -> int:
     from . import svg
     from .net import develop_net
     name, inst = _load_instance(args)
-    surface = inst.develop(_select_point(args, inst))
-    _emit(args, svg.render_net(inst.g, surface, develop_net(surface),
+    r = inst.realize(_select_point(args, inst))
+    _emit(args, svg.render_net(inst.g, r.surface, develop_net(r.surface),
                                triangles=args.triangles,
                                vertex_colors=args.vertex_colors,
                                overlay_dual=args.overlay_dual))
-    return 0
+    return 0 if r.identity.holds else 1
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:

@@ -7,17 +7,19 @@ solution; ``linalg.saturate`` finds it from one echelon of the n × 4
 transposed kernel basis).  There the nonnegativity of every edge length is
 an integer inequality system B c >= 0 with one row per blue edge, whose
 extreme rays, primitive in the lattice, the double description method
-computes, and the points with every length in [0, bound] are the integer
-points of a box, found by Fourier-Motzkin elimination.  Edges whose rows
-in the basis are equal have equal lengths at every point, so the box rows,
-and every bound read from them, come from one edge per distinct row.  The
-enumeration carries the partial vector of the fixed coefficients down the
-levels, and reads the last coefficient's range and the sub-range of
-strictly positive points straight from it and the distinct rows the last
-basis vector moves; each point then costs a step on the moving edges and
-one tuple copy.  Everything runs in exact integer arithmetic: every
-constraint is kept as an integer row, and rescaled only by positive
-factors.
+computes on its distinct rows, each ray carrying an integer bitmask of the
+rows it is tight on, so adjacency is a test on ints (the masks are the
+ray-row incidences the face lattice of C_tau would read).  The points with
+every length in [0, bound] are the integer points of a box, found by
+Fourier-Motzkin elimination.  Edges whose rows in the basis are equal have
+equal lengths at every point, so the box rows, and every bound read from
+them, come from one edge per distinct row.  The enumeration carries the
+partial vector of the fixed coefficients down the levels, and reads the
+last coefficient's range and the sub-range of strictly positive points
+straight from it and the distinct rows the last basis vector moves; each
+point then costs a step on the moving edges and one tuple copy.
+Everything runs in exact integer arithmetic: every constraint is kept as
+an integer row, and rescaled only by positive factors.
 """
 
 from __future__ import annotations
@@ -72,11 +74,13 @@ def restrict_to_lattice(lattice: LatticeBasis) -> ConeDescription:
     """Inequality description of the cone in lattice coordinates: row i
     holds edge i's coordinates in the basis vectors, cleared to a primitive
     integer vector (a positive rescaling), so B c >= 0 says every edge
-    length of the lattice point with coefficients c is nonnegative."""
+    length of the lattice point with coefficients c is nonnegative.  Each
+    distinct column is cleared once."""
     if lattice.dimension < 1:
         raise ValueError("lattice dimension must be at least 1")
-    return ConeDescription(tuple(tuple(linalg.primitive_vector(col)) if any(col) else col
-                                 for col in zip(*lattice.vectors)), lattice.dimension)
+    cols = list(zip(*lattice.vectors))
+    cleared = {col: tuple(linalg.primitive_vector(col)) if any(col) else col for col in set(cols)}
+    return ConeDescription(tuple(map(cleared.__getitem__, cols)), lattice.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +95,11 @@ def extreme_rays(cd: ConeDescription) -> ConeDescription:
     cone that is not pointed is reported through a nonempty lineality basis,
     with the rays describing the pointed quotient.
     """
-    rows = [row for row in cd.inequalities if any(row)]
-    rows = sorted(set(rows), key=lambda r: (sum(1 for x in r if x), r))
+    distinct = set(cd.inequalities)
+    rows = sorted(filter(any, distinct), key=lambda r: (len(r) - r.count(0), r))
     rays, lin = _double_description(rows, cd.dimension)
-    total = [sum(r[i] for r in rays) for i in range(cd.dimension)] if rays else [0] * cd.dimension
-    positive = bool(rays) and all(linalg.dot(row, total) > 0 for row in cd.inequalities)
+    total = [sum(col) for col in zip(*rays)]
+    positive = bool(rays) and all(sum(map(mul, row, total)) > 0 for row in distinct)
     return ConeDescription(cd.inequalities, cd.dimension, tuple(rays), tuple(lin), positive)
 
 
@@ -110,61 +114,76 @@ def _double_description(rows, dim):
     """Fukuda-Prodon style incremental double description.
 
     State: a lineality basis L and a ray list R with
-    cone-so-far = span(L) + cone(R).  A new inequality that is nonzero on
-    some lineality direction consumes it; otherwise the classic split and
-    adjacent-combination step runs on the rays.
+    cone-so-far = span(L) + cone(R), and per ray an integer bitmask of the
+    processed rows it is tight on (bit j for rows[j]).  A new inequality
+    that is nonzero on some lineality direction consumes it; otherwise the
+    classic split and adjacent-combination step runs on the rays.  Every
+    ray is >= 0 on every processed row, so the masks stay exact with no
+    dot product on a processed row: a ray the new row sees as 0 gains its
+    bit, and a positive combination of rays p and m gets mask[p] & mask[m]
+    and the bit.  p and m are adjacent when no third ray's mask contains
+    their common rows.  The masks are the cone's ray-row incidences.
     """
-    lineality = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    rays: list[list[int]] = []
-    processed: list[tuple[int, ...]] = []
+    lineality = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    masks: list[int] = []
 
-    for row in rows:
-        vals_lin = [linalg.dot(row, l) for l in lineality]
-        hit = next((i for i, v in enumerate(vals_lin) if v != 0), None)
+    for j, row in enumerate(rows):
+        bit = 1 << j
+        hit = next((i for i, l in enumerate(lineality) if sum(map(mul, row, l))), None)
         if hit is not None:
             l0 = lineality.pop(hit)
-            v0 = vals_lin[hit]
+            v0 = sum(map(mul, row, l0))
             if v0 < 0:
-                l0 = [-x for x in l0]
-                v0 = -v0
+                l0, v0 = tuple(-x for x in l0), -v0
 
             def project(v):
                 # onto the hyperplane of row, along l0; v0 > 0 times the
-                # rational projection, so the direction is kept
-                t = linalg.dot(row, v)
-                return linalg.primitive_vector([v0 * a - t * b for a, b in zip(v, l0)])
+                # rational projection, so the direction is kept.  A vector
+                # the row does not see stays, primitive already.
+                t = sum(map(mul, row, v))
+                if not t:
+                    return v
+                w = [v0 * a - t * b for a, b in zip(v, l0)]
+                g = math.gcd(*w)
+                return tuple(x // g for x in w)
 
             lineality = [project(l) for l in lineality]
+            # every projection is tight on the row; l0, a lineality
+            # direction until now, is tight on every row before it
             rays = [project(r) for r in rays] + [l0]
-            processed.append(row)
+            masks = [m | bit for m in masks] + [bit - 1]
             continue
 
-        vals = [linalg.dot(row, r) for r in rays]
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        if not minus:
-            processed.append(row)
+        vals = [sum(map(mul, row, r)) for r in rays]
+        if min(vals, default=0) >= 0:
+            masks = [m if v else m | bit for m, v in zip(masks, vals)]
             continue
-
-        tight = {i: frozenset(j for j, a in enumerate(processed) if linalg.dot(a, rays[i]) == 0)
-                 for i in range(len(rays))}
-        new_rays = [rays[i] for i in plus + zero]
-        for ip in plus:
-            for im in minus:
-                common = tight[ip] & tight[im]
-                adjacent = not any(k not in (ip, im) and common <= tight[k]
-                                   for k in range(len(rays)))
-                if adjacent:
-                    new_rays.append([vals[ip] * b - vals[im] * a
-                                     for a, b in zip(rays[ip], rays[im])])
-        # drop zero and repeated directions, keeping the first of each
-        rays = [list(r) for r in dict.fromkeys(tuple(linalg.primitive_vector(r))
-                                               for r in new_rays if any(r))]
-        processed.append(row)
+        # the rays the row keeps, a repeated direction once, then the
+        # combination of each adjacent pair it separates
+        kept: dict[tuple[int, ...], int] = {}
+        plus, minus = [], []
+        for r, m, v in zip(rays, masks, vals):
+            if v > 0:
+                kept[r] = m
+                plus.append((r, m, v))
+            elif v:
+                minus.append((r, m, v))
+            else:
+                kept[r] = m | bit
+        for rp, mp, vp in plus:
+            for rm, mm, vm in minus:
+                common = mp & mm
+                # adjacent: no mask but p's and m's contains their common rows
+                if [common & m for m in masks].count(common) == 2:
+                    w = [vp * b - vm * a for a, b in zip(rp, rm)]
+                    g = math.gcd(*w)
+                    if g:
+                        kept.setdefault(tuple(x // g for x in w), common | bit)
+        rays, masks = list(kept), list(kept.values())
 
     # every ray and lineality vector is primitive already
-    return sorted({tuple(r) for r in rays if any(r)}), [tuple(l) for l in lineality]
+    return sorted(set(rays)), lineality
 
 
 # ---------------------------------------------------------------------------

@@ -649,15 +649,17 @@ def test_realize_mesh_failure_is_an_invariant_failure(monkeypatch, capsys, name,
 
 
 def test_a_broken_identity_is_a_verdict_of_realize_and_check(monkeypatch, capsys):
-    # a planted identity that fails on every point: realize still writes its
-    # golden bytes and exits 1, the verdict of check's entry for that point
+    # a planted identity that fails on every point: realize and render still
+    # write their golden bytes and exit 1, the verdict of check's entry for
+    # that point
     real = pipeline.verify_triangle_identity
     monkeypatch.setattr(pipeline, "verify_triangle_identity",
                         lambda *args: real(*args)._replace(holds=False))
     argv = GOLDEN_INSTANCES["hexagon-pair"]
-    code, out, err = run(capsys, "realize", *argv, *GOLDEN_COMMANDS["realize"])
-    assert (code, err) == (1, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256["hexagon-pair"]["realize"]
+    for command in ("realize", "render"):
+        code, out, err = run(capsys, command, *argv, *GOLDEN_COMMANDS[command])
+        assert (code, err) == (1, ""), command
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256["hexagon-pair"][command]
     code, out, err = run(capsys, "check", *argv, *GOLDEN_COMMANDS["check"])
     data = json.loads(out)
     assert (code, err, data["ok"]) == (1, "", False)
@@ -667,7 +669,8 @@ def test_a_broken_identity_is_a_verdict_of_realize_and_check(monkeypatch, capsys
 def test_a_cone_point_mismatch_is_an_invariant_failure_of_realize(monkeypatch, capsys):
     # one entry of the map moved: every strictly positive point of
     # hexagon-pair has a nonzero first coefficient, so point 0 no longer
-    # matches its developed cone points
+    # matches its developed cone points, and render draws no point that
+    # realize rejects
     real = Instance.cone_points_map.func
 
     def moved(self):
@@ -676,6 +679,7 @@ def test_a_cone_point_mismatch_is_an_invariant_failure_of_realize(monkeypatch, c
         return tuple(map(tuple, cone_map))
 
     monkeypatch.setattr(Instance, "cone_points_map", property(moved))
-    code, out, err = run(capsys, "realize", *GOLDEN_INSTANCES["hexagon-pair"], "--point", "0")
-    assert (code, out) == (1, "")
-    assert err.startswith("invariant failure: ConePointError: cone points [") and err.endswith("]\n")
+    for command in ("realize", "render"):
+        code, out, err = run(capsys, command, *GOLDEN_INSTANCES["hexagon-pair"], "--point", "0")
+        assert (code, out) == (1, ""), command
+        assert err.startswith("invariant failure: ConePointError: cone points [") and err.endswith("]\n")

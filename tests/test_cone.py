@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dd_oracle
 import enumeration_oracle
 import lattice_oracle
 import rational_linalg
@@ -300,6 +301,44 @@ def _bundled():
 
 def _instances():
     return _bundled() + [gen_spiral(k) for k in range(3, 13)]
+
+
+def test_extreme_rays_match_the_oracle_on_random_systems():
+    # zero and repeated rows included; the oracle reports lineality for
+    # the non-pointed systems, and both kinds must occur
+    rng = random.Random(39)
+    kinds = {True: 0, False: 0}
+    for _ in range(2000):
+        dim = rng.randrange(1, 6)
+        rows = [[rng.randrange(-4, 5) for _ in range(dim)] for _ in range(rng.randrange(1, 13))]
+        cd = _cone(rows, dim)
+        want = dd_oracle.extreme_rays(cd)
+        assert extreme_rays(cd) == want, rows
+        kinds[want.lineality == ()] += 1
+    assert min(kinds.values()) >= 250, kinds
+
+
+def test_cone_matches_the_oracle_on_instances():
+    # inequality rows, rays, lineality and the positive-point verdict
+    for g in _instances():
+        lattice = Instance(g).lattice
+        cd = restrict_to_lattice(lattice)
+        assert cd == dd_oracle.restrict_to_lattice(lattice)
+        assert extreme_rays(cd) == dd_oracle.extreme_rays(cd)
+
+
+def test_the_spiral_cone_is_one_cone_from_k_6():
+    # the gate hands the double description the same 9 distinct rows at
+    # every k >= 6, and they cut out the same 6 rays
+    def cone(k):
+        cd = Instance(gen_spiral(k)).cone
+        return sorted(set(cd.inequalities)), cd.extreme_rays, cd.lineality
+
+    six = cone(6)
+    assert (len(six[0]), len(six[1]), six[2]) == (9, 6, ())
+    for k in [*range(7, 21), 40]:
+        assert cone(k) == six, k
+    assert cone(5) != six
 
 
 def _pairs(points):
