@@ -46,5 +46,5 @@ print(f"\nquadratic form value {identity.form_value} = 3 * {identity.triangle_co
 net = develop_net(surface)
 print(f"\nnet layout: tree edges {surface.frame.tree_edges}")
 out = pathlib.Path(__file__).with_name("net.svg")
-out.write_text(render_net(graph, surface, net, triangles=True, vertex_colors=True))
+out.write_text(render_net(graph, surface, net, triangles=True, vertex_colors=True, mesh=tri))
 print(f"wrote {out}")

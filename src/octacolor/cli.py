@@ -151,7 +151,7 @@ def _select_point(args, inst: Instance) -> tuple[int, ...]:
         vec = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise InputError(f"--point must be an index or a comma vector, got {text!r}") from None
-    if "," in text:  # Instance.develop decides whether it is a point
+    if "," in text:  # Instance.coefficients decides whether it is a point
         return vec
     (idx,) = vec
     points = [p for p in inst.lattice_points(args.max_len, args.budget) if p.strictly_positive]
@@ -215,9 +215,8 @@ def _cmd_render(args) -> int:
     name, inst = _load_instance(args)
     r = inst.realize(_select_point(args, inst))
     _emit(args, svg.render_net(inst.g, r.surface, develop_net(r.surface),
-                               triangles=args.triangles,
-                               vertex_colors=args.vertex_colors,
-                               overlay_dual=args.overlay_dual))
+                               triangles=args.triangles, vertex_colors=args.vertex_colors,
+                               overlay_dual=args.overlay_dual, mesh=r.mesh))
     return 0 if r.identity.holds else 1
 
 

@@ -70,6 +70,23 @@ def lattice_basis(kernel: KernelBasis) -> LatticeBasis:
     return LatticeBasis(tuple(map(tuple, linalg.saturate(kernel.basis))), kernel.col_edges)
 
 
+def lattice_coefficients(vectors, point) -> list[int]:
+    """The c with point = sum c_i vectors[i], for ``vectors`` in row Hermite
+    normal form, by substitution along the pivots: row i is the last with a
+    nonzero at its pivot, so c_i follows from the c of the rows above it.
+    With every pivot 1 (and so every entry above one 0), c is the point's
+    entries at the pivots.  A point that c does not recombine to is off the
+    lattice and raises ValueError."""
+    coeffs: list[int] = []
+    for row in vectors:
+        p = next(j for j, x in enumerate(row) if x)
+        coeffs.append((point[p] - sum(a * v[p] for a, v in zip(coeffs, vectors))) // row[p])
+    # each column ends in the point's entry
+    if any(sum(map(mul, coeffs, col)) != col[-1] for col in zip(*vectors, point)):
+        raise ValueError(f"{list(point)} is not a point of the lattice")
+    return coeffs
+
+
 def restrict_to_lattice(lattice: LatticeBasis) -> ConeDescription:
     """Inequality description of the cone in lattice coordinates: row i
     holds edge i's coordinates in the basis vectors, cleared to a primitive

@@ -4,7 +4,8 @@ its 4-coloring.
 ``unit_triangulate`` cuts one convex sixth-turn chain into unit triangles
 by a scan over its lattice rows.  ``build_triangulation`` glues the placed
 charts of a ``geometry.RealizedSurface`` into one closed sphere and checks
-it, and ``four_color`` colors its vertices by lattice residues.
+it, ``chart_triangles`` reads each chart's triangles back out of it, and
+``four_color`` colors its vertices by lattice residues.
 
 The mesh numbers its vertices before it cuts a triangle.  A point (X, Y) in
 doubled coordinates is the integer key X * w + (Y - y0), with y0 the lowest
@@ -24,14 +25,14 @@ and the corners, each with the owner of its face.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .emg import WHITE, InvariantError
 from .grid import DIRECTIONS, GridPoint, signed_triarea
 
 if TYPE_CHECKING:
-    from .geometry import PolygonChart, RealizedSurface
+    from .geometry import RealizedSurface
 
 
 class MeshError(InvariantError):
@@ -83,10 +84,6 @@ def _integer_sides(sides) -> list[tuple[int, int]]:
             raise MeshError(f"side lengths must be positive integers, got {ell}")
         out.append((n, d % 6))
     return out
-
-
-def _chart_sides(chart: PolygonChart) -> list[tuple[int, int]]:
-    return [(ell, d) for _, _, d, ell in chart.sides]
 
 
 def _row_scan(start: GridPoint, sides: list[tuple[int, int]]):
@@ -221,7 +218,8 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     """
     placed, frame = surface.placed, surface.frame
     p = 1 + max(placed)
-    scans = {pid: _row_scan(placed[pid].sides[0].start, _chart_sides(placed[pid])) for pid in sorted(placed)}
+    scans = {pid: _row_scan(ch.sides[0].start, [(ell, d) for _, _, d, ell in ch.sides])
+             for pid, ch in sorted(placed.items())}
     rows = {pid: r for pid, (r, _) in scans.items()}
     y0 = min(min(r) for r in rows.values())
     w = max(max(r) for r in rows.values()) - y0 + 1
@@ -273,6 +271,13 @@ def build_triangulation(surface: RealizedSurface) -> ColoredTriangulation:
     if fours != 6 or fours + degrees.count(6) != n:
         raise MeshError(f"degree histogram {tri.degree_histogram()}, expected six 4s and the rest 6s")
     return tri
+
+
+def chart_triangles(surface: RealizedSurface, tri: ColoredTriangulation) -> dict[int, tuple]:
+    """Each chart's triangles in ``tri``, glued of ``surface``, as ``build_triangulation`` emits
+    them: charts in id order, each its shoelace count and its ``unit_triangulate``."""
+    rest = iter(tri.triangles)
+    return {pid: tuple(islice(rest, triarea(surface.placed[pid].chain))) for pid in sorted(surface.placed)}
 
 
 def _closed_mesh_edges(edge_keys: list[int], n: int) -> tuple[tuple[int, int], ...]:

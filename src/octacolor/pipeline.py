@@ -8,12 +8,12 @@ every verdict reads; then what realizing a point needs of the type: the
 development plan and the surface frame, which developing a point and
 gluing its mesh both read, and the map from a point's lattice
 coefficients to its cone points, which checks every realized point.
-Each stage is a cached property computed on first use; ``develop``
-places one length vector on the plan and frame, ``realize`` verifies it.
-``derivable`` is the stop rule: ``run_check`` and ``run_survey`` read
-the stages in report order, validation always, the labels of a
-plausible instance, and every later stage only when it is derivable,
-lapping each on one integer clock (``_stopwatch``, in microseconds).
+Each stage is a cached property computed on first use; ``develop`` places
+a point, ``coefficients`` reads its coordinates in L, ``realize`` verifies
+it.  ``derivable`` is the stop rule: ``run_check`` and ``run_survey`` read
+the stages in report order, validation always, the labels of a plausible
+instance, and every later stage only when it is derivable, lapping each on
+one integer clock (``_stopwatch``, in microseconds).
 One ``*_json`` function per stage builds its report fragment, for the
 CLI and ``run_check``; a survey row builds none.  Exact quantities
 serialize as integer or rational strings.  The closure system and the
@@ -31,8 +31,8 @@ from operator import mul
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays,
-                   lattice_basis, positive_point_check, restrict_to_lattice)
+from .cone import (ENUMERATION_BUDGET, enumerate_lattice_points, extreme_rays, lattice_basis,
+                   lattice_coefficients, positive_point_check, restrict_to_lattice)
 from .emg import EnhancedMultigraph, InputError, InvariantError, trace_faces, validate_plausible
 from .geometry import (RealizedSurface, cone_point_coordinates, development_plan, place_surface,
                        surface_frame, walk_polygons)
@@ -46,8 +46,7 @@ if TYPE_CHECKING:
 
 
 class ConePointError(InvariantError):
-    """A realized point's cone points differ from its type's map, or the
-    type has no map."""
+    """A realized point's cone points differ from its type's map, or it has none."""
 
 
 class Realization(NamedTuple):
@@ -167,53 +166,45 @@ class Instance:
         return enumerate_lattice_points(self.lattice, max_len, budget=budget)
 
     def develop(self, vector):
-        """Realize the edge-length vector (in the closure system's column
-        order) and develop it against the type's frame, as
-        ``develop_surface`` would, with the same records and errors: one
-        walk of the vector on plain ints against the plan, placed straight
-        away.  A vector off the domain (E_b integers, each >= 1, that solve
-        the closure system) raises InputError naming the first rule it
-        breaks; the rules read the system, never the lattice or the cone."""
+        """Place the edge-length vector (closure system column order) on the
+        type's plan and frame, as ``develop_surface`` would.  A vector off the
+        domain raises InputError, by ``_entries`` or the closure system."""
+        self._entries(vector)
+        if not self.system.solves(vector):
+            raise InputError("the length vector does not solve the closure system")
+        return self._place(vector)
+
+    def coefficients(self, vector) -> list[int]:
+        """A point's coefficients in the lattice basis, under ``develop``'s rules;
+        L is saturated, so ``lattice_coefficients`` decides the closure rule."""
+        self._entries(vector)
+        try:
+            return lattice_coefficients(self.lattice.vectors, vector)
+        except ValueError:
+            raise InputError("the length vector does not solve the closure system") from None
+
+    def _entries(self, vector) -> None:  # the domain rules before the closure rule
         check_lengths(vector, self.system.n_cols)
         if odd := [x for x in vector if not isinstance(x, int)]:
             raise InputError(f"a length vector needs integer entries, got {odd[0]!r}")
         if min(vector) < 1:
             raise InputError(f"a length vector needs every entry >= 1, got {min(vector)}")
-        if not self.system.solves(vector):
-            raise InputError("the length vector does not solve the closure system")
+
+    def _place(self, vector):
         return place_surface(self.frame, walk_polygons(self.plan, vector))
 
     def realize(self, vector) -> Realization:
-        """Develop the point, check its cone points against the type's map
-        (else ConePointError), build, color and check its mesh and read the
-        form identity on it; ``identity.holds`` is the verdict.  ``mesh`` is
-        imported here, so a run that realizes no point never loads it."""
+        """Check the point's cone points against the map of its ``coefficients``
+        (else ConePointError), build, color and check its mesh and read the form
+        identity on it, whose ``holds`` is the verdict.  Only a realizing run imports ``mesh``."""
         from .mesh import build_triangulation, four_color
-        surface = self.develop(vector)
+        coeffs, surface = self.coefficients(vector), self._place(vector)
         if self.cone_points_map is None:
             raise ConePointError("the type has no cone point map")
-        want = _apply(self.cone_points_map, lattice_coefficients(self.lattice.vectors, vector))
-        if (got := _cone_points(surface)) != want:
+        if (got := _cone_points(surface)) != (want := _apply(self.cone_points_map, coeffs)):
             raise ConePointError(f"cone points {list(got)} differ from the map's {list(want)}")
         tri = four_color(build_triangulation(surface))
         return Realization(surface, tri, verify_triangle_identity(self.form, vector, tri))
-
-
-def lattice_coefficients(vectors, point) -> list[int]:
-    """The c with point = sum c_i vectors[i], for ``vectors`` in row Hermite
-    normal form, by substitution along the pivots: row i is the last with a
-    nonzero at its pivot, so c_i follows from the c of the rows above it.
-    With every pivot 1 (and so every entry above one 0), c is the point's
-    entries at the pivots.  A point that c does not recombine to is off the
-    lattice and raises ValueError."""
-    coeffs: list[int] = []
-    for row in vectors:
-        p = next(j for j, x in enumerate(row) if x)
-        coeffs.append((point[p] - sum(a * v[p] for a, v in zip(coeffs, vectors))) // row[p])
-    # each column ends in the point's entry; a vector ``develop`` accepts is always in L
-    if any(sum(map(mul, coeffs, col)) != col[-1] for col in zip(*vectors, point)):
-        raise ValueError(f"{list(point)} is not a point of the lattice")
-    return coeffs
 
 
 def _stopwatch(timings: dict):

@@ -3,13 +3,15 @@
 Exact points convert to floats only here, at the last moment.  A point is
 a pair in doubled coordinates: a GridPoint, or for the dual overlay's
 centroids and side midpoints a pair of Fractions, interpolated exactly
-between lattice points already placed in the net.  Output bytes are a pure
-function of the scene: fixed float formatting, fixed element order,
-viewport computed from the exact bounding box with five percent padding.
+between lattice points already placed in the net.  The triangle grid and
+the coloring dots are the realized mesh, read chart by chart.  Output bytes
+are a pure function of the scene: fixed float formatting, fixed element
+order, viewport computed from the exact bounding box with 5% padding.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .emg import WHITE, trace_faces
@@ -19,8 +21,7 @@ if TYPE_CHECKING:
 
     from .emg import EnhancedMultigraph
     from .geometry import RealizedSurface
-    from .grid import GridPoint
-    from .mesh import Triangle
+    from .mesh import ColoredTriangulation
     from .net import NetLayout
 
 SQRT3 = 3 ** 0.5
@@ -111,30 +112,31 @@ def _between(a, b, t: Fraction) -> tuple[Fraction, Fraction]:
 
 def render_net(g: EnhancedMultigraph, surface: RealizedSurface, net: NetLayout,
                triangles: bool = False, vertex_colors: bool = False,
-               overlay_dual: bool = False) -> str:
-    """SVG of the net layout with optional unit-triangle grid, 4-coloring
-    dots, and a red/blue overlay of the underlying multigraph."""
+               overlay_dual: bool = False, mesh: ColoredTriangulation | None = None) -> str:
+    """SVG of the net layout with optional unit-triangle grid and 4-coloring
+    dots, both drawn from ``mesh``, the colored mesh ``Instance.realize``
+    built of ``surface``, and a red/blue overlay of the multigraph."""
     scene = SvgScene()
-    placed = surface.placed
     for pid in sorted(net.points):
-        fill = FILL_WHITE if placed[pid].color == WHITE else FILL_BLACK
-        scene.polygon(net.points[pid], fill)
-    # one triangulation per chart serves both the grid and the dots
-    triangulations = {}
+        scene.polygon(net.points[pid], FILL_WHITE if surface.placed[pid].color == WHITE else FILL_BLACK)
     if triangles or vertex_colors:
-        from .mesh import unit_triangulate
-        triangulations = {pid: unit_triangulate(placed[pid].sides[0].start,
-                                                 [(s.length, s.direction) for s in placed[pid].sides])
-                          for pid in net.points}
+        if mesh is None:
+            raise ValueError("the grid and the dots draw the realized mesh; pass it as mesh")
+        from .mesh import chart_triangles
+        charts = chart_triangles(surface, mesh)
     if triangles:
         for pid in sorted(net.points):
             t = net.transforms[pid]
-            for tri in triangulations[pid]:
-                scene.polygon([t.apply(p) for p in tri], "none", TRIANGLE_STROKE, 0.012)
+            for tri in charts[pid]:
+                scene.polygon([t.apply(mesh.positions[v]) for v in tri], "none", TRIANGLE_STROKE, 0.012)
     if overlay_dual:
         _overlay_dual(scene, g, surface, net)
     if vertex_colors:
-        _vertex_dots(scene, triangulations, net)
+        for pid in sorted(net.points):
+            t = net.transforms[pid]
+            # each vertex once per chart, in the order the chart's triangles reach it
+            for v in dict.fromkeys(chain.from_iterable(charts[pid])):
+                scene.circle(t.apply(mesh.positions[v]), 0.09, VERTEX_PALETTE[mesh.vertex_colors[v]])
     return scene.render()
 
 
@@ -172,17 +174,3 @@ def _overlay_dual(scene: SvgScene, g: EnhancedMultigraph, surface: RealizedSurfa
         for arc in arcs(eid, Fraction(1, 5)):
             scene.polyline(arc, RED_EDGE, 0.03)
 
-
-def _vertex_dots(scene: SvgScene, triangulations: dict[int, list[Triangle]], net: NetLayout) -> None:
-    """One dot per triangulation vertex instance, colored by lattice residue
-    of its folded image (shared vertices repeat with the same color).
-    ``triangulations`` maps each polygon to its unit triangles."""
-    for pid in sorted(net.points):
-        t = net.transforms[pid]
-        seen: set[GridPoint] = set()
-        for tri in triangulations[pid]:
-            for p in tri:
-                if p in seen or not p.is_lattice_point():
-                    continue
-                seen.add(p)
-                scene.circle(t.apply(p), 0.09, VERTEX_PALETTE[p.color_class()])

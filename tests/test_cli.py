@@ -384,6 +384,17 @@ def test_golden_render_large_spiral(capsys):
         "c27afe671f262ee24b52c27ae33ef68a5acef0fb26aac71321bbb64ab9517680"
 
 
+def test_golden_render_large_spiral_grid_and_dots(capsys):
+    # the same net with every chart's unit triangles and coloring dots, read
+    # from the realized mesh chart by chart; recorded while render_net still
+    # cut each of the 400 charts again with unit_triangulate
+    code, out, err = run(capsys, "render", "--family", "spiral", "--k", "200", "--max-len", "8",
+                         "--point", "0", "--triangles", "--vertex-colors")
+    assert (code, err, len(out)) == (0, "", 1065912)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "eca709705dde558da7c0236785b825282c6b28b266a4dddb091333f974365364"
+
+
 @pytest.mark.parametrize("argv", [
     ["realize", "--bundled", "hexagon-pair", "--point", "1,x"],
     ["realize", "--bundled", "hexagon-pair", "--point", "abc"],

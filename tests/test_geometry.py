@@ -550,6 +550,23 @@ def _ray_sum(inst):
 
 @pytest.mark.parametrize("g", [load_bundled(name) for name in BUNDLED] + [gen_spiral(k) for k in (3, 4, 5)],
                          ids=[*BUNDLED, "gen-spiral-3", "gen-spiral-4", "gen-spiral-5"])
+def test_chart_triangles_are_each_charts_unit_triangulation(g):
+    # the SVG's grid and dots read the realized mesh chart by chart; the ray
+    # sum gives spiral k = 4 a point, since it has none within bound 4
+    inst = Instance(g)
+    for vector in [*_positive(inst, bound=4), _ray_sum(inst)]:
+        surf, tri, _ = inst.realize(vector)
+        charts = mesh.chart_triangles(surf, tri)
+        assert list(charts) == sorted(surf.placed)
+        assert sum(map(len, charts.values())) == len(tri.triangles)
+        for pid, chart in surf.placed.items():
+            want = unit_triangulate(chart.sides[0].start, [(s.length, s.direction) for s in chart.sides])
+            assert [tuple(tri.positions[v] for v in t) for t in charts[pid]] == want
+        assert tri.vertex_colors == tuple(p.color_class() for p in tri.positions)
+
+
+@pytest.mark.parametrize("g", [load_bundled(name) for name in BUNDLED] + [gen_spiral(k) for k in (3, 4, 5)],
+                         ids=[*BUNDLED, "gen-spiral-3", "gen-spiral-4", "gen-spiral-5"])
 def test_develop_matches_oracle(g):
     # spiral-8 and spiral k = 4 have no strictly positive point at bound 4,
     # so the sum of the extreme rays keeps every case from passing vacuously

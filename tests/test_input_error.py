@@ -72,12 +72,16 @@ def test_length_vector_needs_e_b_entries(hexagon_pair, use, n):
         use(hexagon_pair, [1] * n)
 
 
-@pytest.mark.parametrize("vector, message", [
+# each vector breaks its rule and every later one on hexagon-pair
+OFF_DOMAIN = pytest.mark.parametrize("vector, message", [
     ([Fraction(1, 2)] * 5, "a length vector needs 6 entries, got 5"),
     ([0, 1, 1, 1, 1, Fraction(1, 2)], r"a length vector needs integer entries, got Fraction\(1, 2\)"),
     ([1, 1, 1, 1, 0, 2], "a length vector needs every entry >= 1, got 0"),
     ([1, 1, 1, 1, 1, 2], "the length vector does not solve the closure system"),
 ], ids=["length", "integers", "positive", "solves"])
+
+
+@OFF_DOMAIN
 def test_develop_decides_the_point_domain_in_order(vector, message):
     # each vector breaks its rule and every later one; the first decides,
     # and none of the rules derives the kernel, the lattice or the cone
@@ -85,3 +89,12 @@ def test_develop_decides_the_point_domain_in_order(vector, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         inst.develop(vector)
     assert not {"kernel", "lattice", "cone"} & vars(inst).keys()
+
+
+@OFF_DOMAIN
+def test_coefficients_and_realize_decide_the_point_domain_as_develop_does(vector, message):
+    # the same rules, order and messages, with the lattice deciding closure
+    inst = Instance(load_bundled("hexagon-pair"))
+    for use in (inst.coefficients, inst.realize):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            use(vector)

@@ -16,7 +16,7 @@ from octacolor.geometry import cone_point_coordinates
 from octacolor.grid import GridPoint
 from octacolor.pipeline import (Instance, grid_point_json, lattice_coefficients, lemmas_json,
                                 run_check, run_survey, vector_json)
-from octacolor.shapesys import verify_lemmas
+from octacolor.shapesys import ShapeSystem, verify_lemmas
 
 
 def test_check_report_spiral3(spiral3):
@@ -150,6 +150,25 @@ def test_realize_agrees_with_checks_realizations(name):
         identity = inst.realize(vector).identity
         assert (entry["triangles"], entry["form_value"], entry["identity_holds"]) == (
             identity.triangle_count, str(identity.form_value), identity.holds)
+
+
+def test_realize_tests_lattice_membership_once(monkeypatch):
+    # L is saturated, so the recombination of the coefficients realize reads
+    # is the closure rule: the system is never asked as well
+    inst = Instance(load_bundled("spiral-6"))
+    vectors = [p.vector for p in inst.lattice_points(3) if p.strictly_positive]
+    assert vectors and inst.cone_points_map  # the map develops its own points first
+    calls = []
+    solves, coefficients = ShapeSystem.solves, pipeline.lattice_coefficients
+    monkeypatch.setattr(ShapeSystem, "solves", lambda self, v: calls.append("solves") or solves(self, v))
+    monkeypatch.setattr(pipeline, "lattice_coefficients",
+                        lambda vs, p: calls.append("lattice_coefficients") or coefficients(vs, p))
+    for vector in vectors:
+        calls.clear()
+        assert inst.realize(vector).identity.holds
+        assert calls == ["lattice_coefficients"]
+        c = inst.coefficients(vector)
+        assert [sum(a * b[j] for a, b in zip(c, inst.lattice.vectors)) for j in range(len(vector))] == list(vector)
 
 
 def test_lattice_coefficients_with_a_pivot_of_two():
