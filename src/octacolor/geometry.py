@@ -17,10 +17,9 @@ polygon that owns its mesh vertex: all that developing a point and gluing
 its mesh read of the type.  Per point, one development core runs:
 ``walk_polygons`` walks the sides on plain ints against the plan, and
 ``place_surface`` translates the walked charts along the tree, checks
-holonomy, normalizes by the flag and builds the placed records.
-``realize_polygons`` is that walk made records, and ``develop_surface``
-places such records; ``pipeline.Instance.develop`` places the walk
-directly, so no origin-anchored record is built per point.
+holonomy, normalizes by the flag and builds the placed records.  Both
+are linear in the lengths and have no length rule, which
+``realize_polygons`` (the walk made records) and ``pipeline`` apply.
 
 Every stage runs on one point type, the integer GridPoint in doubled
 coordinates (X, Y) = (2x, 2y): side lengths are integers and every corner
@@ -83,15 +82,19 @@ def realize_polygons(g: EnhancedMultigraph, boundaries: list[PolygonBoundary],
 
     Side i of a polygon runs for its length along the labelled direction
     (plus a half turn on black polygons, whose charts are the mirrored,
-    folded image).  Raises ClosureError on a length that is not a positive
-    integer and when a chain fails to close, which means ``lengths`` is not
-    a solution of the closure system.  This is ``walk_polygons`` on the
-    ``development_plan`` of ``boundaries``, with the walked sides made
-    records.
+    folded image).  Per polygon, raises ClosureError on a length that is
+    not a positive integer, then as ``walk_polygons`` on the polygon's
+    step of the ``development_plan``.
     """
+    charts = {}
+    for step in development_plan(boundaries, labels):
+        for eid, _, _ in step[2]:
+            if int(lengths[eid]) != lengths[eid] or lengths[eid] <= 0:
+                raise ClosureError(f"edge {eid} has length {lengths[eid]}, expected a positive integer")
+        charts.update(walk_polygons((step,), {eid: int(lengths[eid]) for eid, _, _ in step[2]}))
     return {pid: _new(PolygonChart, (pid, color, tuple(_new(SideRecord, (eid, _new(GridPoint, start), d, ell))
                                                      for eid, start, d, ell in sides)))
-            for pid, (_, color, sides) in walk_polygons(development_plan(boundaries, labels), lengths).items()}
+            for pid, (_, color, sides) in charts.items()}
 
 
 def development_plan(boundaries: list[PolygonBoundary], labels: LabelMap, columns=None):
@@ -122,20 +125,17 @@ def development_plan(boundaries: list[PolygonBoundary], labels: LabelMap, column
 
 
 def walk_polygons(plan, lengths) -> dict[int, tuple]:
-    """Realize ``lengths`` against a ``development_plan``: per polygon id,
-    its chart (id, colour, sides) on plain ints, each side (edge id, start
-    (x, y), direction, length) and the first starting at the origin, as
-    ``PolygonChart`` and ``SideRecord`` hold them.  Raises ClosureError
-    polygon by polygon, on a length, the closure and the corner turns."""
+    """Walk integer ``lengths`` along a ``development_plan``: per polygon
+    id, its chart (id, colour, sides), each side (edge id, start (x, y),
+    direction, length) and the first starting at the origin, as
+    ``PolygonChart`` and ``SideRecord`` hold them.  Linear, with no length
+    rule; raises ClosureError per polygon, on the closure and the turns."""
     charts = {}
     for pid, color, plan_sides, turn_error in plan:
         x = y = 0
         sides = []
         for eid, j, d in plan_sides:
-            length = lengths[j]
-            ell = int(length)
-            if ell != length or ell <= 0:
-                raise ClosureError(f"edge {eid} has length {length}, expected a positive integer")
+            ell = lengths[j]
             sides.append((eid, (x, y), d, ell))
             dx, dy = DIRECTIONS[d]
             x, y = x + ell * dx, y + ell * dy

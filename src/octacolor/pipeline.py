@@ -141,26 +141,14 @@ class Instance:
         """M_tau, the 12 x d integer matrix that takes a point's coefficients
         in the lattice basis b_0 .. b_{d-1} to the doubled coordinates
         X_0, Y_0, .., X_5, Y_5 of its cone points, in ``frame.cone_vertices``
-        order.  Column i is cp(N s + b_i) - cp(N s), where cp develops a
-        point and reads its cone points, s is the sum of the extreme rays and
-        N = 1 + max |entry of a b_i|, so every point developed is strictly
-        positive; no mesh is built.  M c(N s) = cp(N s), with c(N s) N times
-        the rays' sum, shows the map has no offset.  None if the cone has no
-        strictly positive point, a point fails to develop, or the map has an
-        offset."""
-        if not self.cone.has_positive_point:
-            return None
-        vectors = self.lattice.vectors
-        n = 1 + max(abs(x) for v in vectors for x in v)
-        coeffs = [n * sum(col) for col in zip(*self.cone.extreme_rays)]
-        base = [sum(map(mul, coeffs, col)) for col in zip(*vectors)]
+        order.  Development is linear in the lengths on a fixed type, so
+        column i is the cone points of b_i, walked and placed with no length
+        rule; no mesh is built.  None if the basis fails to develop: a turn,
+        angle or holonomy failure of the type."""
         try:
-            at = [_cone_points(self.develop(v))
-                  for v in (base, *([x + y for x, y in zip(base, b)] for b in vectors))]
+            return tuple(zip(*(_cone_points(self._place(b)) for b in self.lattice.vectors)))
         except InvariantError:
             return None
-        matrix = tuple(zip(*([x - y for x, y in zip(p, at[0])] for p in at[1:])))
-        return matrix if _apply(matrix, coeffs) == at[0] else None
 
     def lattice_points(self, max_len: int, budget: int = ENUMERATION_BUDGET):
         return enumerate_lattice_points(self.lattice, max_len, budget=budget)

@@ -599,8 +599,16 @@ def _develop_error_cases():
         frame = hexpair.frame if holonomy else replace(hexpair.frame, non_tree=())
         return "place_surface", (frame, {**charts, 1: replace(charts[1], sides=tuple(sides))})
 
+    # spiral-6's point with its first polygon's first side one unit longer
+    # and an edge off that polygon made 0: the first polygon's closure
+    # fails before a later polygon's length
+    first = spiral6.boundaries[0].sides
+    mixed = [x + (eid == first[0]) for x, eid in zip(_positive(spiral6, 5)[0], spiral6.kernel.col_edges)]
+    mixed[next(j for j, eid in enumerate(spiral6.kernel.col_edges) if eid not in first)] = 0
     return {
         "non-closing-vector": (ClosureError, *realize(hexpair, [2, 1, 1, 1, 1, 1])),
+        "zero-length-vector": (ClosureError, *realize(hexpair, [1, 1, 1, 0, 1, 1])),
+        "non-closing-before-zero-length": (ClosureError, *realize(spiral6, mixed)),
         "half-integer-vector": (ClosureError, *realize(spiral6, [Fraction(x, 2) for x in _positive(spiral6, 5)[0]])),
         "corner-turn-mismatch": (ClosureError, *realize(hexpair, [1] * 6, _acute_first_corner(hexpair))),
         "chart-off-its-gluing": (GluingError, *place(DIRECTIONS[0])),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cone_map_oracle
 import lattice_oracle
 import rational_linalg
 from octacolor import emg, geometry, labeling, mesh, pipeline
@@ -125,16 +126,24 @@ def test_a_perturbed_cone_points_map_fails_the_points_it_moves(hexpair, row, col
         assert not failed or entry["error"].startswith("ConePointError: cone points ")
 
 
-def test_a_cone_points_map_with_an_offset_is_no_map(monkeypatch, hexpair):
+def test_a_planted_offset_fails_every_realized_point(monkeypatch):
+    # the map reads the offset once per basis vector, so a point whose
+    # coefficients sum to n is n - 1 offsets off its map; no strictly
+    # positive point here has a coefficient sum of 1
     real = pipeline.cone_point_coordinates
     monkeypatch.setattr(pipeline, "cone_point_coordinates",
                         lambda surface: tuple(p + GridPoint(2, 0) for p in real(surface)))
-    report = run_check(hexpair, max_len=2)
-    assert report.cone["cone_points_map"] is None and report.cone["has_positive_point"]
-    assert report.realizations and not report.ok
-    assert all(entry == {"vector": entry["vector"],
-                         "error": "ConePointError: the type has no cone point map"}
-               for entry in report.realizations)
+    for name, max_len in (("hexagon-pair", 2), ("spiral-6", 4)):
+        report = run_check(load_bundled(name), name=name, max_len=max_len)
+        assert report.cone["cone_points_map"] is not None
+        assert report.realizations and not report.ok
+        assert all(entry["error"].startswith("ConePointError: cone points ") for entry in report.realizations)
+
+
+@pytest.mark.parametrize("name", [case[0] for case in CONE_MAP_INSTANCES] + ["spiral-k12", "spiral-k200"])
+def test_cone_points_map_equals_the_finite_difference_oracle(name):
+    inst = Instance(gen_spiral(int(name[len("spiral-k"):])) if name.startswith("spiral-k") else load_bundled(name))
+    assert inst.cone_points_map == cone_map_oracle.cone_points_map(inst)
 
 
 @pytest.mark.parametrize("name", bundled_names())
@@ -157,7 +166,7 @@ def test_realize_tests_lattice_membership_once(monkeypatch):
     # is the closure rule: the system is never asked as well
     inst = Instance(load_bundled("spiral-6"))
     vectors = [p.vector for p in inst.lattice_points(3) if p.strictly_positive]
-    assert vectors and inst.cone_points_map  # the map develops its own points first
+    assert vectors and inst.cone_points_map  # the map walks the lattice basis first
     calls = []
     solves, coefficients = ShapeSystem.solves, pipeline.lattice_coefficients
     monkeypatch.setattr(ShapeSystem, "solves", lambda self, v: calls.append("solves") or solves(self, v))
@@ -302,13 +311,15 @@ def test_a_wrong_signature_fails_the_survey_row(monkeypatch):
 
 
 def test_a_cone_without_a_positive_point_fails_check_and_survey(monkeypatch):
+    # the map walks the lattice basis, not a positive point of the cone
+    cone_map = pipeline.matrix_json(Instance(gen_spiral(3)).cone_points_map)
     real = pipeline.extreme_rays
     monkeypatch.setattr(pipeline, "extreme_rays", lambda cd: real(cd)._replace(has_positive_point=False))
     report = run_check(gen_spiral(3), name="spiral-k3", max_len=2)
     assert [c for c in report.certificates if not c["passed"]] == [
         {"name": "positive-point", "passed": False,
          "detail": "the sum of the 7 extreme rays is not strictly positive"}]
-    assert not report.ok
+    assert not report.ok and report.cone["cone_points_map"] == cone_map
     (row,) = run_survey([("spiral-k3", gen_spiral(3))], max_len=2)["survey"]
     assert row["has_positive_point"] is False and row["lemmas_ok"] is False
 
@@ -348,9 +359,11 @@ def test_spiral_gate_computes_only_its_stages(monkeypatch):
 
 
 def test_point_vector_skips_the_enumeration(monkeypatch, capsys):
-    # realize and render check the vector's cone points, so they derive the
-    # cone and the lattice, but enumerate no point
-    monkeypatch.setattr(pipeline, "enumerate_lattice_points", _forbidden("enumerate_lattice_points"))
+    # realize and render check the vector's cone points against the map,
+    # which walks the lattice basis: they derive the lattice, but neither
+    # the cone nor any enumerated point
+    for name in ("enumerate_lattice_points", "extreme_rays"):
+        monkeypatch.setattr(pipeline, name, _forbidden(name))
     assert main(["realize", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,1"]) == 0
     assert json.loads(capsys.readouterr().out)["point"] == ["1"] * 6
     assert main(["render", "--bundled", "hexagon-pair", "--point", "1,1,1,1,1,1"]) == 0
@@ -460,10 +473,32 @@ def test_only_an_invariant_failure_in_the_mesh_is_a_verdict(monkeypatch, hexpair
 @pytest.mark.parametrize("error", [geometry.GluingError, ValueError],
                          ids=["GluingError", "ValueError"])
 def test_only_an_invariant_failure_leaves_no_cone_points_map(monkeypatch, error):
-    monkeypatch.setattr(Instance, "develop", _planted(error))
+    # planted in the walk of the lattice basis the map places
+    monkeypatch.setattr(pipeline, "place_surface", _planted(error))
     inst = Instance(load_bundled("spiral-6"))
     if error is ValueError:  # a bug escapes the map
         with pytest.raises(ValueError, match="^planted$"):
             inst.cone_points_map
         return
     assert inst.cone_points_map is None
+    # check still reports the type per point: each point's own walk fails
+    report = run_check(inst, max_len=3)
+    assert report.cone["cone_points_map"] is None and report.realizations and not report.ok
+    assert all(entry["error"] == "GluingError: planted" for entry in report.realizations)
+
+
+def test_a_point_that_develops_on_a_type_with_no_map_is_a_cone_point_failure(monkeypatch, hexpair):
+    # a walk fails only on a length below 1: hexagon-pair's lattice basis
+    # has such entries, and no realized point does
+    real = pipeline.walk_polygons
+
+    def positive_only(plan, lengths):
+        if min(lengths) < 1:
+            raise geometry.GluingError("planted")
+        return real(plan, lengths)
+
+    monkeypatch.setattr(pipeline, "walk_polygons", positive_only)
+    report = run_check(hexpair, max_len=2)
+    assert report.cone["cone_points_map"] is None and report.realizations and not report.ok
+    assert all(entry == {"vector": entry["vector"], "error": "ConePointError: the type has no cone point map"}
+               for entry in report.realizations)
