@@ -10,16 +10,16 @@ extreme rays, primitive in the lattice, the double description method
 computes on its distinct rows, each ray carrying an integer bitmask of the
 rows it is tight on, so adjacency is a test on ints (the masks are the
 ray-row incidences the face lattice of C_tau would read).  The points with
-every length in [0, bound] are the integer points of a box, found by
-Fourier-Motzkin elimination.  Edges whose rows in the basis are equal have
-equal lengths at every point, so the box rows, and every bound read from
-them, come from one edge per distinct row.  The enumeration carries the
-partial vector of the fixed coefficients down the levels, and reads the
-last coefficient's range and the sub-range of strictly positive points
-straight from it and the distinct rows the last basis vector moves; each
-point then costs a step on the moving edges and one tuple copy.
-Everything runs in exact integer arithmetic: every constraint is kept as
-an integer row, and rescaled only by positive factors.
+every length in [0, bound] are the integer points of a box.  The basis is
+in Hermite normal form, so the box is triangular: each coefficient's
+integer range is read from the box rows of its own level on the partial
+vector of the fixed coefficients, every range is bounded by its level's
+positive pivot, and the points come out in vector order with nothing
+sorted.  Edges whose rows in the basis are equal have equal lengths at
+every point, so the box rows, and every bound read from them, come from
+one edge per distinct row.  Each point of the last level costs a step on
+the edges the last basis vector moves and one tuple copy, and counts once
+against the budget.  Everything runs in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -218,21 +218,29 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
     C_tau is the kernel intersected with the nonnegative orthant, and ``lb``
     spans every integer kernel point, so these are the points
     c_0 v_0 + ... + c_{d-1} v_{d-1} of the lattice inside the box
-    0 <= L c <= bound, one per coefficient vector c.  Edges with equal
-    rows of L have equal lengths at every c, so one edge stands for each
-    distinct row, in first-occurrence order.  Fourier-Motzkin elimination
-    projects the box rows of the distinct rows, and the integer ranges of
-    c_0 .. c_{d-2} are read level by level from the projected systems,
-    carrying the partial vector w = c_0 v_0 + ... down the levels.  Each
-    prefix leaves one run of points w + c v_{d-1}, read in one pass over
-    one edge j per distinct moving row, v_j != 0 (the box rows of the still
-    edges, v_j = 0, hold by the level above): 0 <= w_j + c v_j <= bound
-    gives the run's range of c, and w_j + c v_j >= 1 the interval of c on
-    which the point is strictly positive (every edge length >= 1), empty
-    unless w_j >= 1 on one edge per distinct still row.  The run's points
-    are copies of one working vector stepped by v_{d-1} on every moving
-    edge, so a point costs work in the nonzeros of v_{d-1}, and nothing is
-    filtered afterwards.  More than ``budget`` candidates raise
+    0 <= L c <= bound, one per coefficient vector c.  ``lb`` must be in row
+    echelon form with positive pivots, as ``lattice_basis`` returns it;
+    any other basis raises ValueError.  Edges with equal rows of L have
+    equal lengths at every c, so one edge stands for each distinct row, in
+    first-occurrence order, at the level of the row's last nonzero: its
+    length w_j + c a_j reads only c_0 .. c_level.  The box is then
+    triangular.  The partial vector w = c_0 v_0 + ... + c_{i-1} v_{i-1}
+    is carried down the levels, and 0 <= w_j + c a_j <= bound on the edges
+    of level i gives the integer range of c_i.  Every level holds the edge
+    at its pivot, whose entry is positive, so every range is bounded.  The
+    edges of earlier levels hold by the levels above, so no other row
+    bounds c_i, though a prefix may leave no point below it.  Level i is the
+    first to move the pivot edge of v_i, so coefficient order is vector
+    order, and walking each range upwards lists the points sorted with no
+    sort.  Each prefix leaves one run of points w + c v_{d-1}, read in one
+    pass over the edges of the last level: their box rows give the run's
+    range of c, and w_j + c a_j >= 1 the interval of c on which the point
+    is strictly positive (every edge length >= 1), empty unless w_j >= 1
+    on one edge per distinct still row (a_j = 0).  The run's points are
+    copies of one working vector stepped by v_{d-1} on every moving edge,
+    so a point costs work in the nonzeros of v_{d-1}, and nothing is
+    filtered afterwards.  Every candidate of a run is a point, so the
+    budget counts points: more than ``budget`` raise
     EnumerationBudgetError, and a negative bound or budget InputError.
     """
     if bound < 0:
@@ -243,21 +251,25 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
     n = len(lb.col_edges)
     if d == 0:
         return [LatticePoint(tuple([0] * n), False)]
+    pivot = -1
+    for v in lb.vectors:
+        p = next((j for j, x in enumerate(v) if x), n)
+        if p <= pivot or p == n or v[p] < 0:
+            raise ValueError("lattice basis must be in row echelon form with positive pivots")
+        pivot = p
 
-    # the first edge of each distinct row of L, in first-occurrence order
+    # the first edge of each distinct row of L, in first-occurrence order,
+    # grouped by the level of the row's last nonzero
     first: dict[tuple[int, ...], int] = {}
     for j, row in enumerate(zip(*lb.vectors)):
         first.setdefault(row, j)
-    # constraints as (coeff vector, constant): coeff . c + const >= 0
-    constraints = []
-    for row in first:
-        constraints.append((list(row), 0))
-        constraints.append(([-x for x in row], bound))
-    systems = _fourier_motzkin_levels(constraints, d)
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for row, j in first.items():
+        level = next((i for i in range(d - 1, -1, -1) if row[i]), None)
+        if level is not None:
+            levels[level].append((j, row[level]))
     # a run's bounds read one edge per distinct row, its points every edge
-    bounding = [(j, row[-1]) for row, j in first.items() if row[-1]]
-    if not bounding:
-        raise ValueError("enumeration region is unbounded; lattice basis must be full rank")
+    bounding = levels[-1]
     still = [j for row, j in first.items() if not row[-1]]
     moving = [(j, a) for j, a in enumerate(lb.vectors[-1]) if a]
 
@@ -315,88 +327,39 @@ def enumerate_lattice_points(lb: LatticeBasis, bound: int,
             for j, a in moving:
                 vec[j] += a
 
-    def recurse(prefix: tuple[int, ...], w: list[int]):
-        level = len(prefix)
+    def recurse(level: int, w: list[int]):
         if level == d - 1:
             return run(w)
-        lo, hi = _integer_range(systems[level], prefix)
-        if lo is None:
+        lo, hi = _level_range(w, levels[level], bound)
+        if lo > hi:
             return
         v = lb.vectors[level]
         w = [x + lo * y for x, y in zip(w, v)]
-        for val in range(lo, hi + 1):
-            recurse(prefix + (val,), w)
+        for _ in range(lo, hi + 1):
+            recurse(level + 1, w)
             w = list(map(add, w, v))
 
-    recurse((), [0] * n)
-    # distinct coefficients give distinct vectors: this orders by vector
-    points.sort()
+    recurse(0, [0] * n)
     return points
 
 
-def _fourier_motzkin_levels(constraints, d):
-    """systems[j] holds integer constraints in variables c_0..c_j only."""
-    systems = [None] * d
-    current = _prune(constraints)
-    for level in range(d - 1, 0, -1):
-        systems[level] = current
-        pos = [(c, k) for c, k in current if c[level] > 0]
-        neg = [(c, k) for c, k in current if c[level] < 0]
-        nxt = [(c[:level], k) for c, k in current if c[level] == 0]
-        for cp, kp in pos:
-            for cn, kn in neg:
-                ap, an = cp[level], -cn[level]
-                nxt.append(([an * x + ap * y for x, y in zip(cp[:level], cn[:level])],
-                            an * kp + ap * kn))
-        current = _prune(nxt)
-    systems[0] = current
-    return systems
-
-
-def _prune(constraints):
-    """Keep, per primitive direction h/g (g = gcd(h)), the row with the least
-    k/g, compared by cross-multiplication.  Kept rows are divided by the gcd
-    of all their entries, a positive rescaling, so the rational region and
-    every integer range read from it are unchanged."""
-    best: dict[tuple[int, ...], tuple[int, int]] = {}
-    absolute = None
-    for coeffs, const in constraints:
-        g = math.gcd(*coeffs)
-        if g == 0:
-            # 0 >= -const: either trivial or infeasible; keep the tightest
-            if absolute is None or const < absolute[1]:
-                absolute = (list(coeffs), const)
-            continue
-        head = tuple(x // g for x in coeffs)
-        if head not in best or const * best[head][1] < best[head][0] * g:
-            best[head] = (const, g)
-    out = []
-    for head, (const, g) in best.items():
-        h = math.gcd(g, const)
-        out.append(([x * (g // h) for x in head], const // h))
-    if absolute is not None:
-        out.append(absolute)
-    return out
-
-
-def _integer_range(constraints, prefix):
-    """Integer interval for the next variable given fixed earlier values."""
-    level = len(prefix)
-    lo, hi = None, None
-    for coeffs, const in constraints:
-        a = coeffs[level]
-        rest = const + sum(map(mul, coeffs, prefix))
-        # a * x + rest >= 0
+def _level_range(w, edges, bound):
+    """The integer c with 0 <= w_j + c a_j <= bound for every (j, a_j) in
+    the nonempty ``edges``, as (lo, hi); lo > hi when there is none."""
+    j, a = edges[0]
+    x = w[j]
+    lo = -(x // a) if a > 0 else -((bound - x) // -a)
+    hi = (bound - x) // a if a > 0 else x // -a
+    for j, a in edges:
+        x = w[j]
         if a > 0:
-            bound = -(rest // a)      # ceil(-rest / a)
-            lo = bound if lo is None else max(lo, bound)
-        elif a < 0:
-            bound = rest // -a        # floor(rest / -a)
-            hi = bound if hi is None else min(hi, bound)
-        elif rest < 0:
-            return None, None
-    if lo is None or hi is None:
-        raise ValueError("enumeration region is unbounded; lattice basis must be full rank")
-    if lo > hi:
-        return None, None
+            t = -(x // a)
+            u = (bound - x) // a
+        else:
+            t = -((bound - x) // -a)
+            u = x // -a
+        if t > lo:
+            lo = t
+        if u < hi:
+            hi = u
     return lo, hi

@@ -586,8 +586,8 @@ def test_invariant_failure_end_to_end(capsys, recolored_spiral6, command):
     (mesh, "build_triangulation", ["realize", "--bundled", "hexagon-pair", "--point", "0"]),
     (pipeline, "assign_labels", ["labels", "--bundled", "hexagon-pair"]),
     # inside cone.enumerate_lattice_points, a plain ValueError like its own
-    # unbounded-region check
-    (cone, "_fourier_motzkin_levels", ["lattice", "--bundled", "hexagon-pair", "--max-len", "2"]),
+    # echelon-form check
+    (cone, "_level_range", ["lattice", "--bundled", "hexagon-pair", "--max-len", "2"]),
 ], ids=["gen", "check", "realize", "labels", "lattice"])
 def test_a_plain_value_error_escapes_main(monkeypatch, module, name, argv):
     # a bug, not a verdict on the input: no exit code may stand for it

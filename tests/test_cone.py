@@ -345,18 +345,28 @@ def _pairs(points):
     return [(p.vector, p.strictly_positive) for p in points]
 
 
-def _assert_matches_oracle(lb, bound):
-    want = enumeration_oracle.enumerate_lattice_points(lb, bound)
+def _assert_matches_oracle(lb, bound, drawn=None):
+    """The library's points on ``lb`` are the oracle's on ``drawn``, another
+    basis of the same lattice (``lb`` itself by default)."""
+    want = enumeration_oracle.enumerate_lattice_points(drawn or lb, bound)
     assert _pairs(enumerate_lattice_points(lb, bound)) == _pairs(want)
     return want
 
 
-def _assert_same_budget(lb, bound, want):
+def _assert_same_budget(lb, bound, want, drawn=None):
     """Every candidate is a point, so both raise exactly below the count."""
     assert _pairs(enumerate_lattice_points(lb, bound, budget=len(want))) == _pairs(want)
-    for enumerate_points in (enumerate_lattice_points, enumeration_oracle.enumerate_lattice_points):
-        with pytest.raises(EnumerationBudgetError):
-            enumerate_points(lb, bound, budget=len(want) - 1)
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_lattice_points(lb, bound, budget=len(want) - 1)
+    with pytest.raises(EnumerationBudgetError):
+        enumeration_oracle.enumerate_lattice_points(drawn or lb, bound, budget=len(want) - 1)
+
+
+def _hermite(lb):
+    """The basis of ``lb``'s lattice the library takes: its Hermite normal
+    form, in row echelon form with positive pivots."""
+    return LatticeBasis(tuple(map(tuple, linalg.hermite_normal_form(list(map(list, lb.vectors))))),
+                        lb.col_edges)
 
 
 def test_enumerate_matches_oracle_on_instances():
@@ -400,7 +410,9 @@ def full_rank_bases(draw):
 @settings(max_examples=200, deadline=None)
 @given(full_rank_bases(), st.integers(0, 4))
 def test_enumerate_matches_oracle_on_random_lattices(lb, bound):
-    _assert_same_budget(lb, bound, _assert_matches_oracle(lb, bound))
+    # the library walks the Hermite normal form, the oracle the drawn basis
+    hnf = _hermite(lb)
+    _assert_same_budget(hnf, bound, _assert_matches_oracle(hnf, bound, lb), lb)
 
 
 @st.composite
@@ -418,12 +430,15 @@ def bases_with_repeated_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(bases_with_repeated_rows(), st.integers(0, 4))
 def test_enumerate_matches_oracle_with_repeated_rows(lb, bound):
-    _assert_same_budget(lb, bound, _assert_matches_oracle(lb, bound))
+    hnf = _hermite(lb)
+    _assert_same_budget(hnf, bound, _assert_matches_oracle(hnf, bound, lb), lb)
 
 
 @settings(max_examples=100, deadline=None)
 @given(full_rank_bases(), st.integers(0, 4))
 def test_duplicating_every_column_duplicates_every_length(lb, bound):
+    # doubling the columns of an echelon form keeps it one
+    lb = _hermite(lb)
     doubled = LatticeBasis(tuple(tuple(x for x in v for _ in range(2)) for v in lb.vectors),
                            tuple(range(2 * len(lb.col_edges))))
     want = enumerate_lattice_points(lb, bound)
@@ -433,6 +448,19 @@ def test_duplicating_every_column_duplicates_every_length(lb, bound):
     assert enumerate_lattice_points(doubled, bound, budget=len(want)) == got
     with pytest.raises(EnumerationBudgetError):
         enumerate_lattice_points(doubled, bound, budget=len(want) - 1)
+
+
+@pytest.mark.parametrize("rebase", [
+    lambda vectors: (vectors[1], vectors[0], *vectors[2:]),
+    lambda vectors: (vectors[0], tuple(-x for x in vectors[1]), *vectors[2:]),
+], ids=["rows-swapped", "pivot-negated"])
+def test_enumerate_rejects_a_basis_not_in_echelon_form(hexpair, rebase):
+    # the same lattice and a full-rank basis, but not in the echelon form
+    # with positive pivots that the level-by-level walk reads
+    lb = Instance(hexpair).lattice
+    enumerate_lattice_points(lb, 2)
+    with pytest.raises(ValueError, match="^lattice basis must be in row echelon form with positive pivots$"):
+        enumerate_lattice_points(lb._replace(vectors=rebase(lb.vectors)), 2)
 
 
 def test_lattice_basis_matches_oracle():
